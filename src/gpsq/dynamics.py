@@ -276,7 +276,13 @@ def trajectory(
         if atoms:
             q = len(atoms)
             rate = r(q)
-            t_next = min(t + atoms[0] / rate, next_arrival, horizon)
+            finish = t + atoms[0] / rate
+            if finish <= t:
+                # the smallest atom's finish time rounds back onto the
+                # clock (possible once t passes 2**14): it departs at t
+                d = atoms[0]
+                atoms = [a - d for a in atoms]
+            t_next = min(finish, next_arrival, horizon)
             drain = q * rate
         else:
             q = 0
@@ -370,7 +376,9 @@ def simulate_queue_path(
     drain offset and a min-heap of absolute finish levels, so each step
     costs O(log n) plus one event per departure.  Intended for the long
     statistical runs where the per-step closed form would be quadratic
-    overall.
+    overall.  The offset and the level total restart from zero whenever
+    the queue empties, so their rounding error does not build up over a
+    long run.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
@@ -389,10 +397,11 @@ def simulate_queue_path(
             rate_cache[n] = v
         return v
 
+    xs, ss = gen.sample_block(start_index, start_index + n_steps)
     for n in range(n_steps):
         q[n] = len(heap)
         w[n] = total - offset * len(heap)
-        xi, sigma = gen.sample(start_index + n)
+        xi, sigma = xs[n], ss[n]
         level = sigma + offset
         heapq.heappush(heap, level)
         total += level
@@ -409,6 +418,8 @@ def simulate_queue_path(
                 b = 0.0
         while heap and heap[0] - offset <= 0.0:
             total -= heapq.heappop(heap)
+        if not heap:
+            offset = total = 0.0
     q[n_steps] = len(heap)
     w[n_steps] = total - offset * len(heap)
     final = CountingMeasure(v - offset for v in heap)

@@ -18,18 +18,37 @@ sequential state exists to advance.  Variates are produced by inverse-CDF
 transforms of ``Generator.random()`` to keep the mapping from bits to
 values explicit and stable.
 
+Two paths read the same stream:
+
+* ``sample(n)`` builds numpy's ``Philox`` generator for one index and draws
+  from it.  It is the definition of the stream and the reference the block
+  path is tested against; it stays for isolated lookups, where one
+  generator (~16 us) is far cheaper than one kernel call (~0.2 ms).
+* ``sample_block(a, b)`` returns the marks of indices ``a .. b - 1`` as two
+  lists.  :func:`_philox_uniforms` runs Philox4x64-10 over whole arrays of
+  counters in numpy (Salmon et al., SC'11), reproducing ``random()``
+  bit for bit, and each distribution maps its column of uniforms through
+  :meth:`transform`.  The scans read their marks this way.
+
+The transforms of both paths are the same Python float arithmetic:
+``math.log1p`` and ``**`` applied element by element.  ``np.log1p`` is not
+correctly rounded the same way (it is one ulp off ``math.log1p`` on about
+6% of draws), so the block path keeps ``math.log1p`` and the two paths give
+identical bytes.
+
 The Markov-modulated model is exactly stationary: the modulating state at
 index ``n`` is resolved by coupling from the past over the grand coupling
 of the chain (one shared uniform per index, inverse-CDF transition rows),
-doubling the lookback until all start states coalesce.
+doubling the lookback until all start states coalesce.  A block resolves
+the state at its first index that way and evolves it forward with the same
+uniforms, which gives the states the per-index search would find.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Protocol, runtime_checkable
+from typing import ClassVar, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -46,6 +65,55 @@ def _rng_at(seed: int, purpose: int, index: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, purpose], dtype=np.uint64)
     counter = np.array([0, 0, 0, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+# Philox4x64-10 constants (Random123): round multipliers of counter words 0
+# and 2, and the Weyl increments of the two key words.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO = _PHILOX_M & np.uint64(0xFFFFFFFF)
+_PHILOX_M_HI = _PHILOX_M >> np.uint64(32)
+_PHILOX_KEY_BUMPS = np.array(
+    [[[r * 0x9E3779B97F4A7C15 & _MASK64], [r * 0xBB67AE8584CAA73B & _MASK64]] for r in range(10)],
+    dtype=np.uint64,
+)
+#: Counters per kernel pass; keeps the temporaries small and in cache.
+_PHILOX_CHUNK = 8192
+
+
+def _philox_pass(keys: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Counter words are held as two stacked pairs: x = (c0, c2), the words
+    # each round multiplies, and y = (c1, c3).  A round maps them to
+    # x' = (hi(M1 c2) ^ c1 ^ k0, hi(M0 c0) ^ c3 ^ k1), y' = (lo(M1 c2), lo(M0 c0)).
+    # The counter is [1, 0, 0, index]: numpy's Philox increments word 0
+    # before its first block.  hi() is the 64x64 -> 128 product's upper
+    # half, assembled from 32-bit limbs.
+    low32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    x = np.zeros((2, n), dtype=np.uint64)
+    x[0] = 1
+    y = np.zeros((2, n), dtype=np.uint64)
+    y[1] = np.arange(n, dtype=np.uint64) + np.uint64(first)
+    for key in keys:
+        x_lo, x_hi = x & low32, x >> s32
+        p0, p1, p2 = x_lo * _PHILOX_M_LO, x_lo * _PHILOX_M_HI, x_hi * _PHILOX_M_LO
+        mid = (p0 >> s32) + (p1 & low32) + (p2 & low32)
+        hi = x_hi * _PHILOX_M_HI + (p1 >> s32) + (p2 >> s32) + (mid >> s32)
+        x, y = hi[::-1] ^ y ^ key, (x * _PHILOX_M)[::-1]
+    return x[0], y[0]
+
+
+def _philox_uniforms(seed: int, purpose: int, a: int, b: int) -> np.ndarray:
+    """The first two ``random()`` draws of the generator of every index in
+    ``a .. b - 1``, as an array of shape ``(b - a, 2)``; row ``i`` equals
+    ``_rng_at(seed, purpose, a + i).random(2)`` bit for bit."""
+    n = b - a
+    keys = np.array([[seed & _MASK64], [purpose]], dtype=np.uint64) + _PHILOX_KEY_BUMPS
+    out = np.empty((n, 2))
+    for lo in range(0, n, _PHILOX_CHUNK):
+        m = min(_PHILOX_CHUNK, n - lo)
+        w0, w1 = _philox_pass(keys, (a + lo) & _MASK64, m)
+        out[lo : lo + m, 0] = w0 >> np.uint64(11)
+        out[lo : lo + m, 1] = w1 >> np.uint64(11)
+    return out * (1.0 / 9007199254740992.0)
 
 
 def splitmix64(x: int) -> int:
@@ -68,6 +136,9 @@ def replication_seed(base_seed: int, i: int) -> int:
 
 @dataclass(frozen=True)
 class Exponential:
+    #: uniforms one draw consumes
+    consumes: ClassVar[int] = 1
+
     mean: float
 
     def __post_init__(self):
@@ -76,6 +147,11 @@ class Exponential:
 
     def draw(self, rng: np.random.Generator) -> float:
         return -self.mean * math.log1p(-rng.random())
+
+    def transform(self, u: np.ndarray) -> list[float]:
+        """Draws from the uniforms ``u``, in the arithmetic of :meth:`draw`."""
+        mean, log1p = self.mean, math.log1p
+        return [-mean * log1p(-x) for x in u.tolist()]
 
     def dist_mean(self) -> float:
         return self.mean
@@ -89,6 +165,8 @@ class Exponential:
 
 @dataclass(frozen=True)
 class Deterministic:
+    consumes: ClassVar[int] = 0
+
     value: float
 
     def __post_init__(self):
@@ -97,6 +175,9 @@ class Deterministic:
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.value
+
+    def transform(self, u: np.ndarray) -> list[float]:
+        return [self.value] * len(u)
 
     def dist_mean(self) -> float:
         return self.value
@@ -110,6 +191,8 @@ class Deterministic:
 
 @dataclass(frozen=True)
 class Uniform:
+    consumes: ClassVar[int] = 1
+
     low: float
     high: float
 
@@ -119,6 +202,10 @@ class Uniform:
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.low + (self.high - self.low) * rng.random()
+
+    def transform(self, u: np.ndarray) -> list[float]:
+        low, width = self.low, self.high - self.low
+        return [low + width * x for x in u.tolist()]
 
     def dist_mean(self) -> float:
         return 0.5 * (self.low + self.high)
@@ -135,6 +222,8 @@ class Pareto:
     """Pareto with shape ``alpha`` and minimum ``scale``; ``alpha > 1`` so
     the mean is finite."""
 
+    consumes: ClassVar[int] = 1
+
     alpha: float
     scale: float
 
@@ -146,6 +235,10 @@ class Pareto:
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.scale * (1.0 - rng.random()) ** (-1.0 / self.alpha)
+
+    def transform(self, u: np.ndarray) -> list[float]:
+        scale, power = self.scale, -1.0 / self.alpha
+        return [scale * (1.0 - x) ** power for x in u.tolist()]
 
     def dist_mean(self) -> float:
         return self.alpha * self.scale / (self.alpha - 1.0)
@@ -211,6 +304,9 @@ class IIDModel:
         rng = _rng_at(seed, _PURPOSE_MARKS, index)
         return self.xi_dist.draw(rng), self.sigma_dist.draw(rng)
 
+    def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
+        return _marks(self.xi_dist, self.sigma_dist, _philox_uniforms(seed, _PURPOSE_MARKS, a, b))
+
     def mean_xi(self) -> float:
         return self.xi_dist.dist_mean()
 
@@ -237,6 +333,9 @@ class DeterministicModel:
     def sample_at(self, seed: int, index: int) -> tuple[float, float]:
         return self.xi, self.sigma
 
+    def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
+        return [self.xi] * (b - a), [self.sigma] * (b - a)
+
     def mean_xi(self) -> float:
         return self.xi
 
@@ -245,6 +344,14 @@ class DeterministicModel:
 
     def sigma_quantile(self, p: float) -> float:
         return self.sigma
+
+
+def _marks(
+    xi_dist: Distribution, sigma_dist: Distribution, u: np.ndarray
+) -> tuple[list[float], list[float]]:
+    # the uniforms of one index are consumed in order, xi first: sigma
+    # takes the first one when xi is deterministic
+    return xi_dist.transform(u[:, 0]), sigma_dist.transform(u[:, xi_dist.consumes])
 
 
 def _chain_period(edges: list[list[int]]) -> int:
@@ -350,6 +457,16 @@ class MarkovModulatedModel:
         rng = _rng_at(seed, _PURPOSE_MARKS, index)
         return self.xi_dists[s].draw(rng), self.sigma_dists[s].draw(rng)
 
+    def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
+        states = np.array(_mm_states(self, seed, a, b), dtype=np.int64)
+        u = _philox_uniforms(seed, _PURPOSE_MARKS, a, b)
+        xs = np.empty(b - a)
+        ss = np.empty(b - a)
+        for s in range(self.n_states):
+            at = np.flatnonzero(states == s)
+            xs[at], ss[at] = _marks(self.xi_dists[s], self.sigma_dists[s], u[at])
+        return xs.tolist(), ss.tolist()
+
     def mean_xi(self) -> float:
         pi = self.stationary_distribution()
         return float(sum(pi[s] * d.dist_mean() for s, d in enumerate(self.xi_dists)))
@@ -362,35 +479,69 @@ class MarkovModulatedModel:
         return max(d.quantile(p) for d in self.sigma_dists)
 
 
-@lru_cache(maxsize=1 << 16)
+def _coalesce(model: MarkovModulatedModel, us: list[float]) -> int | None:
+    """Chain state after the uniforms ``us`` (oldest first), run from every
+    start state at once; ``None`` if the start states have not merged.
+
+    Once every start state has been funnelled into one value the remaining
+    steps evolve that single state deterministically.
+    """
+    states = set(range(model.n_states))
+    single: int | None = None
+    for u in us:
+        if single is None:
+            states = {model._advance(s, u) for s in states}
+            if len(states) == 1:
+                single = next(iter(states))
+        else:
+            single = model._advance(single, u)
+    return single
+
+
+_NO_COALESCENCE = (
+    "modulating chain did not coalesce within the lookback cap; "
+    "its rows may not admit a common inverse-CDF collapse"
+)
+
+
 def _mm_state_at(model: MarkovModulatedModel, seed: int, index: int) -> int:
     """Stationary chain state at an index via coupling from the past.
 
-    Uses one shared uniform per index and the inverse-CDF map of each row;
-    once every possible start state has been funnelled into one value the
-    remaining steps evolve that single state deterministically.
+    Uses one shared uniform per index and the inverse-CDF map of each row,
+    doubling the lookback from 8 until the start states coalesce.
     """
     lookback = 8
     while lookback <= _MM_MAX_LOOKBACK:
-        states = set(range(model.n_states))
-        single: int | None = None
-        for m in range(index - lookback + 1, index + 1):
-            u = _rng_at(seed, _PURPOSE_CHAIN, m).random()
-            if single is None:
-                states = {model._advance(s, u) for s in states}
-                if len(states) == 1:
-                    single = next(iter(states))
-            else:
-                single = model._advance(single, u)
+        us = [
+            _rng_at(seed, _PURPOSE_CHAIN, m).random()
+            for m in range(index - lookback + 1, index + 1)
+        ]
+        single = _coalesce(model, us)
         if single is not None:
             return single
-        if len(states) == 1:
-            return next(iter(states))
         lookback *= 2
-    raise RuntimeError(
-        "modulating chain did not coalesce within the lookback cap; "
-        "its rows may not admit a common inverse-CDF collapse"
-    )
+    raise RuntimeError(_NO_COALESCENCE)
+
+
+def _mm_states(model: MarkovModulatedModel, seed: int, a: int, b: int) -> list[int]:
+    """Stationary chain states at indices ``a .. b - 1``: one coupling from
+    the past at ``a`` (the same lookbacks as :func:`_mm_state_at`), then the
+    forward evolution under the same uniforms."""
+    if b <= a:
+        return []
+    lookback = 8
+    us = _philox_uniforms(seed, _PURPOSE_CHAIN, a - lookback + 1, b)[:, 0].tolist()
+    while (single := _coalesce(model, us[:lookback])) is None:
+        if 2 * lookback > _MM_MAX_LOOKBACK:
+            raise RuntimeError(_NO_COALESCENCE)
+        older = _philox_uniforms(seed, _PURPOSE_CHAIN, a - 2 * lookback + 1, a - lookback + 1)
+        us = older[:, 0].tolist() + us
+        lookback *= 2
+    states = [single]
+    for u in us[lookback:]:
+        single = model._advance(single, u)
+        states.append(single)
+    return states
 
 
 InputModel = IIDModel | DeterministicModel | MarkovModulatedModel
@@ -407,6 +558,8 @@ class InputSequence(Protocol):
 
     def sample(self, n: int) -> tuple[float, float]: ...
 
+    def sample_block(self, a: int, b: int) -> tuple[list[float], list[float]]: ...
+
     def shift(self, k: int) -> "InputSequence": ...
 
     def mean_xi(self) -> float | None: ...
@@ -421,7 +574,9 @@ class MarkedInputGenerator:
     """Shift-indexable view of a marked input model.
 
     ``sample(n)`` returns ``(xi_n, sigma_n)`` as a pure function of
-    ``(seed, model, n + offset)``; ``shift(k)`` translates the origin.
+    ``(seed, model, n + offset)``; ``sample_block(a, b)`` returns the same
+    marks for ``n = a .. b - 1`` as two lists (xi, sigma); ``shift(k)``
+    translates the origin.
     """
 
     model: InputModel
@@ -430,6 +585,11 @@ class MarkedInputGenerator:
 
     def sample(self, n: int) -> tuple[float, float]:
         return self.model.sample_at(self.seed, n + self.offset)
+
+    def sample_block(self, a: int, b: int) -> tuple[list[float], list[float]]:
+        if b < a:
+            raise ValueError(f"sample_block needs a <= b, got a={a}, b={b}")
+        return self.model.sample_block(self.seed, a + self.offset, b + self.offset)
 
     def shift(self, k: int) -> "MarkedInputGenerator":
         return replace(self, offset=self.offset + k)
@@ -451,10 +611,7 @@ class MarkedInputGenerator:
         with plain standard errors."""
         if n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        xs = np.empty(n_samples)
-        ss = np.empty(n_samples)
-        for n in range(n_samples):
-            xs[n], ss[n] = self.sample(n)
+        xs, ss = (np.array(v) for v in self.sample_block(0, n_samples))
         se_x = float(xs.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
         se_s = float(ss.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
         return MeansReport(

@@ -29,12 +29,19 @@ Lindley scan stops after a configurable run of non-improving partial sums
 that has also fallen a configurable margin below the running record.
 Every result says whether it was certified or the horizon was exhausted --
 "unstable" and "did not look far enough" are never conflated.
+
+The scans read their marks with ``sample_block`` in doubling blocks (see
+:func:`_backward_marks`), so a scan that stops early costs at most about
+twice the terms it used.  :func:`backward_coupling_ps` draws the backward
+marks of one replication once, into a buffer that every candidate epoch's
+Lindley scan and the forward leg read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .dynamics import step
 from .input_process import MarkedInputGenerator, replication_seed
@@ -43,6 +50,10 @@ from .rates import RateFunction, validate
 
 #: Per-draw tail probability the certification rules are allowed to ignore.
 DEFAULT_QUANTILE = 1.0 - 1e-9
+
+#: Smallest first block of a backward scan; a block of 256 costs about
+#: twice a block of one, so smaller blocks buy nothing.
+_FIRST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -117,6 +128,19 @@ def _sigma_quantile(gen, p: float) -> float | None:
         return None
 
 
+def _backward_marks(
+    gen, max_lookback: int, first: int = _FIRST_BLOCK
+) -> Iterator[tuple[float, float]]:
+    """``(xi_{-j}, sigma_{-j})`` for ``j = 1 .. max_lookback``, read in
+    blocks of ``f``, ``2 f``, ``4 f``, ... indices, ``f = max(first, 256)``."""
+    lo, size = 0, max(first, _FIRST_BLOCK)
+    while lo < max_lookback:
+        hi = min(lo + size, max_lookback)
+        xs, ss = gen.sample_block(-hi, -lo)
+        yield from zip(reversed(xs), reversed(ss))
+        lo, size = hi, 2 * size
+
+
 def loynes_L(
     gen,
     max_lookback: int = 100_000,
@@ -136,8 +160,7 @@ def loynes_L(
     sum_xi = 0.0
     converged = False
     j = 0
-    for j in range(1, max_lookback + 1):
-        xi, sigma = gen.sample(-j)
+    for j, (xi, sigma) in enumerate(_backward_marks(gen, max_lookback), 1):
         sum_xi += xi
         cand = sigma - sum_xi
         if cand > best:
@@ -182,8 +205,7 @@ def stationary_profile_gginf(
     sum_xi = 0.0
     converged = False
     i = 0
-    for i in range(1, max_lookback + 1):
-        xi, sigma = gen.sample(-i)
+    for i, (xi, sigma) in enumerate(_backward_marks(gen, max_lookback), 1):
         sum_xi += xi
         v = sigma - sum_xi
         if v >= 0.0:
@@ -244,8 +266,9 @@ def lindley_W(
     since_improve = 0
     converged = False
     j = 0
-    for j in range(1, max_lookback + 1):
-        xi, sigma = gen.sample(-j)
+    # the stopping rule needs at least improvement_window + 1 terms
+    marks = _backward_marks(gen, max_lookback, (improvement_window or 0) + 1)
+    for j, (xi, sigma) in enumerate(marks, 1):
         s += sigma - k_r * xi
         if s > best:
             best = s
@@ -292,6 +315,47 @@ def _renovation_scan_epochs(max_lookback: int) -> list[int]:
     return out
 
 
+@dataclass
+class _MarkBuffer:
+    """Marks of indices ``-1, -2, ...`` of one input, drawn once: entry
+    ``j - 1`` holds index ``-j``.  Grows by doubling on demand."""
+
+    gen: object
+    xs: list[float] = field(default_factory=list)
+    ss: list[float] = field(default_factory=list)
+
+    def reach(self, depth: int) -> None:
+        have = len(self.xs)
+        if depth > have:
+            want = max(depth, 2 * have)
+            xs, ss = self.gen.sample_block(-want, -have)
+            self.xs.extend(reversed(xs))
+            self.ss.extend(reversed(ss))
+
+
+@dataclass(frozen=True)
+class _BufferView:
+    """The buffered input shifted by ``-origin``: the input source a
+    candidate epoch's scan reads.  Its index ``n`` is the buffer's index
+    ``n - origin``, so only ``n < origin`` exists."""
+
+    buf: _MarkBuffer
+    origin: int
+
+    def sample_block(self, a: int, b: int) -> tuple[list[float], list[float]]:
+        # indices a - origin .. b - origin - 1 are entries origin - a - 1
+        # down to origin - b
+        lo, hi = self.origin - b, self.origin - a
+        self.buf.reach(hi)
+        return self.buf.xs[lo:hi][::-1], self.buf.ss[lo:hi][::-1]
+
+    def mean_xi(self):
+        return self.buf.gen.mean_xi()
+
+    def mean_sigma(self):
+        return self.buf.gen.mean_sigma()
+
+
 def backward_coupling_ps(
     gen,
     r: RateFunction,
@@ -317,9 +381,10 @@ def backward_coupling_ps(
     if r.declared_floor <= 0.0:
         raise ValueError("perfect sampling requires a positive throughput floor")
     iterations = 0
+    buf = _MarkBuffer(gen)
     for m in _renovation_scan_epochs(max_lookback):
         res = lindley_W(
-            gen.shift(-m),
+            _BufferView(buf, m),
             r.declared_floor,
             max_lookback=max_lookback,
             improvement_window=improvement_window,
@@ -328,8 +393,7 @@ def backward_coupling_ps(
         iterations += res.iterations
         if res.converged and res.value <= ATOM_TOL:
             mu = ZERO
-            for k in range(-m, 0):
-                xi, sigma = gen.sample(k)
+            for xi, sigma in zip(*_BufferView(buf, 0).sample_block(-m, 0)):
                 mu = step(mu, sigma, xi, r)
             iterations += m
             return CouplingReport(
@@ -402,12 +466,13 @@ def forward_couple_two(
     lookout.
     """
     x, y = zeta1, zeta2
+    xs, ss = gen.sample_block(0, horizon)
     for n in range(horizon + 1):
         if x.tv_distance(y) == 0:
             return n
         if n == horizon:
             break
-        xi, sigma = gen.sample(n)
+        xi, sigma = xs[n], ss[n]
         x = step(x, sigma, xi, r)
         y = step(y, sigma, xi, r)
     return None
@@ -421,8 +486,7 @@ def backward_iterate(
     if n_back < 0:
         raise ValueError(f"n_back must be nonnegative, got {n_back}")
     mu = initial
-    for k in range(-n_back, 0):
-        xi, sigma = gen.sample(k)
+    for xi, sigma in zip(*gen.sample_block(-n_back, 0)):
         mu = step(mu, sigma, xi, r)
     return mu
 

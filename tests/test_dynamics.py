@@ -7,6 +7,8 @@ fluid oracle; the randomized campaigns then tie the closed form and the
 oracle together on broad instance families.
 """
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,6 +365,25 @@ class TestTrajectory:
         assert [s.q for s in segs] == [2, 1, 0]
         assert segs[0].w_start == pytest.approx(3.0)
 
+    def test_finish_time_rounding_onto_clock_departs(self):
+        # past t = 2**14 half an ulp of the clock exceeds 1e-12, so the
+        # tiny atom's finish time t + a / r(1) rounds back onto t; it must
+        # still leave instead of stalling the clock
+        def stalled(signum, frame):
+            raise TimeoutError("trajectory stalled")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(10)
+        try:
+            segs = trajectory(ZERO, [(17259.0, 1.54e-12)], 17260.0, CPS)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [(s.t_start, s.t_end, s.q) for s in segs] == [
+            (0.0, 17259.0, 0),
+            (17259.0, 17260.0, 0),
+        ]
+
 
 class TestFastPath:
     def test_matches_step_by_step(self):
@@ -380,6 +401,28 @@ class TestFastPath:
                 ref = step(ref, sigma, xi, r)
             assert path.final_profile.tv_distance(ref) == 0
             assert path.q[50] == ref.num_atoms
+
+    @pytest.mark.parametrize(
+        "r, mean_sigma",
+        [(CPS, 0.8), (HI, 0.4)],
+        ids=["classical_ps", "half_interference"],
+    )
+    def test_long_run_does_not_drift(self, r, mean_sigma):
+        # load 0.8 against the throughput floor; unless the lazy offset
+        # restarts when the queue empties, its rounding error reaches
+        # ~1e-8 by 3e5 steps
+        n_steps = 300_000
+        g = iid_input(Exponential(1.0), Exponential(mean_sigma), seed=2024)
+        path = simulate_queue_path(g, r, n_steps=n_steps)
+        xs, ss = g.sample_block(0, n_steps)
+        ref = ZERO
+        w_err = 0.0
+        for n in range(n_steps):
+            assert path.q[n] == ref.num_atoms, n
+            w_err = max(w_err, abs(path.w[n] - ref.workload))
+            ref = step(ref, ss[n], xs[n], r)
+        assert path.q[n_steps] == ref.num_atoms
+        assert w_err <= 1e-9
 
     def test_start_index_matters(self):
         g = iid_input(Exponential(2.0), Exponential(1.0), seed=77)

@@ -1,0 +1,93 @@
+"""Golden artifact hashes: small configs of every mode, pinned by SHA-256.
+
+Result files are a pure function of config and seed, so any change to a
+pinned hash is a change to the numbers the package produces.  A change that
+moves output bytes on purpose re-pins the hashes here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from gpsq.simctl import ExperimentConfig, run_experiment
+
+SCHEMA_ID = "gpsq-experiment-v1"
+
+IID_INPUT = {"model": "iid", "xi": {"dist": "exp", "mean": 3},
+             "sigma": {"dist": "exp", "mean": 1}}
+
+MM_INPUT = {
+    "model": "markov_modulated",
+    "transition": [[0.9, 0.1], [0.2, 0.8]],
+    "states": [
+        {"xi": {"dist": "exp", "mean": 1.5}, "sigma": {"dist": "exp", "mean": 0.5}},
+        {"xi": {"dist": "exp", "mean": 0.5},
+         "sigma": {"dist": "uniform", "low": 0.0, "high": 2.0}},
+    ],
+}
+
+CONFIGS = {
+    "ps_perfect_sample": {
+        "mode": "ps_perfect_sample",
+        "base_seed": 42,
+        "replications": 4,
+        "max_lookback": 10_000,
+        "lindley_window": 200,
+        "input": IID_INPUT,
+        "rate": {"kind": "half_interference"},
+    },
+    "gginf_stationary": {
+        "mode": "gginf_stationary",
+        "base_seed": 5,
+        "replications": 4,
+        "input": dict(IID_INPUT, sigma={"dist": "pareto", "alpha": 2.5, "scale": 0.6}),
+    },
+    "forward_sim": {
+        "mode": "forward_sim",
+        "base_seed": 1,
+        "replications": 2,
+        "horizon": 300,
+        "input": {"model": "iid", "xi": {"dist": "exp", "mean": 1},
+                  "sigma": {"dist": "uniform", "low": 0.0, "high": 1.6}},
+        "rate": {"kind": "classical_ps"},
+    },
+    "stability_sweep": {
+        "mode": "stability_sweep",
+        "base_seed": 7,
+        "replications": 2,
+        "max_lookback": 300,
+        "stability_samples": 1000,
+        "input": MM_INPUT,
+        "rate": {"kind": "custom_table",
+                 "table": {n: (0.9 + 0.1 / n) / n for n in range(1, 33)}, "floor": 0.9},
+        "sweep": {"rho": [0.9, 1.2]},
+    },
+}
+
+GOLDEN = {
+    ("ps_perfect_sample", "csv"):
+        "821c837f3f29334449fb226419336ac9e914eba24365447c7eaf135ee8d8928d",
+    ("ps_perfect_sample", "json"):
+        "02cbc98649563e3ad41f8eadd1a92c77d8cdb85852a2f5768578eb432d5ded3a",
+    ("gginf_stationary", "csv"):
+        "98f2e18806b13613a7a8e2d71e2b3ace0bc148a6ac56e5d012c2db3b9c53c6e8",
+    ("gginf_stationary", "json"):
+        "07f9a223b58d94cb60985f8fc788bd17b76418763574c4883332db78f90c60f6",
+    ("forward_sim", "csv"):
+        "3b84fce665d14041624eff0e637fe8cbbb955d682bb1c9ad43307d78eec93b36",
+    ("forward_sim", "json"):
+        "e55cfd7083b8bda4e413292984451c020d5e1611ea5464702068de0e152bb9ec",
+    ("stability_sweep", "csv"):
+        "5c3d41bbdafbd1d8e98ac5172386e3ea66115df0a584ebe474c6d30d2fe1d30c",
+    ("stability_sweep", "json"):
+        "f2716b66c4b16db665e8ecd4bc825b20fa591ec7bf778eb5f6fe16a93f60e937",
+}
+
+
+@pytest.mark.parametrize("mode, fmt", sorted(GOLDEN))
+def test_artifact_hash(tmp_path, mode, fmt):
+    out = tmp_path / f"{mode}.{fmt}"
+    data = dict(CONFIGS[mode], schema_id=SCHEMA_ID,
+                output={"path": str(out), "format": fmt})
+    run_experiment(ExperimentConfig.from_dict(data), jobs=1)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(mode, fmt)]

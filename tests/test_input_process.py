@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpsq.input_process import (
     Deterministic,
@@ -243,3 +245,82 @@ class TestConfig:
         assert scale_sigma(g, 1.5).mean_sigma() == pytest.approx(1.5)
         gd = deterministic_input(1.0, 2.0)
         assert scale_sigma(gd, 0.5).sample(0) == (1.0, 1.0)
+
+
+# -- block path -------------------------------------------------------------
+
+_positive = st.floats(0.1, 5.0)
+distributions = st.one_of(
+    _positive.map(Exponential),
+    _positive.map(Deterministic),
+    st.tuples(st.floats(0.0, 2.0), _positive).map(lambda t: Uniform(t[0], t[0] + t[1])),
+    st.tuples(st.floats(1.1, 4.0), _positive).map(lambda t: Pareto(*t)),
+)
+seeds = st.one_of(st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1))
+ranges = st.tuples(st.integers(-(10**6), 10**6), st.integers(0, 80)).map(
+    lambda t: (t[0], t[0] + t[1])
+)
+
+
+@st.composite
+def generators(draw):
+    kind = draw(st.sampled_from(["iid", "mm", "deterministic"]))
+    if kind == "iid":
+        model = IIDModel(draw(distributions), draw(distributions))
+    elif kind == "mm":
+        # a one-state chain (its state is deterministic) or a two-state
+        # one; each state draws its own distribution kinds, so how many
+        # uniforms an index consumes depends on its state
+        if draw(st.booleans()):
+            transition = ((1.0,),)
+        else:
+            p, q = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
+            transition = ((1.0 - p, p), (q, 1.0 - q))
+        k = len(transition)
+        model = MarkovModulatedModel(
+            transition=transition,
+            xi_dists=tuple(draw(distributions) for _ in range(k)),
+            sigma_dists=tuple(draw(distributions) for _ in range(k)),
+        )
+    else:
+        model = DeterministicModel(draw(_positive), draw(_positive))
+    return MarkedInputGenerator(model=model, seed=draw(seeds))
+
+
+def scalar_block(g, a, b):
+    marks = [g.sample(n) for n in range(a, b)]
+    return [x for x, _ in marks], [s for _, s in marks]
+
+
+class TestSampleBlock:
+    @settings(max_examples=80, deadline=None)
+    @given(generators(), ranges)
+    def test_equals_scalar_path_bit_for_bit(self, g, ab):
+        a, b = ab
+        assert g.sample_block(a, b) == scalar_block(g, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(generators(), ranges, st.integers(-(10**6), 10**6))
+    def test_shift_translates_the_block(self, g, ab, k):
+        a, b = ab
+        assert g.shift(k).sample_block(a, b) == g.sample_block(a + k, b + k)
+
+    def test_deterministic_xi_leaves_sigma_the_first_uniform(self):
+        det_xi = iid_input(Deterministic(2.0), Exponential(1.0), seed=3)
+        exp_xi = iid_input(Exponential(1.0), Exponential(1.0), seed=3)
+        assert det_xi.sample_block(0, 50)[1] == exp_xi.sample_block(0, 50)[0]
+
+    def test_empty_and_reversed_ranges(self):
+        g = iid_input(Exponential(2.0), Exponential(1.0), seed=1)
+        assert g.sample_block(5, 5) == ([], [])
+        with pytest.raises(ValueError):
+            g.sample_block(5, 4)
+
+    def test_markov_states_match_coupling_from_the_past(self):
+        model = MarkovModulatedModel(
+            transition=((0.9, 0.1), (0.2, 0.8)),
+            xi_dists=(Deterministic(1.0), Deterministic(2.0)),
+            sigma_dists=(Deterministic(1.0), Deterministic(1.0)),
+        )
+        xs, _ = MarkedInputGenerator(model=model, seed=2**64 - 1).sample_block(-300, 300)
+        assert [int(x) - 1 for x in xs] == [model.state_at(2**64 - 1, n) for n in range(-300, 300)]

@@ -49,6 +49,10 @@ class CyclicInput:
         k = n + self.offset
         return self.xis[k % len(self.xis)], self.sigmas[k % len(self.sigmas)]
 
+    def sample_block(self, a: int, b: int):
+        marks = [self.sample(n) for n in range(a, b)]
+        return [x for x, _ in marks], [s for _, s in marks]
+
     def shift(self, k: int):
         return replace(self, offset=self.offset + k)
 
