@@ -241,19 +241,21 @@ class TrajectorySegment:
 TRAJECTORY_CSV_HEADER = ("t_start", "t_end", "q", "w_start", "drain_rate")
 
 
-def trajectory(
+def trajectory_rows(
     mu0: CountingMeasure,
     events: Sequence[tuple[float, float]],
     horizon: float,
     r: RateFunction,
-) -> list[TrajectorySegment]:
-    """Piecewise description of (customer count, workload) on [0, horizon].
+) -> list[tuple]:
+    """Piecewise description of (customer count, workload) on [0, horizon]
+    as plain ``(t_start, t_end, q, w_start, drain_rate)`` tuples.
 
     ``events`` is a list of ``(arrival_time, service_demand)`` pairs with
     strictly increasing times in ``[0, horizon)``.  The count jumps +1 at
     arrivals and -1 at departures; an arrival landing exactly on a
     departure instant is processed departure-first (the recursion's
     just-before-arrival convention).  Zero-length segments are dropped.
+    This is the one trajectory loop; :func:`trajectory` wraps its rows.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -268,48 +270,63 @@ def trajectory(
         prev_t = t
 
     atoms = [a for a in mu0.atoms if a > 0.0]
-    segments: list[TrajectorySegment] = []
+    rows: list[tuple] = []
+    append = rows.append
+    insort = bisect.insort
+    eps = _ORACLE_EPS
+    rate_cache: dict[int, float] = {}
+    n_events = len(events)
+    next_arrival = events[0][0] if n_events else float("inf")
     t = 0.0
     ev = 0
     while t < horizon:
-        next_arrival = events[ev][0] if ev < len(events) else float("inf")
         if atoms:
             q = len(atoms)
-            rate = r(q)
+            rate = rate_cache.get(q)
+            if rate is None:
+                rate = rate_cache[q] = r(q)
             finish = t + atoms[0] / rate
             if finish <= t:
                 # the smallest atom's finish time rounds back onto the
                 # clock (possible once t passes 2**14): it departs at t
                 d = atoms[0]
                 atoms = [a - d for a in atoms]
-            t_next = min(finish, next_arrival, horizon)
+            # min(finish, next_arrival, horizon), with min's tie order
+            t_next = finish
+            if next_arrival < t_next:
+                t_next = next_arrival
+            if horizon < t_next:
+                t_next = horizon
             drain = q * rate
         else:
             q = 0
             rate = 0.0
-            t_next = min(next_arrival, horizon)
+            t_next = horizon if horizon < next_arrival else next_arrival
             drain = 0.0
         if t_next > t:
-            segments.append(
-                TrajectorySegment(
-                    t_start=t,
-                    t_end=t_next,
-                    q=q,
-                    w_start=sum(atoms),
-                    drain_rate=drain,
-                )
-            )
+            append((t, t_next, q, sum(atoms), drain))
             if atoms:
                 d = rate * (t_next - t)
                 atoms = [a - d for a in atoms]
         t = t_next
         # departures first, then the arrival sharing the same instant
-        while atoms and atoms[0] <= _ORACLE_EPS:
+        while atoms and atoms[0] <= eps:
             atoms.pop(0)
-        if ev < len(events) and events[ev][0] == t and t < horizon:
-            bisect.insort(atoms, events[ev][1])
+        if next_arrival == t and t < horizon:
+            insort(atoms, events[ev][1])
             ev += 1
-    return segments
+            next_arrival = events[ev][0] if ev < n_events else float("inf")
+    return rows
+
+
+def trajectory(
+    mu0: CountingMeasure,
+    events: Sequence[tuple[float, float]],
+    horizon: float,
+    r: RateFunction,
+) -> list[TrajectorySegment]:
+    """:func:`trajectory_rows` as :class:`TrajectorySegment` objects."""
+    return [TrajectorySegment(*row) for row in trajectory_rows(mu0, events, horizon, r)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ Built-in catalog:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -76,8 +77,8 @@ class RateFunction:
         return v
 
     def _table_lookup(self, n: int) -> float:
-        keys = [k for k, _ in self.table]  # type: ignore[union-attr]
-        idx = bisect.bisect_right(keys, n) - 1
+        # (n, inf) sorts after every (n, v): the last entry with key <= n
+        idx = bisect.bisect_right(self.table, (n, math.inf)) - 1  # type: ignore[arg-type]
         return self.table[idx][1]  # type: ignore[index]
 
     def throughput(self, n: int) -> float:

@@ -25,7 +25,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 import yaml
@@ -39,7 +39,8 @@ from .dynamics import (
     last_departure_index,
     phi,
     step,
-    trajectory,
+    trajectory,  # not called here; perfbench's tracer wraps simctl.trajectory
+    trajectory_rows,
 )
 from .input_process import (
     Exponential,
@@ -265,12 +266,19 @@ def _atomic_write(path: str, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _csv_bytes(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> bytes:
+def _csv_bytes(
+    header: Sequence[str], rows: Iterable[Sequence[Any]], row_format: str | None = None
+) -> bytes:
+    """CSV through ``csv.writer``, or with every row rendered by the
+    ``%``-template ``row_format`` when one is given (for rows of numbers
+    only, which ``csv.writer`` never quotes)."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    if row_format is None:
+        w.writerows(rows)
+    else:
+        buf.write("".join([row_format % row for row in rows]))
     return buf.getvalue().encode("utf-8")
 
 
@@ -363,10 +371,9 @@ def _worker_forward(args: tuple) -> dict:
     for xi, sigma in zip(*gen.sample_block(0, cfg.horizon)):
         events.append((t, sigma))
         t += xi
-    segs = trajectory(ZERO, events, t, r)
     return {
         "seed": gen.seed,
-        "segments": [s.to_csv_row() for s in segs],
+        "segments": trajectory_rows(ZERO, events, t, r),
         "exhausted": False,
     }
 
@@ -455,6 +462,8 @@ _SWEEP_HEADER = (
     "replications",
 )
 _FORWARD_HEADER = ("replication", "seed") + TRAJECTORY_CSV_HEADER
+# same text as csv.writer over _fmt'd floats: "%.17g" is format(x, ".17g")
+_FORWARD_ROW = "%d,%d,%.17g,%.17g,%d,%.17g,%.17g\n"
 
 
 def _opt(v: Any, fmt_float: bool = False) -> Any:
@@ -487,7 +496,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     items: list = [(cfg, i) for i in range(cfg.replications)]
     if cfg.mode == "ps_perfect_sample":
         recs = _map_ordered(_worker_ps, items, jobs)
-        rows = [
+        rows = (
             (
                 rec["seed"],
                 rec["coupled"],
@@ -497,11 +506,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
                 rec["iterations"],
             )
             for rec in recs
-        ]
+        )
         payload = _payload(cfg, _PS_HEADER, rows, {"replications": recs})
     elif cfg.mode == "gginf_stationary":
         recs = _map_ordered(_worker_gginf, items, jobs)
-        rows = [
+        rows = (
             (
                 rec["seed"],
                 _fmt(rec["L"]),
@@ -513,7 +522,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
                 rec["iterations"],
             )
             for rec in recs
-        ]
+        )
         conv = [rec for rec in recs if rec["L_converged"]]
         zeros = sum(1 for rec in conv if rec["L"] <= 1e-9)
         p_zero = zeros / len(conv) if conv else None
@@ -525,18 +534,16 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
         )
     elif cfg.mode == "forward_sim":
         recs = _map_ordered(_worker_forward, items, jobs)
-        rows = [
-            (i, rec["seed"], _fmt(t0_), _fmt(t1_), q, _fmt(w), _fmt(dr))
-            for i, rec in enumerate(recs)
-            for (t0_, t1_, q, w, dr) in rec["segments"]
-        ]
-        payload = _payload(cfg, _FORWARD_HEADER, rows, {"replications": recs})
+        rows = ((i, rec["seed"], *seg) for i, rec in enumerate(recs) for seg in rec["segments"])
+        payload = _payload(
+            cfg, _FORWARD_HEADER, rows, {"replications": recs}, row_format=_FORWARD_ROW
+        )
     elif cfg.mode == "stability_sweep":
         if not cfg.rho_grid:
             raise ConfigError("stability_sweep needs sweep.rho (a list of load values) or --rho")
         pts = [(cfg, rho) for rho in cfg.rho_grid]
         recs = _map_ordered(_worker_sweep_point, pts, jobs)
-        rows = [
+        rows = (
             (
                 _fmt(rec["rho"]),
                 _fmt(rec["sigma_scale"]),
@@ -550,12 +557,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
                 rec["replications"],
             )
             for rec in recs
-        ]
+        )
         payload = _payload(cfg, _SWEEP_HEADER, rows, {"grid": recs})
     elif cfg.mode == "invariant_suite":
         results = run_invariant_suites(seed=cfg.base_seed)
-        rows = [(name, ok, detail) for name, ok, detail in results]
-        payload = _payload(cfg, ("suite", "ok", "detail"), rows, {"suites": [
+        payload = _payload(cfg, ("suite", "ok", "detail"), results, {"suites": [
             {"suite": n, "ok": ok, "detail": d} for n, ok, d in results
         ]})
         recs = [{"exhausted": False} for _ in results]
@@ -575,9 +581,13 @@ class SuiteFailure(Exception):
         super().__init__("one or more invariant suites failed")
 
 
-def _payload(cfg: ExperimentConfig, header, rows, json_obj: dict) -> bytes:
+def _payload(
+    cfg: ExperimentConfig, header, rows, json_obj: dict, row_format: str | None = None
+) -> bytes:
+    """The result file's bytes.  ``rows`` is only iterated for CSV output, so
+    the mode runners pass generators and JSON output formats no CSV cells."""
     if cfg.out_format == "csv":
-        return _csv_bytes(header, rows)
+        return _csv_bytes(header, rows, row_format)
     return _json_bytes({"schema_id": SCHEMA_ID, "mode": cfg.mode, **json_obj})
 
 

@@ -7,6 +7,7 @@ fluid oracle; the randomized campaigns then tie the closed form and the
 oracle together on broad instance families.
 """
 
+import bisect
 import signal
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpsq.dynamics import (
+    _ORACLE_EPS,
     departure_schedule,
     fluid_oracle_phi,
     gamma,
@@ -25,6 +27,7 @@ from gpsq.dynamics import (
     simulate_queue_path,
     step,
     trajectory,
+    trajectory_rows,
 )
 from gpsq.input_process import Exponential, Uniform, iid_input
 from gpsq.measures import ZERO, CountingMeasure
@@ -383,6 +386,76 @@ class TestTrajectory:
             (0.0, 17259.0, 0),
             (17259.0, 17260.0, 0),
         ]
+
+
+def reference_trajectory_rows(mu0, events, horizon, r):
+    """The segment loop as first written (one r(q) call per segment, min()
+    for the next event), kept to pin the kernel's arithmetic."""
+    atoms = [a for a in mu0.atoms if a > 0.0]
+    rows = []
+    t = 0.0
+    ev = 0
+    while t < horizon:
+        next_arrival = events[ev][0] if ev < len(events) else float("inf")
+        if atoms:
+            q = len(atoms)
+            rate = r(q)
+            finish = t + atoms[0] / rate
+            if finish <= t:
+                d = atoms[0]
+                atoms = [a - d for a in atoms]
+            t_next = min(finish, next_arrival, horizon)
+            drain = q * rate
+        else:
+            q, rate, drain = 0, 0.0, 0.0
+            t_next = min(next_arrival, horizon)
+        if t_next > t:
+            rows.append((t, t_next, q, sum(atoms), drain))
+            if atoms:
+                d = rate * (t_next - t)
+                atoms = [a - d for a in atoms]
+        t = t_next
+        while atoms and atoms[0] <= _ORACLE_EPS:
+            atoms.pop(0)
+        if ev < len(events) and events[ev][0] == t and t < horizon:
+            bisect.insort(atoms, events[ev][1])
+            ev += 1
+    return rows
+
+
+@st.composite
+def trajectory_case(draw):
+    # on a 1/4 grid, arrivals land exactly on departures (pure_delay,
+    # classical_ps at q = 1), which exercises the departure-first rule
+    if draw(st.booleans()):
+        value = st.integers(min_value=1, max_value=12).map(lambda k: k / 4)
+    else:
+        value = st.floats(min_value=1e-6, max_value=3.0, allow_nan=False)
+    mu0 = CountingMeasure(draw(st.lists(value, min_size=1, max_size=6)))
+    gaps = draw(st.lists(value, max_size=25))
+    demands = draw(st.lists(st.one_of(st.just(0.0), value),
+                            min_size=len(gaps), max_size=len(gaps)))
+    times, t = [], 0.0
+    for g in gaps:
+        times.append(t)
+        t += g
+    horizon = t + draw(value)
+    return mu0, list(zip(times, demands)), horizon
+
+
+class TestTrajectoryRows:
+    @settings(max_examples=300, deadline=None)
+    @given(case=trajectory_case(),
+           ridx=st.integers(min_value=0, max_value=len(CATALOG) - 1))
+    def test_rows_are_the_segments_fields(self, case, ridx):
+        mu0, events, horizon = case
+        r = CATALOG[ridx]
+        rows = trajectory_rows(mu0, events, horizon, r)
+        fields = [(s.t_start, s.t_end, s.q, s.w_start, s.drain_rate)
+                  for s in trajectory(mu0, events, horizon, r)]
+        assert rows == fields
+        assert rows == reference_trajectory_rows(mu0, events, horizon, r)
+        assert all(type(row) is tuple and len(row) == 5 for row in rows)
 
 
 class TestFastPath:

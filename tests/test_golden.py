@@ -26,6 +26,18 @@ MM_INPUT = {
     ],
 }
 
+# Stable Markov-modulated input for a forward run under half_interference,
+# where the trajectory meets many occupancies and r(q) is not 1/q.
+FWD_MM_INPUT = {
+    "model": "markov_modulated",
+    "transition": [[0.9, 0.1], [0.2, 0.8]],
+    "states": [
+        {"xi": {"dist": "exp", "mean": 1.5}, "sigma": {"dist": "exp", "mean": 0.4}},
+        {"xi": {"dist": "exp", "mean": 0.8},
+         "sigma": {"dist": "uniform", "low": 0.0, "high": 1.2}},
+    ],
+}
+
 CONFIGS = {
     "ps_perfect_sample": {
         "mode": "ps_perfect_sample",
@@ -50,6 +62,14 @@ CONFIGS = {
         "input": {"model": "iid", "xi": {"dist": "exp", "mean": 1},
                   "sigma": {"dist": "uniform", "low": 0.0, "high": 1.6}},
         "rate": {"kind": "classical_ps"},
+    },
+    "forward_sim_mm": {
+        "mode": "forward_sim",
+        "base_seed": 11,
+        "replications": 2,
+        "horizon": 2000,
+        "input": FWD_MM_INPUT,
+        "rate": {"kind": "half_interference"},
     },
     "stability_sweep": {
         "mode": "stability_sweep",
@@ -77,6 +97,10 @@ GOLDEN = {
         "3b84fce665d14041624eff0e637fe8cbbb955d682bb1c9ad43307d78eec93b36",
     ("forward_sim", "json"):
         "e55cfd7083b8bda4e413292984451c020d5e1611ea5464702068de0e152bb9ec",
+    ("forward_sim_mm", "csv"):
+        "89fd8ff0f6da5db04c36ffc6615ae7b03d4e81a8914927a5295886f1adce0f72",
+    ("forward_sim_mm", "json"):
+        "aef4e1ed9ab68f1f9a379fdd62464ed7ad553436801c50e79ca10093d6ace751",
     ("stability_sweep", "csv"):
         "5c3d41bbdafbd1d8e98ac5172386e3ea66115df0a584ebe474c6d30d2fe1d30c",
     ("stability_sweep", "json"):

@@ -1,5 +1,6 @@
 """Tests for the rate-function catalog and its validator."""
 
+import bisect
 import dataclasses
 
 import pytest
@@ -47,6 +48,16 @@ class TestCatalog:
         assert r(50) == 0.3  # previous value extends through the gap
         assert r(100) == 0.008
         assert r(250) == 0.008  # last value extends past the table
+
+    def test_table_lookup_matches_key_list_bisect(self):
+        # gaps between keys, and n up to 200 runs past the last key (100)
+        r = table_rate({1: 1.0, 2: 0.495, 3: 0.3, 7: 0.14, 40: 0.0225, 100: 0.008},
+                       declared_floor=0.8)
+        keys = [k for k, _ in r.table]
+        for n in range(1, 201):
+            expected = r.table[bisect.bisect_right(keys, n) - 1][1]
+            assert r._table_lookup(n) == expected
+            assert r(n) == expected
 
     def test_table_throughputs(self):
         r = table_rate(THROUGHPUT_TABLE, declared_floor=0.8)

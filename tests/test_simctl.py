@@ -1,21 +1,28 @@
 """Integration tests for the simctl front end."""
 
 import csv
+import io
 import json
 
 import pytest
 import yaml
 
 from gpsq.simctl import (
+    _FORWARD_HEADER,
+    _FORWARD_ROW,
     EXIT_CONFIG,
     EXIT_EXHAUSTED,
     EXIT_OK,
     ConfigError,
     ExperimentConfig,
+    _csv_bytes,
+    _fmt,
     _parse_rho,
+    _worker_forward,
     load_config,
     main,
     rate_from_config,
+    run_experiment,
     run_invariant_suites,
 )
 
@@ -153,6 +160,52 @@ class TestRunModes:
             if prev_end is not None:
                 assert float(row[2]) == pytest.approx(prev_end)
             prev_end = float(row[3])
+
+    def test_forward_sim_template_matches_csv_writer(self, tmp_path):
+        # tiny demands keep w_start below 1e-4, where %.17g switches to
+        # exponent form; this base seed gives replication seeds >= 2**63
+        data = {
+            "schema_id": "gpsq-experiment-v1", "mode": "forward_sim",
+            "base_seed": 2**63 - 1, "replications": 3, "horizon": 200,
+            "input": {"model": "iid", "xi": {"dist": "exp", "mean": 1},
+                      "sigma": {"dist": "uniform", "low": 0.0, "high": 1e-4}},
+            "rate": {"kind": "half_interference"},
+        }
+        out = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"j{jobs}.csv"
+            cfg = ExperimentConfig.from_dict(
+                dict(data, output={"path": str(path), "format": "csv"}))
+            run_experiment(cfg, jobs=jobs)
+            out[jobs] = path.read_bytes()
+        assert out[1] == out[2]
+
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(_FORWARD_HEADER)
+        seeds = []
+        for i in range(3):
+            rec = _worker_forward((cfg, i))
+            seeds.append(rec["seed"])
+            for t0, t1, q, ws, dr in rec["segments"]:
+                w.writerow((i, rec["seed"], _fmt(t0), _fmt(t1), q, _fmt(ws), _fmt(dr)))
+        expected = buf.getvalue().encode("utf-8")
+        assert out[1] == expected
+        assert min(seeds) >= 2**63
+        assert b"e-0" in expected
+
+        # edge values: negative and subnormal w_start, an int 0 (empty
+        # system), negative zero, huge times, the largest seed
+        rows = [
+            (0, 2**64 - 1, 0.0, 1e-300, 3, -3.5e-13, 0.75),
+            (1, 2**63, 1e20, 1.5e20, 0, 0, 0.0),
+            (2, 0, 5e-324, 0.1, 1, -0.0, 1.0),
+        ]
+        via_writer = _csv_bytes(_FORWARD_HEADER, [
+            (i, seed, _fmt(t0), _fmt(t1), q, _fmt(ws), _fmt(dr))
+            for i, seed, t0, t1, q, ws, dr in rows
+        ])
+        assert _csv_bytes(_FORWARD_HEADER, rows, _FORWARD_ROW) == via_writer
 
     def test_strict_mode_exhaustion(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
