@@ -45,11 +45,6 @@ CMP_TOL = 1e-9
 _ORACLE_EPS = 1e-12
 
 
-def _rate_table(r: RateFunction, n: int) -> list[float]:
-    # rates[k] = r(k) for k = 1..n; index 0 unused
-    return [0.0] + [r(k) for k in range(1, n + 1)]
-
-
 def gamma_values(mu: CountingMeasure, x: float, r: RateFunction) -> tuple[float, ...]:
     """Per-atom drain thresholds ``gamma_i`` for a cycle of length ``x``.
 
@@ -63,7 +58,7 @@ def gamma_values(mu: CountingMeasure, x: float, r: RateFunction) -> tuple[float,
         raise ValueError(f"cycle length must be nonnegative, got {x!r}")
     atoms = mu.atoms
     n = len(atoms)
-    rates = _rate_table(r, n)
+    rates = r.rate_vector(n)
     out = []
     corr = 0.0
     for i in range(1, n + 1):
@@ -180,7 +175,7 @@ def departure_schedule(
         raise ValueError("departure schedule is undefined for the zero measure")
     atoms = mu.atoms
     n = len(atoms)
-    rates = _rate_table(r, n)
+    rates = r.rate_vector(n)
     times = []
     t = base_time
     prev = 0.0

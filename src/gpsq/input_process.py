@@ -29,12 +29,17 @@ Two paths read the same stream:
   counters in numpy (Salmon et al., SC'11), reproducing ``random()``
   bit for bit, and each distribution maps its column of uniforms through
   :meth:`transform`.  The scans read their marks this way.
+* :func:`sample_blocks` reads one range of many inputs at once.  Every
+  counter of a Philox pass carries its own key, so the inputs of one
+  model that differ only in seed share a pass (each model's
+  ``sample_blocks``); a kernel call costs about the same for one seed as
+  for dozens.
 
-The transforms of both paths are the same Python float arithmetic:
-``math.log1p`` and ``**`` applied element by element.  ``np.log1p`` is not
-correctly rounded the same way (it is one ulp off ``math.log1p`` on about
-6% of draws), so the block path keeps ``math.log1p`` and the two paths give
-identical bytes.
+The transforms of both paths are the same float arithmetic: ``math.log1p``
+and ``**`` per element, and the affine steps in numpy, which rounds them
+exactly as Python does.  ``np.log1p`` is not correctly rounded the same way
+(it is one ulp off ``math.log1p`` on about 6% of draws), so the block path
+keeps ``math.log1p`` and the two paths give identical bytes.
 
 The Markov-modulated model is exactly stationary: the modulating state at
 index ``n`` is resolved by coupling from the past over the grand coupling
@@ -48,7 +53,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar, Protocol, runtime_checkable
+from functools import cached_property
+from typing import ClassVar, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -80,40 +86,74 @@ _PHILOX_KEY_BUMPS = np.array(
 _PHILOX_CHUNK = 8192
 
 
-def _philox_pass(keys: np.ndarray, first: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _philox_pass(key: np.ndarray, counter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Counter words are held as two stacked pairs: x = (c0, c2), the words
     # each round multiplies, and y = (c1, c3).  A round maps them to
     # x' = (hi(M1 c2) ^ c1 ^ k0, hi(M0 c0) ^ c3 ^ k1), y' = (lo(M1 c2), lo(M0 c0)).
     # The counter is [1, 0, 0, index]: numpy's Philox increments word 0
     # before its first block.  hi() is the 64x64 -> 128 product's upper
-    # half, assembled from 32-bit limbs.
+    # half, assembled from 32-bit limbs.  ``key`` holds each counter's key
+    # words (seed, purpose) as a (2, n) array.  The rounds work in place on
+    # seven (2, n) buffers, so a pass allocates nothing per round.
     low32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    n = counter.size
     x = np.zeros((2, n), dtype=np.uint64)
     x[0] = 1
     y = np.zeros((2, n), dtype=np.uint64)
-    y[1] = np.arange(n, dtype=np.uint64) + np.uint64(first)
-    for key in keys:
-        x_lo, x_hi = x & low32, x >> s32
-        p0, p1, p2 = x_lo * _PHILOX_M_LO, x_lo * _PHILOX_M_HI, x_hi * _PHILOX_M_LO
-        mid = (p0 >> s32) + (p1 & low32) + (p2 & low32)
-        hi = x_hi * _PHILOX_M_HI + (p1 >> s32) + (p2 >> s32) + (mid >> s32)
-        x, y = hi[::-1] ^ y ^ key, (x * _PHILOX_M)[::-1]
+    y[1] = counter
+    t, lo, hi, p1, p2 = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
+    for bump in _PHILOX_KEY_BUMPS:
+        np.bitwise_and(x, low32, out=lo)
+        np.right_shift(x, s32, out=hi)
+        np.multiply(lo, _PHILOX_M_HI, out=p1)
+        np.multiply(hi, _PHILOX_M_LO, out=p2)
+        hi *= _PHILOX_M_HI
+        lo *= _PHILOX_M_LO
+        lo >>= s32
+        # lo becomes the middle column sum, then hi the upper half
+        np.bitwise_and(p1, low32, out=t)
+        lo += t
+        np.bitwise_and(p2, low32, out=t)
+        lo += t
+        lo >>= s32
+        hi += lo
+        p1 >>= s32
+        hi += p1
+        p2 >>= s32
+        hi += p2
+        np.add(key, bump, out=t)
+        t ^= y
+        t ^= hi[::-1]
+        x *= _PHILOX_M
+        # t is the new x and the reversed product the new y; the old y's
+        # buffer becomes the scratch
+        x, y, t = t, x[::-1], y[::-1]
     return x[0], y[0]
 
 
-def _philox_uniforms(seed: int, purpose: int, a: int, b: int) -> np.ndarray:
-    """The first two ``random()`` draws of the generator of every index in
-    ``a .. b - 1``, as an array of shape ``(b - a, 2)``; row ``i`` equals
-    ``_rng_at(seed, purpose, a + i).random(2)`` bit for bit."""
+def _philox_uniforms(seeds: Sequence[int], purpose: int, a: int, b: int) -> np.ndarray:
+    """The first two ``random()`` draws of the generator of every seed in
+    ``seeds`` and index in ``a .. b - 1``, as an array of shape
+    ``(len(seeds), b - a, 2)``; entry ``[k, i]`` equals
+    ``_rng_at(seeds[k], purpose, a + i).random(2)`` bit for bit.
+
+    The (seed, index) pairs run in row-major order as one sequence of
+    counters, each with its own key, in passes of at most
+    :data:`_PHILOX_CHUNK` counters."""
     n = b - a
-    keys = np.array([[seed & _MASK64], [purpose]], dtype=np.uint64) + _PHILOX_KEY_BUMPS
-    out = np.empty((n, 2))
-    for lo in range(0, n, _PHILOX_CHUNK):
-        m = min(_PHILOX_CHUNK, n - lo)
-        w0, w1 = _philox_pass(keys, (a + lo) & _MASK64, m)
-        out[lo : lo + m, 0] = w0 >> np.uint64(11)
-        out[lo : lo + m, 1] = w1 >> np.uint64(11)
-    return out * (1.0 / 9007199254740992.0)
+    seed_words = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
+    total = seed_words.size * n
+    out = np.empty((total, 2))
+    for lo in range(0, total, _PHILOX_CHUNK):
+        pair = np.arange(lo, min(lo + _PHILOX_CHUNK, total))
+        key = np.empty((2, pair.size), dtype=np.uint64)
+        key[0] = seed_words[pair // n]
+        key[1] = purpose
+        w0, w1 = _philox_pass(key, (pair % n).astype(np.uint64) + np.uint64(a & _MASK64))
+        out[lo : lo + pair.size, 0] = w0 >> np.uint64(11)
+        out[lo : lo + pair.size, 1] = w1 >> np.uint64(11)
+    out *= 1.0 / 9007199254740992.0
+    return out.reshape(seed_words.size, n, 2)
 
 
 def splitmix64(x: int) -> int:
@@ -148,10 +188,9 @@ class Exponential:
     def draw(self, rng: np.random.Generator) -> float:
         return -self.mean * math.log1p(-rng.random())
 
-    def transform(self, u: np.ndarray) -> list[float]:
+    def transform(self, u: np.ndarray) -> np.ndarray:
         """Draws from the uniforms ``u``, in the arithmetic of :meth:`draw`."""
-        mean, log1p = self.mean, math.log1p
-        return [-mean * log1p(-x) for x in u.tolist()]
+        return -self.mean * np.fromiter(map(math.log1p, (-u).tolist()), float, u.size)
 
     def dist_mean(self) -> float:
         return self.mean
@@ -176,8 +215,8 @@ class Deterministic:
     def draw(self, rng: np.random.Generator) -> float:
         return self.value
 
-    def transform(self, u: np.ndarray) -> list[float]:
-        return [self.value] * len(u)
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        return np.full(u.size, float(self.value))
 
     def dist_mean(self) -> float:
         return self.value
@@ -203,9 +242,8 @@ class Uniform:
     def draw(self, rng: np.random.Generator) -> float:
         return self.low + (self.high - self.low) * rng.random()
 
-    def transform(self, u: np.ndarray) -> list[float]:
-        low, width = self.low, self.high - self.low
-        return [low + width * x for x in u.tolist()]
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        return self.low + (self.high - self.low) * u
 
     def dist_mean(self) -> float:
         return 0.5 * (self.low + self.high)
@@ -236,9 +274,9 @@ class Pareto:
     def draw(self, rng: np.random.Generator) -> float:
         return self.scale * (1.0 - rng.random()) ** (-1.0 / self.alpha)
 
-    def transform(self, u: np.ndarray) -> list[float]:
-        scale, power = self.scale, -1.0 / self.alpha
-        return [scale * (1.0 - x) ** power for x in u.tolist()]
+    def transform(self, u: np.ndarray) -> np.ndarray:
+        power = -1.0 / self.alpha
+        return self.scale * np.fromiter((v**power for v in (1.0 - u).tolist()), float, u.size)
 
     def dist_mean(self) -> float:
         return self.alpha * self.scale / (self.alpha - 1.0)
@@ -304,8 +342,15 @@ class IIDModel:
         rng = _rng_at(seed, _PURPOSE_MARKS, index)
         return self.xi_dist.draw(rng), self.sigma_dist.draw(rng)
 
+    def sample_blocks(
+        self, seeds: Sequence[int], a: int, b: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        u = _philox_uniforms(seeds, _PURPOSE_MARKS, a, b)
+        xs, ss = _marks(self.xi_dist, self.sigma_dist, u.reshape(-1, 2))
+        return xs.reshape(u.shape[:2]), ss.reshape(u.shape[:2])
+
     def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
-        return _marks(self.xi_dist, self.sigma_dist, _philox_uniforms(seed, _PURPOSE_MARKS, a, b))
+        return _one_seed(self, seed, a, b)
 
     def mean_xi(self) -> float:
         return self.xi_dist.dist_mean()
@@ -333,6 +378,12 @@ class DeterministicModel:
     def sample_at(self, seed: int, index: int) -> tuple[float, float]:
         return self.xi, self.sigma
 
+    def sample_blocks(
+        self, seeds: Sequence[int], a: int, b: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        shape = (len(seeds), b - a)
+        return np.full(shape, float(self.xi)), np.full(shape, float(self.sigma))
+
     def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
         return [self.xi] * (b - a), [self.sigma] * (b - a)
 
@@ -348,10 +399,16 @@ class DeterministicModel:
 
 def _marks(
     xi_dist: Distribution, sigma_dist: Distribution, u: np.ndarray
-) -> tuple[list[float], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     # the uniforms of one index are consumed in order, xi first: sigma
     # takes the first one when xi is deterministic
     return xi_dist.transform(u[:, 0]), sigma_dist.transform(u[:, xi_dist.consumes])
+
+
+def _one_seed(model, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
+    """``model.sample_block``: the one-seed case of ``model.sample_blocks``."""
+    xs, ss = model.sample_blocks((seed,), a, b)
+    return xs[0].tolist(), ss[0].tolist()
 
 
 def _chain_period(edges: list[list[int]]) -> int:
@@ -432,13 +489,20 @@ class MarkovModulatedModel:
         return len(self.transition)
 
     def stationary_distribution(self) -> np.ndarray:
+        """The chain's stationary law (read-only; solved once per model)."""
+        return self._stationary
+
+    @cached_property
+    def _stationary(self) -> np.ndarray:
         p = np.array(self.transition, dtype=float)
         k = p.shape[0]
         a = np.vstack([(p.T - np.eye(k)), np.ones(k)])
         b = np.zeros(k + 1)
         b[-1] = 1.0
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return np.clip(pi, 0.0, None)
+        pi = np.clip(pi, 0.0, None)
+        pi.setflags(write=False)
+        return pi
 
     def _advance(self, state: int, u: float) -> int:
         acc = 0.0
@@ -457,15 +521,20 @@ class MarkovModulatedModel:
         rng = _rng_at(seed, _PURPOSE_MARKS, index)
         return self.xi_dists[s].draw(rng), self.sigma_dists[s].draw(rng)
 
-    def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
-        states = np.array(_mm_states(self, seed, a, b), dtype=np.int64)
-        u = _philox_uniforms(seed, _PURPOSE_MARKS, a, b)
-        xs = np.empty(b - a)
-        ss = np.empty(b - a)
+    def sample_blocks(
+        self, seeds: Sequence[int], a: int, b: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        states = np.array(_mm_states(self, seeds, a, b), dtype=np.int64).reshape(len(seeds), b - a)
+        u = _philox_uniforms(seeds, _PURPOSE_MARKS, a, b)
+        xs = np.empty(states.shape)
+        ss = np.empty(states.shape)
         for s in range(self.n_states):
-            at = np.flatnonzero(states == s)
+            at = states == s
             xs[at], ss[at] = _marks(self.xi_dists[s], self.sigma_dists[s], u[at])
-        return xs.tolist(), ss.tolist()
+        return xs, ss
+
+    def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
+        return _one_seed(self, seed, a, b)
 
     def mean_xi(self) -> float:
         pi = self.stationary_distribution()
@@ -523,25 +592,31 @@ def _mm_state_at(model: MarkovModulatedModel, seed: int, index: int) -> int:
     raise RuntimeError(_NO_COALESCENCE)
 
 
-def _mm_states(model: MarkovModulatedModel, seed: int, a: int, b: int) -> list[int]:
-    """Stationary chain states at indices ``a .. b - 1``: one coupling from
-    the past at ``a`` (the same lookbacks as :func:`_mm_state_at`), then the
-    forward evolution under the same uniforms."""
+def _mm_states(
+    model: MarkovModulatedModel, seeds: Sequence[int], a: int, b: int
+) -> list[list[int]]:
+    """Stationary chain states at indices ``a .. b - 1``, one list per seed:
+    one coupling from the past at ``a`` (the same lookbacks as
+    :func:`_mm_state_at`), then the forward evolution under the same
+    uniforms.  The first lookback of every seed is read in one pass."""
     if b <= a:
-        return []
-    lookback = 8
-    us = _philox_uniforms(seed, _PURPOSE_CHAIN, a - lookback + 1, b)[:, 0].tolist()
-    while (single := _coalesce(model, us[:lookback])) is None:
-        if 2 * lookback > _MM_MAX_LOOKBACK:
-            raise RuntimeError(_NO_COALESCENCE)
-        older = _philox_uniforms(seed, _PURPOSE_CHAIN, a - 2 * lookback + 1, a - lookback + 1)
-        us = older[:, 0].tolist() + us
-        lookback *= 2
-    states = [single]
-    for u in us[lookback:]:
-        single = model._advance(single, u)
-        states.append(single)
-    return states
+        return [[] for _ in seeds]
+    out = []
+    first = _philox_uniforms(seeds, _PURPOSE_CHAIN, a - 8 + 1, b)[:, :, 0].tolist()
+    for seed, us in zip(seeds, first):
+        lookback = 8
+        while (single := _coalesce(model, us[:lookback])) is None:
+            if 2 * lookback > _MM_MAX_LOOKBACK:
+                raise RuntimeError(_NO_COALESCENCE)
+            older = _philox_uniforms((seed,), _PURPOSE_CHAIN, a - 2 * lookback + 1, a - lookback + 1)
+            us = older[0, :, 0].tolist() + us
+            lookback *= 2
+        states = [single]
+        for u in us[lookback:]:
+            single = model._advance(single, u)
+            states.append(single)
+        out.append(states)
+    return out
 
 
 InputModel = IIDModel | DeterministicModel | MarkovModulatedModel
@@ -621,6 +696,30 @@ class MarkedInputGenerator:
             se_sigma=se_s,
             n_samples=n_samples,
         )
+
+
+def sample_blocks(gens: Sequence, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The marks of indices ``a .. b - 1`` of every input in ``gens``, as two
+    arrays ``(xi, sigma)`` of shape ``(len(gens), b - a)``; row ``k`` equals
+    ``gens[k].sample_block(a, b)``.
+
+    Generators that share a model and an offset are read in one many-seed
+    pass; any other input source is read with its own ``sample_block``.
+    """
+    if b < a:
+        raise ValueError(f"sample_blocks needs a <= b, got a={a}, b={b}")
+    xs = np.empty((len(gens), b - a))
+    ss = np.empty((len(gens), b - a))
+    groups: dict[tuple, list[int]] = {}
+    for k, g in enumerate(gens):
+        if isinstance(g, MarkedInputGenerator):
+            groups.setdefault((g.model, g.offset), []).append(k)
+        else:
+            xs[k], ss[k] = g.sample_block(a, b)
+    for (model, offset), rows in groups.items():
+        seeds = [gens[k].seed for k in rows]
+        xs[rows], ss[rows] = model.sample_blocks(seeds, a + offset, b + offset)
+    return xs, ss
 
 
 @dataclass(frozen=True)

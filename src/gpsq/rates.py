@@ -54,6 +54,11 @@ class RateFunction:
     param: float | None = None
     table: tuple[tuple[int, float], ...] | None = None
     formula: Callable[[int], float] | None = field(default=None, compare=False)
+    # r(0..n) computed so far, index 0 unused: this instance's own values
+    # (rates that compare equal may differ, as formula rates all do)
+    _vector: list[float] = field(
+        default_factory=lambda: [0.0], init=False, repr=False, compare=False
+    )
 
     def __call__(self, n: int) -> float:
         if n < 1:
@@ -74,6 +79,15 @@ class RateFunction:
             raise ValueError(f"unknown rate kind {self.kind!r}")
         if v <= 0.0:
             raise ValueError(f"rate must be strictly positive, r({n}) = {v!r}")
+        return v
+
+    def rate_vector(self, n: int) -> list[float]:
+        """``[_, r(1), ..., r(n), ...]``, index 0 unused: the values of
+        calling the function, computed once per instance and grown on
+        demand.  The list is shared; callers must not modify it."""
+        v = self._vector
+        if len(v) <= n:
+            v.extend(self(k) for k in range(len(v), n + 1))
         return v
 
     def _table_lookup(self, n: int) -> float:

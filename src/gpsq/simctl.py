@@ -49,6 +49,7 @@ from .input_process import (
     generator_from_config,
     iid_input,
     replication_seed,
+    sample_blocks,
     scale_sigma,
 )
 from .measures import ZERO, CountingMeasure
@@ -61,7 +62,9 @@ from .rates import (
     table_rate,
 )
 from .stationary import (
-    backward_coupling_ps,
+    BATCH_ROWS,
+    backward_coupling_ps,  # not called here; perfbench's tracer wraps simctl.backward_coupling_ps
+    backward_coupling_ps_batch,
     check_stability,
     lindley_W,
     loynes_L,
@@ -324,23 +327,34 @@ def _rep_generator(cfg: ExperimentConfig, i: int) -> MarkedInputGenerator:
     return generator_from_config(cfg.input_spec, seed_override=seed)
 
 
-def _worker_ps(args: tuple) -> dict:
-    cfg, i = args
-    gen = _rep_generator(cfg, i)
+def _rep_ranges(n: int, jobs: int) -> list[tuple[int, int]]:
+    """Contiguous replication ranges of at most :data:`BATCH_ROWS`; at least
+    ``4 * jobs`` of them when ``jobs > 1`` and there are enough
+    replications, so the workers stay evenly loaded."""
+    size = BATCH_ROWS if jobs <= 1 else max(1, min(BATCH_ROWS, n // (4 * jobs)))
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _worker_ps(args: tuple) -> list[dict]:
+    cfg, lo, hi = args
+    gens = [_rep_generator(cfg, i) for i in range(lo, hi)]
     r = rate_from_config(cfg.rate_spec)
-    rep = backward_coupling_ps(
-        gen, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
+    reps = backward_coupling_ps_batch(
+        gens, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
     )
-    return {
-        "seed": gen.seed,
-        "coupled": rep.coupled,
-        "regeneration_index": rep.regeneration_index,
-        "n_atoms": None if rep.stationary_profile is None else rep.stationary_profile.num_atoms,
-        "workload": None if rep.stationary_profile is None else rep.stationary_profile.workload,
-        "iterations": rep.iterations_used,
-        "atoms": None if rep.stationary_profile is None else list(rep.stationary_profile.atoms),
-        "exhausted": rep.horizon_exhausted,
-    }
+    return [
+        {
+            "seed": gen.seed,
+            "coupled": rep.coupled,
+            "regeneration_index": rep.regeneration_index,
+            "n_atoms": None if rep.stationary_profile is None else rep.stationary_profile.num_atoms,
+            "workload": None if rep.stationary_profile is None else rep.stationary_profile.workload,
+            "iterations": rep.iterations_used,
+            "atoms": None if rep.stationary_profile is None else list(rep.stationary_profile.atoms),
+            "exhausted": rep.horizon_exhausted,
+        }
+        for gen, rep in zip(gens, reps)
+    ]
 
 
 def _worker_gginf(args: tuple) -> dict:
@@ -387,23 +401,22 @@ def _worker_sweep_point(args: tuple) -> dict:
     if mean_sigma <= 0.0:
         raise ConfigError("sweep needs an input with a positive mean service demand")
     factor = rho * k_r * base_gen.mean_xi() / mean_sigma
-    n_list: list[int] = []
-    w_list: list[float] = []
-    coupled = 0
-    for i in range(cfg.replications):
-        gen = scale_sigma(
+    gens = [
+        scale_sigma(
             generator_from_config(
                 cfg.input_spec, seed_override=replication_seed(cfg.base_seed, i)
             ),
             factor,
         )
-        rep = backward_coupling_ps(
-            gen, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
-        )
-        if rep.coupled:
-            coupled += 1
-            n_list.append(rep.stationary_profile.num_atoms)
-            w_list.append(rep.stationary_profile.workload)
+        for i in range(cfg.replications)
+    ]
+    reps = backward_coupling_ps_batch(
+        gens, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
+    )
+    profiles = [rep.stationary_profile for rep in reps if rep.coupled]
+    coupled = len(profiles)
+    n_list = [mu.num_atoms for mu in profiles]
+    w_list = [mu.workload for mu in profiles]
     verdict_gen = scale_sigma(
         generator_from_config(cfg.input_spec, seed_override=cfg.base_seed), factor
     )
@@ -495,7 +508,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
             rate_from_config(cfg.rate_spec)
     items: list = [(cfg, i) for i in range(cfg.replications)]
     if cfg.mode == "ps_perfect_sample":
-        recs = _map_ordered(_worker_ps, items, jobs)
+        ranges = [(cfg, lo, hi) for lo, hi in _rep_ranges(cfg.replications, jobs)]
+        recs = [rec for part in _map_ordered(_worker_ps, ranges, jobs) for rec in part]
         rows = (
             (
                 rec["seed"],
@@ -777,9 +791,19 @@ def _suite_input_determinism(rng: np.random.Generator) -> tuple[bool, str]:
             marks = [gen.sample(n) for n in range(a, b)]
             if gen.sample_block(a, b) != ([x for x, _ in marks], [s for _, s in marks]):
                 return False, f"block read of [{a}, {b}) differs from per-index reads"
+        for _ in range(5):
+            a = int(rng.integers(-10**6, 10**6))
+            b = a + int(rng.integers(0, 300))
+            seeds = rng.integers(0, 2**64 - 1, 9, dtype=np.uint64, endpoint=True)
+            gens = [gen.with_seed(int(s)) for s in seeds]
+            xs, ss = sample_blocks(gens, a, b)
+            for k, one in enumerate(gens):
+                if (xs[k].tolist(), ss[k].tolist()) != one.sample_block(a, b):
+                    return False, f"many-seed read of [{a}, {b}) differs from per-seed reads"
     return True, (
         "per-index determinism and shift compatibility on a 100-index window; "
-        "block reads equal per-index reads on 40 random ranges (iid and Markov-modulated)"
+        "block reads equal per-index reads on 40 random ranges, and many-seed "
+        "reads equal per-seed reads on 10 ranges of 9 seeds (iid and Markov-modulated)"
     )
 
 

@@ -510,3 +510,38 @@ class TestFastPath:
         path = simulate_queue_path(g, CPS, n_steps=0, initial=mu)
         assert path.q[0] == 2
         assert path.final_profile.tv_distance(mu) == 0
+
+
+class _Marks:
+    """Explicit marks ``(xs[n], ss[n])`` for indices ``n = 0 .. len - 1``."""
+
+    def __init__(self, xs, ss):
+        self.xs, self.ss = xs, ss
+
+    def sample_block(self, a, b):
+        return self.xs[a:b], self.ss[a:b]
+
+
+class TestFastPathTies:
+    # dyadic rates and marks on a 1/8 grid keep every finish time exact, so
+    # departures land exactly on arrival instants over and over
+    DYADIC = table_rate({1: 1.0, 2: 0.5, 3: 0.25, 5: 0.125}, declared_floor=0.5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_ties_depart_before_the_arrival_on_both_paths(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 400
+        xs = (rng.integers(1, 9, n) / 8.0).tolist()
+        ss = (rng.integers(0, 13, n) / 8.0).tolist()
+        path = simulate_queue_path(_Marks(xs, ss), self.DYADIC, n)
+        ref = ZERO
+        ties = 0
+        for k in range(n):
+            assert path.q[k] == ref.num_atoms, k
+            assert path.w[k] == ref.workload, k
+            arrived = ref.add_atom(ss[k])
+            # some customer finishes exactly when the next one arrives
+            ties += gamma(arrived, xs[k], self.DYADIC) in arrived.atoms
+            ref = step(ref, ss[k], xs[k], self.DYADIC)
+        assert path.final_profile.tv_distance(ref, tol=0.0) == 0
+        assert ties > 10

@@ -38,6 +38,9 @@ FWD_MM_INPUT = {
     ],
 }
 
+# Rate close to 1/n with throughput floor 0.9, as a table.
+NEAR_PS_TABLE = {n: (0.9 + 0.1 / n) / n for n in range(1, 33)}
+
 CONFIGS = {
     "ps_perfect_sample": {
         "mode": "ps_perfect_sample",
@@ -47,6 +50,17 @@ CONFIGS = {
         "lindley_window": 200,
         "input": IID_INPUT,
         "rate": {"kind": "half_interference"},
+    },
+    # More replications than one perfect-sampling batch and not a multiple
+    # of its size; the short lookback makes 8 of the 150 exhaust, and the
+    # Lindley window and margin come from the model means.
+    "ps_perfect_sample_mm": {
+        "mode": "ps_perfect_sample",
+        "base_seed": 13,
+        "replications": 150,
+        "max_lookback": 300,
+        "input": MM_INPUT,
+        "rate": {"kind": "custom_table", "table": NEAR_PS_TABLE, "floor": 0.9},
     },
     "gginf_stationary": {
         "mode": "gginf_stationary",
@@ -78,8 +92,7 @@ CONFIGS = {
         "max_lookback": 300,
         "stability_samples": 1000,
         "input": MM_INPUT,
-        "rate": {"kind": "custom_table",
-                 "table": {n: (0.9 + 0.1 / n) / n for n in range(1, 33)}, "floor": 0.9},
+        "rate": {"kind": "custom_table", "table": NEAR_PS_TABLE, "floor": 0.9},
         "sweep": {"rho": [0.9, 1.2]},
     },
 }
@@ -89,6 +102,10 @@ GOLDEN = {
         "821c837f3f29334449fb226419336ac9e914eba24365447c7eaf135ee8d8928d",
     ("ps_perfect_sample", "json"):
         "02cbc98649563e3ad41f8eadd1a92c77d8cdb85852a2f5768578eb432d5ded3a",
+    ("ps_perfect_sample_mm", "csv"):
+        "b626775ac60a0b8a7e68e5a6888865dbecec4f9e8d193391edd319a54c7fa733",
+    ("ps_perfect_sample_mm", "json"):
+        "709d5d02723a45bb33aa58b882bce21e5fa2a6081bd196f5984f0e94a2343cf8",
     ("gginf_stationary", "csv"):
         "98f2e18806b13613a7a8e2d71e2b3ace0bc148a6ac56e5d012c2db3b9c53c6e8",
     ("gginf_stationary", "json"):

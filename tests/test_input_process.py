@@ -1,6 +1,7 @@
 """Tests for seeded shift-indexable marked input sequences."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from gpsq.input_process import (
     dist_from_config,
     generator_from_config,
     iid_input,
+    _PHILOX_CHUNK,
+    _PURPOSE_CHAIN,
+    _PURPOSE_MARKS,
+    _philox_uniforms,
+    _rng_at,
     replication_seed,
+    sample_blocks,
     scale_sigma,
     splitmix64,
 )
@@ -159,6 +166,31 @@ class TestMarkovModulated:
         g = MarkedInputGenerator(model=model, seed=13)
         for n in range(-10, 10):
             assert g.shift(4).sample(n - 4) == g.sample(n)
+
+    def test_stationary_law_is_solved_once_per_model(self, monkeypatch):
+        spec = dict(transition=((0.9, 0.1), (0.2, 0.8)),
+                    xi_dists=(Exponential(1.5), Exponential(0.5)),
+                    sigma_dists=(Exponential(0.5), Uniform(0.0, 2.0)))
+        expected = MarkovModulatedModel(**spec).stationary_distribution().copy()
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        model = MarkovModulatedModel(**spec)
+        for _ in range(5):
+            model.mean_xi()
+            model.mean_sigma()
+            pi = model.stationary_distribution()
+        assert len(calls) == 1
+        assert pi.tolist() == expected.tolist()
+        assert pi.tolist() == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
+        assert not pi.flags.writeable
+        MarkovModulatedModel(**spec).mean_xi()
+        assert len(calls) == 2  # per instance, not shared between equal models
 
     def test_rejects_periodic_chain(self):
         with pytest.raises(ValueError, match="aperiodic"):
@@ -324,3 +356,67 @@ class TestSampleBlock:
         )
         xs, _ = MarkedInputGenerator(model=model, seed=2**64 - 1).sample_block(-300, 300)
         assert [int(x) - 1 for x in xs] == [model.state_at(2**64 - 1, n) for n in range(-300, 300)]
+
+
+class TestManySeedBlocks:
+    @pytest.mark.parametrize("purpose", [_PURPOSE_CHAIN, _PURPOSE_MARKS])
+    def test_many_seed_kernel_equals_per_seed_kernel(self, purpose):
+        # 3 x 6001 counters cross two pass boundaries, inside rows 1 and 2
+        seeds = [0, 2**63 + 5, 2**64 - 1]
+        a, b = -3000, 3001
+        assert len(seeds) * (b - a) > 2 * _PHILOX_CHUNK
+        many = _philox_uniforms(seeds, purpose, a, b)
+        assert many.shape == (3, b - a, 2)
+        for k, seed in enumerate(seeds):
+            assert np.array_equal(many[k], _philox_uniforms([seed], purpose, a, b)[0])
+            for i in (0, 1, 2190, 2191, 2999, 3000, 3001, 4381, 4382, 6000):
+                assert many[k, i].tolist() == _rng_at(seed, purpose, a + i).random(2).tolist()
+
+    def test_many_seed_kernel_at_the_index_wrap(self):
+        seeds = [7, 2**63]
+        many = _philox_uniforms(seeds, _PURPOSE_MARKS, -3, 3)
+        for k, seed in enumerate(seeds):
+            for i in range(6):
+                assert many[k, i].tolist() == _rng_at(seed, _PURPOSE_MARKS, i - 3).random(2).tolist()
+
+    def test_no_seeds_and_empty_ranges(self):
+        assert _philox_uniforms([], _PURPOSE_MARKS, 0, 10).shape == (0, 10, 2)
+        assert _philox_uniforms([1, 2], _PURPOSE_MARKS, 4, 4).shape == (2, 0, 2)
+        xs, ss = sample_blocks([], 0, 5)
+        assert xs.shape == ss.shape == (0, 5)
+        with pytest.raises(ValueError):
+            sample_blocks([iid_input(Exponential(1.0), Exponential(1.0), seed=1)], 5, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(generators(), st.lists(seeds, min_size=1, max_size=6),
+           st.lists(st.integers(-5, 5), min_size=1, max_size=6), ranges)
+    def test_rows_equal_per_seed_blocks(self, g, seed_list, offsets, ab):
+        # one model: shared offsets are read together, other offsets apart
+        a, b = ab
+        gens = [g.with_seed(s).shift(offsets[i % len(offsets)]) for i, s in enumerate(seed_list)]
+        xs, ss = sample_blocks(gens, a, b)
+        for k, gen in enumerate(gens):
+            assert (xs[k].tolist(), ss[k].tolist()) == gen.sample_block(a, b)
+
+    def test_mixed_models_and_other_sources(self):
+        @dataclass(frozen=True)
+        class Ramp:
+            def sample_block(self, a, b):
+                return [float(n) for n in range(a, b)], [0.5] * (b - a)
+
+        iid = iid_input(Exponential(2.0), Uniform(0.0, 3.0), seed=3)
+        mm = generator_from_config({
+            "model": "markov_modulated",
+            "transition": [[0.5, 0.5], [0.3, 0.7]],
+            "states": [
+                {"xi": {"dist": "exp", "mean": 1.0}, "sigma": {"dist": "pareto", "alpha": 2.5,
+                                                              "scale": 0.6}},
+                {"xi": {"dist": "deterministic", "value": 0.5},
+                 "sigma": {"dist": "exp", "mean": 1.0}},
+            ],
+            "seed": 11,
+        })
+        gens = [iid, mm, Ramp(), iid.with_seed(4), deterministic_input(1.0, 2.0), mm.with_seed(12)]
+        xs, ss = sample_blocks(gens, -40, 25)
+        for k, gen in enumerate(gens):
+            assert (xs[k].tolist(), ss[k].tolist()) == gen.sample_block(-40, 25)

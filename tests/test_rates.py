@@ -140,3 +140,32 @@ class TestDominates:
 
     def test_reflexive(self):
         assert dominates(classical_ps(), classical_ps(), n_max=50)
+
+
+class TestRateVector:
+    def test_equals_calls_for_every_kind(self):
+        fast = formula_rate(lambda n: 1.0 / n, declared_floor=1.0)
+        slow = formula_rate(lambda n: 0.5 / n, declared_floor=1.0)
+        assert fast == slow  # formula rates compare equal whatever their formula
+        rates = [pure_delay(), classical_ps(), half_interference(), scaled_ps(0.7),
+                 table_rate(THROUGHPUT_TABLE, declared_floor=0.8), fast, slow]
+        for r in rates:
+            # grown on demand, in uneven steps
+            for n in (3, 1, 40, 300):
+                assert r.rate_vector(n)[1 : n + 1] == [r(k) for k in range(1, n + 1)]
+        assert fast.rate_vector(5)[5] == 0.2
+        assert slow.rate_vector(5)[5] == 0.1
+
+    def test_cache_is_per_instance(self):
+        r = classical_ps()
+        assert r.rate_vector(4) is r.rate_vector(2)
+        assert classical_ps().rate_vector(4) is not r.rate_vector(4)
+        assert dataclasses.replace(r, single_server=False).rate_vector(4) is not r.rate_vector(4)
+
+    def test_nonpositive_rate_still_raises(self):
+        r = formula_rate(lambda n: 1.0 - 0.2 * n, declared_floor=0.0)
+        assert r.rate_vector(4)[1:5] == [r(k) for k in range(1, 5)]
+        with pytest.raises(ValueError, match="strictly positive"):
+            r.rate_vector(5)
+        with pytest.raises(ValueError, match="strictly positive"):
+            r(5)

@@ -18,6 +18,7 @@ from gpsq.simctl import (
     _csv_bytes,
     _fmt,
     _parse_rho,
+    _rep_ranges,
     _worker_forward,
     load_config,
     main,
@@ -25,6 +26,7 @@ from gpsq.simctl import (
     run_experiment,
     run_invariant_suites,
 )
+from gpsq.stationary import BATCH_ROWS
 
 MM_INPUT = {"model": "iid", "xi": {"dist": "exp", "mean": 3},
             "sigma": {"dist": "exp", "mean": 1}}
@@ -312,6 +314,38 @@ class TestRunModes:
             rate={"kind": "custom_table", "floor": 0.1, "table": {1: 0.5, 2: 0.9}},
         )
         assert main(["run", str(cfg2), "--jobs", "1"]) == EXIT_CONFIG
+
+
+class TestReplicationBatches:
+    @pytest.mark.parametrize("n", [1, 63, 65, 130])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_do_not_depend_on_jobs(self, tmp_path, n, fmt):
+        out = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"ps-{jobs}.{fmt}"
+            cfg = ExperimentConfig.from_dict({
+                "schema_id": "gpsq-experiment-v1",
+                "mode": "ps_perfect_sample",
+                "base_seed": 3,
+                "replications": n,
+                "max_lookback": 2000,
+                "lindley_window": 200,
+                "input": MM_INPUT,
+                "rate": {"kind": "half_interference"},
+                "output": {"path": str(path), "format": fmt},
+            })
+            assert run_experiment(cfg, jobs=jobs).rows == n
+            out[jobs] = path.read_bytes()
+        assert out[1] == out[2]
+
+    @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 1000])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_ranges_cover_in_order(self, n, jobs):
+        ranges = _rep_ranges(n, jobs)
+        assert [i for lo, hi in ranges for i in range(lo, hi)] == list(range(n))
+        assert all(0 < hi - lo <= BATCH_ROWS for lo, hi in ranges)
+        if jobs > 1 and n >= 4 * jobs:
+            assert len(ranges) >= 4 * jobs
 
 
 class TestInvariantSuites:

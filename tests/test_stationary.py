@@ -1,21 +1,32 @@
 """Tests for the backward constructions and perfect sampling."""
 
+import math
 from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpsq.dynamics import step
 from gpsq.input_process import (
     Exponential,
     Pareto,
     deterministic_input,
+    generator_from_config,
     iid_input,
     replication_seed,
+    scale_sigma,
 )
-from gpsq.measures import ZERO, CountingMeasure
-from gpsq.rates import classical_ps, half_interference, pure_delay, scaled_ps
+from gpsq.measures import ATOM_TOL, ZERO, CountingMeasure
+from gpsq.rates import classical_ps, half_interference, pure_delay, scaled_ps, table_rate
 from gpsq.stationary import (
+    BATCH_ROWS,
+    CouplingReport,
+    LoynesResult,
+    _backward_marks,
+    _renovation_scan_epochs,
     backward_coupling_ps,
+    backward_coupling_ps_batch,
     backward_iterate,
     check_stability,
     estimate_prob_L_zero,
@@ -337,3 +348,179 @@ class TestZeroRecordProbability:
         est = estimate_prob_L_zero(mm_input(2026), n_seeds=200)
         assert est.n_converged == 200
         assert 0.0 < est.p_zero < 1.0
+
+
+# -- the batched sampler against the scalar loops it replaced ----------------
+
+
+def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None,
+                        drop_margin=None):
+    """The scalar Lindley loop, as it was before the batched kernel."""
+    mean_xi = mean_sigma = None
+    try:
+        mean_xi, mean_sigma = gen.mean_xi(), gen.mean_sigma()
+    except (AttributeError, NotImplementedError):
+        pass
+    if mean_xi is not None and mean_sigma is not None:
+        gap = k_r * mean_xi - mean_sigma
+        rho_hat = mean_sigma / (k_r * mean_xi)
+        if improvement_window is None and rho_hat < 1.0:
+            improvement_window = math.ceil(10.0 / (1.0 - rho_hat))
+        if drop_margin is None and gap > 0.0:
+            drop_margin = 50.0 * gap
+    s = 0.0
+    best = -math.inf
+    best_j = 0
+    since_improve = 0
+    converged = False
+    j = 0
+    marks = _backward_marks(gen, max_lookback, (improvement_window or 0) + 1)
+    for j, (xi, sigma) in enumerate(marks, 1):
+        s += sigma - k_r * xi
+        if s > best:
+            best = s
+            best_j = j
+            since_improve = 0
+        else:
+            since_improve += 1
+        if (
+            improvement_window is not None
+            and since_improve >= improvement_window
+            and (drop_margin is None or best - s >= drop_margin)
+        ):
+            converged = True
+            break
+    note = (
+        f"certified: no record improvement for {since_improve} terms, "
+        f"partial sum {best - s} below the record"
+        if converged
+        else f"horizon exhausted at lookback {max_lookback}"
+        + (
+            ""
+            if improvement_window is not None
+            else " (no negative-drift estimate; cannot certify)"
+        )
+    )
+    return LoynesResult(
+        value=max(best, 0.0),
+        argmax_index=best_j if best > 0.0 else None,
+        converged=converged,
+        iterations=j,
+        tail_bound_note=note,
+    )
+
+
+def reference_coupling(gen, r, max_lookback=10_000, improvement_window=None,
+                       drop_margin=None):
+    """The per-epoch loop of one replication, as it was before batching."""
+    iterations = 0
+    for m in _renovation_scan_epochs(max_lookback):
+        res = reference_lindley_W(gen.shift(-m), r.declared_floor, max_lookback,
+                                  improvement_window, drop_margin)
+        iterations += res.iterations
+        if res.converged and res.value <= ATOM_TOL:
+            mu = ZERO
+            for xi, sigma in zip(*gen.sample_block(-m, 0)):
+                mu = step(mu, sigma, xi, r)
+            return CouplingReport(True, -m, mu, iterations + m, False)
+    return CouplingReport(False, None, None, iterations, True)
+
+
+def fields(rep):
+    atoms = None if rep.stationary_profile is None else rep.stationary_profile.atoms
+    return (rep.coupled, rep.regeneration_index, atoms, rep.iterations_used,
+            rep.horizon_exhausted)
+
+
+MM_SPEC = {
+    "model": "markov_modulated",
+    "transition": [[0.9, 0.1], [0.2, 0.8]],
+    "states": [
+        {"xi": {"dist": "exp", "mean": 1.5}, "sigma": {"dist": "exp", "mean": 0.5}},
+        {"xi": {"dist": "exp", "mean": 0.5},
+         "sigma": {"dist": "uniform", "low": 0.0, "high": 2.0}},
+    ],
+}
+RATES = [
+    half_interference(),
+    classical_ps(),
+    table_rate({n: (0.9 + 0.1 / n) / n for n in range(1, 33)}, declared_floor=0.9),
+]
+
+
+@st.composite
+def batches(draw):
+    """A batch of inputs sharing one law at load ``rho`` against the rate's
+    floor, and the rate."""
+    r = draw(st.sampled_from(RATES))
+    rho = draw(st.floats(0.2, 1.4))
+    size = draw(st.integers(1, 70))
+    base = draw(st.integers(0, 2**64 - 1))
+    seeds = [replication_seed(base, i) for i in range(size)]
+    kind = draw(st.sampled_from(["iid", "deterministic", "mm", "cyclic"]))
+    k_r = r.declared_floor
+    if kind == "iid":
+        gens = [iid_input(Exponential(1.0), Exponential(rho * k_r), seed=s) for s in seeds]
+    elif kind == "deterministic":
+        gens = [deterministic_input(1.0, rho * k_r, seed=s) for s in seeds]
+    elif kind == "mm":
+        # E[xi] = 7/6 and E[sigma] = 2/3 under the stationary law
+        factor = rho * k_r * 7.0 / 4.0
+        gens = [scale_sigma(generator_from_config(MM_SPEC, seed_override=s), factor)
+                for s in seeds]
+    else:
+        period = draw(st.integers(1, 9))
+        sigmas = tuple(draw(st.lists(st.floats(0.0, 3.0), min_size=period, max_size=period)))
+        mean = sum(sigmas) / period
+        xi = max(mean / (rho * k_r), 1e-3)
+        gens = [CyclicInput(xis=(xi,), sigmas=sigmas, offset=draw(st.integers(-50, 50)))
+                for _ in seeds]
+    return gens, r
+
+
+class TestBatchedSampler:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batches(),
+        st.integers(1, 400),
+        st.one_of(st.none(), st.integers(1, 300)),
+        st.one_of(st.none(), st.floats(0.0, 30.0)),
+    )
+    def test_equals_the_per_epoch_loop(self, batch, max_lookback, window, margin):
+        gens, r = batch
+        got = backward_coupling_ps_batch(gens, r, max_lookback, window, margin)
+        assert len(got) == len(gens)
+        for g, rep in zip(gens, got):
+            assert fields(rep) == fields(reference_coupling(g, r, max_lookback, window, margin))
+
+    def test_batch_of_one_is_the_single_call(self):
+        r = half_interference()
+        gens = [mm_input(replication_seed(5, i)) for i in range(BATCH_ROWS + 6)]
+        batch = backward_coupling_ps_batch(gens, r, improvement_window=200)
+        for g, rep in zip(gens, batch):
+            assert fields(rep) == fields(backward_coupling_ps(g, r, improvement_window=200))
+
+    def test_empty_batch(self):
+        assert backward_coupling_ps_batch([], half_interference()) == []
+
+    def test_batch_rejects_what_the_single_call_rejects(self):
+        bad = replace(pure_delay(), single_server=True)
+        with pytest.raises(ValueError):
+            backward_coupling_ps_batch([deterministic_input(3.0, 1.0)], bad)
+        with pytest.raises(ValueError):
+            backward_coupling_ps_batch([deterministic_input(3.0, 1.0)], classical_ps(),
+                                       max_lookback=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches(),
+        st.integers(1, 3000),
+        st.one_of(st.none(), st.integers(0, 400)),
+        st.one_of(st.none(), st.floats(0.0, 30.0)),
+        st.integers(-100, 100),
+    )
+    def test_lindley_W_equals_the_scalar_loop(self, batch, max_lookback, window, margin, k):
+        gens, r = batch
+        g = gens[0].shift(k)
+        got = lindley_W(g, r.declared_floor, max_lookback, window, margin)
+        assert got == reference_lindley_W(g, r.declared_floor, max_lookback, window, margin)
