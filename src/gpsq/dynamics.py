@@ -229,9 +229,6 @@ class TrajectorySegment:
             "drain_rate": self.drain_rate,
         }
 
-    def to_csv_row(self) -> tuple:
-        return (self.t_start, self.t_end, self.q, self.w_start, self.drain_rate)
-
 
 TRAJECTORY_CSV_HEADER = ("t_start", "t_end", "q", "w_start", "drain_rate")
 

@@ -311,16 +311,6 @@ def dist_from_config(cfg: dict) -> Distribution:
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 
-def dist_to_config(d: Distribution) -> dict:
-    if isinstance(d, Exponential):
-        return {"dist": "exp", "mean": d.mean}
-    if isinstance(d, Deterministic):
-        return {"dist": "deterministic", "value": d.value}
-    if isinstance(d, Uniform):
-        return {"dist": "uniform", "low": d.low, "high": d.high}
-    return {"dist": "pareto", "alpha": d.alpha, "scale": d.scale}
-
-
 # ---------------------------------------------------------------------------
 # input models
 # ---------------------------------------------------------------------------

@@ -33,26 +33,16 @@ import yaml
 from . import __version__
 from .dynamics import (
     TRAJECTORY_CSV_HEADER,
-    fluid_oracle_phi,
-    gamma,
-    gamma_values,
-    last_departure_index,
-    phi,
-    step,
     trajectory,  # not called here; perfbench's tracer wraps simctl.trajectory
     trajectory_rows,
 )
 from .input_process import (
-    Exponential,
     MarkedInputGenerator,
-    Uniform,
     generator_from_config,
-    iid_input,
     replication_seed,
-    sample_blocks,
     scale_sigma,
 )
-from .measures import ZERO, CountingMeasure
+from .measures import ZERO
 from .rates import (
     RateFunction,
     classical_ps,
@@ -66,7 +56,6 @@ from .stationary import (
     backward_coupling_ps,  # not called here; perfbench's tracer wraps simctl.backward_coupling_ps
     backward_coupling_ps_batch,
     check_stability,
-    lindley_W,
     loynes_L,
     stationary_profile_gginf,
 )
@@ -121,14 +110,17 @@ def rate_from_config(cfg: dict) -> RateFunction:
         if kind == "scaled_ps":
             return scaled_ps(float(cfg["k"]))
         if kind == "custom_table":
+            table = cfg["table"]
+            if not isinstance(table, dict):
+                raise ConfigError(f"custom_table 'table' must be a mapping, got {table!r}")
             return table_rate(
-                {int(k): float(v) for k, v in cfg["table"].items()},
+                {int(k): float(v) for k, v in table.items()},
                 declared_floor=float(cfg["floor"]),
                 single_server=bool(cfg.get("single_server", False)),
             )
     except KeyError as exc:
         raise ConfigError(f"rate kind {kind!r} is missing parameter {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad rate spec: {exc}") from None
     raise ConfigError(f"unknown rate kind {kind!r}")
 
@@ -190,12 +182,25 @@ class ExperimentConfig:
             errors.append(f"base_seed must be an integer, got {base_seed!r}")
             base_seed = 0
         out = data.get("output", {})
+        if not isinstance(out, dict):
+            errors.append(f"'output' must be a mapping, got {out!r}")
+            out = {}
         out_path = out.get("path", "")
+        if not isinstance(out_path, str):
+            errors.append(f"output.path must be a string, got {out_path!r}")
+            out_path = ""
         out_format = out.get("format", "csv")
         if out_format not in ("csv", "json"):
             errors.append(f"output.format must be 'csv' or 'json', got {out_format!r}")
         sweep = data.get("sweep", {})
-        rho_grid = tuple(float(x) for x in sweep.get("rho", ()))
+        if not isinstance(sweep, dict):
+            errors.append(f"'sweep' must be a mapping, got {sweep!r}")
+            sweep = {}
+        try:
+            rho_grid = tuple(float(x) for x in sweep.get("rho", ()))
+        except (TypeError, ValueError):
+            errors.append(f"sweep.rho must be a list of numbers, got {sweep.get('rho')!r}")
+            rho_grid = ()
         if any(x <= 0 for x in rho_grid):
             errors.append("sweep.rho values must be positive")
         if errors:
@@ -579,8 +584,6 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
             {"suite": n, "ok": ok, "detail": d} for n, ok, d in results
         ]})
         recs = [{"exhausted": False} for _ in results]
-        for name, ok, detail in results:
-            print(("PASS" if ok else "FAIL") + f" {name}: {detail}")
         if any(not r[1] for r in results):
             out = _finish(cfg, payload, t0, recs)
             raise SuiteFailure(out)
@@ -618,226 +621,34 @@ def _finish(cfg: ExperimentConfig, payload: bytes, t0: float, recs: list[dict]) 
 # ---------------------------------------------------------------------------
 
 
-def _suite_measures(rng: np.random.Generator) -> tuple[bool, str]:
-    for _ in range(400):
-        mu = CountingMeasure(rng.uniform(0, 10, rng.integers(0, 8)))
-        x, y = rng.uniform(0, 5, 2)
-        if mu.shift(x).shift(y).tv_distance(mu.shift(x + y), tol=1e-9) != 0:
-            return False, "shift composition failed"
-        s = rng.uniform(0, 10)
-        grown = mu.add_atom(s)
-        if grown.num_atoms != mu.num_atoms + 1 or grown.largest_atom != max(mu.largest_atom, s):
-            return False, "add_atom bookkeeping failed"
-        base = np.sort(rng.uniform(0, 10, rng.integers(1, 8)))
-        nu = CountingMeasure(np.concatenate([base + rng.uniform(0, 2, base.size),
-                                             rng.uniform(0, 10, rng.integers(0, 3))]))
-        mu2 = CountingMeasure(base)
-        if not mu2.leq(nu):
-            return False, "constructed dominating pair not ordered"
-        thresholds = rng.uniform(0, 12, 6)
-        f = lambda a: sum(1.0 for t in thresholds if a > t)
-        if mu2.integrate(f) > nu.integrate(f) + 1e-9:
-            return False, "order does not imply step-integral dominance"
-        if not mu2.shift(x).leq(nu.shift(x)):
-            return False, "shift not monotone"
-    return True, "shift/order/add_atom laws on 400 random instances"
-
-
-def _suite_oracle(rng: np.random.Generator) -> tuple[bool, str]:
-    cat = _catalog()
-    for _ in range(2000):
-        mu = CountingMeasure(rng.uniform(0, 10, rng.integers(0, 11)))
-        x = rng.uniform(0, 20)
-        r = cat[rng.integers(0, len(cat))]
-        if phi(mu, x, r).tv_distance(fluid_oracle_phi(mu, x, r)) != 0:
-            return False, f"closed form vs fluid oracle mismatch on {mu.atoms} x={x} {r.kind}"
-    return True, "closed form matches fluid oracle on 2000 random instances"
-
-
-def _suite_unimodal(rng: np.random.Generator) -> tuple[bool, str]:
-    cat = _catalog()
-    for _ in range(2000):
-        mu = CountingMeasure(rng.uniform(0, 10, rng.integers(1, 11)))
-        x = rng.uniform(0, 20)
-        r = cat[rng.integers(0, len(cat))]
-        gs = gamma_values(mu, x, r)
-        peak = min(last_departure_index(mu, x, r) + 1, len(gs))
-        if gamma(mu, x, r) != max(gs):
-            return False, "drain is not the max threshold"
-        if any(gs[i] < gs[i - 1] - 1e-12 for i in range(1, peak)):
-            return False, "thresholds not non-decreasing before the peak"
-        if any(gs[i] > gs[i - 1] + 1e-12 for i in range(peak, len(gs))):
-            return False, "thresholds not non-increasing after the peak"
-    return True, "threshold unimodality on 2000 random instances"
-
-
-def _suite_monotone_mu(rng: np.random.Generator) -> tuple[bool, str]:
-    cat = _catalog()
-    for _ in range(2000):
-        base = np.sort(rng.uniform(0, 10, rng.integers(1, 9)))
-        nu = CountingMeasure(np.concatenate([np.sort(base + rng.uniform(0, 2, base.size)),
-                                             rng.uniform(0, 10, rng.integers(0, 4))]))
-        mu = CountingMeasure(base)
-        x = rng.uniform(0, 20)
-        r = cat[rng.integers(0, len(cat))]
-        if not phi(mu, x, r).leq(phi(nu, x, r)):
-            return False, "one-step map not monotone in the profile"
-    return True, "profile monotonicity on 2000 dominating pairs"
-
-
-def _suite_monotone_rate(rng: np.random.Generator) -> tuple[bool, str]:
-    pairs = [(half_interference(), classical_ps()), (scaled_ps(0.4), scaled_ps(0.9))]
-    for _ in range(2000):
-        slow, fast = pairs[rng.integers(0, len(pairs))]
-        mu = CountingMeasure(rng.uniform(0, 10, rng.integers(1, 9)))
-        x = rng.uniform(0, 20)
-        if not phi(mu, x, fast).leq(phi(mu, x, slow)):
-            return False, "slower rates do not leave a larger profile"
-    return True, "rate monotonicity on 2000 instances over dominated rate pairs"
-
-
-def _suite_gginf_fixed_point(rng: np.random.Generator) -> tuple[bool, str]:
-    checked = 0
-    for i in range(100):
-        g = iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(97, i))
-        a = stationary_profile_gginf(g)
-        b = stationary_profile_gginf(g.shift(1))
-        rec = loynes_L(g)
-        if not (a.converged and b.converged and rec.converged):
-            continue
-        checked += 1
-        xi0, sig0 = g.sample(0)
-        if b.profile.tv_distance(a.profile.add_atom(sig0).shift(xi0)) != 0:
-            return False, "stationary infinite-server profile fails its one-step equation"
-        if abs(a.profile.largest_atom - rec.value) > 1e-9:
-            return False, "largest stationary atom differs from the backward record"
-    return True, f"one-step equation and record identity on {checked} converged seeds"
-
-
-def _suite_lindley_fixed_point(rng: np.random.Generator) -> tuple[bool, str]:
-    checked = 0
-    for i in range(100):
-        g = iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(193, i))
-        w0 = lindley_W(g, 0.5, improvement_window=200)
-        w1 = lindley_W(g.shift(1), 0.5, improvement_window=200)
-        if not (w0.converged and w1.converged):
-            continue
-        checked += 1
-        xi0, sig0 = g.sample(0)
-        if abs(w1.value - max(w0.value + sig0 - 0.5 * xi0, 0.0)) > 1e-9:
-            return False, "constant-drain workload fails its one-step equation"
-    return True, f"one-step workload equation on {checked} converged seeds"
-
-
-def _suite_coupling_stationarity(rng: np.random.Generator) -> tuple[bool, str]:
-    r = half_interference()
-    checked = 0
-    for i in range(40):
-        g = iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(571, i))
-        a = backward_coupling_ps(g, r, max_lookback=10_000, improvement_window=200)
-        b = backward_coupling_ps(g.shift(1), r, max_lookback=10_000, improvement_window=200)
-        if not (a.coupled and b.coupled):
-            continue
-        checked += 1
-        xi0, sig0 = g.sample(0)
-        got = step(a.stationary_profile, sig0, xi0, r)
-        if got.tv_distance(b.stationary_profile) != 0:
-            return False, "perfect sample fails the stationary one-step equation"
-    return True, f"perfect-sample stationarity on {checked} coupled seeds"
-
-
-def _suite_workload_identity(rng: np.random.Generator) -> tuple[bool, str]:
-    g = iid_input(Exponential(3.0), Exponential(1.0), seed=8641)
-    k = 0.5
-    mu, w = ZERO, 0.0
-    for n in range(2000):
-        xi, sig = g.sample(n)
-        mu = step(mu, sig, xi, scaled_ps(k))
-        w = max(w + sig - k * xi, 0.0)
-        if abs(mu.workload - w) > 1e-9:
-            return False, f"constant-throughput workload deviates at step {n}"
-    rec = lindley_W(g, k, improvement_window=200)
-    mu, w = ZERO, rec.value
-    for n in range(2000):
-        if mu.workload > w + 1e-9:
-            return False, f"workload domination fails at step {n}"
-        xi, sig = g.sample(n)
-        mu = step(mu, sig, xi, half_interference())
-        w = max(w + sig - k * xi, 0.0)
-    return True, "tracking and domination over 2000 steps"
-
-
-def _suite_input_determinism(rng: np.random.Generator) -> tuple[bool, str]:
-    g = iid_input(Exponential(2.0), Uniform(0.0, 3.0), seed=31415)
-    for n in range(-50, 50):
-        if g.sample(n) != g.sample(n):
-            return False, "re-sampling an index changed its value"
-        if g.shift(7).sample(n - 7) != g.sample(n):
-            return False, "shift is not an index translation"
-    mm = generator_from_config({
-        "model": "markov_modulated",
-        "transition": [[0.9, 0.1], [0.2, 0.8]],
-        "states": [
-            {"xi": {"dist": "exp", "mean": 1.5}, "sigma": {"dist": "deterministic", "value": 0.5}},
-            {"xi": {"dist": "deterministic", "value": 0.5},
-             "sigma": {"dist": "pareto", "alpha": 2.5, "scale": 0.6}},
-        ],
-        "seed": 2**64 - 27,
-    })
-    for gen in (g, mm):
-        for _ in range(20):
-            a = int(rng.integers(-10**6, 10**6))
-            b = a + int(rng.integers(0, 64))
-            marks = [gen.sample(n) for n in range(a, b)]
-            if gen.sample_block(a, b) != ([x for x, _ in marks], [s for _, s in marks]):
-                return False, f"block read of [{a}, {b}) differs from per-index reads"
-        for _ in range(5):
-            a = int(rng.integers(-10**6, 10**6))
-            b = a + int(rng.integers(0, 300))
-            seeds = rng.integers(0, 2**64 - 1, 9, dtype=np.uint64, endpoint=True)
-            gens = [gen.with_seed(int(s)) for s in seeds]
-            xs, ss = sample_blocks(gens, a, b)
-            for k, one in enumerate(gens):
-                if (xs[k].tolist(), ss[k].tolist()) != one.sample_block(a, b):
-                    return False, f"many-seed read of [{a}, {b}) differs from per-seed reads"
-    return True, (
-        "per-index determinism and shift compatibility on a 100-index window; "
-        "block reads equal per-index reads on 40 random ranges, and many-seed "
-        "reads equal per-seed reads on 10 ranges of 9 seeds (iid and Markov-modulated)"
-    )
-
-
-def _catalog() -> list[RateFunction]:
-    return [
-        pure_delay(),
-        classical_ps(),
-        half_interference(),
-        scaled_ps(0.7),
-        table_rate({1: 1.0, 2: 0.495, 3: 0.3, 100: 0.008}, declared_floor=0.8),
-    ]
-
-
 def run_invariant_suites(seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Run every built-in invariant suite; returns (name, ok, detail)."""
-    suites = [
-        ("measures", _suite_measures),
-        ("oracle_equivalence", _suite_oracle),
-        ("threshold_unimodality", _suite_unimodal),
-        ("profile_monotonicity", _suite_monotone_mu),
-        ("rate_monotonicity", _suite_monotone_rate),
-        ("gginf_fixed_point", _suite_gginf_fixed_point),
-        ("lindley_fixed_point", _suite_lindley_fixed_point),
-        ("coupling_stationarity", _suite_coupling_stationarity),
-        ("workload_identity", _suite_workload_identity),
-        ("input_determinism", _suite_input_determinism),
-    ]
+    """Run every invariant check of :mod:`gpsq.checks` at the verify counts,
+    print one PASS/FAIL line each and return (name, ok, detail).  A suite
+    passes when its check tested at least one instance and found no
+    failure.  ``seed`` seeds the random instances; the other checks read
+    inputs at fixed seeds."""
+    from . import checks  # imported on use: the experiment modes never need it
+
+    suites = (
+        ("measures", lambda rng: checks.measures(rng, 400)),
+        ("oracle_equivalence", lambda rng: checks.oracle_equivalence(rng, 2000)),
+        ("threshold_unimodality", lambda rng: checks.threshold_unimodality(rng, 2000)),
+        ("profile_monotonicity", lambda rng: checks.profile_monotonicity(rng, 2000)),
+        ("rate_monotonicity", lambda rng: checks.rate_monotonicity(rng, 2000)),
+        ("gginf_fixed_point", lambda rng: checks.gginf_fixed_point(97, 100)),
+        ("lindley_fixed_point", lambda rng: checks.record_and_workload_fixed_points(193, 100)),
+        ("coupling_stationarity", lambda rng: checks.coupling_stationarity(571, 40)),
+        ("workload_identity", lambda rng: checks.workload_identity(8641, 2000)),
+        ("input_determinism", lambda rng: checks.input_determinism(rng, 20)),
+    )
     out = []
-    for idx, (name, fn) in enumerate(suites):
-        rng = np.random.default_rng([seed, idx])
+    for idx, (name, check) in enumerate(suites):
         try:
-            ok, detail = fn(rng)
+            res = check(np.random.default_rng([seed, idx]))
+            ok, detail = res.failures == 0 and res.checked > 0, res.detail
         except Exception as exc:  # a crashed suite is a failed suite
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        print(("PASS" if ok else "FAIL") + f" {name}: {detail}")
         out.append((name, ok, detail))
     return out
 
@@ -893,8 +704,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "verify":
             results = run_invariant_suites(seed=args.seed)
-            for name, ok, detail in results:
-                print(("PASS" if ok else "FAIL") + f" {name}: {detail}")
             return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_SUITE_FAILED
         cfg = load_config(args.config)
         if args.command == "sweep":
@@ -917,11 +726,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.strict and result.exhausted:
             return EXIT_EXHAUSTED
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"simctl: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        # config-induced runtime rejection (e.g. a rate failing validation)
+    except (ConfigError, ValueError) as exc:
+        # a ValueError is a config-induced runtime rejection (e.g. a rate
+        # failing validation)
         print(f"simctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -439,8 +439,9 @@ def backward_coupling_ps(
 ) -> CouplingReport:
     """Exact draw from the stationary processor-sharing profile.
 
-    Scans candidate epochs ``-m`` (doubling schedule) for one whose
-    Lindley workload at drain rate ``K_r`` is certified zero; from such an
+    Scans candidate epochs ``-m`` (every ``m`` from 0 to 32, then 64, 128,
+    ... up to ``max_lookback``) for one whose Lindley workload at drain
+    rate ``K_r`` is certified zero; from such an
     epoch the stationary profile is empty, so iterating the recursion
     forward from the zero measure reproduces the stationary profile at the
     origin exactly.  Fails closed: without a certified regeneration epoch

@@ -3,7 +3,8 @@
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or in
 captured output) and enforces the criterion's tolerance and, where stated,
 its runtime budget.  Seeds are fixed so every run exercises the same
-instances.
+instances.  C1-C8 run the invariant checks of :mod:`gpsq.checks` (which
+``simctl verify`` runs at smaller counts) and apply the gate's thresholds.
 """
 
 import time
@@ -11,46 +12,12 @@ import time
 import numpy as np
 import yaml
 
-from gpsq.dynamics import (
-    fluid_oracle_phi,
-    gamma,
-    gamma_values,
-    last_departure_index,
-    phi,
-    simulate_queue_path,
-    step,
-)
-from gpsq.input_process import (
-    Exponential,
-    deterministic_input,
-    iid_input,
-    replication_seed,
-)
-from gpsq.measures import ZERO, CountingMeasure
-from gpsq.rates import classical_ps, half_interference, pure_delay, scaled_ps, table_rate
+from gpsq import checks
+from gpsq.dynamics import simulate_queue_path
+from gpsq.input_process import Exponential, deterministic_input, iid_input, replication_seed
+from gpsq.rates import classical_ps, pure_delay
 from gpsq.simctl import EXIT_OK, main
-from gpsq.stationary import (
-    backward_coupling_ps,
-    check_stability,
-    lindley_W,
-    loynes_L,
-    stationary_profile_gginf,
-)
-
-TOL = 1e-9
-
-CATALOG = [
-    pure_delay(),
-    classical_ps(),
-    half_interference(),
-    scaled_ps(0.7),
-    table_rate({1: 1.0, 2: 0.495, 3: 0.3, 100: 0.008}, declared_floor=0.8),
-]
-
-#: Certification depth for the constant-drain backward scans: exact
-#: fixed-point comparisons need certified (not merely heuristic) values,
-#: so the acceptance runs use a deep non-improvement window.
-WINDOW = 200
+from gpsq.stationary import backward_coupling_ps, check_stability
 
 
 def report(cid: str, desc: str, ok: bool, detail: str = ""):
@@ -59,205 +26,67 @@ def report(cid: str, desc: str, ok: bool, detail: str = ""):
     assert ok, f"{cid} {desc}: {detail}"
 
 
-def instance_stream(seed: int, count: int, min_atoms: int = 0):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(min_atoms, 11))
-        mu = CountingMeasure(rng.uniform(0.0, 10.0, n))
-        x = float(rng.uniform(0.0, 20.0))
-        r = CATALOG[int(rng.integers(0, len(CATALOG)))]
-        yield mu, x, r
-
-
 def test_c1_oracle_equivalence():
     """C1: closed form vs fluid oracle on 10^4 random instances, < 10 s."""
     t0 = time.perf_counter()
-    mismatches = 0
-    for mu, x, r in instance_stream(1001, 10_000):
-        if phi(mu, x, r).tv_distance(fluid_oracle_phi(mu, x, r), tol=TOL) != 0:
-            mismatches += 1
+    res = checks.oracle_equivalence(np.random.default_rng(1001), 10_000)
     elapsed = time.perf_counter() - t0
-    report(
-        "C1",
-        "one-step map equals fluid oracle",
-        mismatches == 0 and elapsed < 10.0,
-        f"{mismatches} mismatches in 10^4 instances, {elapsed:.2f}s",
-    )
+    report("C1", "one-step map equals fluid oracle",
+           res.failures == 0 and elapsed < 10.0, f"{res.detail}, {elapsed:.2f}s")
 
 
 def test_c2_drain_is_max_threshold_and_unimodal():
     """C2: gamma = max threshold; thresholds rise to the peak then fall."""
-    failures = 0
-    checked = 0
-    for mu, x, r in instance_stream(1001, 10_000):
-        if mu.is_empty:
-            continue
-        checked += 1
-        gs = gamma_values(mu, x, r)
-        ir = last_departure_index(mu, x, r)
-        peak = min(ir + 1, len(gs))
-        ok = gamma(mu, x, r) == max(gs)
-        ok = ok and abs(gamma(mu, x, r) - gs[peak - 1]) <= 1e-12 * max(1.0, abs(gs[peak - 1]))
-        ok = ok and all(gs[i] >= gs[i - 1] - 1e-12 for i in range(1, peak))
-        ok = ok and all(gs[i] <= gs[i - 1] + 1e-12 for i in range(peak, len(gs)))
-        failures += not ok
-    report(
-        "C2",
-        "per-customer drain is the unimodal threshold maximum",
-        failures == 0,
-        f"{failures} failures in {checked} nonempty instances",
-    )
+    res = checks.threshold_unimodality(np.random.default_rng(1001), 10_000)
+    report("C2", "per-customer drain is the unimodal threshold maximum",
+           res.failures == 0, res.detail)
 
 
 def test_c3_monotone_in_profile():
     """C3: dominated profiles stay dominated through one step (10^4 pairs)."""
-    rng = np.random.default_rng(3003)
-    failures = 0
-    for _ in range(10_000):
-        n = int(rng.integers(1, 9))
-        base = np.sort(rng.uniform(0.0, 10.0, n))
-        nu_atoms = np.concatenate(
-            [np.sort(base + rng.uniform(0.0, 2.0, n)), rng.uniform(0.0, 10.0, rng.integers(0, 4))]
-        )
-        mu, nu = CountingMeasure(base), CountingMeasure(nu_atoms)
-        x = float(rng.uniform(0.0, 20.0))
-        r = CATALOG[int(rng.integers(0, len(CATALOG)))]
-        if not (mu.leq(nu) and phi(mu, x, r).leq(phi(nu, x, r))):
-            failures += 1
-    report("C3", "one-step map is monotone in the profile", failures == 0,
-           f"{failures} failures in 10^4 dominated pairs")
+    res = checks.profile_monotonicity(np.random.default_rng(3003), 10_000)
+    report("C3", "one-step map is monotone in the profile", res.failures == 0, res.detail)
 
 
 def test_c4_monotone_in_rate():
     """C4: pointwise-slower rates leave a larger profile (10^4 instances)."""
-    rng = np.random.default_rng(4004)
-    pairs = [
-        (half_interference(), classical_ps()),
-        (scaled_ps(0.4), classical_ps()),
-        (scaled_ps(0.3), scaled_ps(0.9)),
-        (scaled_ps(0.5), pure_delay()),
-    ]
-    failures = 0
-    for _ in range(10_000):
-        slow, fast = pairs[int(rng.integers(0, len(pairs)))]
-        mu = CountingMeasure(rng.uniform(0.0, 10.0, rng.integers(1, 9)))
-        x = float(rng.uniform(0.0, 20.0))
-        if not phi(mu, x, fast).leq(phi(mu, x, slow)):
-            failures += 1
-    report("C4", "one-step map is antitone in the rate", failures == 0,
-           f"{failures} failures in 10^4 instances")
+    res = checks.rate_monotonicity(np.random.default_rng(4004), 10_000)
+    report("C4", "one-step map is antitone in the rate", res.failures == 0, res.detail)
 
 
 def test_c5_infinite_server_fixed_point():
     """C5: stationary infinite-server profile solves its one-step equation
     under origin shift, and its largest atom is the backward record."""
-    eq_bad = rec_bad = 0
-    converged = 0
-    for i in range(1000):
-        g = iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(5005, i))
-        a = stationary_profile_gginf(g)
-        b = stationary_profile_gginf(g.shift(1))
-        rec = loynes_L(g)
-        if not (a.converged and b.converged and rec.converged):
-            continue
-        converged += 1
-        xi0, sig0 = g.sample(0)
-        if b.profile.tv_distance(a.profile.add_atom(sig0).shift(xi0), tol=TOL) != 0:
-            eq_bad += 1
-        if abs(a.profile.largest_atom - rec.value) > TOL:
-            rec_bad += 1
-    report(
-        "C5",
-        "infinite-server stationary profile fixed point",
-        eq_bad == 0 and rec_bad == 0 and converged >= 990,
-        f"{converged}/1000 converged, {eq_bad} equation / {rec_bad} record failures",
-    )
+    res = checks.gginf_fixed_point(5005, 1000)
+    report("C5", "infinite-server stationary profile fixed point",
+           res.failures == 0 and res.converged >= 990,
+           f"{res.converged}/1000 converged; {res.detail}")
 
 
 def test_c6_record_and_workload_fixed_points():
     """C6: the record and constant-drain workload satisfy their one-step
     recursions under origin shift on 10^3 seeds each."""
-    l_bad = w_bad = 0
-    l_checked = w_checked = 0
-    for i in range(1000):
-        g = iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(6006, i))
-        xi0, sig0 = g.sample(0)
-        a = loynes_L(g)
-        b = loynes_L(g.shift(1))
-        if a.converged and b.converged:
-            l_checked += 1
-            if abs(b.value - max(max(a.value, sig0) - xi0, 0.0)) > TOL:
-                l_bad += 1
-        wa = lindley_W(g, 0.5, improvement_window=WINDOW)
-        wb = lindley_W(g.shift(1), 0.5, improvement_window=WINDOW)
-        if wa.converged and wb.converged:
-            w_checked += 1
-            if abs(wb.value - max(wa.value + sig0 - 0.5 * xi0, 0.0)) > TOL:
-                w_bad += 1
-    report(
-        "C6",
-        "record and workload one-step fixed points",
-        l_bad == 0 and w_bad == 0 and l_checked >= 990 and w_checked >= 990,
-        f"record {l_bad}/{l_checked} bad, workload {w_bad}/{w_checked} bad",
-    )
+    res = checks.record_and_workload_fixed_points(6006, 1000)
+    report("C6", "record and workload one-step fixed points",
+           res.failures == 0 and res.converged >= 990, res.detail)
 
 
 def test_c7_perfect_sampling():
     """C7: exact stationary sampling couples in >= 99% of 10^3 replications
     and the sample solves the stationary equation; < 2 min."""
     t0 = time.perf_counter()
-    r = half_interference()  # floor 1/2: E[sigma]=1 < 0.5 * E[xi]=1.5
-    coupled = 0
-    checked = eq_bad = 0
-    for i in range(1000):
-        g = iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(7007, i))
-        rep = backward_coupling_ps(g, r, max_lookback=10_000, improvement_window=WINDOW)
-        if not rep.coupled:
-            continue
-        coupled += 1
-        rep1 = backward_coupling_ps(g.shift(1), r, max_lookback=10_000, improvement_window=WINDOW)
-        if rep1.coupled:
-            checked += 1
-            xi0, sig0 = g.sample(0)
-            pushed = step(rep.stationary_profile, sig0, xi0, r)
-            if pushed.tv_distance(rep1.stationary_profile, tol=TOL) != 0:
-                eq_bad += 1
+    res = checks.coupling_stationarity(7007, 1000)
     elapsed = time.perf_counter() - t0
-    report(
-        "C7",
-        "perfect sampling couples and is stationary",
-        coupled >= 990 and eq_bad == 0 and checked >= 950 and elapsed < 120.0,
-        f"coupled {coupled}/1000, {eq_bad}/{checked} stationarity failures, {elapsed:.1f}s",
-    )
+    report("C7", "perfect sampling couples and is stationary",
+           res.converged >= 990 and res.failures == 0 and res.checked >= 950 and elapsed < 120.0,
+           f"coupled {res.converged}/1000; {res.detail}; {elapsed:.1f}s")
 
 
 def test_c8_workload_identity_and_domination():
     """C8: constant-throughput runs track the scalar workload recursion to
     1e-9 over 10^4 steps; general valid rates stay dominated by it."""
-    g = iid_input(Exponential(3.0), Exponential(1.0), seed=8008)
-    k = 0.5
-    mu, w = ZERO, 0.0
-    worst = 0.0
-    for n in range(10_000):
-        xi, sig = g.sample(n)
-        mu = step(mu, sig, xi, scaled_ps(k))
-        w = max(w + sig - k * xi, 0.0)
-        worst = max(worst, abs(mu.workload - w))
-    rec = lindley_W(g, k, improvement_window=WINDOW)
-    dom_bad = 0
-    mu, w = ZERO, rec.value
-    for n in range(10_000):
-        if mu.workload > w + TOL:
-            dom_bad += 1
-        xi, sig = g.sample(n)
-        mu = step(mu, sig, xi, half_interference())
-        w = max(w + sig - k * xi, 0.0)
-    report(
-        "C8",
-        "workload identity and domination",
-        worst <= TOL and dom_bad == 0 and rec.converged,
-        f"max tracking error {worst:.2e}, {dom_bad} domination violations",
-    )
+    res = checks.workload_identity(8008, 10_000)
+    report("C8", "workload identity and domination", res.failures == 0, res.detail)
 
 
 def _batch_mean_se(samples: np.ndarray, n_batches: int = 100):

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpsq import checks
+from gpsq.checks import CATALOG, random_instance
 from gpsq.dynamics import (
     _ORACLE_EPS,
     departure_schedule,
@@ -36,21 +38,6 @@ from gpsq.rates import classical_ps, half_interference, pure_delay, scaled_ps, t
 CPS = classical_ps()
 HI = half_interference()
 PD = pure_delay()
-
-CATALOG = [
-    PD,
-    CPS,
-    HI,
-    scaled_ps(0.7),
-    table_rate({1: 1.0, 2: 0.495, 3: 0.3, 100: 0.008}, declared_floor=0.8),
-]
-
-
-def random_instance(rng, min_atoms=0, max_atoms=10):
-    mu = CountingMeasure(rng.uniform(0, 10, rng.integers(min_atoms, max_atoms + 1)))
-    x = float(rng.uniform(0, 20))
-    r = CATALOG[rng.integers(0, len(CATALOG))]
-    return mu, x, r
 
 
 class TestGamma:
@@ -184,19 +171,8 @@ class TestDepartureSchedule:
 
 class TestThresholdShape:
     def test_rises_to_peak_then_falls(self):
-        rng = np.random.default_rng(4)
-        for _ in range(1000):
-            mu, x, r = random_instance(rng, min_atoms=1)
-            gs = gamma_values(mu, x, r)
-            ir = last_departure_index(mu, x, r)
-            peak = min(ir + 1, len(gs))
-            assert gamma(mu, x, r) == max(gs)
-            for i in range(1, peak):
-                assert gs[i] >= gs[i - 1] - 1e-12, (mu.atoms, x, r.kind, gs, ir)
-            for i in range(peak, len(gs)):
-                assert gs[i] <= gs[i - 1] + 1e-12, (mu.atoms, x, r.kind, gs, ir)
-            # the peak value is the realized drain
-            assert gamma(mu, x, r) == pytest.approx(gs[peak - 1], abs=1e-12)
+        res = checks.threshold_unimodality(np.random.default_rng(4), 1100)
+        assert res.failures == 0 and res.checked >= 1000, res.detail
 
 
 class TestFluidOracle:
@@ -211,12 +187,8 @@ class TestFluidOracle:
             assert fluid_oracle_phi(mu, x, PD).tv_distance(mu.shift(x)) == 0
 
     def test_randomized_equivalence(self):
-        rng = np.random.default_rng(6)
-        for _ in range(2000):
-            mu, x, r = random_instance(rng)
-            a = phi(mu, x, r)
-            b = fluid_oracle_phi(mu, x, r)
-            assert a.tv_distance(b) == 0, (mu.atoms, x, r.kind, a.atoms, b.atoms)
+        res = checks.oracle_equivalence(np.random.default_rng(6), 2000)
+        assert res.failures == 0, res.detail
 
 
 @st.composite

@@ -1,18 +1,22 @@
 """Integration tests for the simctl front end."""
 
 import csv
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
+from gpsq import checks
 from gpsq.simctl import (
     _FORWARD_HEADER,
     _FORWARD_ROW,
     EXIT_CONFIG,
     EXIT_EXHAUSTED,
     EXIT_OK,
+    EXIT_SUITE_FAILED,
     ConfigError,
     ExperimentConfig,
     _csv_bytes,
@@ -24,7 +28,6 @@ from gpsq.simctl import (
     main,
     rate_from_config,
     run_experiment,
-    run_invariant_suites,
 )
 from gpsq.stationary import BATCH_ROWS
 
@@ -302,18 +305,21 @@ class TestRunModes:
 
     def test_semantically_bad_specs_exit_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cfg = write_config(
-            tmp_path / "c.yaml",
-            input={"model": "iid", "xi": {"dist": "exp", "mean": -3},
-                   "sigma": {"dist": "exp", "mean": 1}},
-        )
-        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
-        cfg2 = write_config(
-            tmp_path / "c2.yaml",
+        bad_specs = [
+            {"input": {"model": "iid", "xi": {"dist": "exp", "mean": -3},
+                       "sigma": {"dist": "exp", "mean": 1}}},
             # table rate that fails validation inside the sampler
-            rate={"kind": "custom_table", "floor": 0.1, "table": {1: 0.5, 2: 0.9}},
-        )
-        assert main(["run", str(cfg2), "--jobs", "1"]) == EXIT_CONFIG
+            {"rate": {"kind": "custom_table", "floor": 0.1, "table": {1: 0.5, 2: 0.9}}},
+            {"output": ["out.csv"]},
+            {"output": {"path": 5}},
+            {"sweep": [0.5, 0.9]},
+            {"sweep": {"rho": 0.9}},
+            {"rate": {"kind": "scaled_ps", "k": None}},
+            {"rate": {"kind": "custom_table", "floor": 0.5, "table": [1.0, 0.5]}},
+        ]
+        for i, overrides in enumerate(bad_specs):
+            cfg = write_config(tmp_path / f"c{i}.yaml", **overrides)
+            assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG, overrides
 
 
 class TestReplicationBatches:
@@ -348,9 +354,64 @@ class TestReplicationBatches:
             assert len(ranges) >= 4 * jobs
 
 
+SUITE_NAMES = (
+    "measures",
+    "oracle_equivalence",
+    "threshold_unimodality",
+    "profile_monotonicity",
+    "rate_monotonicity",
+    "gginf_fixed_point",
+    "lindley_fixed_point",
+    "coupling_stationarity",
+    "workload_identity",
+    "input_determinism",
+)
+
+
+@pytest.fixture
+def failing_oracle_check(monkeypatch):
+    monkeypatch.setattr(
+        checks, "oracle_equivalence", lambda rng, count: checks.CheckResult(count, 1, "forced")
+    )
+
+
 class TestInvariantSuites:
-    def test_all_pass(self):
-        results = run_invariant_suites(seed=0)
-        failures = [(n, d) for n, ok, d in results if not ok]
-        assert not failures, failures
-        assert len(results) == 10
+    def test_all_pass(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {n}" for n in SUITE_NAMES]
+
+    def test_failing_check_fails_verify(self, failing_oracle_check, capsys):
+        assert main(["verify"]) == EXIT_SUITE_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert "FAIL oracle_equivalence: forced" in lines
+        assert sum(line.startswith("PASS ") for line in lines) == 9
+
+    def test_failing_check_fails_run_and_writes_artifact(
+        self, tmp_path, monkeypatch, failing_oracle_check
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml", mode="invariant_suite",
+                           output={"path": "suites.csv", "format": "csv"})
+        assert main(["run", str(cfg)]) == EXIT_SUITE_FAILED
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "suites.csv").read_text())))
+        assert [row["suite"] for row in rows] == list(SUITE_NAMES)
+        assert [row["suite"] for row in rows if row["ok"] == "False"] == ["oracle_equivalence"]
+
+
+def test_perfbench_tracer_finds_its_names():
+    """perfbench's tracer wraps names it looks up in gpsq's modules (for
+    example ``simctl.backward_coupling_ps``); pruning one must fail here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = [(owner, attr, owner.__dict__.get(attr)) for owner, attr, *_ in spans.TRACED]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    except KeyError as exc:
+        pytest.fail(f"perfbench/spans.py traces {exc}, which its owner no longer defines")
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)

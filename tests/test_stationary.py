@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpsq import checks
 from gpsq.dynamics import step
 from gpsq.input_process import (
     Exponential,
@@ -18,7 +19,7 @@ from gpsq.input_process import (
     scale_sigma,
 )
 from gpsq.measures import ATOM_TOL, ZERO, CountingMeasure
-from gpsq.rates import classical_ps, half_interference, pure_delay, scaled_ps, table_rate
+from gpsq.rates import classical_ps, half_interference, pure_delay, table_rate
 from gpsq.stationary import (
     BATCH_ROWS,
     CouplingReport,
@@ -96,17 +97,8 @@ class TestLoynesRecord:
         assert res.converged
 
     def test_one_step_equation_under_shift(self):
-        bad = 0
-        for i in range(200):
-            g = mm_input(replication_seed(101, i))
-            a = loynes_L(g)
-            b = loynes_L(g.shift(1))
-            if not (a.converged and b.converged):
-                continue
-            xi0, sig0 = g.sample(0)
-            if abs(b.value - max(max(a.value, sig0) - xi0, 0.0)) > 1e-9:
-                bad += 1
-        assert bad == 0
+        res = checks.record_and_workload_fixed_points(101, 200)
+        assert res.failures == 0, res.detail
 
     def test_horizon_exhaustion_reported(self):
         # heavy-tailed services: the quantile bound is huge, so a short
@@ -132,23 +124,12 @@ class TestStationaryInfiniteServer:
     def test_one_step_reproduction(self):
         # pushing the stationary profile through one step reproduces the
         # profile seen by the shifted origin
-        for i in range(100):
-            g = mm_input(replication_seed(33, i))
-            a = stationary_profile_gginf(g)
-            b = stationary_profile_gginf(g.shift(1))
-            if not (a.converged and b.converged):
-                continue
-            xi0, sig0 = g.sample(0)
-            pushed = step(a.profile, sig0, xi0, pure_delay())
-            assert pushed.tv_distance(b.profile) == 0
+        res = checks.gginf_fixed_point(33, 100)
+        assert res.failures == 0, res.detail
 
     def test_largest_atom_is_the_record(self):
-        for i in range(100):
-            g = mm_input(replication_seed(55, i))
-            prof = stationary_profile_gginf(g)
-            rec = loynes_L(g)
-            if prof.converged and rec.converged:
-                assert abs(prof.profile.largest_atom - rec.value) <= 1e-9
+        res = checks.gginf_fixed_point(55, 100)
+        assert res.failures == 0, res.detail
 
     def test_backward_iterates_are_monotone(self):
         # deeper restarts from empty can only grow the profile at the origin
@@ -191,14 +172,8 @@ class TestLindleyWorkload:
         assert not res.converged  # truncated: drift is positive
 
     def test_one_step_equation_under_shift(self):
-        for i in range(200):
-            g = mm_input(replication_seed(77, i))
-            a = lindley_W(g, 0.5, improvement_window=200)
-            b = lindley_W(g.shift(1), 0.5, improvement_window=200)
-            if not (a.converged and b.converged):
-                continue
-            xi0, sig0 = g.sample(0)
-            assert abs(b.value - max(a.value + sig0 - 0.5 * xi0, 0.0)) <= 1e-9
+        res = checks.record_and_workload_fixed_points(77, 200)
+        assert res.failures == 0, res.detail
 
     def test_requires_positive_drain(self):
         with pytest.raises(ValueError):
@@ -207,26 +182,12 @@ class TestLindleyWorkload:
 
 class TestConstantThroughputIdentity:
     def test_workload_tracks_scalar_recursion(self):
-        g = mm_input(864)
-        k = 0.5
-        mu, w = ZERO, 0.0
-        for n in range(3000):
-            xi, sig = g.sample(n)
-            mu = step(mu, sig, xi, scaled_ps(k))
-            w = max(w + sig - k * xi, 0.0)
-            assert abs(mu.workload - w) <= 1e-9
+        res = checks.workload_identity(864, 3000)
+        assert res.failures == 0, res.detail
 
     def test_domination_by_constant_drain_bound(self):
-        g = mm_input(865)
-        k = 0.5
-        rec = lindley_W(g, k, improvement_window=200)
-        assert rec.converged
-        mu, w = ZERO, rec.value
-        for n in range(3000):
-            assert mu.workload <= w + 1e-9
-            xi, sig = g.sample(n)
-            mu = step(mu, sig, xi, half_interference())
-            w = max(w + sig - k * xi, 0.0)
+        res = checks.workload_identity(865, 3000)
+        assert res.failures == 0, res.detail
 
 
 class TestPerfectSampling:
@@ -247,20 +208,9 @@ class TestPerfectSampling:
         assert rep.regeneration_index is None
 
     def test_stable_mm_couples_and_is_stationary(self):
-        r = half_interference()
-        coupled = 0
-        for i in range(60):
-            g = mm_input(replication_seed(4242, i))
-            a = backward_coupling_ps(g, r, max_lookback=10_000, improvement_window=200)
-            if not a.coupled:
-                continue
-            coupled += 1
-            b = backward_coupling_ps(g.shift(1), r, max_lookback=10_000, improvement_window=200)
-            if b.coupled:
-                xi0, sig0 = g.sample(0)
-                pushed = step(a.stationary_profile, sig0, xi0, r)
-                assert pushed.tv_distance(b.stationary_profile) == 0
-        assert coupled >= 57  # ~1/3 regeneration probability per scanned epoch
+        res = checks.coupling_stationarity(4242, 60)
+        assert res.failures == 0, res.detail
+        assert res.converged >= 57  # ~1/3 regeneration probability per scanned epoch
 
     def test_invalid_rate_rejected(self):
         # unit rate flagged single-server violates the throughput cap
