@@ -12,10 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import input_process
 from .dynamics import fluid_oracle_phi, gamma, gamma_values, last_departure_index, phi, step
 from .input_process import (
+    _PURPOSE_CHAIN,
+    _PURPOSE_MARKS,
     Exponential,
     Uniform,
+    _rng_at,
     generator_from_config,
     iid_input,
     replication_seed,
@@ -81,6 +85,14 @@ def random_instance(rng: np.random.Generator, min_atoms: int = 0):
 def _stable_input(seed: int):
     # load 1/3 at unit rate, below the half_interference floor of 1/2
     return iid_input(Exponential(3.0), Exponential(1.0), seed=seed)
+
+
+def _stable_inputs(base_seed: int, count: int):
+    """``(input, xi_0, sigma_0)`` for the stable inputs of ``count``
+    replication seeds, the marks at index 0 read in one many-seed pass."""
+    gens = [_stable_input(replication_seed(base_seed, i)) for i in range(count)]
+    xs, ss = sample_blocks(gens, 0, 1)
+    return list(zip(gens, xs[:, 0].tolist(), ss[:, 0].tolist()))
 
 
 def measures(rng: np.random.Generator, count: int) -> CheckResult:
@@ -185,15 +197,13 @@ def gginf_fixed_point(base_seed: int, count: int) -> CheckResult:
     the Loynes record."""
     bad: list[str] = []
     converged = 0
-    for i in range(count):
-        g = _stable_input(replication_seed(base_seed, i))
+    for g, xi0, sig0 in _stable_inputs(base_seed, count):
         a = stationary_profile_gginf(g)
         b = stationary_profile_gginf(g.shift(1))
         rec = loynes_L(g)
         if not (a.converged and b.converged and rec.converged):
             continue
         converged += 1
-        xi0, sig0 = g.sample(0)
         if b.profile.tv_distance(a.profile.add_atom(sig0).shift(xi0)) != 0:
             bad.append("stationary infinite-server profile fails its one-step equation")
         if abs(a.profile.largest_atom - rec.value) > ATOM_TOL:
@@ -210,9 +220,7 @@ def record_and_workload_fixed_points(base_seed: int, count: int) -> CheckResult:
     shift.  ``converged`` is the smaller of the two converged counts."""
     bad: list[str] = []
     rec_checked = work_checked = 0
-    for i in range(count):
-        g = _stable_input(replication_seed(base_seed, i))
-        xi0, sig0 = g.sample(0)
+    for g, xi0, sig0 in _stable_inputs(base_seed, count):
         a, b = loynes_L(g), loynes_L(g.shift(1))
         if a.converged and b.converged:
             rec_checked += 1
@@ -240,8 +248,7 @@ def coupling_stationarity(base_seed: int, count: int) -> CheckResult:
     r = half_interference()
     bad: list[str] = []
     coupled = checked = 0
-    for i in range(count):
-        g = _stable_input(replication_seed(base_seed, i))
+    for g, xi0, sig0 in _stable_inputs(base_seed, count):
         rep = backward_coupling_ps(g, r, max_lookback=10_000, improvement_window=WINDOW)
         if not rep.coupled:
             continue
@@ -250,7 +257,6 @@ def coupling_stationarity(base_seed: int, count: int) -> CheckResult:
         if not rep1.coupled:
             continue
         checked += 1
-        xi0, sig0 = g.sample(0)
         if step(rep.stationary_profile, sig0, xi0, r).tv_distance(rep1.stationary_profile) != 0:
             bad.append("perfect sample fails the stationary one-step equation")
     return _result(checked, bad, f"perfect-sample stationarity on {checked} coupled seeds", coupled)
@@ -262,12 +268,12 @@ def workload_identity(seed: int, steps: int) -> CheckResult:
     stays below that recursion started from the certified stationary
     Lindley workload."""
     g = _stable_input(seed)
+    marks = list(zip(*g.sample_block(0, steps)))
     k = 0.5
     constant = scaled_ps(k)
     bad: list[str] = []
     mu, w, worst = ZERO, 0.0, 0.0
-    for n in range(steps):
-        xi, sig = g.sample(n)
+    for xi, sig in marks:
         mu = step(mu, sig, xi, constant)
         w = max(w + sig - k * xi, 0.0)
         worst = max(worst, abs(mu.workload - w))
@@ -278,10 +284,9 @@ def workload_identity(seed: int, steps: int) -> CheckResult:
         bad.append("stationary constant-drain workload not certified")
     r = half_interference()
     mu, w = ZERO, rec.value
-    for n in range(steps):
+    for n, (xi, sig) in enumerate(marks):
         if mu.workload > w + ATOM_TOL:
             bad.append(f"workload domination fails at step {n}")
-        xi, sig = g.sample(n)
         mu = step(mu, sig, xi, r)
         w = max(w + sig - k * xi, 0.0)
     return _result(
@@ -292,11 +297,15 @@ def workload_identity(seed: int, steps: int) -> CheckResult:
 
 
 def input_determinism(rng: np.random.Generator, ranges: int) -> CheckResult:
-    """Inputs are functions of (seed, index): re-reads and shifted reads
-    agree on a 100-index window, and on ``ranges`` random ranges per input
-    (plus ``ranges // 4`` ranges of 9 seeds) block and many-seed reads
-    equal per-index and per-seed reads, for an iid and a
-    Markov-modulated input."""
+    """Inputs are functions of (seed, index), read through one Philox
+    kernel, for an iid and a Markov-modulated input.  On ``ranges`` random
+    ranges per input: the kernel's uniforms for both purposes equal those
+    of numpy's own ``Philox`` generator, and a block read equals its two
+    halves read apart, split at a random point (the Markov-modulated chain
+    restarts its coupling from the past there).  On ``ranges // 4`` ranges
+    of 9 seeds, many-seed reads equal per-seed reads.  On a 20-index
+    window, single-index reads equal re-reads, shifted reads and the
+    block."""
     g = iid_input(Exponential(2.0), Uniform(0.0, 3.0), seed=31415)
     mm = generator_from_config({
         "model": "markov_modulated",
@@ -310,20 +319,20 @@ def input_determinism(rng: np.random.Generator, ranges: int) -> CheckResult:
     })
     bad: list[str] = []
     checked = 0
-    for n in range(-50, 50):
-        checked += 1
-        if g.sample(n) != g.sample(n):
-            bad.append("re-sampling an index changed its value")
-        if g.shift(7).sample(n - 7) != g.sample(n):
-            bad.append("shift is not an index translation")
     for gen in (g, mm):
         for _ in range(ranges):
             checked += 1
             a = int(rng.integers(-10**6, 10**6))
             b = a + int(rng.integers(0, 64))
-            marks = [gen.sample(n) for n in range(a, b)]
-            if gen.sample_block(a, b) != ([x for x, _ in marks], [s for _, s in marks]):
-                bad.append(f"block read of [{a}, {b}) differs from per-index reads")
+            for purpose in (_PURPOSE_CHAIN, _PURPOSE_MARKS):
+                # through the module: the kernel checked is the one in use
+                u = input_process._philox_uniforms((gen.seed,), purpose, a, b)[0].tolist()
+                if u != [_rng_at(gen.seed, purpose, n).random(2).tolist() for n in range(a, b)]:
+                    bad.append(f"kernel uniforms of [{a}, {b}) differ from numpy's Philox")
+            c = int(rng.integers(a, b, endpoint=True))
+            (x1, s1), (x2, s2) = gen.sample_block(a, c), gen.sample_block(c, b)
+            if gen.sample_block(a, b) != (x1 + x2, s1 + s2):
+                bad.append(f"block read of [{a}, {b}) differs from its halves split at {c}")
         for _ in range(ranges // 4):
             checked += 1
             a = int(rng.integers(-10**6, 10**6))
@@ -334,9 +343,16 @@ def input_determinism(rng: np.random.Generator, ranges: int) -> CheckResult:
             if any((xs[k].tolist(), ss[k].tolist()) != one.sample_block(a, b)
                    for k, one in enumerate(gens)):
                 bad.append(f"many-seed read of [{a}, {b}) differs from per-seed reads")
+    xs, ss = g.sample_block(-10, 10)
+    for n in range(-10, 10):
+        checked += 1
+        mark = g.sample(n)
+        if mark != (xs[n + 10], ss[n + 10]) or g.sample(n) != mark:
+            bad.append("a single-index read differs from the block or from its re-read")
+        if g.shift(7).sample(n - 7) != mark:
+            bad.append("shift is not an index translation")
     return _result(checked, bad, (
-        "per-index determinism and shift compatibility on a 100-index window; "
-        f"block reads equal per-index reads on {2 * ranges} random ranges, and many-seed "
-        f"reads equal per-seed reads on {2 * (ranges // 4)} ranges of 9 seeds "
-        "(iid and Markov-modulated)"
+        f"kernel equals numpy's Philox and blocks equal their split halves on {2 * ranges} "
+        f"random ranges, many-seed reads equal per-seed reads on {2 * (ranges // 4)} ranges "
+        "of 9 seeds (iid and Markov-modulated); single-index reads agree on a 20-index window"
     ))

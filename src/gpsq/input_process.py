@@ -6,47 +6,46 @@ A :class:`MarkedInputGenerator` produces, for any integer index ``n``
 and the service demand of arrival ``n``.  Two hard requirements drive the
 design:
 
-* every sample is a pure function of ``(seed, model, n + offset)`` --
-  re-evaluating any index gives the same pair, in any order, at O(1) cost,
-  which is what the backward constructions need;
-* the time shift is an index translation: ``gen.shift(k).sample(n) ==
-  gen.sample(n + k)``, exactly.
+* every mark is a pure function of ``(seed, model, n + offset)`` --
+  re-reading any index or range gives the same marks, in any order, which
+  is what the backward constructions need;
+* the time shift is an index translation: ``gen.shift(k).sample_block(a,
+  b) == gen.sample_block(a + k, b + k)``, exactly.
 
 Randomness is counter-based: each index owns a block of a Philox stream
 keyed by ``(seed, purpose)`` with the index in the counter, so no
-sequential state exists to advance.  Variates are produced by inverse-CDF
-transforms of ``Generator.random()`` to keep the mapping from bits to
-values explicit and stable.
+sequential state exists to advance.  Variates are inverse-CDF transforms
+of uniforms, which keeps the mapping from bits to values explicit and
+stable.
 
-Two paths read the same stream:
+There is one read path.  :func:`_philox_uniforms` runs Philox4x64-10 over
+whole arrays of counters in numpy (Salmon et al., SC'11), and each
+distribution maps its column of uniforms through :meth:`transform`.  Each
+model's ``sample_blocks(seeds, a, b)`` reads indices ``a .. b - 1`` of many
+seeds at once: every counter of a pass carries its own key, so a kernel
+call costs about the same for one seed as for dozens.  On top of it,
+``MarkedInputGenerator.sample_block(a, b)`` is the one-seed case,
+:func:`sample_blocks` reads many generators grouped by model, and
+``sample(n)`` is the block ``[n, n + 1)``.  A kernel call has a fixed cost
+of about 0.2 ms, so read ranges with ``sample_block``, not index by index.
 
-* ``sample(n)`` builds numpy's ``Philox`` generator for one index and draws
-  from it.  It is the definition of the stream and the reference the block
-  path is tested against; it stays for isolated lookups, where one
-  generator (~16 us) is far cheaper than one kernel call (~0.2 ms).
-* ``sample_block(a, b)`` returns the marks of indices ``a .. b - 1`` as two
-  lists.  :func:`_philox_uniforms` runs Philox4x64-10 over whole arrays of
-  counters in numpy (Salmon et al., SC'11), reproducing ``random()``
-  bit for bit, and each distribution maps its column of uniforms through
-  :meth:`transform`.  The scans read their marks this way.
-* :func:`sample_blocks` reads one range of many inputs at once.  Every
-  counter of a Philox pass carries its own key, so the inputs of one
-  model that differ only in seed share a pass (each model's
-  ``sample_blocks``); a kernel call costs about the same for one seed as
-  for dozens.
-
-The transforms of both paths are the same float arithmetic: ``math.log1p``
-and ``**`` per element, and the affine steps in numpy, which rounds them
-exactly as Python does.  ``np.log1p`` is not correctly rounded the same way
-(it is one ulp off ``math.log1p`` on about 6% of draws), so the block path
-keeps ``math.log1p`` and the two paths give identical bytes.
+The kernel reproduces numpy's own Philox generator bit for bit: the
+uniforms of ``(seed, purpose, n)`` are the first two ``random()`` draws of
+:func:`_rng_at`.  That generator is the oracle the kernel is checked
+against (``checks.input_determinism`` and the tests); nothing reads marks
+through it.  The transforms apply ``math.log1p`` and ``**`` per element
+and the affine steps in numpy, which rounds them exactly as Python does,
+so the marks are the values the scalar inverse-CDF formulas give on the
+same uniforms.  ``np.log1p`` is not correctly rounded the same way (it is
+one ulp off ``math.log1p`` on about 6% of draws), so it is not used.
 
 The Markov-modulated model is exactly stationary: the modulating state at
-index ``n`` is resolved by coupling from the past over the grand coupling
-of the chain (one shared uniform per index, inverse-CDF transition rows),
-doubling the lookback until all start states coalesce.  A block resolves
-the state at its first index that way and evolves it forward with the same
-uniforms, which gives the states the per-index search would find.
+the first index of a block is resolved by coupling from the past (Propp &
+Wilson, 1996) over the grand coupling of the chain (one shared uniform per
+index, inverse-CDF transition rows), doubling the lookback from 8 until
+all start states coalesce.  The block evolves that state forward with the
+same uniforms, which gives the state coupling from the past would find at
+every later index.
 """
 
 from __future__ import annotations
@@ -67,7 +66,8 @@ _MM_MAX_LOOKBACK = 1 << 20
 
 
 def _rng_at(seed: int, purpose: int, index: int) -> np.random.Generator:
-    """Fresh generator for one (seed, purpose, index) block."""
+    """numpy's generator for one (seed, purpose, index) block: the
+    reference :func:`_philox_uniforms` is checked against."""
     key = np.array([seed & _MASK64, purpose], dtype=np.uint64)
     counter = np.array([0, 0, 0, index & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
@@ -185,11 +185,9 @@ class Exponential:
         if self.mean <= 0.0:
             raise ValueError(f"exponential mean must be positive, got {self.mean!r}")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return -self.mean * math.log1p(-rng.random())
-
     def transform(self, u: np.ndarray) -> np.ndarray:
-        """Draws from the uniforms ``u``, in the arithmetic of :meth:`draw`."""
+        """Draws from the uniforms ``u`` by the inverse CDF
+        ``-mean * log1p(-u)``, one ``math.log1p`` per element."""
         return -self.mean * np.fromiter(map(math.log1p, (-u).tolist()), float, u.size)
 
     def dist_mean(self) -> float:
@@ -211,9 +209,6 @@ class Deterministic:
     def __post_init__(self):
         if self.value < 0.0:
             raise ValueError(f"deterministic value must be nonnegative, got {self.value!r}")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.value
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         return np.full(u.size, float(self.value))
@@ -238,9 +233,6 @@ class Uniform:
     def __post_init__(self):
         if not 0.0 <= self.low < self.high:
             raise ValueError(f"need 0 <= low < high, got [{self.low!r}, {self.high!r}]")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.low + (self.high - self.low) * rng.random()
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         return self.low + (self.high - self.low) * u
@@ -271,9 +263,6 @@ class Pareto:
         if self.scale <= 0.0:
             raise ValueError(f"pareto scale must be positive, got {self.scale!r}")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return self.scale * (1.0 - rng.random()) ** (-1.0 / self.alpha)
-
     def transform(self, u: np.ndarray) -> np.ndarray:
         power = -1.0 / self.alpha
         return self.scale * np.fromiter((v**power for v in (1.0 - u).tolist()), float, u.size)
@@ -291,21 +280,33 @@ class Pareto:
 Distribution = Exponential | Deterministic | Uniform | Pareto
 
 
+def config_number(v, what: str) -> float:
+    """``float(v)`` for a number read from a config; a bool is not one
+    (``true`` would otherwise pass as 1.0)."""
+    if isinstance(v, bool):
+        raise ValueError(f"{what} must be a number, got {v!r}")
+    return float(v)
+
+
 def dist_from_config(cfg: dict) -> Distribution:
     """Build a distribution from its config mapping, e.g.
     ``{"dist": "exp", "mean": 3}``."""
     if not isinstance(cfg, dict) or "dist" not in cfg:
         raise ValueError(f"distribution spec must be a mapping with a 'dist' key, got {cfg!r}")
     kind = cfg["dist"]
+
+    def num(key: str) -> float:
+        return config_number(cfg[key], f"distribution {kind!r} parameter {key!r}")
+
     try:
         if kind in ("exp", "exponential"):
-            return Exponential(float(cfg["mean"]))
+            return Exponential(num("mean"))
         if kind in ("det", "deterministic"):
-            return Deterministic(float(cfg["value"]))
+            return Deterministic(num("value"))
         if kind == "uniform":
-            return Uniform(float(cfg["low"]), float(cfg["high"]))
+            return Uniform(num("low"), num("high"))
         if kind == "pareto":
-            return Pareto(float(cfg["alpha"]), float(cfg["scale"]))
+            return Pareto(num("alpha"), num("scale"))
     except KeyError as exc:
         raise ValueError(f"distribution {kind!r} is missing parameter {exc}") from None
     raise ValueError(f"unknown distribution kind {kind!r}")
@@ -328,19 +329,12 @@ class IIDModel:
         if self.xi_dist.dist_mean() <= 0.0:
             raise ValueError("inter-arrival distribution must have positive mean")
 
-    def sample_at(self, seed: int, index: int) -> tuple[float, float]:
-        rng = _rng_at(seed, _PURPOSE_MARKS, index)
-        return self.xi_dist.draw(rng), self.sigma_dist.draw(rng)
-
     def sample_blocks(
         self, seeds: Sequence[int], a: int, b: int
     ) -> tuple[np.ndarray, np.ndarray]:
         u = _philox_uniforms(seeds, _PURPOSE_MARKS, a, b)
         xs, ss = _marks(self.xi_dist, self.sigma_dist, u.reshape(-1, 2))
         return xs.reshape(u.shape[:2]), ss.reshape(u.shape[:2])
-
-    def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
-        return _one_seed(self, seed, a, b)
 
     def mean_xi(self) -> float:
         return self.xi_dist.dist_mean()
@@ -365,17 +359,11 @@ class DeterministicModel:
         if self.sigma < 0.0:
             raise ValueError(f"service demand must be nonnegative, got {self.sigma!r}")
 
-    def sample_at(self, seed: int, index: int) -> tuple[float, float]:
-        return self.xi, self.sigma
-
     def sample_blocks(
         self, seeds: Sequence[int], a: int, b: int
     ) -> tuple[np.ndarray, np.ndarray]:
         shape = (len(seeds), b - a)
         return np.full(shape, float(self.xi)), np.full(shape, float(self.sigma))
-
-    def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
-        return [self.xi] * (b - a), [self.sigma] * (b - a)
 
     def mean_xi(self) -> float:
         return self.xi
@@ -393,12 +381,6 @@ def _marks(
     # the uniforms of one index are consumed in order, xi first: sigma
     # takes the first one when xi is deterministic
     return xi_dist.transform(u[:, 0]), sigma_dist.transform(u[:, xi_dist.consumes])
-
-
-def _one_seed(model, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
-    """``model.sample_block``: the one-seed case of ``model.sample_blocks``."""
-    xs, ss = model.sample_blocks((seed,), a, b)
-    return xs[0].tolist(), ss[0].tolist()
 
 
 def _chain_period(edges: list[list[int]]) -> int:
@@ -504,12 +486,9 @@ class MarkovModulatedModel:
         return len(row) - 1
 
     def state_at(self, seed: int, index: int) -> int:
-        return _mm_state_at(self, seed, index)
-
-    def sample_at(self, seed: int, index: int) -> tuple[float, float]:
-        s = self.state_at(seed, index)
-        rng = _rng_at(seed, _PURPOSE_MARKS, index)
-        return self.xi_dists[s].draw(rng), self.sigma_dists[s].draw(rng)
+        """Stationary chain state at one index: the one-seed, one-index
+        case of the block read."""
+        return _mm_states(self, (seed,), index, index + 1)[0][0]
 
     def sample_blocks(
         self, seeds: Sequence[int], a: int, b: int
@@ -522,9 +501,6 @@ class MarkovModulatedModel:
             at = states == s
             xs[at], ss[at] = _marks(self.xi_dists[s], self.sigma_dists[s], u[at])
         return xs, ss
-
-    def sample_block(self, seed: int, a: int, b: int) -> tuple[list[float], list[float]]:
-        return _one_seed(self, seed, a, b)
 
     def mean_xi(self) -> float:
         pi = self.stationary_distribution()
@@ -563,31 +539,13 @@ _NO_COALESCENCE = (
 )
 
 
-def _mm_state_at(model: MarkovModulatedModel, seed: int, index: int) -> int:
-    """Stationary chain state at an index via coupling from the past.
-
-    Uses one shared uniform per index and the inverse-CDF map of each row,
-    doubling the lookback from 8 until the start states coalesce.
-    """
-    lookback = 8
-    while lookback <= _MM_MAX_LOOKBACK:
-        us = [
-            _rng_at(seed, _PURPOSE_CHAIN, m).random()
-            for m in range(index - lookback + 1, index + 1)
-        ]
-        single = _coalesce(model, us)
-        if single is not None:
-            return single
-        lookback *= 2
-    raise RuntimeError(_NO_COALESCENCE)
-
-
 def _mm_states(
     model: MarkovModulatedModel, seeds: Sequence[int], a: int, b: int
 ) -> list[list[int]]:
     """Stationary chain states at indices ``a .. b - 1``, one list per seed:
-    one coupling from the past at ``a`` (the same lookbacks as
-    :func:`_mm_state_at`), then the forward evolution under the same
+    one coupling from the past at ``a``, with one shared uniform per index
+    and the inverse-CDF map of each row, doubling the lookback from 8 until
+    the start states coalesce; then the forward evolution under the same
     uniforms.  The first lookback of every seed is read in one pass."""
     if b <= a:
         return [[] for _ in seeds]
@@ -638,10 +596,10 @@ class InputSequence(Protocol):
 class MarkedInputGenerator:
     """Shift-indexable view of a marked input model.
 
-    ``sample(n)`` returns ``(xi_n, sigma_n)`` as a pure function of
-    ``(seed, model, n + offset)``; ``sample_block(a, b)`` returns the same
-    marks for ``n = a .. b - 1`` as two lists (xi, sigma); ``shift(k)``
-    translates the origin.
+    ``sample_block(a, b)`` returns the marks ``(xi_n, sigma_n)`` for
+    ``n = a .. b - 1`` as two lists (xi, sigma), a pure function of
+    ``(seed, model, n + offset)``; ``sample(n)`` is the block of one, at a
+    kernel call's fixed cost; ``shift(k)`` translates the origin.
     """
 
     model: InputModel
@@ -649,12 +607,14 @@ class MarkedInputGenerator:
     offset: int = 0
 
     def sample(self, n: int) -> tuple[float, float]:
-        return self.model.sample_at(self.seed, n + self.offset)
+        xs, ss = self.sample_block(n, n + 1)
+        return xs[0], ss[0]
 
     def sample_block(self, a: int, b: int) -> tuple[list[float], list[float]]:
         if b < a:
             raise ValueError(f"sample_block needs a <= b, got a={a}, b={b}")
-        return self.model.sample_block(self.seed, a + self.offset, b + self.offset)
+        xs, ss = self.model.sample_blocks((self.seed,), a + self.offset, b + self.offset)
+        return xs[0].tolist(), ss[0].tolist()
 
     def shift(self, k: int) -> "MarkedInputGenerator":
         return replace(self, offset=self.offset + k)
@@ -745,11 +705,17 @@ def generator_from_config(cfg: dict, seed_override: int | None = None) -> Marked
     if kind == "iid":
         model: InputModel = IIDModel(dist_from_config(cfg["xi"]), dist_from_config(cfg["sigma"]))
     elif kind == "deterministic":
-        model = DeterministicModel(float(cfg["xi"]), float(cfg["sigma"]))
+        model = DeterministicModel(
+            config_number(cfg["xi"], "deterministic xi"),
+            config_number(cfg["sigma"], "deterministic sigma"),
+        )
     elif kind == "markov_modulated":
         states = cfg["states"]
         model = MarkovModulatedModel(
-            transition=tuple(tuple(float(p) for p in row) for row in cfg["transition"]),
+            transition=tuple(
+                tuple(config_number(p, "transition probability") for p in row)
+                for row in cfg["transition"]
+            ),
             xi_dists=tuple(dist_from_config(s["xi"]) for s in states),
             sigma_dists=tuple(dist_from_config(s["sigma"]) for s in states),
         )

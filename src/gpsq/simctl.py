@@ -38,6 +38,7 @@ from .dynamics import (
 )
 from .input_process import (
     MarkedInputGenerator,
+    config_number,
     generator_from_config,
     replication_seed,
     scale_sigma,
@@ -108,15 +109,20 @@ def rate_from_config(cfg: dict) -> RateFunction:
         if kind == "half_interference":
             return half_interference()
         if kind == "scaled_ps":
-            return scaled_ps(float(cfg["k"]))
+            return scaled_ps(config_number(cfg["k"], "scaled_ps 'k'"))
         if kind == "custom_table":
             table = cfg["table"]
             if not isinstance(table, dict):
                 raise ConfigError(f"custom_table 'table' must be a mapping, got {table!r}")
+            single_server = cfg.get("single_server", False)
+            if not isinstance(single_server, bool):
+                raise ConfigError(
+                    f"custom_table 'single_server' must be true or false, got {single_server!r}"
+                )
             return table_rate(
-                {int(k): float(v) for k, v in table.items()},
-                declared_floor=float(cfg["floor"]),
-                single_server=bool(cfg.get("single_server", False)),
+                {int(k): config_number(v, "custom_table rate") for k, v in table.items()},
+                declared_floor=config_number(cfg["floor"], "custom_table 'floor'"),
+                single_server=single_server,
             )
     except KeyError as exc:
         raise ConfigError(f"rate kind {kind!r} is missing parameter {exc}") from None
@@ -157,9 +163,12 @@ class ExperimentConfig:
         if "rate" not in data and mode not in ("invariant_suite", "gginf_stationary"):
             errors.append("missing 'rate' (rate function spec)")
 
+        def _is_int(v: Any) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool)
+
         def _pos_int(name: str, default: int) -> int:
             v = data.get(name, default)
-            if not isinstance(v, int) or v < 1:
+            if not _is_int(v) or v < 1:
                 errors.append(f"{name} must be a positive integer, got {v!r}")
                 return default
             return v
@@ -170,7 +179,7 @@ class ExperimentConfig:
         stability_samples = _pos_int("stability_samples", 10_000)
         lindley_window = data.get("lindley_window")
         if lindley_window is not None and (
-            not isinstance(lindley_window, int) or lindley_window < 1
+            not _is_int(lindley_window) or lindley_window < 1
         ):
             errors.append(f"lindley_window must be a positive integer, got {lindley_window!r}")
         input_spec = data.get("input", {})
@@ -178,7 +187,7 @@ class ExperimentConfig:
             errors.append(f"'input' must be a mapping, got {input_spec!r}")
             input_spec = {}
         base_seed = data.get("base_seed", input_spec.get("seed", 0))
-        if not isinstance(base_seed, int):
+        if not _is_int(base_seed):
             errors.append(f"base_seed must be an integer, got {base_seed!r}")
             base_seed = 0
         out = data.get("output", {})
@@ -197,7 +206,7 @@ class ExperimentConfig:
             errors.append(f"'sweep' must be a mapping, got {sweep!r}")
             sweep = {}
         try:
-            rho_grid = tuple(float(x) for x in sweep.get("rho", ()))
+            rho_grid = tuple(config_number(x, "sweep.rho") for x in sweep.get("rho", ()))
         except (TypeError, ValueError):
             errors.append(f"sweep.rho must be a list of numbers, got {sweep.get('rho')!r}")
             rho_grid = ()

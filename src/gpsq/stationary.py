@@ -54,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dynamics import step
-from .input_process import MarkedInputGenerator, replication_seed, sample_blocks
+from .input_process import sample_blocks
 from .measures import ATOM_TOL, ZERO, CountingMeasure
 from .rates import RateFunction, validate
 
@@ -619,40 +619,3 @@ def backward_iterate(
     for xi, sigma in zip(*gen.sample_block(-n_back, 0)):
         mu = step(mu, sigma, xi, r)
     return mu
-
-
-@dataclass(frozen=True)
-class ZeroRecordEstimate:
-    """Monte-Carlo estimate of the probability that the backward record is
-    zero (the uniqueness/coupling condition of the infinite-server
-    construction)."""
-
-    p_zero: float
-    se: float
-    n_seeds: int
-    n_converged: int
-
-
-def estimate_prob_L_zero(
-    gen: MarkedInputGenerator,
-    n_seeds: int = 200,
-    max_lookback: int = 100_000,
-) -> ZeroRecordEstimate:
-    """Estimate ``P(L = 0)`` over independent replication seeds derived
-    from the generator's seed."""
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    zeros = 0
-    converged = 0
-    for i in range(n_seeds):
-        g = gen.with_seed(replication_seed(gen.seed, i))
-        res = loynes_L(g, max_lookback=max_lookback)
-        if res.converged:
-            converged += 1
-            if res.value <= ATOM_TOL:
-                zeros += 1
-    if converged == 0:
-        return ZeroRecordEstimate(p_zero=float("nan"), se=float("nan"), n_seeds=n_seeds, n_converged=0)
-    p = zeros / converged
-    se = math.sqrt(max(p * (1.0 - p), 1e-12) / converged)
-    return ZeroRecordEstimate(p_zero=p, se=se, n_seeds=n_seeds, n_converged=converged)

@@ -439,8 +439,7 @@ class TestFastPath:
             mu = CountingMeasure(rng.uniform(0, 5, rng.integers(0, 5)))
             path = simulate_queue_path(g, r, n_steps=50, initial=mu)
             ref = mu
-            for n in range(50):
-                xi, sigma = g.sample(n)
+            for n, (xi, sigma) in enumerate(zip(*g.sample_block(0, 50))):
                 assert path.q[n] == ref.num_atoms
                 assert path.w[n] == pytest.approx(ref.workload, abs=1e-7)
                 ref = step(ref, sigma, xi, r)

@@ -95,6 +95,27 @@ CONFIGS = {
         "rate": {"kind": "custom_table", "table": NEAR_PS_TABLE, "floor": 0.9},
         "sweep": {"rho": [0.9, 1.2]},
     },
+    # Inputs that consume fewer uniforms than marks: a deterministic
+    # inter-arrival law leaves sigma the first uniform of each index, and
+    # the Pareto sigma goes through its own power transform.
+    "forward_sim_det_xi_pareto": {
+        "mode": "forward_sim",
+        "base_seed": 3,
+        "replications": 2,
+        "horizon": 300,
+        "input": {"model": "iid", "xi": {"dist": "deterministic", "value": 1.0},
+                  "sigma": {"dist": "pareto", "alpha": 2.5, "scale": 0.4}},
+        "rate": {"kind": "classical_ps"},
+    },
+    # Constant marks, no uniforms at all.
+    "forward_sim_deterministic": {
+        "mode": "forward_sim",
+        "base_seed": 9,
+        "replications": 2,
+        "horizon": 60,
+        "input": {"model": "deterministic", "xi": 1.0, "sigma": 1.3},
+        "rate": {"kind": "half_interference"},
+    },
 }
 
 GOLDEN = {
@@ -122,6 +143,14 @@ GOLDEN = {
         "5c3d41bbdafbd1d8e98ac5172386e3ea66115df0a584ebe474c6d30d2fe1d30c",
     ("stability_sweep", "json"):
         "f2716b66c4b16db665e8ecd4bc825b20fa591ec7bf778eb5f6fe16a93f60e937",
+    ("forward_sim_det_xi_pareto", "csv"):
+        "bc29e2cd9c865e2ef2180edb08c6eccb4b66281bed7fc05ba34d986ca650416c",
+    ("forward_sim_det_xi_pareto", "json"):
+        "2d911111493996a289190333706fc70d88b61fba9502b2f7a2ddc9f975c48a35",
+    ("forward_sim_deterministic", "csv"):
+        "acdd5be8016fd1a97805339ee18a78475e83b947a3646e2464e7e8d2c2457070",
+    ("forward_sim_deterministic", "json"):
+        "175613d081600441f8ab82ae88e318b57a27f514b221f6007371278aa2c83e48",
 }
 
 

@@ -63,7 +63,7 @@ class TestDeterminismAndShift:
 
     def test_xi_positive(self):
         g = iid_input(Exponential(0.5), Exponential(1.0), seed=8)
-        assert all(g.sample(n)[0] > 0.0 for n in range(-500, 500))
+        assert all(xi > 0.0 for xi in g.sample_block(-500, 500)[0])
 
 
 class TestDistributions:
@@ -91,8 +91,7 @@ class TestDistributions:
         # each draw consumes one uniform; spot-check the transform is
         # monotone and in range over a window
         g = iid_input(Exponential(1.0), Pareto(1.5, 2.0), seed=44)
-        for n in range(200):
-            xi, sigma = g.sample(n)
+        for xi, sigma in zip(*g.sample_block(0, 200)):
             assert xi > 0
             assert sigma >= 2.0  # pareto support starts at its scale
 
@@ -118,7 +117,7 @@ class TestEmpiricalMeans:
     def test_lag_one_autocorrelation_near_zero(self):
         g = iid_input(Exponential(2.0), Exponential(1.0), seed=515)
         n = 20_000
-        xs = np.array([g.sample(i)[0] for i in range(n)])
+        xs = np.array(g.sample_block(0, n)[0])
         xc = xs - xs.mean()
         rho1 = float(np.dot(xc[:-1], xc[1:]) / np.dot(xc, xc))
         assert abs(rho1) <= 4.0 / math.sqrt(n)
@@ -148,7 +147,9 @@ class TestMarkovModulated:
         pi = model.stationary_distribution()
         assert pi[0] == pytest.approx(0.75)
         n = 20_000
-        freq = sum(model.state_at(17, i) == 0 for i in range(n)) / n
+        # xi is 1 in state 0 and 2 in state 1
+        xs, _ = MarkedInputGenerator(model=model, seed=17).sample_block(0, n)
+        freq = xs.count(1.0) / n
         se = math.sqrt(pi[0] * (1 - pi[0]) / n) * 3  # iid-scale bound, chain mixes fast
         assert abs(freq - pi[0]) <= 5 * se
 
@@ -319,8 +320,64 @@ def generators(draw):
     return MarkedInputGenerator(model=model, seed=draw(seeds))
 
 
+# A scalar reference for the block path, independent of its kernel,
+# transforms and chain evolution: numpy's own generator per index, the
+# inverse-CDF formula of each distribution, and coupling from the past run
+# afresh at every index.
+
+
+def reference_draw(dist, rng):
+    if isinstance(dist, Exponential):
+        return -dist.mean * math.log1p(-rng.random())
+    if isinstance(dist, Deterministic):
+        return dist.value
+    if isinstance(dist, Uniform):
+        return dist.low + (dist.high - dist.low) * rng.random()
+    return dist.scale * (1.0 - rng.random()) ** (-1.0 / dist.alpha)
+
+
+def reference_advance(model, state, u):
+    acc = 0.0
+    for j, p in enumerate(model.transition[state]):
+        acc += p
+        if u < acc:
+            return j
+    return model.n_states - 1
+
+
+def reference_state(model, seed, index):
+    """Chain state at ``index``: every start state is run through the
+    shared uniforms of the last ``lookback`` indices, doubling the lookback
+    from 8 until they all end in one state."""
+    lookback = 8
+    while True:
+        first = index - lookback + 1
+        us = [_rng_at(seed, _PURPOSE_CHAIN, m).random() for m in range(first, index + 1)]
+        ends = set()
+        for state in range(model.n_states):
+            for u in us:
+                state = reference_advance(model, state, u)
+            ends.add(state)
+        if len(ends) == 1:
+            return ends.pop()
+        lookback *= 2
+
+
+def reference_mark(g, n):
+    model, k = g.model, n + g.offset
+    if isinstance(model, DeterministicModel):
+        return model.xi, model.sigma
+    if isinstance(model, IIDModel):
+        xi_dist, sigma_dist = model.xi_dist, model.sigma_dist
+    else:
+        s = reference_state(model, g.seed, k)
+        xi_dist, sigma_dist = model.xi_dists[s], model.sigma_dists[s]
+    rng = _rng_at(g.seed, _PURPOSE_MARKS, k)
+    return reference_draw(xi_dist, rng), reference_draw(sigma_dist, rng)
+
+
 def scalar_block(g, a, b):
-    marks = [g.sample(n) for n in range(a, b)]
+    marks = [reference_mark(g, n) for n in range(a, b)]
     return [x for x, _ in marks], [s for _, s in marks]
 
 
@@ -330,6 +387,12 @@ class TestSampleBlock:
     def test_equals_scalar_path_bit_for_bit(self, g, ab):
         a, b = ab
         assert g.sample_block(a, b) == scalar_block(g, a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(generators(), st.integers(-(10**6), 10**6))
+    def test_sample_is_the_block_of_one(self, g, n):
+        xs, ss = g.sample_block(n, n + 1)
+        assert g.sample(n) == (xs[0], ss[0]) == reference_mark(g, n)
 
     @settings(max_examples=40, deadline=None)
     @given(generators(), ranges, st.integers(-(10**6), 10**6))
@@ -355,7 +418,10 @@ class TestSampleBlock:
             sigma_dists=(Deterministic(1.0), Deterministic(1.0)),
         )
         xs, _ = MarkedInputGenerator(model=model, seed=2**64 - 1).sample_block(-300, 300)
-        assert [int(x) - 1 for x in xs] == [model.state_at(2**64 - 1, n) for n in range(-300, 300)]
+        states = [reference_state(model, 2**64 - 1, n) for n in range(-300, 300)]
+        assert [int(x) - 1 for x in xs] == states
+        for n in (-300, -1, 0, 299):
+            assert model.state_at(2**64 - 1, n) == states[n + 300]
 
 
 class TestManySeedBlocks:

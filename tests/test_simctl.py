@@ -6,10 +6,11 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from gpsq import checks
+from gpsq import checks, input_process
 from gpsq.simctl import (
     _FORWARD_HEADER,
     _FORWARD_ROW,
@@ -316,6 +317,17 @@ class TestRunModes:
             {"sweep": {"rho": 0.9}},
             {"rate": {"kind": "scaled_ps", "k": None}},
             {"rate": {"kind": "custom_table", "floor": 0.5, "table": [1.0, 0.5]}},
+            # a bool is not a number, and a string or a number is not a bool
+            {"replications": True},
+            {"base_seed": True},
+            {"lindley_window": True},
+            {"rate": {"kind": "scaled_ps", "k": True}},
+            {"input": dict(MM_INPUT, sigma={"dist": "exp", "mean": True})},
+            {"rate": {"kind": "custom_table", "floor": 0.5, "table": {1: 1.0, 2: 0.5},
+                      "single_server": "false"}},
+            {"rate": {"kind": "custom_table", "floor": 0.5, "table": {1: 1.0, 2: 0.5},
+                      "single_server": 0}},
+            {"mode": "stability_sweep", "sweep": {"rho": [0.5, True]}},
         ]
         for i, overrides in enumerate(bad_specs):
             cfg = write_config(tmp_path / f"c{i}.yaml", **overrides)
@@ -397,6 +409,25 @@ class TestInvariantSuites:
         rows = list(csv.DictReader(io.StringIO((tmp_path / "suites.csv").read_text())))
         assert [row["suite"] for row in rows] == list(SUITE_NAMES)
         assert [row["suite"] for row in rows if row["ok"] == "False"] == ["oracle_equivalence"]
+
+    def test_one_flipped_kernel_bit_fails_input_determinism(self, monkeypatch, capsys):
+        # the lowest mantissa bit of the first uniform of every kernel call:
+        # the check compares the kernel with numpy's generator
+        kernel = input_process._philox_uniforms
+
+        def flipped(seeds, purpose, a, b):
+            u = kernel(seeds, purpose, a, b)
+            if u.size:
+                u.view(np.uint64)[0, 0, 0] ^= np.uint64(1)
+            return u
+
+        monkeypatch.setattr(input_process, "_philox_uniforms", flipped)
+        res = checks.input_determinism(np.random.default_rng(0), 20)
+        assert res.failures > 0
+        assert "differ from numpy's Philox" in res.detail
+        assert main(["verify"]) == EXIT_SUITE_FAILED
+        assert any(line.startswith("FAIL input_determinism")
+                   for line in capsys.readouterr().out.splitlines())
 
 
 def test_perfbench_tracer_finds_its_names():
