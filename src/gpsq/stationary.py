@@ -24,11 +24,12 @@ the origin yields an exact draw from the stationary profile law.
 A backward scan over an infinite past is only computable with a stopping
 rule.  The rules used here are explicit and reported: the record
 constructions stop once the accumulated inter-arrival mass provably (up to
-a declared service-demand quantile) exceeds any future candidate; the
-Lindley scan stops after a configurable run of non-improving partial sums
-that has also fallen a configurable margin below the running record.
-Every result says whether it was certified or the horizon was exhausted --
-"unstable" and "did not look far enough" are never conflated.
+a declared service-demand quantile) exceeds any future candidate;
+:func:`lindley_W` stops after a configurable run of non-improving partial
+sums that has also fallen a configurable margin below the running record;
+:func:`backward_coupling_ps` states its certificate.  Every result says
+whether it was certified or the horizon was exhausted -- "unstable" and
+"did not look far enough" are never conflated.
 
 The scans read their marks in doubling blocks (see :func:`_backward_marks`
 and :func:`_lindley_scan`), so a scan that stops early costs at most about
@@ -37,12 +38,13 @@ twice the terms it used.
 Perfect sampling runs over a batch of replications
 (:func:`backward_coupling_ps_batch`; :func:`backward_coupling_ps` is the
 batch of one).  The backward marks of the whole batch are drawn once, with
-many-seed reads, into one 2-D buffer (:class:`_Backlog`).  Each candidate
-epoch then runs one Lindley scan over every replication still searching
-(:func:`_lindley_scan`, also the kernel of :func:`lindley_W`): sequential
-``cumsum`` partial sums and running maxima along each row, with the floats
-of the scalar recursion, so every report equals the one-replication loop's.
-A replication that regenerates runs its forward leg and leaves the batch.
+many-seed reads, into one 2-D buffer (:class:`_Backlog`), and every depth
+of a fixed doubling schedule makes one pass over the rows still searching:
+prefix sums by a sequential ``cumsum`` and their suffix maxima by one
+reversed ``maximum.accumulate`` give every epoch's workload at once.  A row
+takes its nearest certified epoch, runs its forward leg and leaves the
+batch.  A row's report reads only its own marks at the depths of the
+schedule, so it does not depend on its batch mates.
 """
 
 from __future__ import annotations
@@ -110,7 +112,9 @@ class CouplingReport:
     ``regeneration_index`` is the (nonpositive) epoch found with zero
     Lindley workload; ``stationary_profile`` the exact stationary draw at
     index 0.  ``horizon_exhausted`` is set when no certified regeneration
-    epoch exists within the lookback.
+    epoch exists within the lookback.  ``reason`` (not in the JSON) is
+    ``certified``, ``drift_nonnegative`` (no window derivable) or
+    ``lookback_exhausted``.
     """
 
     coupled: bool
@@ -118,6 +122,7 @@ class CouplingReport:
     stationary_profile: CountingMeasure | None
     iterations_used: int
     horizon_exhausted: bool
+    reason: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -410,20 +415,8 @@ def lindley_W(
     )
 
 
-def _renovation_scan_epochs(max_lookback: int) -> list[int]:
-    # every epoch in the near past, then a doubling tail; idle events at
-    # nearby epochs are strongly correlated, so the consecutive prefix is
-    # what buys coupling probability and the doubling reaches deep cheaply
-    out = [m for m in range(0, 33) if m <= max_lookback]
-    m = 64
-    while m <= max_lookback:
-        out.append(m)
-        m *= 2
-    return out
-
-
 #: Most inputs :func:`backward_coupling_ps_batch` scans together.  It bounds
-#: the backward buffer and the scan's temporaries at ``BATCH_ROWS`` rows; at
+#: the backward buffer and the pass's temporaries at ``BATCH_ROWS`` rows; at
 #: 32 the shipped perfect-sample config peaks about 6% above the resident
 #: memory of one replication at a time, at 64 about 13% above.
 BATCH_ROWS = 32
@@ -439,14 +432,16 @@ def backward_coupling_ps(
 ) -> CouplingReport:
     """Exact draw from the stationary processor-sharing profile.
 
-    Scans candidate epochs ``-m`` (every ``m`` from 0 to 32, then 64, 128,
-    ... up to ``max_lookback``) for one whose Lindley workload at drain
-    rate ``K_r`` is certified zero; from such an
-    epoch the stationary profile is empty, so iterating the recursion
-    forward from the zero measure reproduces the stationary profile at the
-    origin exactly.  Fails closed: without a certified regeneration epoch
-    within the lookback the report says so instead of guessing.  This is
-    :func:`backward_coupling_ps_batch` on a batch of one.
+    Reads the terms ``sigma - K_r xi`` to depth ``D``: ``min(cap, max(256,
+    2 window))``, then doubling up to ``cap = 2 max_lookback``.  Epoch
+    ``-m`` is certified when the Lindley workload started there is zero
+    (within ``ATOM_TOL``) over all ``D`` terms, ``D - m >= window``, the
+    last partial sum ends ``margin`` or more below it and ``m <=
+    max_lookback``.  The profile is empty there, so the recursion run
+    forward from zero at the nearest certified epoch gives the stationary
+    profile at the origin exactly; ``iterations_used`` is ``D + m``.
+    Without a certified epoch at the cap the report says so instead of
+    guessing.  This is :func:`backward_coupling_ps_batch` on a batch of one.
     """
     return backward_coupling_ps_batch(
         [gen], r, max_lookback, improvement_window, drop_margin, validate_n_max
@@ -467,10 +462,10 @@ def backward_coupling_ps_batch(
     The inputs of one call must share one law (they differ in seed or
     offset): the window and margin defaults are derived once, from the
     first input's means, and the rate is validated once.  Inputs are
-    scanned in batches of at most :data:`BATCH_ROWS`; within a batch every
-    candidate epoch runs one :func:`_lindley_scan` over the rows still
-    searching, and a row that regenerates leaves the batch after its
-    forward leg.
+    searched in batches of at most :data:`BATCH_ROWS`.  Every row still
+    searching is tested at every depth ``D`` of the schedule on its own
+    first ``D`` marks, so a report depends only on its own input and any
+    batching gives the same bytes.
     """
     report = validate(r, n_max=validate_n_max)
     if not report.ok:
@@ -485,61 +480,65 @@ def backward_coupling_ps_batch(
     if not gens:
         return []
     window, margin = _stopping_rule(gens[0], r.declared_floor, improvement_window, drop_margin)
-    epochs = _renovation_scan_epochs(max_lookback)
     if window is None:
-        # no certification is possible: every epoch's scan would read its
-        # whole lookback
-        return [_exhausted(len(epochs) * max_lookback) for _ in gens]
+        # no certification is possible, so nothing is read
+        return [_exhausted(0, "drift_nonnegative") for _ in gens]
+    cap = 2 * max_lookback
+    depths = [min(cap, max(_FIRST_BLOCK, 2 * window))]
+    while depths[-1] < cap:
+        depths.append(min(cap, 2 * depths[-1]))
     reports: list[CouplingReport] = []
     for lo in range(0, len(gens), BATCH_ROWS):
-        reports += _couple_batch(gens[lo : lo + BATCH_ROWS], r, epochs, window, margin, max_lookback)
+        reports += _couple_batch(gens[lo : lo + BATCH_ROWS], r, depths, window, margin, max_lookback)
     return reports
 
 
-def _exhausted(iterations: int) -> CouplingReport:
-    return CouplingReport(
-        coupled=False,
-        regeneration_index=None,
-        stationary_profile=None,
-        iterations_used=iterations,
-        horizon_exhausted=True,
-    )
+def _exhausted(iterations: int, reason: str) -> CouplingReport:
+    return CouplingReport(False, None, None, iterations, True, reason)
 
 
 def _couple_batch(
     gens: list,
     r: RateFunction,
-    epochs: list[int],
+    depths: list[int],
     window: int,
     margin: float | None,
     max_lookback: int,
 ) -> list[CouplingReport]:
-    iterations = np.zeros(len(gens), dtype=np.int64)
     reports: list[CouplingReport | None] = [None] * len(gens)
-    buf = _Backlog(gens, r.declared_floor, epochs[-1] + max_lookback)
+    buf = _Backlog(gens, r.declared_floor, depths[-1])
     ids = np.arange(len(gens))  # the input each buffer row belongs to
-    for m in epochs:
-        scan = _lindley_scan(buf, m, window, margin, max_lookback)
-        iterations[ids] += scan.iterations
-        hit = scan.converged & (scan.best <= ATOM_TOL)
+    for d in depths:
+        buf.reach(d)
+        # s[:, j] = S_j, the sum of the first j terms; ahead[:, m] = the
+        # largest S_j with m < j <= d
+        s = np.cumsum(
+            np.concatenate([np.zeros((ids.size, 1)), buf.terms(slice(None), 0, d)], axis=1), axis=1
+        )
+        ahead = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1]
+        top = max(min(d - window, max_lookback) + 1, 0)  # epochs m = 0 .. top - 1
+        ok = ahead[:, :top] - s[:, :top] <= ATOM_TOL
+        if margin is not None:
+            ok &= s[:, :top] - s[:, d, None] >= margin
+        hit = ok.any(axis=1)
         for row in np.flatnonzero(hit):
+            m = int(ok[row].argmax())
             mu = ZERO
             for xi, sigma in zip(buf.xs[row, :m][::-1].tolist(), buf.ss[row, :m][::-1].tolist()):
                 mu = step(mu, sigma, xi, r)
-            i = ids[row]
-            reports[i] = CouplingReport(
+            reports[ids[row]] = CouplingReport(
                 coupled=True,
                 regeneration_index=-m,
                 stationary_profile=mu,
-                iterations_used=int(iterations[i]) + m,
+                iterations_used=d + m,
                 horizon_exhausted=False,
+                reason="certified",
             )
         buf.keep(~hit)
         ids = ids[~hit]
         if not ids.size:
             break
-    # the rows still searching exhausted the schedule
-    return [rep or _exhausted(int(iterations[i])) for i, rep in enumerate(reports)]
+    return [rep or _exhausted(depths[-1], "lookback_exhausted") for rep in reports]
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,8 @@ CONFIGS = {
         "rate": {"kind": "half_interference"},
     },
     # More replications than one perfect-sampling batch and not a multiple
-    # of its size; the short lookback makes 8 of the 150 exhaust, and the
-    # Lindley window and margin come from the model means.
+    # of its size, a short lookback, and the Lindley window and margin from
+    # the model means.
     "ps_perfect_sample_mm": {
         "mode": "ps_perfect_sample",
         "base_seed": 13,
@@ -120,13 +120,13 @@ CONFIGS = {
 
 GOLDEN = {
     ("ps_perfect_sample", "csv"):
-        "821c837f3f29334449fb226419336ac9e914eba24365447c7eaf135ee8d8928d",
+        "dab6d6a634badfa4ccd10e184a8a694be83cb903218f7ce701c4395001d7add2",
     ("ps_perfect_sample", "json"):
-        "02cbc98649563e3ad41f8eadd1a92c77d8cdb85852a2f5768578eb432d5ded3a",
+        "a1b2512f887115b668a1d19d3346b1216a9e499c8db420ec9c6004447a90fda1",
     ("ps_perfect_sample_mm", "csv"):
-        "b626775ac60a0b8a7e68e5a6888865dbecec4f9e8d193391edd319a54c7fa733",
+        "c9de899ad2c7e3297dce974d42a63d80e523ebc41cc841b3bc46e1c599e5bbbf",
     ("ps_perfect_sample_mm", "json"):
-        "709d5d02723a45bb33aa58b882bce21e5fa2a6081bd196f5984f0e94a2343cf8",
+        "42a9b379711c82498ad0c3d7dfbcc9f273069b40fd281355f67e950f45433867",
     ("gginf_stationary", "csv"):
         "98f2e18806b13613a7a8e2d71e2b3ace0bc148a6ac56e5d012c2db3b9c53c6e8",
     ("gginf_stationary", "json"):

@@ -1,6 +1,8 @@
 """Tests for the backward constructions and perfect sampling."""
 
 import math
+import random
+from itertools import accumulate
 from dataclasses import dataclass, replace
 
 import pytest
@@ -25,7 +27,6 @@ from gpsq.stationary import (
     CouplingReport,
     LoynesResult,
     _backward_marks,
-    _renovation_scan_epochs,
     backward_coupling_ps,
     backward_coupling_ps_batch,
     backward_iterate,
@@ -209,13 +210,52 @@ class TestPerfectSampling:
     def test_stable_mm_couples_and_is_stationary(self):
         res = checks.coupling_stationarity(4242, 60)
         assert res.failures == 0, res.detail
-        assert res.converged >= 57  # ~1/3 regeneration probability per scanned epoch
+        # the nearest zero-workload epoch lies within the lookback on
+        # (nearly) every seed at load 2/3
+        assert res.converged >= 57
 
     def test_invalid_rate_rejected(self):
         # unit rate flagged single-server violates the throughput cap
         bad = replace(pure_delay(), single_server=True)
         with pytest.raises(ValueError):
             backward_coupling_ps(deterministic_input(3.0, 1.0), bad)
+
+    @pytest.mark.parametrize("gen, rate, kw, reason, iterations", [
+        (deterministic_input(3.0, 1.0), half_interference(), {}, "certified", 256),
+        # no negative drift: no window can be derived, nothing is read
+        (deterministic_input(1.0, 2.0), classical_ps(), {"max_lookback": 2000},
+         "drift_nonnegative", 0),
+        # a window given by hand, but the partial sums only climb
+        (deterministic_input(1.0, 2.0), classical_ps(),
+         {"max_lookback": 2000, "improvement_window": 10}, "lookback_exhausted", 4000),
+    ])
+    def test_reason(self, gen, rate, kw, reason, iterations):
+        rep = backward_coupling_ps(gen, rate, **kw)
+        assert rep.reason == reason
+        assert rep.coupled == (reason == "certified")
+        assert rep.iterations_used == iterations
+        assert "reason" not in rep.to_json_dict()
+
+    def test_climb_late_in_the_buffer_blocks_the_certificate(self):
+        # unit marks falling 0.5 per term, but index -151 brings a demand
+        # of 101: the workload at the origin is 25, although the partial
+        # sums fall steadily for the first 150 terms
+        sigmas = tuple(101.0 if i == 149 else 0.5 for i in range(300))
+        rep = backward_coupling_ps(CyclicInput(xis=(1.0,), sigmas=sigmas), classical_ps())
+        assert rep.regeneration_index == -151
+        assert rep.iterations_used == 256 + 151
+        assert rep.stationary_profile.workload == pytest.approx(25.0)
+
+    def test_workload_within_atom_tol_counts_as_zero(self):
+        # index -1 leaves 5e-13 of work at the origin, within ATOM_TOL
+        g = CyclicInput(xis=(1.0,), sigmas=(0.5, 1.0 + 5e-13))
+        assert backward_coupling_ps(g, classical_ps()).regeneration_index == 0
+
+    def test_margin_is_inclusive(self):
+        # partial sums -0.5 j, exact in binary: 256 terms end exactly 128 down
+        g = deterministic_input(1.0, 0.5)
+        rep = backward_coupling_ps(g, classical_ps(), improvement_window=10, drop_margin=128.0)
+        assert (rep.regeneration_index, rep.iterations_used) == (0, 256)
 
     def test_report_invariants(self):
         rep = backward_coupling_ps(deterministic_input(3.0, 1.0), half_interference())
@@ -224,6 +264,50 @@ class TestPerfectSampling:
             assert rep.regeneration_index is not None
         else:
             assert rep.horizon_exhausted
+
+
+def birth_death_law(lam, mu, r, tol=1e-16):
+    """``pi(n)`` proportional to ``prod_{k<=n} lam / (mu k r(k))``: the
+    processor-sharing occupancy under Poisson arrivals at rate ``lam`` and
+    exponential service at rate ``mu``, a birth-death chain with death rate
+    ``mu n r(n)``; truncated where the terms fall below ``tol``."""
+    w = [1.0]
+    while w[-1] > tol:
+        k = len(w)
+        w.append(w[-1] * lam / (mu * k * r(k)))
+    return [x / sum(w) for x in w]
+
+
+class TestStationaryLaw:
+    @pytest.mark.parametrize("rate, mean_xi, mean_sigma, exact, kw", [
+        # M/M/1-PS: geometric law, E[N] = rho / (1 - rho)
+        (classical_ps(), 1.0, 0.5, 1.0, {"max_lookback": 5000}),
+        (classical_ps(), 1.0, 0.8, 4.0, {"max_lookback": 5000}),
+        # the shipped perfect-sample config
+        (half_interference(), 3.0, 1.0, 1.5, {"improvement_window": 200}),
+    ])
+    def test_occupancy_follows_the_birth_death_law(self, rate, mean_xi, mean_sigma, exact, kw):
+        count = 2000
+        gens = [iid_input(Exponential(mean_xi), Exponential(mean_sigma),
+                          seed=replication_seed(11, i)) for i in range(count)]
+        reps = backward_coupling_ps_batch(gens, rate, **kw)
+        assert all(rep.coupled for rep in reps)
+        ns = [rep.stationary_profile.num_atoms for rep in reps]
+        pi = birth_death_law(1.0 / mean_xi, 1.0 / mean_sigma, rate)
+        assert sum(n * p for n, p in enumerate(pi)) == pytest.approx(exact)
+        mean = sum(ns) / count
+        se = math.sqrt(sum((n - mean) ** 2 for n in ns) / (count - 1) / count)
+        assert abs(mean - exact) <= 3.0 * se
+        # chi-square over the leading bins expecting at least 5 draws each,
+        # the rest pooled, against the Wilson-Hilferty 0.999 quantile
+        k = 0
+        while pi[k] * count >= 5 and (1.0 - sum(pi[: k + 1])) * count >= 5:
+            k += 1
+        observed = [ns.count(n) for n in range(k)] + [sum(n >= k for n in ns)]
+        expected = [p * count for p in pi[:k]] + [(1.0 - sum(pi[:k])) * count]
+        chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        df = k
+        assert chi2 <= df * (1 - 2 / (9 * df) + 3.09 * math.sqrt(2 / (9 * df))) ** 3
 
 
 class TestStabilityVerdict:
@@ -297,9 +381,8 @@ class TestZeroRecordProbability:
 # -- the batched sampler against the scalar loops it replaced ----------------
 
 
-def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None,
-                        drop_margin=None):
-    """The scalar Lindley loop, as it was before the batched kernel."""
+def reference_rule(gen, k_r, improvement_window=None, drop_margin=None):
+    """The window and margin defaults of the Lindley stopping rule."""
     mean_xi = mean_sigma = None
     try:
         mean_xi, mean_sigma = gen.mean_xi(), gen.mean_sigma()
@@ -312,6 +395,13 @@ def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None,
             improvement_window = math.ceil(10.0 / (1.0 - rho_hat))
         if drop_margin is None and gap > 0.0:
             drop_margin = 50.0 * gap
+    return improvement_window, drop_margin
+
+
+def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None,
+                        drop_margin=None):
+    """The scalar Lindley loop, as it was before the batched kernel."""
+    improvement_window, drop_margin = reference_rule(gen, k_r, improvement_window, drop_margin)
     s = 0.0
     best = -math.inf
     best_j = 0
@@ -354,26 +444,54 @@ def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None,
     )
 
 
+def certified_epochs(gen, k_r, depth, window, margin, max_lookback):
+    """Every epoch ``m`` certified by the first ``depth`` backward terms:
+    Python-float prefix sums ``S``, and each ``m`` checked against the
+    largest ``S_j`` over the whole buffer past it."""
+    xs, ss = gen.sample_block(-depth, 0)
+    s = [0.0]
+    for xi, sigma in zip(reversed(list(xs)), reversed(list(ss))):
+        s.append(s[-1] + (float(sigma) - k_r * float(xi)))
+    ahead = list(accumulate(reversed(s[1:]), max))[::-1]  # ahead[m] = max S_j, j > m
+    return [
+        m for m in range(min(depth - window, max_lookback) + 1)
+        if ahead[m] - s[m] <= ATOM_TOL and (margin is None or s[m] - s[depth] >= margin)
+    ]
+
+
+def forward_from(gen, r, m):
+    """The recursion run from the empty profile at epoch ``-m`` to the origin."""
+    mu = ZERO
+    for xi, sigma in zip(*gen.sample_block(-m, 0)):
+        mu = step(mu, sigma, xi, r)
+    return mu
+
+
 def reference_coupling(gen, r, max_lookback=10_000, improvement_window=None,
                        drop_margin=None):
-    """The per-epoch loop of one replication, as it was before batching."""
-    iterations = 0
-    for m in _renovation_scan_epochs(max_lookback):
-        res = reference_lindley_W(gen.shift(-m), r.declared_floor, max_lookback,
-                                  improvement_window, drop_margin)
-        iterations += res.iterations
-        if res.converged and res.value <= ATOM_TOL:
-            mu = ZERO
-            for xi, sigma in zip(*gen.sample_block(-m, 0)):
-                mu = step(mu, sigma, xi, r)
-            return CouplingReport(True, -m, mu, iterations + m, False)
-    return CouplingReport(False, None, None, iterations, True)
+    """Brute-force search of one replication: at each depth ``d`` of the
+    fixed schedule, every epoch is checked against the whole buffer, and
+    the nearest certified one runs its forward leg."""
+    k_r = r.declared_floor
+    window, margin = reference_rule(gen, k_r, improvement_window, drop_margin)
+    if window is None:
+        return CouplingReport(False, None, None, 0, True, "drift_nonnegative")
+    cap = 2 * max_lookback
+    d = min(cap, max(256, 2 * window))
+    while True:
+        found = certified_epochs(gen, k_r, d, window, margin, max_lookback)
+        if found:
+            m = found[0]
+            return CouplingReport(True, -m, forward_from(gen, r, m), d + m, False, "certified")
+        if d == cap:
+            return CouplingReport(False, None, None, cap, True, "lookback_exhausted")
+        d = min(cap, 2 * d)
 
 
 def fields(rep):
     atoms = None if rep.stationary_profile is None else rep.stationary_profile.atoms
     return (rep.coupled, rep.regeneration_index, atoms, rep.iterations_used,
-            rep.horizon_exhausted)
+            rep.horizon_exhausted, rep.reason)
 
 
 MM_SPEC = {
@@ -430,7 +548,7 @@ class TestBatchedSampler:
         st.one_of(st.none(), st.integers(1, 300)),
         st.one_of(st.none(), st.floats(0.0, 30.0)),
     )
-    def test_equals_the_per_epoch_loop(self, batch, max_lookback, window, margin):
+    def test_equals_the_brute_force_search(self, batch, max_lookback, window, margin):
         gens, r = batch
         got = backward_coupling_ps_batch(gens, r, max_lookback, window, margin)
         assert len(got) == len(gens)
@@ -443,6 +561,45 @@ class TestBatchedSampler:
         batch = backward_coupling_ps_batch(gens, r, improvement_window=200)
         for g, rep in zip(gens, batch):
             assert fields(rep) == fields(backward_coupling_ps(g, r, improvement_window=200))
+
+    @pytest.mark.parametrize("rate, mean_sigma, kw", [
+        (half_interference(), 1.0, {"improvement_window": 200}),  # the shipped load
+        (classical_ps(), 2.7, {"max_lookback": 5000}),  # load 0.9
+    ])
+    def test_deepest_certified_epoch_gives_the_same_profile(self, rate, mean_sigma, kw):
+        # coupling from the past: every certified epoch in the buffer
+        # forces the same profile at the origin as the nearest one
+        max_lookback = kw.get("max_lookback", 10_000)
+        gens = [iid_input(Exponential(3.0), Exponential(mean_sigma), seed=replication_seed(8, i))
+                for i in range(40)]
+        moved = 0
+        for g, rep in zip(gens, backward_coupling_ps_batch(gens, rate, **kw)):
+            m = -rep.regeneration_index
+            window, margin = reference_rule(g, rate.declared_floor, kw.get("improvement_window"))
+            epochs = certified_epochs(g, rate.declared_floor, rep.iterations_used - m, window,
+                                      margin, max_lookback)
+            assert epochs[0] == m
+            deep = forward_from(g, rate, epochs[-1])
+            assert deep.num_atoms == rep.stationary_profile.num_atoms
+            assert abs(deep.workload - rep.stationary_profile.workload) <= ATOM_TOL
+            moved += epochs[-1] > m
+        assert moved >= 30
+
+    def test_report_ignores_its_batch_mates(self):
+        r = half_interference()
+        kw = {"max_lookback": 2000, "improvement_window": 200, "drop_margin": 25.0}
+        gens = [mm_input(replication_seed(21, i)) for i in range(BATCH_ROWS + 9)]
+        alone = [fields(rep) for rep in backward_coupling_ps_batch(gens, r, **kw)]
+        order = list(range(len(gens)))
+        random.Random(3).shuffle(order)
+        permuted = backward_coupling_ps_batch([gens[i] for i in order], r, **kw)
+        assert [fields(rep) for rep in permuted] == [alone[i] for i in order]
+        # rows that never certify, a whole batch of them among the others
+        stuck = deterministic_input(1.0, 2.0)
+        padded = [stuck] * 5 + gens[:10] + [stuck] * BATCH_ROWS + gens[10:]
+        got = backward_coupling_ps_batch(padded, r, **kw)
+        assert [fields(rep) for rep in got if rep.reason != "lookback_exhausted"] == alone
+        assert sum(rep.reason == "lookback_exhausted" for rep in got) == 5 + BATCH_ROWS
 
     def test_empty_batch(self):
         assert backward_coupling_ps_batch([], half_interference()) == []
