@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 invariant-suite failure, 2 invalid config,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -276,26 +277,25 @@ def _atomic_write(path: str, payload: bytes) -> None:
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".{os.path.basename(path)}.tmp-{os.getpid()}")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        # a failed write or rename (say, ``path`` is a directory) leaves no
+        # temp file behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def _csv_bytes(
-    header: Sequence[str], rows: Iterable[Sequence[Any]], row_format: str | None = None
-) -> bytes:
-    """CSV through ``csv.writer``, or with every row rendered by the
-    ``%``-template ``row_format`` when one is given (for rows of numbers
-    only, which ``csv.writer`` never quotes)."""
+def _csv_bytes(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> bytes:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    if row_format is None:
-        w.writerows(rows)
-    else:
-        buf.write("".join([row_format % row for row in rows]))
+    w.writerows(rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -399,11 +399,24 @@ def _worker_forward(args: tuple) -> dict:
     for xi, sigma in zip(*gen.sample_block(0, cfg.horizon)):
         events.append((t, sigma))
         t += xi
-    return {
-        "seed": gen.seed,
-        "segments": trajectory_rows(ZERO, events, t, r),
-        "exhausted": False,
-    }
+    segments = trajectory_rows(ZERO, events, t, r)
+    if cfg.out_format == "csv":
+        return {"seed": gen.seed, "csv": _forward_csv_rows(i, gen.seed, segments),
+                "exhausted": False}
+    return {"seed": gen.seed, "segments": segments, "exhausted": False}
+
+
+# one CSV row per trajectory segment (t_start, t_end, q, w_start, drain_rate);
+# the same text as csv.writer over _fmt'd floats, since "%.17g" % x is
+# format(x, ".17g") and csv.writer never quotes a number
+_SEGMENT_ROW = "%.17g,%.17g,%d,%.17g,%.17g\n"
+
+
+def _forward_csv_rows(i: int, seed: int, segments: Iterable[tuple]) -> bytes:
+    """The ``forward_sim`` CSV rows of replication ``i``, encoded; rendered
+    in the worker that simulated it, so the parent only concatenates."""
+    row = "%d,%d," % (i, seed) + _SEGMENT_ROW  # the prefix holds no "%"
+    return "".join([row % seg for seg in segments]).encode("utf-8")
 
 
 def _worker_sweep_point(args: tuple) -> dict:
@@ -489,8 +502,6 @@ _SWEEP_HEADER = (
     "replications",
 )
 _FORWARD_HEADER = ("replication", "seed") + TRAJECTORY_CSV_HEADER
-# same text as csv.writer over _fmt'd floats: "%.17g" is format(x, ".17g")
-_FORWARD_ROW = "%d,%d,%.17g,%.17g,%d,%.17g,%.17g\n"
 
 
 def _opt(v: Any, fmt_float: bool = False) -> Any:
@@ -562,10 +573,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
         )
     elif cfg.mode == "forward_sim":
         recs = _map_ordered(_worker_forward, items, jobs)
-        rows = ((i, rec["seed"], *seg) for i, rec in enumerate(recs) for seg in rec["segments"])
-        payload = _payload(
-            cfg, _FORWARD_HEADER, rows, {"replications": recs}, row_format=_FORWARD_ROW
-        )
+        payload = _payload(cfg, _FORWARD_HEADER, (), {"replications": recs})
+        if cfg.out_format == "csv":
+            # the header, then the rows each worker rendered, in replication order
+            payload = b"".join([payload] + [rec.pop("csv") for rec in recs])
     elif cfg.mode == "stability_sweep":
         if not cfg.rho_grid:
             raise ConfigError("stability_sweep needs sweep.rho (a list of load values) or --rho")
@@ -607,13 +618,11 @@ class SuiteFailure(Exception):
         super().__init__("one or more invariant suites failed")
 
 
-def _payload(
-    cfg: ExperimentConfig, header, rows, json_obj: dict, row_format: str | None = None
-) -> bytes:
+def _payload(cfg: ExperimentConfig, header, rows, json_obj: dict) -> bytes:
     """The result file's bytes.  ``rows`` is only iterated for CSV output, so
     the mode runners pass generators and JSON output formats no CSV cells."""
     if cfg.out_format == "csv":
-        return _csv_bytes(header, rows, row_format)
+        return _csv_bytes(header, rows)
     return _json_bytes({"schema_id": SCHEMA_ID, "mode": cfg.mode, **json_obj})
 
 

@@ -11,20 +11,22 @@ import pytest
 import yaml
 
 from gpsq import checks, input_process
+from gpsq.dynamics import trajectory_rows
+from gpsq.measures import ZERO
 from gpsq.simctl import (
     _FORWARD_HEADER,
-    _FORWARD_ROW,
     EXIT_CONFIG,
     EXIT_EXHAUSTED,
+    EXIT_IO,
     EXIT_OK,
     EXIT_SUITE_FAILED,
     ConfigError,
     ExperimentConfig,
     _csv_bytes,
     _fmt,
+    _forward_csv_rows,
     _parse_rho,
     _rep_ranges,
-    _worker_forward,
     load_config,
     main,
     rate_from_config,
@@ -50,6 +52,32 @@ def write_config(path, **overrides):
     data.update(overrides)
     path.write_text(yaml.safe_dump(data))
     return path
+
+
+def forward_reference(cfg):
+    """(seed, trajectory_rows segments) of each forward_sim replication,
+    built from the replication's own input block."""
+    r = rate_from_config(cfg.rate_spec)
+    reps = []
+    for i in range(cfg.replications):
+        seed = input_process.replication_seed(cfg.base_seed, i)
+        gen = input_process.generator_from_config(cfg.input_spec, seed_override=seed)
+        xi, sigma = gen.sample_block(0, cfg.horizon)
+        arrivals = np.concatenate([[0.0], np.cumsum(xi)])
+        events = [(float(arrivals[k]), float(sigma[k])) for k in range(cfg.horizon)]
+        reps.append((seed, trajectory_rows(ZERO, events, float(arrivals[-1]), r)))
+    return reps
+
+
+def forward_csv_via_writer(rows):
+    """forward_sim CSV bytes through csv.writer over _fmt'd floats, from
+    (replication, seed, segment) triples."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(_FORWARD_HEADER)
+    for i, seed, (t0, t1, q, ws, dr) in rows:
+        w.writerow((i, seed, _fmt(t0), _fmt(t1), q, _fmt(ws), _fmt(dr)))
+    return buf.getvalue().encode("utf-8")
 
 
 class TestConfigParsing:
@@ -186,32 +214,54 @@ class TestRunModes:
             out[jobs] = path.read_bytes()
         assert out[1] == out[2]
 
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(_FORWARD_HEADER)
-        seeds = []
-        for i in range(3):
-            rec = _worker_forward((cfg, i))
-            seeds.append(rec["seed"])
-            for t0, t1, q, ws, dr in rec["segments"]:
-                w.writerow((i, rec["seed"], _fmt(t0), _fmt(t1), q, _fmt(ws), _fmt(dr)))
-        expected = buf.getvalue().encode("utf-8")
+        reference = forward_reference(cfg)
+        expected = forward_csv_via_writer(
+            (i, seed, seg) for i, (seed, segs) in enumerate(reference) for seg in segs)
         assert out[1] == expected
-        assert min(seeds) >= 2**63
+        assert min(seed for seed, _ in reference) >= 2**63
         assert b"e-0" in expected
 
         # edge values: negative and subnormal w_start, an int 0 (empty
         # system), negative zero, huge times, the largest seed
-        rows = [
-            (0, 2**64 - 1, 0.0, 1e-300, 3, -3.5e-13, 0.75),
-            (1, 2**63, 1e20, 1.5e20, 0, 0, 0.0),
-            (2, 0, 5e-324, 0.1, 1, -0.0, 1.0),
+        reps = [
+            (0, 2**64 - 1, [(0.0, 1e-300, 3, -3.5e-13, 0.75)]),
+            (1, 2**63, [(1e20, 1.5e20, 0, 0, 0.0), (1.5e20, 2e20, 2, 1e20, 0.5)]),
+            (2, 0, [(5e-324, 0.1, 1, -0.0, 1.0)]),
         ]
-        via_writer = _csv_bytes(_FORWARD_HEADER, [
-            (i, seed, _fmt(t0), _fmt(t1), q, _fmt(ws), _fmt(dr))
-            for i, seed, t0, t1, q, ws, dr in rows
-        ])
-        assert _csv_bytes(_FORWARD_HEADER, rows, _FORWARD_ROW) == via_writer
+        rendered = _csv_bytes(_FORWARD_HEADER, ()) + b"".join(
+            _forward_csv_rows(i, seed, segs) for i, seed, segs in reps)
+        assert rendered == forward_csv_via_writer(
+            (i, seed, seg) for i, seed, segs in reps for seg in segs)
+
+    @pytest.mark.parametrize("n", [1, 7, 21])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_forward_sim_bytes_do_not_depend_on_jobs(self, tmp_path, n, fmt):
+        # 7 and 21 replications do not split evenly into _map_ordered's
+        # chunks at jobs=2; both formats must equal a reference built from
+        # trajectory_rows
+        out = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"f-{jobs}.{fmt}"
+            cfg = ExperimentConfig.from_dict({
+                "schema_id": "gpsq-experiment-v1", "mode": "forward_sim",
+                "base_seed": 5, "replications": n, "horizon": 60,
+                "input": MM_INPUT, "rate": {"kind": "half_interference"},
+                "output": {"path": str(path), "format": fmt},
+            })
+            assert run_experiment(cfg, jobs=jobs).rows == n
+            out[jobs] = path.read_bytes()
+        assert out[1] == out[2]
+        reference = forward_reference(cfg)
+        if fmt == "csv":
+            expected = forward_csv_via_writer(
+                (i, seed, seg) for i, (seed, segs) in enumerate(reference) for seg in segs)
+        else:
+            expected = (json.dumps({
+                "schema_id": "gpsq-experiment-v1", "mode": "forward_sim",
+                "replications": [{"seed": seed, "segments": segs, "exhausted": False}
+                                 for seed, segs in reference],
+            }, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        assert out[1] == expected
 
     def test_strict_mode_exhaustion(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -300,6 +350,14 @@ class TestRunModes:
         assert len(man["config_sha256"]) == 64
         assert man["horizon_exhausted"] == 0
         assert "wall_time_s" in man
+
+    def test_write_failure_exits_io_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out.csv").mkdir()  # the output path is a directory
+        cfg = write_config(tmp_path / "c.yaml", replications=2)
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_IO
+        assert not [p.name for p in tmp_path.iterdir() if ".tmp-" in p.name]
+        assert list((tmp_path / "out.csv").iterdir()) == []
 
     def test_unreadable_config(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.yaml")]) == EXIT_CONFIG
