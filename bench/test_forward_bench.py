@@ -1,0 +1,62 @@
+"""pytest-benchmark cases for the forward path: the trajectory kernel, the
+CSV row renderer and one whole ``forward_sim`` run.
+
+Kept outside ``testpaths``, so the test suite never collects them.  Run
+them through ``bench/write_bench.py``, which turns the timings into per-unit
+figures (µs per segment, µs per row) and writes a ``BENCH_<tag>.json``.
+"""
+
+import pytest
+
+from gpsq.dynamics import trajectory_rows
+from gpsq.input_process import generator_from_config, replication_seed
+from gpsq.measures import ZERO
+from gpsq.simctl import ExperimentConfig, _forward_csv_rows, rate_from_config, run_experiment
+
+# the shape of perfbench's forward_long workload: classical PS at load 0.95,
+# 20 replications of 4000 arrivals, CSV output
+FORWARD_LONG = {
+    "schema_id": "gpsq-experiment-v1",
+    "mode": "forward_sim",
+    "base_seed": 1,
+    "replications": 20,
+    "horizon": 4000,
+    "input": {"model": "iid", "xi": {"dist": "exp", "mean": 1},
+              "sigma": {"dist": "exp", "mean": 0.95}},
+    "rate": {"kind": "classical_ps"},
+}
+
+
+@pytest.fixture(scope="module")
+def replication():
+    """(seed, events, end time, rate) of replication 0 of FORWARD_LONG."""
+    seed = replication_seed(FORWARD_LONG["base_seed"], 0)
+    gen = generator_from_config(FORWARD_LONG["input"], seed_override=seed)
+    t, events = 0.0, []
+    for xi, sigma in zip(*gen.sample_block(0, FORWARD_LONG["horizon"])):
+        events.append((t, sigma))
+        t += xi
+    return seed, events, t, rate_from_config(FORWARD_LONG["rate"])
+
+
+def test_trajectory_rows(benchmark, replication):
+    _, events, t, r = replication
+    segments = benchmark(trajectory_rows, ZERO, events, t, r)
+    benchmark.extra_info.update(unit="us_per_segment", count=len(segments))
+
+
+def test_forward_csv_rows(benchmark, replication):
+    seed, events, t, r = replication
+    segments = trajectory_rows(ZERO, events, t, r)
+    rows = benchmark(_forward_csv_rows, 0, seed, segments)
+    assert rows.count(b"\n") == len(segments)
+    benchmark.extra_info.update(unit="us_per_row", count=len(segments))
+
+
+def test_run_experiment_forward_long(benchmark, tmp_path):
+    cfg = ExperimentConfig.from_dict(dict(
+        FORWARD_LONG, output={"path": str(tmp_path / "forward_long.csv"), "format": "csv"}))
+    result = benchmark.pedantic(run_experiment, args=(cfg,), kwargs={"jobs": 1},
+                                rounds=5, iterations=1, warmup_rounds=1)
+    assert result.rows == FORWARD_LONG["replications"]
+    benchmark.extra_info.update(unit="s_per_run", count=1)

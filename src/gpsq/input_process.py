@@ -281,11 +281,15 @@ Distribution = Exponential | Deterministic | Uniform | Pareto
 
 
 def config_number(v, what: str) -> float:
-    """``float(v)`` for a number read from a config; a bool is not one
-    (``true`` would otherwise pass as 1.0)."""
+    """``float(v)`` for a number read from a config.  A bool is not one
+    (``true`` would otherwise pass as 1.0), and neither is NaN or an
+    infinity, which no parameter admits."""
     if isinstance(v, bool):
         raise ValueError(f"{what} must be a number, got {v!r}")
-    return float(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite number, got {v!r}")
+    return x
 
 
 def dist_from_config(cfg: dict) -> Distribution:

@@ -26,7 +26,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import yaml
@@ -132,6 +132,18 @@ def rate_from_config(cfg: dict) -> RateFunction:
     raise ConfigError(f"unknown rate kind {kind!r}")
 
 
+def _rho_grid(values: Iterable, what: str) -> tuple[float, ...]:
+    """Load values from ``what`` (``sweep.rho`` or ``--rho``): finite and
+    positive numbers."""
+    try:
+        grid = tuple(config_number(x, what) for x in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a list of finite numbers, got {values!r}") from None
+    if any(x <= 0 for x in grid):
+        raise ConfigError(f"{what} values must be positive, got {values!r}")
+    return grid
+
+
 @dataclass
 class ExperimentConfig:
     mode: str
@@ -207,12 +219,10 @@ class ExperimentConfig:
             errors.append(f"'sweep' must be a mapping, got {sweep!r}")
             sweep = {}
         try:
-            rho_grid = tuple(config_number(x, "sweep.rho") for x in sweep.get("rho", ()))
-        except (TypeError, ValueError):
-            errors.append(f"sweep.rho must be a list of numbers, got {sweep.get('rho')!r}")
+            rho_grid = _rho_grid(sweep.get("rho", ()), "sweep.rho")
+        except ConfigError as exc:
+            errors.append(str(exc))
             rho_grid = ()
-        if any(x <= 0 for x in rho_grid):
-            errors.append("sweep.rho values must be positive")
         if errors:
             raise ConfigError("; ".join(errors))
         return cls(
@@ -273,19 +283,22 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to ``path`` in order, each as it arrives, through a
+    temp file that is fsynced and renamed onto ``path`` at the end."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     tmp = os.path.join(d, f".{os.path.basename(path)}.tmp-{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
-        # a failed write or rename (say, ``path`` is a directory) leaves no
-        # temp file behind
+        # a failed write, rename (say, ``path`` is a directory) or chunk
+        # (say, a replication that raised) leaves no temp file behind
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
@@ -318,17 +331,23 @@ def _write_manifest(out_path: str, cfg: ExperimentConfig, wall_s: float, extra: 
         "wall_time_s": wall_s,
         **extra,
     }
-    _atomic_write(out_path + ".manifest.json", _json_bytes(payload))
+    _atomic_write(out_path + ".manifest.json", [_json_bytes(payload)])
 
 
-def _map_ordered(fn: Callable, items: list, jobs: int) -> list:
-    """Apply ``fn`` over ``items``; results always in submission order, so
-    the artifact bytes never depend on the worker count."""
+def _map_ordered(fn: Callable, items: list, jobs: int) -> Iterator:
+    """Apply ``fn`` over ``items`` lazily; results always come in submission
+    order, so the artifact bytes never depend on the worker count.  With
+    ``jobs > 1`` the pool stays open while the caller iterates, and an
+    error or an early close cancels the items no worker has started."""
     if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
+        yield from map(fn, items)
+        return
     chunk = max(1, len(items) // (4 * jobs))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        yield from pool.map(fn, items, chunksize=chunk)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +567,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
         )
         payload = _payload(cfg, _PS_HEADER, rows, {"replications": recs})
     elif cfg.mode == "gginf_stationary":
-        recs = _map_ordered(_worker_gginf, items, jobs)
+        recs = list(_map_ordered(_worker_gginf, items, jobs))
         rows = (
             (
                 rec["seed"],
@@ -573,15 +592,15 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
         )
     elif cfg.mode == "forward_sim":
         recs = _map_ordered(_worker_forward, items, jobs)
+        if cfg.out_format == "json":
+            recs = list(recs)
+        # CSV: the header alone; _finish writes each replication's rows after it
         payload = _payload(cfg, _FORWARD_HEADER, (), {"replications": recs})
-        if cfg.out_format == "csv":
-            # the header, then the rows each worker rendered, in replication order
-            payload = b"".join([payload] + [rec.pop("csv") for rec in recs])
     elif cfg.mode == "stability_sweep":
         if not cfg.rho_grid:
             raise ConfigError("stability_sweep needs sweep.rho (a list of load values) or --rho")
         pts = [(cfg, rho) for rho in cfg.rho_grid]
-        recs = _map_ordered(_worker_sweep_point, pts, jobs)
+        recs = list(_map_ordered(_worker_sweep_point, pts, jobs))
         rows = (
             (
                 _fmt(rec["rho"]),
@@ -626,12 +645,27 @@ def _payload(cfg: ExperimentConfig, header, rows, json_obj: dict) -> bytes:
     return _json_bytes({"schema_id": SCHEMA_ID, "mode": cfg.mode, **json_obj})
 
 
-def _finish(cfg: ExperimentConfig, payload: bytes, t0: float, recs: list[dict]) -> RunResult:
+def _finish(cfg: ExperimentConfig, payload: bytes, t0: float, recs: Iterable[dict]) -> RunResult:
+    """Write the result file, then its manifest.  The file is ``payload``
+    followed by the rows a worker rendered into each record (the
+    ``forward_sim`` CSV's ``rec["csv"]``), each written as its record comes
+    back, so a lazy ``recs`` is held one record at a time; the records are
+    counted as they stream past."""
     out = _resolve_out(cfg.out_path or f"simctl-{cfg.mode}.{cfg.out_format}")
-    _atomic_write(out, payload)
-    exhausted = sum(1 for rec in recs if rec.get("exhausted"))
+    rows = exhausted = 0
+
+    def chunks() -> Iterator[bytes]:
+        nonlocal rows, exhausted
+        yield payload
+        for rec in recs:
+            rows += 1
+            exhausted += bool(rec.get("exhausted"))
+            if "csv" in rec:
+                yield rec["csv"]
+
+    _atomic_write(out, chunks())
     _write_manifest(out, cfg, time.perf_counter() - t0, {"horizon_exhausted": exhausted})
-    return RunResult(out_path=out, exhausted=exhausted, rows=len(recs))
+    return RunResult(out_path=out, exhausted=exhausted, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -682,12 +716,12 @@ def _parse_rho(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--rho expects start:stop:step, got {text!r}")
-        start, stop, step_ = (float(p) for p in parts)
-        if step_ <= 0 or stop < start:
+        start, stop, step_ = _rho_grid(parts, "--rho")
+        if stop < start:
             raise ConfigError(f"--rho range is empty or descending: {text!r}")
         n = int(round((stop - start) / step_))
         return tuple(round(start + k * step_, 10) for k in range(n + 1))
-    return tuple(float(p) for p in text.split(","))
+    return _rho_grid(text.split(","), "--rho")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -161,3 +161,14 @@ def test_artifact_hash(tmp_path, mode, fmt):
                 output={"path": str(out), "format": fmt})
     run_experiment(ExperimentConfig.from_dict(data), jobs=1)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(mode, fmt)]
+
+
+def test_float_sum_adds_left_to_right():
+    # trajectory_rows computes w_start as sum(atoms), and other float sums
+    # feed the artifacts; the pinned hashes hold only while sum() adds
+    # plainly from left to right
+    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
+        "float sum() is compensated on this interpreter (CPython 3.12 and later), "
+        "so forward_sim's w_start and the golden hashes in tests/test_golden.py "
+        "would move in the last digits"
+    )

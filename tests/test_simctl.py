@@ -1,16 +1,18 @@
 """Integration tests for the simctl front end."""
 
 import csv
+import hashlib
 import importlib.util
 import io
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from gpsq import checks, input_process
+from gpsq import checks, input_process, simctl
 from gpsq.dynamics import trajectory_rows
 from gpsq.measures import ZERO
 from gpsq.simctl import (
@@ -27,12 +29,15 @@ from gpsq.simctl import (
     _forward_csv_rows,
     _parse_rho,
     _rep_ranges,
+    _worker_forward,
     load_config,
     main,
     rate_from_config,
     run_experiment,
 )
 from gpsq.stationary import BATCH_ROWS
+from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_golden import GOLDEN, SCHEMA_ID
 
 MM_INPUT = {"model": "iid", "xi": {"dist": "exp", "mean": 3},
             "sigma": {"dist": "exp", "mean": 1}}
@@ -67,6 +72,18 @@ def forward_reference(cfg):
         events = [(float(arrivals[k]), float(sigma[k])) for k in range(cfg.horizon)]
         reps.append((seed, trajectory_rows(ZERO, events, float(arrivals[-1]), r)))
     return reps
+
+
+def forward_failing_at_2(args):
+    """``_worker_forward`` that marks each replication it starts, in the
+    output's directory, and raises on replication 2; module-level, so that
+    a process pool can send it."""
+    cfg, i = args
+    (Path(cfg.out_path).parent / f"started-{i}").touch()
+    if i == 2:
+        raise RuntimeError("replication 2 failed")
+    time.sleep(0.1)
+    return _worker_forward(args)
 
 
 def forward_csv_via_writer(rows):
@@ -121,6 +138,11 @@ class TestConfigParsing:
         assert _parse_rho("0.3,0.9") == (0.3, 0.9)
         with pytest.raises(ConfigError):
             _parse_rho("1.0:0.5:0.1")
+        # non-finite and non-positive loads, in both forms, name the flag
+        for bad in ("nan", "0.5,inf", "-1,0.5", "0,0.5", "0.5:nan:0.1",
+                    "0.5:inf:0.1", "0:1:0.5", "0.5:1:0", "0.5:1:-0.1"):
+            with pytest.raises(ConfigError, match="--rho"):
+                _parse_rho(bad)
 
 
 class TestRunModes:
@@ -263,6 +285,79 @@ class TestRunModes:
             }, indent=2, sort_keys=True) + "\n").encode("utf-8")
         assert out[1] == expected
 
+    @pytest.mark.parametrize("name", sorted(n for n in GOLDEN_CONFIGS
+                                            if n.startswith("forward_sim")))
+    def test_forward_sim_streams_each_replication(self, tmp_path, monkeypatch, name):
+        # at jobs=1 the parent writes replication i's rows before it
+        # simulates replication i + 2, one chunk per replication, and the
+        # streamed file is still the golden artifact and the jobs=2 bytes
+        def config(n):
+            path = tmp_path / f"{name}-{n}.csv"
+            return path, ExperimentConfig.from_dict(dict(
+                GOLDEN_CONFIGS[name], schema_id=SCHEMA_ID, replications=n,
+                output={"path": str(path), "format": "csv"}))
+
+        path, cfg = config(5)
+        run_experiment(cfg, jobs=2)
+        jobs2_bytes = path.read_bytes()
+
+        events = []
+        write = simctl._atomic_write
+
+        def simulate(args):
+            events.append(("simulate", args[1]))
+            return _worker_forward(args)
+
+        def logged_write(out, chunks):
+            def logged():
+                for chunk in chunks:
+                    yield chunk
+                    if out == str(path):  # resumed: the file has taken the chunk
+                        rep = None if chunk.startswith(b"replication,") else int(
+                            chunk.split(b",", 1)[0])
+                        events.append(("wrote", rep, chunk))
+            write(out, logged())
+
+        monkeypatch.setattr(simctl, "_worker_forward", simulate)
+        monkeypatch.setattr(simctl, "_atomic_write", logged_write)
+        for n in (GOLDEN_CONFIGS[name]["replications"], 5):
+            path, cfg = config(n)
+            events.clear()
+            run_experiment(cfg, jobs=1)
+            out = path.read_bytes()
+            writes = [e for e in events if e[0] == "wrote"]
+            assert [rep for _, rep, _ in writes] == [None] + list(range(n))
+            assert b"".join(chunk for *_, chunk in writes) == out
+            for i in range(n - 2):
+                assert events.index(writes[i + 1]) < events.index(("simulate", i + 2))
+            if n == 5:
+                assert out == jobs2_bytes
+            else:
+                assert hashlib.sha256(out).hexdigest() == GOLDEN[(name, "csv")]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_forward_sim_failure_mid_stream_leaves_nothing(self, tmp_path, monkeypatch, jobs):
+        # replication 2 raises once the header and replications 0 and 1 are
+        # written (jobs=1) or running (jobs=2); no output and no temp file
+        # remain, and at jobs=2 the replications no worker has started are
+        # cancelled, not run
+        monkeypatch.setattr(simctl, "_worker_forward", forward_failing_at_2)
+        n = 40
+        cfg = ExperimentConfig.from_dict({
+            "schema_id": SCHEMA_ID, "mode": "forward_sim",
+            "base_seed": 5, "replications": n, "horizon": 200,
+            "input": MM_INPUT, "rate": {"kind": "half_interference"},
+            "output": {"path": str(tmp_path / "f.csv"), "format": "csv"},
+        })
+        with pytest.raises(RuntimeError, match="replication 2 failed"):
+            run_experiment(cfg, jobs=jobs)
+        started = {int(p.name.split("-")[1]) for p in tmp_path.glob("started-*")}
+        assert [p.name for p in tmp_path.iterdir() if not p.name.startswith("started-")] == []
+        if jobs == 1:
+            assert started == {0, 1, 2}
+        else:
+            assert 2 in started and len(started) < n
+
     def test_strict_mode_exhaustion(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(
@@ -386,10 +481,21 @@ class TestRunModes:
             {"rate": {"kind": "custom_table", "floor": 0.5, "table": {1: 1.0, 2: 0.5},
                       "single_server": 0}},
             {"mode": "stability_sweep", "sweep": {"rho": [0.5, True]}},
+            # NaN and infinities are not config numbers
+            {"mode": "stability_sweep", "sweep": {"rho": [float("nan"), float("inf")]}},
+            {"input": dict(MM_INPUT, xi={"dist": "exp", "mean": float("nan")})},
+            {"rate": {"kind": "scaled_ps", "k": float("nan")}},
+            {"input": dict(MM_INPUT, sigma={"dist": "uniform", "low": 0.0,
+                                            "high": float("inf")})},
+            {"rate": {"kind": "custom_table", "floor": float("-inf"),
+                      "table": {1: 1.0, 2: 0.5}}},
         ]
         for i, overrides in enumerate(bad_specs):
             cfg = write_config(tmp_path / f"c{i}.yaml", **overrides)
             assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG, overrides
+        cfg = write_config(tmp_path / "sweep.yaml", mode="stability_sweep")
+        for rho in ("nan", "0.5,inf", "-1,0.5", "0,0.5"):
+            assert main(["sweep", str(cfg), f"--rho={rho}", "--jobs", "1"]) == EXIT_CONFIG, rho
 
 
 class TestReplicationBatches:
