@@ -1,17 +1,28 @@
 """pytest-benchmark cases for the forward path: the trajectory kernel, the
-CSV row renderer and one whole ``forward_sim`` run.
+``%.17g`` column kernel, the CSV row renderer and one whole ``forward_sim``
+run.
 
 Kept outside ``testpaths``, so the test suite never collects them.  Run
 them through ``bench/write_bench.py``, which turns the timings into per-unit
-figures (µs per segment, µs per row) and writes a ``BENCH_<tag>.json``.
+figures (µs per segment, per value, per row) and writes a ``BENCH_<tag>.json``.
 """
 
+from itertools import accumulate
+
+import numpy as np
 import pytest
 
 from gpsq.dynamics import trajectory_rows
 from gpsq.input_process import generator_from_config, replication_seed
 from gpsq.measures import ZERO
-from gpsq.simctl import ExperimentConfig, _forward_csv_rows, rate_from_config, run_experiment
+from gpsq.simctl import (
+    _ROW_BLOCK,
+    ExperimentConfig,
+    _forward_csv_rows,
+    _g17,
+    rate_from_config,
+    run_experiment,
+)
 
 # the shape of perfbench's forward_long workload: classical PS at load 0.95,
 # 20 replications of 4000 arrivals, CSV output
@@ -32,17 +43,25 @@ def replication():
     """(seed, events, end time, rate) of replication 0 of FORWARD_LONG."""
     seed = replication_seed(FORWARD_LONG["base_seed"], 0)
     gen = generator_from_config(FORWARD_LONG["input"], seed_override=seed)
-    t, events = 0.0, []
-    for xi, sigma in zip(*gen.sample_block(0, FORWARD_LONG["horizon"])):
-        events.append((t, sigma))
-        t += xi
-    return seed, events, t, rate_from_config(FORWARD_LONG["rate"])
+    xis, sigmas = gen.sample_block(0, FORWARD_LONG["horizon"])
+    times = list(accumulate(xis, initial=0.0))
+    return seed, list(zip(times, sigmas)), times[-1], rate_from_config(FORWARD_LONG["rate"])
 
 
 def test_trajectory_rows(benchmark, replication):
     _, events, t, r = replication
     segments = benchmark(trajectory_rows, ZERO, events, t, r)
     benchmark.extra_info.update(unit="us_per_segment", count=len(segments))
+
+
+def test_g17(benchmark, replication):
+    # the column the renderer formats for every row, the segment end times,
+    # one rendering block of them
+    _, events, t, r = replication
+    t_end = np.array([seg[1] for seg in trajectory_rows(ZERO, events, t, r)[:_ROW_BLOCK]])
+    texts = benchmark(_g17, t_end)
+    assert texts.size == t_end.size
+    benchmark.extra_info.update(unit="us_per_value", count=t_end.size)
 
 
 def test_forward_csv_rows(benchmark, replication):

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpsq import checks, input_process, simctl
 from gpsq.dynamics import trajectory_rows
@@ -27,6 +29,7 @@ from gpsq.simctl import (
     _csv_bytes,
     _fmt,
     _forward_csv_rows,
+    _g17,
     _parse_rho,
     _rep_ranges,
     _worker_forward,
@@ -244,11 +247,24 @@ class TestRunModes:
         assert b"e-0" in expected
 
         # edge values: negative and subnormal w_start, an int 0 (empty
-        # system), negative zero, huge times, the largest seed
+        # system), negative zero, huge times, the largest seed; segments
+        # that do not join (a t_start unequal to the t_end before, a 0.0
+        # end followed by a -0.0 start), a q with two drains, and a
+        # replication longer than one rendering block
+        rng = np.random.default_rng(3)
+        ends = np.cumsum(rng.exponential(1.0, 2 * simctl._ROW_BLOCK + 5)).tolist()
+        qs = rng.integers(0, 5, len(ends)).tolist()
+        long_rep = [(t0, t1, q, float(w), 0.5 * q)
+                    for t0, t1, q, w in zip([0.0] + ends, ends, qs,
+                                            rng.exponential(3.0, len(ends)))]
         reps = [
             (0, 2**64 - 1, [(0.0, 1e-300, 3, -3.5e-13, 0.75)]),
             (1, 2**63, [(1e20, 1.5e20, 0, 0, 0.0), (1.5e20, 2e20, 2, 1e20, 0.5)]),
             (2, 0, [(5e-324, 0.1, 1, -0.0, 1.0)]),
+            (3, 17, [(0.5, 1.0, 2, 0.25, 1.0), (1.25, 2.0, 2, 0.5, 1.5),
+                     (2.0, 0.0, 1, 1e-5, 0.0), (-0.0, 3.0, 1, 123.456, -0.0),
+                     (3.0, 4.0, 2, 7.0, 1.0)]),
+            (4, 5, long_rep),
         ]
         rendered = _csv_bytes(_FORWARD_HEADER, ()) + b"".join(
             _forward_csv_rows(i, seed, segs) for i, seed, segs in reps)
@@ -496,6 +512,77 @@ class TestRunModes:
         cfg = write_config(tmp_path / "sweep.yaml", mode="stability_sweep")
         for rho in ("nan", "0.5,inf", "-1,0.5", "0,0.5"):
             assert main(["sweep", str(cfg), f"--rho={rho}", "--jobs", "1"]) == EXIT_CONFIG, rho
+
+
+class TestG17:
+    """``_g17`` against ``b"%.17g" % x``, the text it replaces."""
+
+    @staticmethod
+    def check(xs):
+        xs = [float(x) for x in xs]
+        assert _g17(np.array(xs, dtype=np.float64)).tolist() == [b"%.17g" % x for x in xs]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    max_size=50))
+    def test_any_floats(self, xs):
+        self.check(xs)
+
+    def test_powers_of_ten_and_neighbours(self):
+        xs = []
+        for k in range(-5, 18):
+            p = float(f"1e{k}")
+            xs += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
+        self.check(xs)
+
+    def test_fast_path_edges(self):
+        xs = []
+        for edge in (1e-4, 1e16, 1e17, 2.0**53):
+            x = edge
+            for _ in range(4):
+                x = np.nextafter(x, 0.0)
+                xs.append(x)
+            x = edge
+            for _ in range(4):
+                xs.append(x)
+                x = np.nextafter(x, np.inf)
+        xs += [0.0, -0.0, -1.5, 5e-324, -5e-324, 2.2250738585072014e-308,
+               np.inf, -np.inf, np.nan, 1.7976931348623157e308]
+        self.check(xs)
+
+    def test_dyadic_halfway_values(self):
+        # odd m / 2**j: with 17 digits the product x * 10**(16 - e) can end
+        # in exactly .5, where "%" rounds half to even
+        rng = np.random.default_rng(11)
+        m = rng.integers(2**40, 2**53, 20_000) | 1
+        j = rng.integers(1, 70, m.size)
+        xs = (m / 2.0**j).tolist()
+        # x = m / 2**(k + 1) with m odd and e = 16 - k: x * 10**k ends in .5
+        for k in (1, 2, 3):
+            base = 10 ** (16 - k) * 2 ** (k + 1) + 1
+            xs += [(base + 2 * i) / 2 ** (k + 1) for i in range(50)]
+        self.check(xs)
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(12)
+        self.check(10.0 ** rng.uniform(-6.0, 18.0, 50_000))
+
+
+class TestJsonStream:
+    def test_chunks_equal_json_bytes(self):
+        obj = {
+            "schema_id": SCHEMA_ID, "mode": "forward_sim", "b": [], "a": {},
+            "replications": [
+                {"seed": 2**64 - 1, "segments": [(0.0, 1.5, 0, 0, 0.0), [0.1, -0.0, 2, 1e-300, 1e20]],
+                 "exhausted": False, "nested": {"z": [[[1]]], "y": None, "x": "\u00e9\n"}}
+                for _ in range(3000)
+            ],
+        }
+        chunks = list(simctl._json_chunks(obj))
+        assert len(chunks) > 2
+        assert b"".join(chunks) == simctl._json_bytes(obj)
+        assert b"".join(simctl._json_chunks(0)) == simctl._json_bytes(0) == b"0\n"
+        assert b"".join(simctl._json_chunks(0.0)) == simctl._json_bytes(0.0) == b"0.0\n"
 
 
 class TestReplicationBatches:
