@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice
@@ -347,17 +348,27 @@ def _write_manifest(out_path: str, cfg: ExperimentConfig, wall_s: float, extra: 
 def _map_ordered(fn: Callable, items: list, jobs: int) -> Iterator:
     """Apply ``fn`` over ``items`` lazily; results always come in submission
     order, so the artifact bytes never depend on the worker count.  With
-    ``jobs > 1`` the pool stays open while the caller iterates, and an
-    error or an early close cancels the items no worker has started."""
+    ``jobs > 1`` the items go to the pool in chunks, at most ``2 * jobs``
+    chunks outstanding, the next one submitted as each result is taken;
+    an error or an early close cancels the chunks no worker has started."""
     if jobs <= 1 or len(items) <= 1:
         yield from map(fn, items)
         return
-    chunk = max(1, len(items) // (4 * jobs))
+    size = max(1, len(items) // (4 * jobs))
+    chunks = (items[lo : lo + size] for lo in range(0, len(items), size))
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        yield from pool.map(fn, items, chunksize=chunk)
+        ahead = deque(pool.submit(_map_list, fn, c) for c in islice(chunks, 2 * jobs))
+        while ahead:
+            done = ahead.popleft().result()
+            ahead.extend(pool.submit(_map_list, fn, c) for c in islice(chunks, 1))
+            yield from done
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _map_list(fn: Callable, items: list) -> list:
+    return [fn(x) for x in items]
 
 
 # ---------------------------------------------------------------------------

@@ -31,18 +31,22 @@ sums that has also fallen a configurable margin below the running record;
 whether it was certified or the horizon was exhausted -- "unstable" and
 "did not look far enough" are never conflated.
 
-The scans read their marks in doubling blocks (see :func:`_backward_marks`
-and :func:`_lindley_scan`), so a scan that stops early costs at most about
+All four constructions run on one backward engine.  The marks are drawn
+into a buffer (:class:`_Backlog`) that deepens along one doubling schedule
+of depths (:func:`_depths`), and at each depth ``D`` a construction makes
+one prefix pass over the buffer's first ``D`` columns: prefix sums by a
+sequential ``cumsum`` (so every float equals the scalar running sum), a
+running ``maximum.accumulate`` or a mask over them, and a stop at the first
+index where its rule holds.  A scan that stops early reads at most about
 twice the terms it used.
 
 Perfect sampling runs over a batch of replications
 (:func:`backward_coupling_ps_batch`; :func:`backward_coupling_ps` is the
 batch of one).  The backward marks of the whole batch are drawn once, with
-many-seed reads, into one 2-D buffer (:class:`_Backlog`), and every depth
-of a fixed doubling schedule makes one pass over the rows still searching:
-prefix sums by a sequential ``cumsum`` and their suffix maxima by one
-reversed ``maximum.accumulate`` give every epoch's workload at once.  A row
-takes its nearest certified epoch, runs its forward leg and leaves the
+many-seed reads, into one 2-D buffer, and each depth's pass covers the
+rows still searching: the suffix maxima of the prefix sums, by one
+reversed ``maximum.accumulate``, give every epoch's workload at once.  A
+row takes its nearest certified epoch, runs its forward leg and leaves the
 batch.  A row's report reads only its own marks at the depths of the
 schedule, so it does not depend on its batch mates.
 """
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -143,17 +147,43 @@ def _sigma_quantile(gen, p: float) -> float | None:
         return None
 
 
-def _backward_marks(
-    gen, max_lookback: int, first: int = _FIRST_BLOCK
-) -> Iterator[tuple[float, float]]:
-    """``(xi_{-j}, sigma_{-j})`` for ``j = 1 .. max_lookback``, read in
-    blocks of ``f``, ``2 f``, ``4 f``, ... indices, ``f = max(first, 256)``."""
-    lo, size = 0, max(first, _FIRST_BLOCK)
-    while lo < max_lookback:
-        hi = min(lo + size, max_lookback)
-        xs, ss = gen.sample_block(-hi, -lo)
-        yield from zip(reversed(xs), reversed(ss))
-        lo, size = hi, 2 * size
+def _depths(first: int, cap: int) -> list[int]:
+    """The depth schedule of every backward pass: ``min(cap, max(256,
+    first))``, then doubling up to ``cap``."""
+    depths = [min(cap, max(_FIRST_BLOCK, first))]
+    while depths[-1] < cap:
+        depths.append(min(cap, 2 * depths[-1]))
+    return depths
+
+
+class _Backlog:
+    """Backward marks of a batch of inputs, drawn once.
+
+    Row ``k``, column ``c`` of ``xs`` and ``ss`` holds the marks of index
+    ``-(c + 1)`` of input ``k``.  Every row has the same depth;
+    :meth:`reach` deepens all rows at once, in one many-seed read.
+    """
+
+    def __init__(self, gens: list):
+        self.gens = gens
+        self.xs = self.ss = np.empty((len(gens), 0))
+
+    def reach(self, depth: int) -> None:
+        have = self.xs.shape[1]
+        if depth > have:
+            xs, ss = sample_blocks(self.gens, -depth, -have)
+            self.xs = np.concatenate([self.xs, xs[:, ::-1]], axis=1)
+            self.ss = np.concatenate([self.ss, ss[:, ::-1]], axis=1)
+
+    def terms(self, k_r: float, depth: int) -> np.ndarray:
+        """The Lindley terms ``sigma - K_r xi`` of the first ``depth``
+        columns of every row."""
+        return self.ss[:, :depth] - k_r * self.xs[:, :depth]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every row whose entry of the mask ``rows`` is false."""
+        self.gens = [g for g, k in zip(self.gens, rows) if k]
+        self.xs, self.ss = self.xs[rows], self.ss[rows]
 
 
 def loynes_L(
@@ -165,26 +195,24 @@ def loynes_L(
 
     Stops early once ``sum xi - best`` exceeds the service-demand quantile
     bound: no deeper candidate can then beat the record, since candidates
-    shrink by the ever-growing inter-arrival mass.
+    shrink by the ever-growing inter-arrival mass.  The record after each
+    term is a running maximum of the candidates, and ``argmax_index`` the
+    first term that reaches it.
     """
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
     qp = _sigma_quantile(gen, quantile)
-    best = -math.inf
-    best_j: int | None = None
-    sum_xi = 0.0
-    converged = False
-    j = 0
-    for j, (xi, sigma) in enumerate(_backward_marks(gen, max_lookback), 1):
-        sum_xi += xi
-        cand = sigma - sum_xi
-        if cand > best:
-            best = cand
-            best_j = j
-        if qp is not None and qp - sum_xi <= best:
-            converged = True
+    buf = _Backlog([gen])
+    j, converged = max_lookback, False
+    for d in _depths(_FIRST_BLOCK, max_lookback):
+        buf.reach(d)
+        sum_xi = np.cumsum(buf.xs[0, :d])
+        cand = buf.ss[0, :d] - sum_xi
+        best = np.maximum.accumulate(cand)
+        if qp is not None and (stop := qp - sum_xi <= best).any():
+            j, converged = int(stop.argmax()) + 1, True
             break
-    value = max(best, 0.0)
+    top = float(best[j - 1])
     note = (
         f"certified: sum(xi) - best exceeds the {quantile} service quantile ({qp})"
         if converged
@@ -192,8 +220,8 @@ def loynes_L(
         + ("" if qp is not None else " (no quantile bound available)")
     )
     return LoynesResult(
-        value=value,
-        argmax_index=best_j if best > 0.0 else None,
+        value=max(top, 0.0),
+        argmax_index=int(cand[:j].argmax()) + 1 if top > 0.0 else None,
         converged=converged,
         iterations=j,
         tail_bound_note=note,
@@ -216,26 +244,23 @@ def stationary_profile_gginf(
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
     qp = _sigma_quantile(gen, quantile)
-    atoms: list[float] = []
-    sum_xi = 0.0
-    converged = False
-    i = 0
-    for i, (xi, sigma) in enumerate(_backward_marks(gen, max_lookback), 1):
-        sum_xi += xi
-        v = sigma - sum_xi
-        if v >= 0.0:
-            atoms.append(v)
-        if qp is not None and sum_xi > qp:
-            converged = True
+    buf = _Backlog([gen])
+    i, converged = max_lookback, False
+    for d in _depths(_FIRST_BLOCK, max_lookback):
+        buf.reach(d)
+        sum_xi = np.cumsum(buf.xs[0, :d])
+        if qp is not None and (stop := sum_xi > qp).any():
+            i, converged = int(stop.argmax()) + 1, True
             break
+    v = buf.ss[0, :i] - sum_xi[:i]
     note = (
-        f"certified: accumulated inter-arrival mass {sum_xi} exceeds the "
+        f"certified: accumulated inter-arrival mass {float(sum_xi[i - 1])} exceeds the "
         f"{quantile} service quantile ({qp})"
         if converged
         else f"horizon exhausted at lookback {max_lookback}; atoms may be missing"
     )
     return StationaryProfileResult(
-        profile=CountingMeasure(atoms),
+        profile=CountingMeasure(v[v >= 0.0].tolist()),
         converged=converged,
         iterations=i,
         truncation_note=note,
@@ -262,117 +287,6 @@ def _stopping_rule(
     return improvement_window, drop_margin
 
 
-class _Backlog:
-    """Backward marks of a batch of inputs, drawn once.
-
-    Row ``k``, column ``c`` of ``xs`` and ``ss`` holds the marks of index
-    ``-(c + 1)`` of input ``k``.  Every row has the same depth;
-    :meth:`reach` deepens all rows at once, in one many-seed read, by at
-    least doubling, up to ``cap`` columns.
-    """
-
-    def __init__(self, gens: list, k_r: float, cap: int):
-        self.gens = gens
-        self.k_r = k_r
-        self.cap = cap
-        self.xs = self.ss = np.empty((len(gens), 0))
-
-    def reach(self, depth: int) -> None:
-        have = self.xs.shape[1]
-        if depth > have:
-            want = min(max(depth, 2 * have), self.cap)
-            xs, ss = sample_blocks(self.gens, -want, -have)
-            self.xs = np.concatenate([self.xs, xs[:, ::-1]], axis=1)
-            self.ss = np.concatenate([self.ss, ss[:, ::-1]], axis=1)
-
-    def terms(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """The Lindley terms ``sigma - K_r xi`` of columns ``lo .. hi - 1``
-        of the given rows."""
-        return self.ss[rows, lo:hi] - self.k_r * self.xs[rows, lo:hi]
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop every row whose entry of the mask ``rows`` is false."""
-        self.gens = [g for g, k in zip(self.gens, rows) if k]
-        self.xs, self.ss = self.xs[rows], self.ss[rows]
-
-
-@dataclass
-class _Scan:
-    """Per-row outcome of :func:`_lindley_scan`: the stopping test held
-    (``converged``) after ``iterations`` terms, or the scan read
-    ``max_lookback`` terms; ``best`` is the record partial sum, reached at
-    term ``best_j``, ``s`` the last partial sum and ``since`` the terms
-    since the record."""
-
-    converged: np.ndarray
-    iterations: np.ndarray
-    best: np.ndarray
-    best_j: np.ndarray
-    s: np.ndarray
-    since: np.ndarray
-
-
-def _lindley_scan(
-    buf: _Backlog, m: int, window: int | None, margin: float | None, max_lookback: int
-) -> _Scan:
-    """The Lindley stopping rule on every row of ``buf``, over the terms of
-    columns ``m, m + 1, ...`` (the scan of epoch ``-m``).
-
-    Rows are scanned together, in chunks of doubling length.  Within a
-    chunk the partial sums are one sequential ``cumsum`` started from the
-    carried sum, so every float equals the scalar ``s += sigma - K_r xi``;
-    the record before each term is a running maximum, the record's term a
-    running maximum of record positions, and a row stops at the first
-    term where the window and margin test holds.  Stopped rows drop out.
-    """
-    n = len(buf.gens)
-    out = _Scan(
-        converged=np.zeros(n, dtype=bool),
-        iterations=np.full(n, max_lookback, dtype=np.int64),
-        best=np.full(n, -math.inf),
-        best_j=np.zeros(n, dtype=np.int64),
-        s=np.zeros(n),
-        since=np.zeros(n, dtype=np.int64),
-    )
-    live = np.arange(n)
-    read, size = 0, max(_FIRST_BLOCK, (window or 0) + 1)
-    while live.size and read < max_lookback:
-        k = min(size, max_lookback - read)
-        buf.reach(m + read + k)
-        terms = np.arange(read + 1, read + k + 1)
-        s = np.cumsum(
-            np.concatenate([out.s[live, None], buf.terms(live, m + read, m + read + k)], axis=1),
-            axis=1,
-        )[:, 1:]
-        before = np.maximum.accumulate(
-            np.concatenate([out.best[live, None], s[:, :-1]], axis=1), axis=1
-        )
-        record = s > before
-        best_j = np.maximum.accumulate(np.where(record, terms, out.best_j[live, None]), axis=1)
-        since = terms - best_j
-        if window is None:
-            stop = np.zeros(s.shape, dtype=bool)
-        else:
-            stop = since >= window
-            if margin is not None:
-                stop &= np.maximum(before, s) - s >= margin
-        hit = stop.any(axis=1)
-        at = np.where(hit, stop.argmax(axis=1), k - 1)
-        rows = np.arange(live.size)
-        j = best_j[rows, at]
-        # the record is the partial sum at its term, or the carried one
-        out.best[live] = np.where(j > read, s[rows, np.maximum(j - read - 1, 0)], out.best[live])
-        out.best_j[live] = j
-        out.s[live] = s[rows, at]
-        out.since[live] = since[rows, at]
-        out.iterations[live[hit]] = terms[at[hit]]
-        out.converged[live[hit]] = True
-        live = live[~hit]
-        read += k
-        size *= 2
-    return out
-
-
 def lindley_W(
     gen,
     k_r: float,
@@ -388,29 +302,44 @@ def lindley_W(
     terms and sits at least ``drop_margin`` below it.  Defaults derive from
     the drift estimate (window ``10 / (1 - rho_hat)``, margin ``50 * (K_r
     E[xi] - E[sigma])``); both are configurable, and with nonnegative
-    drift there is no certification, only horizon exhaustion.  This is
-    :func:`_lindley_scan` on one row from the origin.
+    drift there is no certification, only horizon exhaustion.
+    ``argmax_index`` is the first term that reaches the record.
     """
     if k_r <= 0.0:
         raise ValueError(f"drain rate must be positive, got {k_r!r}")
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
     window, margin = _stopping_rule(gen, k_r, improvement_window, drop_margin)
-    scan = _lindley_scan(_Backlog([gen], k_r, max_lookback), 0, window, margin, max_lookback)
-    converged = bool(scan.converged[0])
-    best, s = float(scan.best[0]), float(scan.s[0])
+    buf = _Backlog([gen])
+    j, converged = max_lookback, False
+    for d in _depths(max_lookback if window is None else window + 1, max_lookback):
+        buf.reach(d)
+        s = np.cumsum(buf.terms(k_r, d)[0])
+        best = np.maximum.accumulate(s)
+        idx = np.arange(1, d + 1)
+        record = s > np.concatenate([[-math.inf], best[:-1]])
+        since = idx - np.maximum.accumulate(np.where(record, idx, 0))
+        if window is None:
+            continue
+        stop = since >= window
+        if margin is not None:
+            stop &= best - s >= margin
+        if stop.any():
+            j, converged = int(stop.argmax()) + 1, True
+            break
+    top, quiet = float(best[j - 1]), int(since[j - 1])
     note = (
-        f"certified: no record improvement for {int(scan.since[0])} terms, "
-        f"partial sum {best - s} below the record"
+        f"certified: no record improvement for {quiet} terms, "
+        f"partial sum {top - float(s[j - 1])} below the record"
         if converged
         else f"horizon exhausted at lookback {max_lookback}"
         + ("" if window is not None else " (no negative-drift estimate; cannot certify)")
     )
     return LoynesResult(
-        value=max(best, 0.0),
-        argmax_index=int(scan.best_j[0]) if best > 0.0 else None,
+        value=max(top, 0.0),
+        argmax_index=j - quiet if top > 0.0 else None,
         converged=converged,
-        iterations=int(scan.iterations[0]),
+        iterations=j,
         tail_bound_note=note,
     )
 
@@ -483,10 +412,7 @@ def backward_coupling_ps_batch(
     if window is None:
         # no certification is possible, so nothing is read
         return [_exhausted(0, "drift_nonnegative") for _ in gens]
-    cap = 2 * max_lookback
-    depths = [min(cap, max(_FIRST_BLOCK, 2 * window))]
-    while depths[-1] < cap:
-        depths.append(min(cap, 2 * depths[-1]))
+    depths = _depths(2 * window, 2 * max_lookback)
     reports: list[CouplingReport] = []
     for lo in range(0, len(gens), BATCH_ROWS):
         reports += _couple_batch(gens[lo : lo + BATCH_ROWS], r, depths, window, margin, max_lookback)
@@ -506,15 +432,14 @@ def _couple_batch(
     max_lookback: int,
 ) -> list[CouplingReport]:
     reports: list[CouplingReport | None] = [None] * len(gens)
-    buf = _Backlog(gens, r.declared_floor, depths[-1])
+    buf = _Backlog(gens)
     ids = np.arange(len(gens))  # the input each buffer row belongs to
     for d in depths:
         buf.reach(d)
         # s[:, j] = S_j, the sum of the first j terms; ahead[:, m] = the
         # largest S_j with m < j <= d
-        s = np.cumsum(
-            np.concatenate([np.zeros((ids.size, 1)), buf.terms(slice(None), 0, d)], axis=1), axis=1
-        )
+        terms = buf.terms(r.declared_floor, d)
+        s = np.cumsum(np.concatenate([np.zeros((ids.size, 1)), terms], axis=1), axis=1)
         ahead = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1]
         top = max(min(d - window, max_lookback) + 1, 0)  # epochs m = 0 .. top - 1
         ok = ahead[:, :top] - s[:, :top] <= ATOM_TOL

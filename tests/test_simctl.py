@@ -355,8 +355,10 @@ class TestRunModes:
     def test_forward_sim_failure_mid_stream_leaves_nothing(self, tmp_path, monkeypatch, jobs):
         # replication 2 raises once the header and replications 0 and 1 are
         # written (jobs=1) or running (jobs=2); no output and no temp file
-        # remain, and at jobs=2 the replications no worker has started are
-        # cancelled, not run
+        # remain.  At jobs=2 the pool holds at most 2 * jobs chunks of
+        # n // (4 * jobs) replications, and the first chunk's failure is
+        # taken before any other chunk is submitted, so no replication past
+        # the first 2 * jobs chunks starts, nor any after 2 in the first
         monkeypatch.setattr(simctl, "_worker_forward", forward_failing_at_2)
         n = 40
         cfg = ExperimentConfig.from_dict({
@@ -372,7 +374,9 @@ class TestRunModes:
         if jobs == 1:
             assert started == {0, 1, 2}
         else:
-            assert 2 in started and len(started) < n
+            size = n // (4 * jobs)
+            assert 2 in started and max(started) < 2 * jobs * size
+            assert started.isdisjoint(range(3, size))
 
     def test_strict_mode_exhaustion(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -14,6 +14,7 @@ from gpsq.dynamics import step
 from gpsq.input_process import (
     Exponential,
     Pareto,
+    Uniform,
     deterministic_input,
     generator_from_config,
     iid_input,
@@ -24,9 +25,10 @@ from gpsq.measures import ATOM_TOL, ZERO, CountingMeasure
 from gpsq.rates import classical_ps, half_interference, pure_delay, table_rate
 from gpsq.stationary import (
     BATCH_ROWS,
+    DEFAULT_QUANTILE,
     CouplingReport,
     LoynesResult,
-    _backward_marks,
+    StationaryProfileResult,
     backward_coupling_ps,
     backward_coupling_ps_batch,
     backward_iterate,
@@ -378,7 +380,82 @@ class TestZeroRecordProbability:
         assert 0 < zeros < 200
 
 
-# -- the batched sampler against the scalar loops it replaced ----------------
+# -- the prefix passes against the scalar loops they replaced ----------------
+
+
+def backward_marks(gen, max_lookback):
+    """``(xi_{-j}, sigma_{-j})`` for ``j = 1 .. max_lookback``, in one read."""
+    xs, ss = gen.sample_block(-max_lookback, 0)
+    return zip(reversed(xs), reversed(ss))
+
+
+def reference_quantile(gen, p):
+    try:
+        return gen.sigma_quantile(p)
+    except (AttributeError, NotImplementedError):
+        return None
+
+
+def reference_loynes_L(gen, max_lookback=100_000, quantile=DEFAULT_QUANTILE):
+    """The scalar record loop, as it was before the prefix pass."""
+    qp = reference_quantile(gen, quantile)
+    best = -math.inf
+    best_j = None
+    sum_xi = 0.0
+    converged = False
+    j = 0
+    for j, (xi, sigma) in enumerate(backward_marks(gen, max_lookback), 1):
+        sum_xi += xi
+        cand = sigma - sum_xi
+        if cand > best:
+            best = cand
+            best_j = j
+        if qp is not None and qp - sum_xi <= best:
+            converged = True
+            break
+    value = max(best, 0.0)
+    note = (
+        f"certified: sum(xi) - best exceeds the {quantile} service quantile ({qp})"
+        if converged
+        else f"horizon exhausted at lookback {max_lookback}"
+        + ("" if qp is not None else " (no quantile bound available)")
+    )
+    return LoynesResult(
+        value=value,
+        argmax_index=best_j if best > 0.0 else None,
+        converged=converged,
+        iterations=j,
+        tail_bound_note=note,
+    )
+
+
+def reference_gginf(gen, max_lookback=100_000, quantile=DEFAULT_QUANTILE):
+    """The scalar infinite-server loop, as it was before the prefix pass."""
+    qp = reference_quantile(gen, quantile)
+    atoms = []
+    sum_xi = 0.0
+    converged = False
+    i = 0
+    for i, (xi, sigma) in enumerate(backward_marks(gen, max_lookback), 1):
+        sum_xi += xi
+        v = sigma - sum_xi
+        if v >= 0.0:
+            atoms.append(v)
+        if qp is not None and sum_xi > qp:
+            converged = True
+            break
+    note = (
+        f"certified: accumulated inter-arrival mass {sum_xi} exceeds the "
+        f"{quantile} service quantile ({qp})"
+        if converged
+        else f"horizon exhausted at lookback {max_lookback}; atoms may be missing"
+    )
+    return StationaryProfileResult(
+        profile=CountingMeasure(atoms),
+        converged=converged,
+        iterations=i,
+        truncation_note=note,
+    )
 
 
 def reference_rule(gen, k_r, improvement_window=None, drop_margin=None):
@@ -408,8 +485,7 @@ def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None,
     since_improve = 0
     converged = False
     j = 0
-    marks = _backward_marks(gen, max_lookback, (improvement_window or 0) + 1)
-    for j, (xi, sigma) in enumerate(marks, 1):
+    for j, (xi, sigma) in enumerate(backward_marks(gen, max_lookback), 1):
         s += sigma - k_r * xi
         if s > best:
             best = s
@@ -540,6 +616,85 @@ def batches(draw):
     return gens, r
 
 
+#: lookbacks at the edges of the first blocks of the depth schedule
+BLOCK_EDGES = [1, 255, 256, 257, 511, 512, 513]
+
+
+def lookbacks():
+    return st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(1, 3000), st.just(20_000))
+
+
+@st.composite
+def backward_inputs(draw):
+    """One input, shifted: iid with exponential, Pareto or uniform demands,
+    deterministic, Markov-modulated or cyclic."""
+    kind = draw(st.sampled_from(["iid", "deterministic", "mm", "cyclic"]))
+    seed = draw(st.integers(0, 2**64 - 1))
+    # small gaps make the record scans certify deep in the schedule
+    xi = draw(st.one_of(st.sampled_from([0.005, 0.02, 0.05]), st.floats(0.001, 2.0)))
+    if kind == "iid":
+        sigma = draw(st.sampled_from([Exponential(1.0), Pareto(1.5, 1.0), Uniform(0.0, 2.0)]))
+        g = iid_input(Exponential(xi), sigma, seed=seed)
+    elif kind == "deterministic":
+        g = deterministic_input(xi, draw(st.floats(0.0, 30.0)), seed=seed)
+    elif kind == "mm":
+        g = scale_sigma(generator_from_config(MM_SPEC, seed_override=seed),
+                        draw(st.floats(0.1, 20.0)))
+    else:
+        period = draw(st.integers(1, 9))
+        sigmas = tuple(draw(st.lists(st.floats(0.0, 30.0), min_size=period, max_size=period)))
+        g = CyclicInput(xis=(xi,), sigmas=sigmas)
+    return g.shift(draw(st.integers(-100, 100)))
+
+
+def backward_cycle(*sigmas):
+    """A cyclic input with unit gaps whose demand at index ``-j`` is
+    ``sigmas[j - 1]``."""
+    return CyclicInput(xis=(1.0,), sigmas=tuple(reversed(sigmas)))
+
+
+QUANTILES = st.sampled_from([DEFAULT_QUANTILE, 0.999999, 0.999, 0.5])
+
+
+class TestRecordPasses:
+    @settings(max_examples=150, deadline=None)
+    @given(backward_inputs(), lookbacks(), QUANTILES)
+    def test_loynes_L_equals_the_scalar_loop(self, g, max_lookback, quantile):
+        assert loynes_L(g, max_lookback, quantile) == reference_loynes_L(g, max_lookback, quantile)
+
+    @settings(max_examples=150, deadline=None)
+    @given(backward_inputs(), lookbacks(), QUANTILES)
+    def test_gginf_equals_the_scalar_loop(self, g, max_lookback, quantile):
+        got = stationary_profile_gginf(g, max_lookback, quantile)
+        assert got == reference_gginf(g, max_lookback, quantile)
+
+    @pytest.mark.parametrize("max_lookback", BLOCK_EDGES + [100_000])
+    @pytest.mark.parametrize("stop", BLOCK_EDGES)
+    def test_stops_at_the_block_edges(self, stop, max_lookback):
+        # unit gaps, and a demand of stop - 0.5 at index -stop only: both
+        # record scans certify at term `stop`
+        g = backward_cycle(*(stop - 0.5 if j == stop else 0.0 for j in range(1, 601)))
+        assert stationary_profile_gginf(g, max_lookback) == reference_gginf(g, max_lookback)
+        assert loynes_L(g, max_lookback) == reference_loynes_L(g, max_lookback)
+        assert lindley_W(g, 1.0, max_lookback) == reference_lindley_W(g, 1.0, max_lookback)
+
+    def test_exact_ties(self):
+        # candidates 1, -2, 1: the record is the first term that reaches it
+        g = backward_cycle(2.0, 0.0, 4.0, 0.0)
+        assert loynes_L(g, 4) == reference_loynes_L(g, 4)
+        assert (loynes_L(g, 4).argmax_index, loynes_L(g, 4).iterations) == (1, 3)
+        # partial sums 1, 1, 1, ...: only the first is a record
+        g = backward_cycle(2.0, *[1.0] * 9)
+        got = lindley_W(g, 1.0, 10, improvement_window=5)
+        assert got == reference_lindley_W(g, 1.0, 10, improvement_window=5)
+        assert (got.argmax_index, got.iterations) == (1, 6)
+        # partial sums -0.5 j: the drop reaches the margin exactly at term 5
+        g = deterministic_input(1.0, 0.5)
+        got = lindley_W(g, 1.0, 50, improvement_window=1, drop_margin=2.0)
+        assert got == reference_lindley_W(g, 1.0, 50, improvement_window=1, drop_margin=2.0)
+        assert got.iterations == 5
+
+
 class TestBatchedSampler:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -615,7 +770,7 @@ class TestBatchedSampler:
     @settings(max_examples=60, deadline=None)
     @given(
         batches(),
-        st.integers(1, 3000),
+        lookbacks(),
         st.one_of(st.none(), st.integers(0, 400)),
         st.one_of(st.none(), st.floats(0.0, 30.0)),
         st.integers(-100, 100),
