@@ -53,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import ClassVar, Protocol, Sequence, runtime_checkable
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -387,36 +387,17 @@ def _marks(
     return xi_dist.transform(u[:, 0]), sigma_dist.transform(u[:, xi_dist.consumes])
 
 
-def _chain_period(edges: list[list[int]]) -> int:
-    # gcd of (depth[u] + 1 - depth[v]) over edges of a strongly
-    # connected digraph, via BFS levels from state 0
-    depth = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in edges[u]:
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    g = 0
-    for u in range(len(edges)):
-        for v in edges[u]:
-            g = math.gcd(g, depth[u] + 1 - depth[v])
-    return abs(g)
-
-
-def _reachable(edges: list[list[int]], start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in edges[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+def _bool_power(m: np.ndarray, e: int) -> np.ndarray:
+    """The boolean power ``m**e`` of a 0/1 integer matrix: entry ``(i, j)``
+    says whether a walk of exactly ``e`` steps leads from ``i`` to ``j``.
+    By squaring, each product clipped back to 0/1, so nothing overflows."""
+    out = np.eye(len(m), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = np.minimum(out @ m, 1)
+        m = np.minimum(m @ m, 1)
+        e >>= 1
+    return out.astype(bool)
 
 
 @dataclass(frozen=True)
@@ -445,16 +426,13 @@ class MarkovModulatedModel:
                 raise ValueError("transition matrix must be square")
             if any(p < 0.0 for p in row) or abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError(f"transition row {row!r} is not a probability vector")
-        edges = [[j for j, p in enumerate(row) if p > 0.0] for row in self.transition]
-        if _reachable(edges, 0) != set(range(k)):
+        # irreducible: every state reaches every other within k - 1 steps;
+        # then aperiodic iff some power is positive, and by Wielandt's
+        # bound the power (k - 1)**2 + 1 is positive if any is
+        a = (np.array(self.transition) > 0.0).astype(np.int64)
+        if not _bool_power(a | np.eye(k, dtype=np.int64), k - 1).all():
             raise ValueError("chain is not irreducible")
-        back = [[] for _ in range(k)]
-        for u in range(k):
-            for v in edges[u]:
-                back[v].append(u)
-        if _reachable(back, 0) != set(range(k)):
-            raise ValueError("chain is not irreducible")
-        if _chain_period(edges) != 1:
+        if not _bool_power(a, (k - 1) ** 2 + 1).all():
             raise ValueError("chain is not aperiodic")
         for d in self.xi_dists:
             if d.dist_mean() <= 0.0:
@@ -577,23 +555,6 @@ InputModel = IIDModel | DeterministicModel | MarkovModulatedModel
 # ---------------------------------------------------------------------------
 # the generator
 # ---------------------------------------------------------------------------
-
-
-@runtime_checkable
-class InputSequence(Protocol):
-    """What the backward constructions need from an input source."""
-
-    def sample(self, n: int) -> tuple[float, float]: ...
-
-    def sample_block(self, a: int, b: int) -> tuple[list[float], list[float]]: ...
-
-    def shift(self, k: int) -> "InputSequence": ...
-
-    def mean_xi(self) -> float | None: ...
-
-    def mean_sigma(self) -> float | None: ...
-
-    def sigma_quantile(self, p: float) -> float | None: ...
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ import sys
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -56,7 +57,6 @@ from .rates import (
     table_rate,
 )
 from .stationary import (
-    BATCH_ROWS,
     backward_coupling_ps,  # not called here; perfbench's tracer wraps simctl.backward_coupling_ps
     backward_coupling_ps_batch,
     check_stability,
@@ -82,11 +82,6 @@ EXIT_EXHAUSTED = 4
 
 class ConfigError(Exception):
     """Invalid experiment configuration; the message lists every problem."""
-
-
-def _fmt(x: float) -> str:
-    """Floats in CSV cells: 17 significant digits (round-trip exact)."""
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +155,6 @@ class ExperimentConfig:
     rho_grid: tuple[float, ...] = ()
     out_path: str = ""
     out_format: str = "csv"
-    raw: dict = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -240,7 +234,6 @@ class ExperimentConfig:
             rho_grid=rho_grid,
             out_path=out_path,
             out_format=out_format,
-            raw=data,
         )
 
     def effective_dict(self) -> dict:
@@ -306,25 +299,55 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _csv_bytes(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> bytes:
+def _cells(rec: dict, header: Sequence[str]) -> list:
+    """The CSV cells of ``rec``, in ``header`` order: ``None`` is an empty
+    cell, a float is ``%.17g`` (round-trip exact), and anything else is
+    written as ``csv.writer`` writes it."""
+    return ["" if (v := rec[k]) is None else format(v, ".17g") if isinstance(v, float) else v
+            for k in header]
+
+
+def _csv_bytes(rows: Iterable[Sequence[Any]]) -> bytes:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().encode("utf-8")
+
+
+def _csv_chunks(header: Sequence[str], recs: Iterable[dict]) -> Iterator[bytes]:
+    """A CSV result file in chunks: the header, then the rows a worker
+    rendered into each record (``forward_sim``'s ``rec["csv"]``), each as
+    its record comes back; any other record is one row of :func:`_cells`,
+    and those rows come last, as one chunk."""
+    yield _csv_bytes([header])
+    rows = []
+    for rec in recs:
+        if "csv" in rec:
+            yield rec["csv"]
+        else:
+            rows.append(_cells(rec, header))
+    if rows:
+        yield _csv_bytes(rows)
 
 
 def _json_bytes(obj: Any) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _json_chunks(obj: Any) -> Iterator[bytes]:
-    """:func:`_json_bytes` of ``obj`` in pieces, so a large ``obj`` is never
-    held as one string: ``dumps`` with ``indent`` runs this same encoder."""
-    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
-    while batch := list(islice(tokens, 4096)):
-        yield "".join(batch).encode("utf-8")
-    yield b"\n"
+def _json_chunks(fields: dict, key: str, recs: Iterable[dict]) -> Iterator[bytes]:
+    """:func:`_json_bytes` of ``{**fields, key: list(recs)}`` in chunks, with
+    each record encoded as it comes back, so the list is never held.  The
+    rest of the object is encoded with ``null`` in the list's place and cut
+    there (a top-level key is the only one indented by two spaces); each
+    record's text is indented two levels deeper, as the list's items are."""
+    head, tail = json.dumps({**fields, key: None}, indent=2, sort_keys=True).split(
+        f'\n  "{key}": null')
+    yield f'{head}\n  "{key}": ['.encode("utf-8")
+    sep, end = "\n    ", "]"  # an empty list is "[]"
+    for rec in recs:
+        text = json.dumps(rec, indent=2, sort_keys=True).replace("\n", "\n    ")
+        yield (sep + text).encode("utf-8")
+        sep, end = ",\n    ", "\n  ]"
+    yield (end + tail + "\n").encode("utf-8")
 
 
 def _write_manifest(out_path: str, cfg: ExperimentConfig, wall_s: float, extra: dict) -> None:
@@ -345,30 +368,40 @@ def _write_manifest(out_path: str, cfg: ExperimentConfig, wall_s: float, extra: 
     _atomic_write(out_path + ".manifest.json", [_json_bytes(payload)])
 
 
-def _map_ordered(fn: Callable, items: list, jobs: int) -> Iterator:
-    """Apply ``fn`` over ``items`` lazily; results always come in submission
-    order, so the artifact bytes never depend on the worker count.  With
-    ``jobs > 1`` the items go to the pool in chunks, at most ``2 * jobs``
-    chunks outstanding, the next one submitted as each result is taken;
-    an error or an early close cancels the chunks no worker has started."""
-    if jobs <= 1 or len(items) <= 1:
-        yield from map(fn, items)
+def _partition(items: list, jobs: int) -> list[list]:
+    """The chunks :func:`_map_ordered` hands out, in order: every item in
+    one at ``jobs <= 1``, else ``len(items) // (4 * jobs)`` items each (at
+    least one), so at least ``4 * jobs`` chunks when there are that many
+    items, and the workers stay evenly loaded."""
+    size = max(1, len(items) if jobs <= 1 else len(items) // (4 * jobs))
+    return [items[lo : lo + size] for lo in range(0, len(items), size)]
+
+
+def _map_ordered(fn: Callable[[list], Iterable], items: list, jobs: int) -> Iterator:
+    """The records ``fn`` yields for the chunks of :func:`_partition`, lazily
+    and always in item order, so the artifact bytes never depend on the
+    worker count.  One chunk runs in this process, as one call; more go to
+    a pool of ``jobs`` processes, at most ``2 * jobs`` chunks outstanding,
+    the next one submitted as each result is taken; an error or an early
+    close cancels the chunks no worker has started."""
+    chunks = _partition(items, jobs)
+    if len(chunks) <= 1:
+        yield from fn(items)
         return
-    size = max(1, len(items) // (4 * jobs))
-    chunks = (items[lo : lo + size] for lo in range(0, len(items), size))
+    todo = iter(chunks)
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
-        ahead = deque(pool.submit(_map_list, fn, c) for c in islice(chunks, 2 * jobs))
+        ahead = deque(pool.submit(_map_list, fn, c) for c in islice(todo, 2 * jobs))
         while ahead:
             done = ahead.popleft().result()
-            ahead.extend(pool.submit(_map_list, fn, c) for c in islice(chunks, 1))
+            ahead.extend(pool.submit(_map_list, fn, c) for c in islice(todo, 1))
             yield from done
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _map_list(fn: Callable, items: list) -> list:
-    return [fn(x) for x in items]
+def _map_list(fn: Callable[[list], Iterable], items: list) -> list:
+    return list(fn(items))
 
 
 # ---------------------------------------------------------------------------
@@ -376,64 +409,64 @@ def _map_list(fn: Callable, items: list) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _rep_generator(cfg: ExperimentConfig, i: int) -> MarkedInputGenerator:
-    seed = replication_seed(cfg.base_seed, i)
-    return generator_from_config(cfg.input_spec, seed_override=seed)
+# Each worker takes the config, its input interpreted once (``base``, whose
+# seed it replaces), the rate (``None`` for gginf_stationary) and a list of
+# items, and yields one record per item, in order.
 
 
-def _rep_ranges(n: int, jobs: int) -> list[tuple[int, int]]:
-    """Contiguous replication ranges of at most :data:`BATCH_ROWS`; at least
-    ``4 * jobs`` of them when ``jobs > 1`` and there are enough
-    replications, so the workers stay evenly loaded."""
-    size = BATCH_ROWS if jobs <= 1 else max(1, min(BATCH_ROWS, n // (4 * jobs)))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _rep_generator(cfg: ExperimentConfig, base: MarkedInputGenerator,
+                   i: int) -> MarkedInputGenerator:
+    return base.with_seed(replication_seed(cfg.base_seed, i))
 
 
-def _worker_ps(args: tuple) -> list[dict]:
-    cfg, lo, hi = args
-    gens = [_rep_generator(cfg, i) for i in range(lo, hi)]
-    r = rate_from_config(cfg.rate_spec)
-    reps = backward_coupling_ps_batch(
+def _worker_ps(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunction,
+               reps: list[int]) -> Iterator[dict]:
+    gens = [_rep_generator(cfg, base, i) for i in reps]
+    reports = backward_coupling_ps_batch(
         gens, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
     )
-    return [
-        {
+    for gen, rep in zip(gens, reports):
+        mu = rep.stationary_profile
+        yield {
             "seed": gen.seed,
             "coupled": rep.coupled,
             "regeneration_index": rep.regeneration_index,
-            "n_atoms": None if rep.stationary_profile is None else rep.stationary_profile.num_atoms,
-            "workload": None if rep.stationary_profile is None else rep.stationary_profile.workload,
+            "n_atoms": None if mu is None else mu.num_atoms,
+            "workload": None if mu is None else mu.workload,
             "iterations": rep.iterations_used,
-            "atoms": None if rep.stationary_profile is None else list(rep.stationary_profile.atoms),
+            "atoms": None if mu is None else list(mu.atoms),
             "exhausted": rep.horizon_exhausted,
         }
-        for gen, rep in zip(gens, reps)
-    ]
 
 
-def _worker_gginf(args: tuple) -> dict:
-    cfg, i = args
-    gen = _rep_generator(cfg, i)
-    prof = stationary_profile_gginf(gen, max_lookback=cfg.max_lookback)
-    rec = loynes_L(gen, max_lookback=cfg.max_lookback)
-    return {
-        "seed": gen.seed,
-        "atoms": list(prof.profile.atoms),
-        "n_atoms": prof.profile.num_atoms,
-        "workload": prof.profile.workload,
-        "largest_atom": prof.profile.largest_atom,
-        "profile_converged": prof.converged,
-        "L": rec.value,
-        "L_converged": rec.converged,
-        "iterations": prof.iterations,
-        "exhausted": not (prof.converged and rec.converged),
-    }
+def _worker_gginf(cfg: ExperimentConfig, base: MarkedInputGenerator, r: None,
+                  reps: list[int]) -> Iterator[dict]:
+    for i in reps:
+        gen = _rep_generator(cfg, base, i)
+        prof = stationary_profile_gginf(gen, max_lookback=cfg.max_lookback)
+        rec = loynes_L(gen, max_lookback=cfg.max_lookback)
+        yield {
+            "seed": gen.seed,
+            "atoms": list(prof.profile.atoms),
+            "n_atoms": prof.profile.num_atoms,
+            "workload": prof.profile.workload,
+            "largest_atom": prof.profile.largest_atom,
+            "profile_converged": prof.converged,
+            "L": rec.value,
+            "L_converged": rec.converged,
+            "iterations": prof.iterations,
+            "exhausted": not (prof.converged and rec.converged),
+        }
 
 
-def _worker_forward(args: tuple) -> dict:
-    cfg, i = args
-    gen = _rep_generator(cfg, i)
-    r = rate_from_config(cfg.rate_spec)
+def _worker_forward(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunction,
+                    reps: list[int]) -> Iterator[dict]:
+    # one call per replication, so its segments are freed when its record is
+    return (_forward_replication(cfg, _rep_generator(cfg, base, i), r, i) for i in reps)
+
+
+def _forward_replication(cfg: ExperimentConfig, gen: MarkedInputGenerator, r: RateFunction,
+                         i: int) -> dict:
     xis, sigmas = gen.sample_block(0, cfg.horizon)
     # arrival times summed left to right from 0.0; the last one is the horizon
     times = list(accumulate(xis, initial=0.0))
@@ -599,59 +632,45 @@ def _forward_csv_rows(i: int, seed: int, segments: Sequence[tuple]) -> bytes:
     return b"".join(blocks)
 
 
-def _worker_sweep_point(args: tuple) -> dict:
-    cfg, rho = args
-    base_gen = generator_from_config(cfg.input_spec, seed_override=0)
-    r = rate_from_config(cfg.rate_spec)
-    k_r = r.declared_floor
-    mean_sigma = base_gen.mean_sigma()
+def _mean_se(a: np.ndarray) -> tuple[float, float]:
+    if a.size == 0:
+        return math.nan, math.nan
+    se = float(a.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0
+    return float(a.mean()), se
+
+
+def _worker_sweep_point(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunction,
+                        rhos: list[float]) -> Iterator[dict]:
+    mean_sigma = base.mean_sigma()
     if mean_sigma <= 0.0:
         raise ConfigError("sweep needs an input with a positive mean service demand")
-    factor = rho * k_r * base_gen.mean_xi() / mean_sigma
-    gens = [
-        scale_sigma(
-            generator_from_config(
-                cfg.input_spec, seed_override=replication_seed(cfg.base_seed, i)
-            ),
-            factor,
+    for rho in rhos:
+        factor = rho * r.declared_floor * base.mean_xi() / mean_sigma
+        scaled = scale_sigma(base, factor)
+        gens = [_rep_generator(cfg, scaled, i) for i in range(cfg.replications)]
+        reports = backward_coupling_ps_batch(
+            gens, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
         )
-        for i in range(cfg.replications)
-    ]
-    reps = backward_coupling_ps_batch(
-        gens, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
-    )
-    profiles = [rep.stationary_profile for rep in reps if rep.coupled]
-    coupled = len(profiles)
-    n_list = [mu.num_atoms for mu in profiles]
-    w_list = [mu.workload for mu in profiles]
-    verdict_gen = scale_sigma(
-        generator_from_config(cfg.input_spec, seed_override=cfg.base_seed), factor
-    )
-    verdict = check_stability(verdict_gen, r, n_samples=cfg.stability_samples).verdict
-    n_arr = np.array(n_list, dtype=float)
-    w_arr = np.array(w_list, dtype=float)
-
-    def _mean_se(a: np.ndarray) -> tuple[float, float]:
-        if a.size == 0:
-            return math.nan, math.nan
-        se = float(a.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0
-        return float(a.mean()), se
-
-    mean_n, se_n = _mean_se(n_arr)
-    mean_w, se_w = _mean_se(w_arr)
-    return {
-        "rho": rho,
-        "sigma_scale": factor,
-        "verdict": verdict,
-        "coupling_freq": coupled / cfg.replications,
-        "n_coupled": coupled,
-        "mean_n": mean_n,
-        "se_n": se_n,
-        "mean_w": mean_w,
-        "se_w": se_w,
-        "replications": cfg.replications,
-        "exhausted": coupled < cfg.replications,
-    }
+        profiles = [rep.stationary_profile for rep in reports if rep.coupled]
+        coupled = len(profiles)
+        verdict = check_stability(
+            scaled.with_seed(cfg.base_seed), r, n_samples=cfg.stability_samples
+        ).verdict
+        mean_n, se_n = _mean_se(np.array([mu.num_atoms for mu in profiles], dtype=float))
+        mean_w, se_w = _mean_se(np.array([mu.workload for mu in profiles], dtype=float))
+        yield {
+            "rho": rho,
+            "sigma_scale": factor,
+            "verdict": verdict,
+            "coupling_freq": coupled / cfg.replications,
+            "n_coupled": coupled,
+            "mean_n": mean_n,
+            "se_n": se_n,
+            "mean_w": mean_w,
+            "se_w": se_w,
+            "replications": cfg.replications,
+            "exhausted": coupled < cfg.replications,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +703,7 @@ _SWEEP_HEADER = (
 _FORWARD_HEADER = ("replication", "seed") + TRAJECTORY_CSV_HEADER
 
 
-def _opt(v: Any, fmt_float: bool = False) -> Any:
-    if v is None:
-        return ""
-    if fmt_float or isinstance(v, float):
-        return _fmt(v)
-    return v
+_SUITE_HEADER = ("suite", "ok", "detail")
 
 
 @dataclass
@@ -703,93 +717,39 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     """Execute one experiment; returns the output path and how many
     replications (or grid points) exhausted their horizon."""
     t0 = time.perf_counter()
-    if cfg.mode != "invariant_suite":
-        # surface bad model/rate specs before any workers launch
-        try:
-            generator_from_config(cfg.input_spec, seed_override=0)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"bad input spec: {exc}") from None
-        if cfg.mode != "gginf_stationary":
-            rate_from_config(cfg.rate_spec)
-    items: list = [(cfg, i) for i in range(cfg.replications)]
+    if cfg.mode == "invariant_suite":
+        recs = run_invariant_suites(seed=cfg.base_seed)
+        result = _finish(cfg, t0, _SUITE_HEADER, "suites", recs)
+        if not all(rec["ok"] for rec in recs):
+            raise SuiteFailure(result)
+        return result
+    # the specs are interpreted once, here, which also rejects bad ones
+    # before any worker starts; the workers get the objects
+    try:
+        base = generator_from_config(cfg.input_spec, seed_override=cfg.base_seed)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad input spec: {exc}") from None
+    r = None if cfg.mode == "gginf_stationary" else rate_from_config(cfg.rate_spec)
+    reps = list(range(cfg.replications))
     if cfg.mode == "ps_perfect_sample":
-        ranges = [(cfg, lo, hi) for lo, hi in _rep_ranges(cfg.replications, jobs)]
-        recs = [rec for part in _map_ordered(_worker_ps, ranges, jobs) for rec in part]
-        rows = (
-            (
-                rec["seed"],
-                rec["coupled"],
-                _opt(rec["regeneration_index"]),
-                _opt(rec["n_atoms"]),
-                _opt(rec["workload"]),
-                rec["iterations"],
-            )
-            for rec in recs
-        )
-        payload = _payload(cfg, _PS_HEADER, rows, {"replications": recs})
-    elif cfg.mode == "gginf_stationary":
-        recs = list(_map_ordered(_worker_gginf, items, jobs))
-        rows = (
-            (
-                rec["seed"],
-                _fmt(rec["L"]),
-                rec["L_converged"],
-                rec["n_atoms"],
-                _fmt(rec["workload"]),
-                _fmt(rec["largest_atom"]),
-                rec["profile_converged"],
-                rec["iterations"],
-            )
-            for rec in recs
-        )
+        recs = _map_ordered(partial(_worker_ps, cfg, base, r), reps, jobs)
+        return _finish(cfg, t0, _PS_HEADER, "replications", recs)
+    if cfg.mode == "gginf_stationary":
+        recs = list(_map_ordered(partial(_worker_gginf, cfg, base, r), reps, jobs))
         conv = [rec for rec in recs if rec["L_converged"]]
         zeros = sum(1 for rec in conv if rec["L"] <= 1e-9)
         p_zero = zeros / len(conv) if conv else None
-        payload = _payload(
-            cfg,
-            _GGINF_HEADER,
-            rows,
-            {"replications": recs, "p_L_zero": {"estimate": p_zero, "n_converged": len(conv)}},
-        )
-    elif cfg.mode == "forward_sim":
-        recs = _map_ordered(_worker_forward, items, jobs)
-        if cfg.out_format == "json":
-            recs = list(recs)
-        # CSV: the header alone; _finish writes each replication's rows after it
-        payload = _payload(cfg, _FORWARD_HEADER, (), {"replications": recs})
-    elif cfg.mode == "stability_sweep":
-        if not cfg.rho_grid:
-            raise ConfigError("stability_sweep needs sweep.rho (a list of load values) or --rho")
-        pts = [(cfg, rho) for rho in cfg.rho_grid]
-        recs = list(_map_ordered(_worker_sweep_point, pts, jobs))
-        rows = (
-            (
-                _fmt(rec["rho"]),
-                _fmt(rec["sigma_scale"]),
-                rec["verdict"],
-                _fmt(rec["coupling_freq"]),
-                rec["n_coupled"],
-                _fmt(rec["mean_n"]),
-                _fmt(rec["se_n"]),
-                _fmt(rec["mean_w"]),
-                _fmt(rec["se_w"]),
-                rec["replications"],
-            )
-            for rec in recs
-        )
-        payload = _payload(cfg, _SWEEP_HEADER, rows, {"grid": recs})
-    elif cfg.mode == "invariant_suite":
-        results = run_invariant_suites(seed=cfg.base_seed)
-        payload = _payload(cfg, ("suite", "ok", "detail"), results, {"suites": [
-            {"suite": n, "ok": ok, "detail": d} for n, ok, d in results
-        ]})
-        recs = [{"exhausted": False} for _ in results]
-        if any(not r[1] for r in results):
-            out = _finish(cfg, payload, t0, recs)
-            raise SuiteFailure(out)
-    else:  # pragma: no cover - from_dict already rejects unknown modes
+        return _finish(cfg, t0, _GGINF_HEADER, "replications", recs,
+                       {"p_L_zero": {"estimate": p_zero, "n_converged": len(conv)}})
+    if cfg.mode == "forward_sim":
+        recs = _map_ordered(partial(_worker_forward, cfg, base, r), reps, jobs)
+        return _finish(cfg, t0, _FORWARD_HEADER, "replications", recs)
+    if cfg.mode != "stability_sweep":  # pragma: no cover - from_dict rejects unknown modes
         raise ConfigError(f"unknown mode {cfg.mode!r}")
-    return _finish(cfg, payload, t0, recs)
+    if not cfg.rho_grid:
+        raise ConfigError("stability_sweep needs sweep.rho (a list of load values) or --rho")
+    recs = _map_ordered(partial(_worker_sweep_point, cfg, base, r), list(cfg.rho_grid), jobs)
+    return _finish(cfg, t0, _SWEEP_HEADER, "grid", recs)
 
 
 class SuiteFailure(Exception):
@@ -798,35 +758,29 @@ class SuiteFailure(Exception):
         super().__init__("one or more invariant suites failed")
 
 
-def _payload(cfg: ExperimentConfig, header, rows, json_obj: dict) -> Iterable[bytes]:
-    """The result file's bytes, in chunks.  ``rows`` is only iterated for CSV
-    output, so the mode runners pass generators and JSON output formats no
-    CSV cells; JSON is encoded as it is written."""
-    if cfg.out_format == "csv":
-        return [_csv_bytes(header, rows)]
-    return _json_chunks({"schema_id": SCHEMA_ID, "mode": cfg.mode, **json_obj})
-
-
-def _finish(cfg: ExperimentConfig, payload: Iterable[bytes], t0: float,
-            recs: Iterable[dict]) -> RunResult:
-    """Write the result file, then its manifest.  The file is ``payload``
-    followed by the rows a worker rendered into each record (the
-    ``forward_sim`` CSV's ``rec["csv"]``), each written as its record comes
-    back, so a lazy ``recs`` is held one record at a time; the records are
-    counted as they stream past."""
+def _finish(cfg: ExperimentConfig, t0: float, header: Sequence[str], key: str,
+            recs: Iterable[dict], fields: dict | None = None) -> RunResult:
+    """Write the result file, then its manifest.  The file holds ``recs``:
+    as CSV under ``header`` (:func:`_csv_chunks`), or as the JSON object
+    ``{"schema_id", "mode", **fields, key: recs}`` (:func:`_json_chunks`).
+    Each record is written as it comes back, so a lazy ``recs`` is held one
+    record at a time, and counted as it streams past."""
     out = _resolve_out(cfg.out_path or f"simctl-{cfg.mode}.{cfg.out_format}")
     rows = exhausted = 0
 
-    def chunks() -> Iterator[bytes]:
+    def counted() -> Iterator[dict]:
         nonlocal rows, exhausted
-        yield from payload
         for rec in recs:
             rows += 1
             exhausted += bool(rec.get("exhausted"))
-            if "csv" in rec:
-                yield rec["csv"]
+            yield rec
 
-    _atomic_write(out, chunks())
+    if cfg.out_format == "csv":
+        chunks = _csv_chunks(header, counted())
+    else:
+        fields = {"schema_id": SCHEMA_ID, "mode": cfg.mode, **(fields or {})}
+        chunks = _json_chunks(fields, key, counted())
+    _atomic_write(out, chunks)
     _write_manifest(out, cfg, time.perf_counter() - t0, {"horizon_exhausted": exhausted})
     return RunResult(out_path=out, exhausted=exhausted, rows=rows)
 
@@ -836,9 +790,10 @@ def _finish(cfg: ExperimentConfig, payload: Iterable[bytes], t0: float,
 # ---------------------------------------------------------------------------
 
 
-def run_invariant_suites(seed: int = 0) -> list[tuple[str, bool, str]]:
+def run_invariant_suites(seed: int = 0) -> list[dict]:
     """Run every invariant check of :mod:`gpsq.checks` at the verify counts,
-    print one PASS/FAIL line each and return (name, ok, detail).  A suite
+    print one PASS/FAIL line each and return one ``{suite, ok, detail}``
+    record each.  A suite
     passes when its check tested at least one instance and found no
     failure.  ``seed`` seeds the random instances; the other checks read
     inputs at fixed seeds."""
@@ -864,7 +819,7 @@ def run_invariant_suites(seed: int = 0) -> list[tuple[str, bool, str]]:
         except Exception as exc:  # a crashed suite is a failed suite
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         print(("PASS" if ok else "FAIL") + f" {name}: {detail}")
-        out.append((name, ok, detail))
+        out.append({"suite": name, "ok": ok, "detail": detail})
     return out
 
 
@@ -919,7 +874,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "verify":
             results = run_invariant_suites(seed=args.seed)
-            return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_SUITE_FAILED
+            return EXIT_OK if all(rec["ok"] for rec in results) else EXIT_SUITE_FAILED
         cfg = load_config(args.config)
         if args.command == "sweep":
             cfg.mode = "stability_sweep"

@@ -350,6 +350,10 @@ def lindley_W(
 #: memory of one replication at a time, at 64 about 13% above.
 BATCH_ROWS = 32
 
+#: Occupancies ``n = 1..VALIDATE_N_MAX`` at which perfect sampling checks
+#: the rate function (:func:`gpsq.rates.validate`) before it reads any input.
+VALIDATE_N_MAX = 128
+
 
 def backward_coupling_ps(
     gen,
@@ -357,7 +361,6 @@ def backward_coupling_ps(
     max_lookback: int = 10_000,
     improvement_window: int | None = None,
     drop_margin: float | None = None,
-    validate_n_max: int = 128,
 ) -> CouplingReport:
     """Exact draw from the stationary processor-sharing profile.
 
@@ -373,7 +376,7 @@ def backward_coupling_ps(
     guessing.  This is :func:`backward_coupling_ps_batch` on a batch of one.
     """
     return backward_coupling_ps_batch(
-        [gen], r, max_lookback, improvement_window, drop_margin, validate_n_max
+        [gen], r, max_lookback, improvement_window, drop_margin
     )[0]
 
 
@@ -383,7 +386,6 @@ def backward_coupling_ps_batch(
     max_lookback: int = 10_000,
     improvement_window: int | None = None,
     drop_margin: float | None = None,
-    validate_n_max: int = 128,
 ) -> list[CouplingReport]:
     """:func:`backward_coupling_ps` for every input of ``gens``, one report
     each, equal field for field to the one-input call.
@@ -396,7 +398,7 @@ def backward_coupling_ps_batch(
     first ``D`` marks, so a report depends only on its own input and any
     batching gives the same bytes.
     """
-    report = validate(r, n_max=validate_n_max)
+    report = validate(r, n_max=VALIDATE_N_MAX)
     if not report.ok:
         raise ValueError(
             "rate function fails validation: " + "; ".join(report.violations)

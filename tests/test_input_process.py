@@ -193,21 +193,36 @@ class TestMarkovModulated:
         MarkovModulatedModel(**spec).mean_xi()
         assert len(calls) == 2  # per instance, not shared between equal models
 
+    @staticmethod
+    def chain(transition):
+        k = len(transition)
+        return MarkovModulatedModel(
+            transition=transition,
+            xi_dists=tuple(Deterministic(1.0 + s) for s in range(k)),
+            sigma_dists=(Deterministic(1.0),) * k,
+        )
+
     def test_rejects_periodic_chain(self):
-        with pytest.raises(ValueError, match="aperiodic"):
-            MarkovModulatedModel(
-                transition=((0.0, 1.0), (1.0, 0.0)),
-                xi_dists=(Deterministic(1.0), Deterministic(2.0)),
-                sigma_dists=(Deterministic(1.0), Deterministic(1.0)),
-            )
+        periodic = [
+            ((0.0, 1.0), (1.0, 0.0)),
+            # a 3-cycle: period 3
+            ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+        ]
+        for transition in periodic:
+            with pytest.raises(ValueError, match="aperiodic"):
+                self.chain(transition)
+        # cycles of lengths 2 and 3 and no self-loop: period 1
+        self.chain(((0.0, 1.0, 0.0), (0.5, 0.0, 0.5), (1.0, 0.0, 0.0)))
 
     def test_rejects_reducible_chain(self):
-        with pytest.raises(ValueError, match="irreducible"):
-            MarkovModulatedModel(
-                transition=((1.0, 0.0), (0.5, 0.5)),
-                xi_dists=(Deterministic(1.0), Deterministic(2.0)),
-                sigma_dists=(Deterministic(1.0), Deterministic(1.0)),
-            )
+        reducible = [
+            ((1.0, 0.0), (0.5, 0.5)),
+            # state 0 is transient but not absorbing: left, never re-entered
+            ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.0, 0.5, 0.5)),
+        ]
+        for transition in reducible:
+            with pytest.raises(ValueError, match="irreducible"):
+                self.chain(transition)
 
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError, match="probability"):

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpsq import checks, input_process, simctl
+from gpsq import checks, input_process, simctl, stationary
 from gpsq.dynamics import trajectory_rows
 from gpsq.measures import ZERO
 from gpsq.simctl import (
@@ -26,12 +26,12 @@ from gpsq.simctl import (
     EXIT_SUITE_FAILED,
     ConfigError,
     ExperimentConfig,
+    _cells,
     _csv_bytes,
-    _fmt,
     _forward_csv_rows,
     _g17,
     _parse_rho,
-    _rep_ranges,
+    _partition,
     _worker_forward,
     load_config,
     main,
@@ -77,26 +77,31 @@ def forward_reference(cfg):
     return reps
 
 
-def forward_failing_at_2(args):
+def forward_failing_at_2(cfg, base, r, reps):
     """``_worker_forward`` that marks each replication it starts, in the
     output's directory, and raises on replication 2; module-level, so that
     a process pool can send it."""
-    cfg, i = args
-    (Path(cfg.out_path).parent / f"started-{i}").touch()
-    if i == 2:
-        raise RuntimeError("replication 2 failed")
-    time.sleep(0.1)
-    return _worker_forward(args)
+    for i in reps:
+        (Path(cfg.out_path).parent / f"started-{i}").touch()
+        if i == 2:
+            raise RuntimeError("replication 2 failed")
+        time.sleep(0.1)
+        yield from _worker_forward(cfg, base, r, [i])
+
+
+def g17(x):
+    """A float CSV cell: 17 significant digits (round-trip exact)."""
+    return format(float(x), ".17g")
 
 
 def forward_csv_via_writer(rows):
-    """forward_sim CSV bytes through csv.writer over _fmt'd floats, from
+    """forward_sim CSV bytes through csv.writer over g17'd floats, from
     (replication, seed, segment) triples."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_FORWARD_HEADER)
     for i, seed, (t0, t1, q, ws, dr) in rows:
-        w.writerow((i, seed, _fmt(t0), _fmt(t1), q, _fmt(ws), _fmt(dr)))
+        w.writerow((i, seed, g17(t0), g17(t1), q, g17(ws), g17(dr)))
     return buf.getvalue().encode("utf-8")
 
 
@@ -266,7 +271,7 @@ class TestRunModes:
                      (3.0, 4.0, 2, 7.0, 1.0)]),
             (4, 5, long_rep),
         ]
-        rendered = _csv_bytes(_FORWARD_HEADER, ()) + b"".join(
+        rendered = _csv_bytes([_FORWARD_HEADER]) + b"".join(
             _forward_csv_rows(i, seed, segs) for i, seed, segs in reps)
         assert rendered == forward_csv_via_writer(
             (i, seed, seg) for i, seed, segs in reps for seg in segs)
@@ -320,9 +325,10 @@ class TestRunModes:
         events = []
         write = simctl._atomic_write
 
-        def simulate(args):
-            events.append(("simulate", args[1]))
-            return _worker_forward(args)
+        def simulate(cfg, base, r, reps):
+            for i in reps:
+                events.append(("simulate", i))
+                yield from _worker_forward(cfg, base, r, [i])
 
         def logged_write(out, chunks):
             def logged():
@@ -350,6 +356,27 @@ class TestRunModes:
                 assert out == jobs2_bytes
             else:
                 assert hashlib.sha256(out).hexdigest() == GOLDEN[(name, "csv")]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS) + ["invariant_suite"])
+    def test_specs_are_interpreted_once(self, tmp_path, monkeypatch, name):
+        # one input generator and at most one rate per run, however many
+        # replications and load points it has; workers derive the rest
+        calls = {"generator_from_config": 0, "rate_from_config": 0}
+        for fn in calls:
+            def counted(*args, _fn=fn, _original=getattr(simctl, fn), **kwargs):
+                calls[_fn] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(simctl, fn, counted)
+        data = GOLDEN_CONFIGS.get(name, {"mode": "invariant_suite"})
+        cfg = ExperimentConfig.from_dict(dict(
+            data, schema_id=SCHEMA_ID,
+            output={"path": str(tmp_path / f"{name}.csv"), "format": "csv"}))
+        run_experiment(cfg, jobs=1)
+        assert calls == {
+            "generator_from_config": cfg.mode != "invariant_suite",
+            "rate_from_config": cfg.mode not in ("invariant_suite", "gginf_stationary"),
+        }
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_forward_sim_failure_mid_stream_leaves_nothing(self, tmp_path, monkeypatch, jobs):
@@ -415,7 +442,7 @@ class TestRunModes:
         # the load, within binomial noise
         import math
 
-        from gpsq.simctl import ExperimentConfig, _worker_sweep_point
+        from gpsq.simctl import ExperimentConfig, _worker_sweep_point, generator_from_config
 
         cfg = ExperimentConfig.from_dict({
             "schema_id": "gpsq-experiment-v1",
@@ -429,7 +456,10 @@ class TestRunModes:
             "rate": {"kind": "classical_ps"},
             "sweep": {"rho": [0.4, 0.8, 1.2]},
         })
-        recs = [_worker_sweep_point((cfg, rho)) for rho in cfg.rho_grid]
+        base = generator_from_config(cfg.input_spec, seed_override=cfg.base_seed)
+        rate = rate_from_config(cfg.rate_spec)
+        recs = list(_worker_sweep_point(cfg, base, rate, list(cfg.rho_grid)))
+        assert [rec["rho"] for rec in recs] == list(cfg.rho_grid)
         freqs = [r["coupling_freq"] for r in recs]
         n = cfg.replications
         for a, b in zip(freqs, freqs[1:]):
@@ -518,6 +548,23 @@ class TestRunModes:
             assert main(["sweep", str(cfg), f"--rho={rho}", "--jobs", "1"]) == EXIT_CONFIG, rho
 
 
+class TestCells:
+    def test_cells_are_the_per_mode_rows(self):
+        # the cells the per-mode row code wrote: "" for a missing profile
+        # field, "%.17g" for a float (and for gginf's workload, which is the
+        # int 0 for an empty profile and printed "0" either way), and what
+        # csv.writer writes for anything else
+        rec = {"missing": None, "empty_workload": 0, "zero": 0.0, "neg_zero": -0.0,
+               "nan": float("nan"), "inf": float("inf"), "neg_inf": float("-inf"),
+               "tenth": 0.1, "coupled": True, "converged": False, "verdict": "stable",
+               "detail": 'ok, "quoted"', "seed": 2**64 - 1, "regeneration_index": -5}
+        header = tuple(rec)
+        assert _csv_bytes([_cells(rec, header)]) == (
+            b',0,0,-0,nan,inf,-inf,0.10000000000000001,True,False,stable,'
+            b'"ok, ""quoted""",18446744073709551615,-5\n')
+        assert _cells(rec, ("verdict", "missing")) == ["stable", ""]
+
+
 class TestG17:
     """``_g17`` against ``b"%.17g" % x``, the text it replaces."""
 
@@ -574,19 +621,38 @@ class TestG17:
 
 class TestJsonStream:
     def test_chunks_equal_json_bytes(self):
-        obj = {
-            "schema_id": SCHEMA_ID, "mode": "forward_sim", "b": [], "a": {},
-            "replications": [
-                {"seed": 2**64 - 1, "segments": [(0.0, 1.5, 0, 0, 0.0), [0.1, -0.0, 2, 1e-300, 1e20]],
-                 "exhausted": False, "nested": {"z": [[[1]]], "y": None, "x": "\u00e9\n"}}
-                for _ in range(3000)
-            ],
-        }
-        chunks = list(simctl._json_chunks(obj))
-        assert len(chunks) > 2
-        assert b"".join(chunks) == simctl._json_bytes(obj)
-        assert b"".join(simctl._json_chunks(0)) == simctl._json_bytes(0) == b"0\n"
-        assert b"".join(simctl._json_chunks(0.0)) == simctl._json_bytes(0.0) == b"0.0\n"
+        recs = [
+            {"seed": 2**64 - 1, "segments": [(0.0, 1.5, 0, 0, 0.0), [0.1, -0.0, 2, 1e-300, 1e20]],
+             "exhausted": False, "nested": {"z": [[[1]]], "y": None, "x": "\u00e9\n"}}
+            for _ in range(3000)
+        ]
+        # the list's key first, between others and last among the sorted
+        # keys; a nested key of the same name and null value; no records
+        cases = [
+            ({"schema_id": SCHEMA_ID, "mode": "stability_sweep"}, "grid", recs),
+            ({"schema_id": SCHEMA_ID, "mode": "forward_sim", "b": [], "a": {}},
+             "replications", recs),
+            ({"schema_id": SCHEMA_ID, "mode": "gginf_stationary",
+              "p_L_zero": {"replications": None, "estimate": 0.5}}, "replications", recs[:2]),
+            ({"schema_id": SCHEMA_ID, "mode": "invariant_suite"}, "suites", recs[:1]),
+            ({"schema_id": SCHEMA_ID, "mode": "forward_sim"}, "replications", []),
+        ]
+        for fields, key, items in cases:
+            pulled = []
+
+            def lazy():
+                for rec in items:
+                    pulled.append(rec)
+                    yield rec
+
+            chunks = simctl._json_chunks(fields, key, lazy())
+            out = [next(chunks)]
+            assert pulled == []
+            for k, chunk in enumerate(chunks, 1):
+                out.append(chunk)
+                assert len(pulled) == min(k, len(items))  # one record per chunk
+            assert len(out) == len(items) + 2
+            assert b"".join(out) == simctl._json_bytes({**fields, key: items})
 
 
 class TestReplicationBatches:
@@ -614,11 +680,34 @@ class TestReplicationBatches:
     @pytest.mark.parametrize("n", [1, 7, 63, 64, 65, 130, 1000])
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_ranges_cover_in_order(self, n, jobs):
-        ranges = _rep_ranges(n, jobs)
-        assert [i for lo, hi in ranges for i in range(lo, hi)] == list(range(n))
-        assert all(0 < hi - lo <= BATCH_ROWS for lo, hi in ranges)
+        chunks = _partition(list(range(n)), jobs)
+        assert [i for chunk in chunks for i in chunk] == list(range(n))
+        assert all(chunks)
+        if jobs == 1:
+            assert len(chunks) == 1
         if jobs > 1 and n >= 4 * jobs:
-            assert len(ranges) >= 4 * jobs
+            assert len(chunks) >= 4 * jobs
+
+    def test_batches_hold_at_most_batch_rows(self, tmp_path, monkeypatch):
+        # the perfect-sample worker hands its whole chunk to the batch
+        # sampler, which searches at most BATCH_ROWS replications at once
+        sizes = []
+        couple = stationary._couple_batch
+
+        def counted(gens, *args):
+            sizes.append(len(gens))
+            return couple(gens, *args)
+
+        monkeypatch.setattr(stationary, "_couple_batch", counted)
+        n = 2 * BATCH_ROWS + 5
+        cfg = ExperimentConfig.from_dict({
+            "schema_id": SCHEMA_ID, "mode": "ps_perfect_sample", "base_seed": 3,
+            "replications": n, "max_lookback": 2000, "lindley_window": 200,
+            "input": MM_INPUT, "rate": {"kind": "half_interference"},
+            "output": {"path": str(tmp_path / "ps.csv"), "format": "csv"},
+        })
+        assert run_experiment(cfg, jobs=1).rows == n
+        assert sizes == [BATCH_ROWS, BATCH_ROWS, 5]
 
 
 SUITE_NAMES = (
