@@ -1,0 +1,42 @@
+"""pytest-benchmark cases for the input layer: one many-seed
+``sample_blocks`` read of iid and of Markov-modulated input, in µs per
+index read.
+
+Each call reads ``SEEDS`` seeds (one perfect-sampling batch of
+``stationary.BATCH_ROWS``) over ``INDICES`` indices: the iid input is the
+shipped ``configs/perfect_sample.yaml`` one, the Markov-modulated input is
+perfbench's ``sweep_mm`` chain.  Kept outside ``testpaths``;
+``bench/write_bench.py`` turns the timings into µs per index.
+"""
+
+import pytest
+
+from gpsq.input_process import generator_from_config, replication_seed, sample_blocks
+from gpsq.stationary import BATCH_ROWS
+
+SEEDS = BATCH_ROWS
+INDICES = 256
+
+INPUTS = {
+    "iid": {"model": "iid", "xi": {"dist": "exp", "mean": 3},
+            "sigma": {"dist": "exp", "mean": 1}},
+    "markov_modulated": {
+        "model": "markov_modulated",
+        "transition": [[0.9, 0.1], [0.2, 0.8]],
+        "states": [
+            {"xi": {"dist": "exp", "mean": 1.5}, "sigma": {"dist": "exp", "mean": 0.5}},
+            {"xi": {"dist": "exp", "mean": 0.5},
+             "sigma": {"dist": "uniform", "low": 0.0, "high": 2.0}},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("model", list(INPUTS))
+def test_sample_blocks(benchmark, model):
+    base = generator_from_config(INPUTS[model])
+    gens = [base.with_seed(replication_seed(42, i)) for i in range(SEEDS)]
+    # a backward read, as the perfect sampler's buffer makes
+    xs, ss = benchmark(sample_blocks, gens, -INDICES, 0)
+    assert xs.shape == ss.shape == (SEEDS, INDICES)
+    benchmark.extra_info.update(unit="us_per_index", count=SEEDS * INDICES)

@@ -22,13 +22,10 @@ from .rates import (
     validate,
 )
 from .dynamics import (
-    CycleSchedule,
     QueuePath,
     TrajectorySegment,
-    departure_schedule,
     fluid_oracle_phi,
     gamma,
-    gamma_i,
     gamma_values,
     last_departure_index,
     phi,
@@ -38,7 +35,6 @@ from .dynamics import (
 )
 from .input_process import (
     Deterministic,
-    DeterministicModel,
     Exponential,
     IIDModel,
     MarkedInputGenerator,
@@ -83,13 +79,10 @@ __all__ = [
     "scaled_ps",
     "table_rate",
     "validate",
-    "CycleSchedule",
     "QueuePath",
     "TrajectorySegment",
-    "departure_schedule",
     "fluid_oracle_phi",
     "gamma",
-    "gamma_i",
     "gamma_values",
     "last_departure_index",
     "phi",
@@ -97,7 +90,6 @@ __all__ = [
     "step",
     "trajectory",
     "Deterministic",
-    "DeterministicModel",
     "Exponential",
     "IIDModel",
     "MarkedInputGenerator",

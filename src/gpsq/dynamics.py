@@ -33,13 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import CountingMeasure, ZERO
+from .measures import ATOM_TOL, CountingMeasure, ZERO
 from .rates import RateFunction
-
-#: Tolerance for the departure test ``alpha_i <= gamma_i``: a customer
-#: finishing exactly at the arrival instant counts as departed, and float
-#: noise must not flip that.
-CMP_TOL = 1e-9
 
 #: Departure threshold for the event-driven oracle's drained atoms.
 _ORACLE_EPS = 1e-12
@@ -68,26 +63,18 @@ def gamma_values(mu: CountingMeasure, x: float, r: RateFunction) -> tuple[float,
     return tuple(out)
 
 
-def gamma_i(mu: CountingMeasure, x: float, r: RateFunction, i: int) -> float:
-    """The drain threshold of the ``i``-th smallest atom (1-based)."""
-    if mu.is_empty:
-        raise ValueError("gamma_i is undefined for the zero measure")
-    if not 1 <= i <= mu.num_atoms:
-        raise ValueError(f"index {i} out of range 1..{mu.num_atoms}")
-    return gamma_values(mu, x, r)[i - 1]
-
-
 def last_departure_index(mu: CountingMeasure, x: float, r: RateFunction) -> int:
     """Index of the last customer departing within the cycle (0 if none).
 
     A customer departs iff its remaining work is at most its threshold,
-    within :data:`CMP_TOL`.
+    within :data:`~gpsq.measures.ATOM_TOL`: one finishing exactly at the
+    arrival instant counts as departed, and float noise must not flip that.
     """
     gs = gamma_values(mu, x, r)
     atoms = mu.atoms
     last = 0
     for i in range(len(atoms), 0, -1):
-        if atoms[i - 1] <= gs[i - 1] + CMP_TOL:
+        if atoms[i - 1] <= gs[i - 1] + ATOM_TOL:
             last = i
             break
     return last
@@ -124,79 +111,6 @@ def step(
 
 
 # ---------------------------------------------------------------------------
-# cycle schedules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CycleSchedule:
-    """Departure analysis of one arrival-free drain cycle.
-
-    ``departure_times[i-1]`` is the instant the ``i``-th smallest atom
-    would empty if no further arrival interrupted the drain.  When a cycle
-    budget ``x`` is supplied the threshold fields are filled in:
-    ``gamma_values`` per atom, ``last_departure_index`` (0 = nobody leaves
-    within the budget), and ``gamma``, the realized per-customer drain.
-    Without a budget those fields are ``None`` (they are only meaningful
-    relative to a next-arrival deadline).
-    """
-
-    base_time: float
-    departure_times: tuple[float, ...]
-    budget: float | None = None
-    gamma_values: tuple[float, ...] | None = None
-    last_departure_index: int | None = None
-    gamma: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base_time": self.base_time,
-            "departure_times": list(self.departure_times),
-            "budget": self.budget,
-            "gamma_values": None if self.gamma_values is None else list(self.gamma_values),
-            "last_departure_index": self.last_departure_index,
-            "gamma": self.gamma,
-        }
-
-
-def departure_schedule(
-    mu: CountingMeasure,
-    r: RateFunction,
-    base_time: float = 0.0,
-    budget: float | None = None,
-) -> CycleSchedule:
-    """All theoretical departure times of ``mu`` assuming no further
-    arrivals, by the induction ``T_i = T_{i-1} + (a_i - a_{i-1}) / r(n-i+1)``.
-
-    With a ``budget`` (time to the next arrival) the schedule also carries
-    the threshold analysis used by :func:`phi`.
-    """
-    if mu.is_empty:
-        raise ValueError("departure schedule is undefined for the zero measure")
-    atoms = mu.atoms
-    n = len(atoms)
-    rates = r.rate_vector(n)
-    times = []
-    t = base_time
-    prev = 0.0
-    for i in range(1, n + 1):
-        t = t + (atoms[i - 1] - prev) / rates[n - i + 1]
-        times.append(t)
-        prev = atoms[i - 1]
-    if budget is None:
-        return CycleSchedule(base_time=base_time, departure_times=tuple(times))
-    gs = gamma_values(mu, budget, r)
-    return CycleSchedule(
-        base_time=base_time,
-        departure_times=tuple(times),
-        budget=budget,
-        gamma_values=gs,
-        last_departure_index=last_departure_index(mu, budget, r),
-        gamma=max(gs),
-    )
-
-
-# ---------------------------------------------------------------------------
 # continuous-time trajectory
 # ---------------------------------------------------------------------------
 
@@ -219,15 +133,6 @@ class TrajectorySegment:
     @property
     def w_end(self) -> float:
         return self.w_start - self.drain_rate * (self.t_end - self.t_start)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "q": self.q,
-            "w_start": self.w_start,
-            "drain_rate": self.drain_rate,
-        }
 
 
 TRAJECTORY_CSV_HEADER = ("t_start", "t_end", "q", "w_start", "drain_rate")
@@ -266,7 +171,8 @@ def trajectory_rows(
     append = rows.append
     insort = bisect.insort
     eps = _ORACLE_EPS
-    rate_cache: dict[int, float] = {}
+    # r's own rate cache, grown to each occupancy as the run reaches it
+    rates = r.rate_vector(0)
     n_events = len(events)
     next_arrival = events[0][0] if n_events else float("inf")
     t = 0.0
@@ -274,9 +180,9 @@ def trajectory_rows(
     while t < horizon:
         if atoms:
             q = len(atoms)
-            rate = rate_cache.get(q)
-            if rate is None:
-                rate = rate_cache[q] = r(q)
+            if q >= len(rates):
+                rates = r.rate_vector(q)
+            rate = rates[q]
             finish = t + atoms[0] / rate
             if finish <= t:
                 # the smallest atom's finish time rounds back onto the
@@ -376,14 +282,14 @@ def simulate_queue_path(
     r: RateFunction,
     n_steps: int,
     initial: CountingMeasure = ZERO,
-    start_index: int = 0,
 ) -> QueuePath:
     """Run ``n_steps`` arrival-to-arrival steps of the recursion.
 
     Equivalent to iterating :func:`step` with the marks of ``gen`` at
-    indices ``start_index, start_index + 1, ...``, but using a lazy global
-    drain offset and a min-heap of absolute finish levels, so each step
-    costs O(log n) plus one event per departure.  Intended for the long
+    indices ``0, 1, ...`` (``gen.shift(k)`` starts at index ``k``), but
+    using a lazy global drain offset and a min-heap of absolute finish
+    levels, so each step costs O(log n) plus one event per departure.
+    Intended for the long
     statistical runs where the per-step closed form would be quadratic
     overall.  The offset and the level total restart from zero whenever
     the queue empties, so their rounding error does not build up over a
@@ -397,16 +303,8 @@ def simulate_queue_path(
     total = sum(heap)  # sum of absolute levels currently in the heap
     q = np.empty(n_steps + 1, dtype=np.int64)
     w = np.empty(n_steps + 1, dtype=np.float64)
-    rate_cache: dict[int, float] = {}
-
-    def rate_at(n: int) -> float:
-        v = rate_cache.get(n)
-        if v is None:
-            v = r(n)
-            rate_cache[n] = v
-        return v
-
-    xs, ss = gen.sample_block(start_index, start_index + n_steps)
+    rates = r.rate_vector(0)  # grown as in trajectory_rows
+    xs, ss = gen.sample_block(0, n_steps)
     for n in range(n_steps):
         q[n] = len(heap)
         w[n] = total - offset * len(heap)
@@ -416,7 +314,10 @@ def simulate_queue_path(
         total += level
         b = xi
         while heap and b > 0.0:
-            rate = rate_at(len(heap))
+            k = len(heap)
+            if k >= len(rates):
+                rates = r.rate_vector(k)
+            rate = rates[k]
             dt = (heap[0] - offset) / rate
             if dt <= b:
                 b -= dt

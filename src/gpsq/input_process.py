@@ -350,35 +350,6 @@ class IIDModel:
         return self.sigma_dist.quantile(p)
 
 
-@dataclass(frozen=True)
-class DeterministicModel:
-    """Constant marks ``(xi, sigma)`` at every index."""
-
-    xi: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.xi <= 0.0:
-            raise ValueError(f"inter-arrival time must be positive, got {self.xi!r}")
-        if self.sigma < 0.0:
-            raise ValueError(f"service demand must be nonnegative, got {self.sigma!r}")
-
-    def sample_blocks(
-        self, seeds: Sequence[int], a: int, b: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        shape = (len(seeds), b - a)
-        return np.full(shape, float(self.xi)), np.full(shape, float(self.sigma))
-
-    def mean_xi(self) -> float:
-        return self.xi
-
-    def mean_sigma(self) -> float:
-        return self.sigma
-
-    def sigma_quantile(self, p: float) -> float:
-        return self.sigma
-
-
 def _marks(
     xi_dist: Distribution, sigma_dist: Distribution, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -549,7 +520,7 @@ def _mm_states(
     return out
 
 
-InputModel = IIDModel | DeterministicModel | MarkovModulatedModel
+InputModel = IIDModel | MarkovModulatedModel
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +622,9 @@ def iid_input(xi: Distribution, sigma: Distribution, seed: int) -> MarkedInputGe
 
 
 def deterministic_input(xi: float, sigma: float, seed: int = 0) -> MarkedInputGenerator:
-    return MarkedInputGenerator(model=DeterministicModel(xi, sigma), seed=seed)
+    """Constant marks ``(xi, sigma)`` at every index: iid marks with
+    deterministic laws."""
+    return iid_input(Deterministic(xi), Deterministic(sigma), seed)
 
 
 def generator_from_config(cfg: dict, seed_override: int | None = None) -> MarkedInputGenerator:
@@ -670,9 +643,9 @@ def generator_from_config(cfg: dict, seed_override: int | None = None) -> Marked
     if kind == "iid":
         model: InputModel = IIDModel(dist_from_config(cfg["xi"]), dist_from_config(cfg["sigma"]))
     elif kind == "deterministic":
-        model = DeterministicModel(
-            config_number(cfg["xi"], "deterministic xi"),
-            config_number(cfg["sigma"], "deterministic sigma"),
+        model = IIDModel(
+            Deterministic(config_number(cfg["xi"], "deterministic xi")),
+            Deterministic(config_number(cfg["sigma"], "deterministic sigma")),
         )
     elif kind == "markov_modulated":
         states = cfg["states"]
@@ -698,8 +671,6 @@ def scale_sigma(gen: MarkedInputGenerator, factor: float) -> MarkedInputGenerato
     m = gen.model
     if isinstance(m, IIDModel):
         new: InputModel = IIDModel(m.xi_dist, m.sigma_dist.scaled(factor))
-    elif isinstance(m, DeterministicModel):
-        new = DeterministicModel(m.xi, m.sigma * factor)
     else:
         new = MarkovModulatedModel(
             transition=m.transition,

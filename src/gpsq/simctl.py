@@ -381,15 +381,17 @@ def _map_ordered(fn: Callable[[list], Iterable], items: list, jobs: int) -> Iter
     """The records ``fn`` yields for the chunks of :func:`_partition`, lazily
     and always in item order, so the artifact bytes never depend on the
     worker count.  One chunk runs in this process, as one call; more go to
-    a pool of ``jobs`` processes, at most ``2 * jobs`` chunks outstanding,
-    the next one submitted as each result is taken; an error or an early
-    close cancels the chunks no worker has started."""
+    a pool of ``min(jobs, len(chunks))`` processes (a forking pool starts
+    all its workers at the first submit, so none without a chunk), at most
+    ``2 * jobs`` chunks outstanding, the next one submitted as each result
+    is taken; an error or an early close cancels the chunks no worker has
+    started."""
     chunks = _partition(items, jobs)
     if len(chunks) <= 1:
         yield from fn(items)
         return
     todo = iter(chunks)
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
     try:
         ahead = deque(pool.submit(_map_list, fn, c) for c in islice(todo, 2 * jobs))
         while ahead:
@@ -837,7 +839,9 @@ def _parse_rho(text: str) -> tuple[float, ...]:
         start, stop, step_ = _rho_grid(parts, "--rho")
         if stop < start:
             raise ConfigError(f"--rho range is empty or descending: {text!r}")
-        n = int(round((stop - start) / step_))
+        # the last point at or below stop; the slack keeps a stop that
+        # is a whole number of steps away (0.1:1.5:0.1) on the grid
+        n = math.floor((stop - start) / step_ + 1e-9)
         return tuple(round(start + k * step_, 10) for k in range(n + 1))
     return _rho_grid(text.split(","), "--rho")
 

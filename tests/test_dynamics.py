@@ -1,5 +1,5 @@
-"""Tests for the one-step recursion, schedules, trajectories and the
-fluid oracle.
+"""Tests for the one-step recursion, trajectories, the fluid oracle and
+the heap fast path.
 
 Expected values for the worked examples were computed two independent
 ways: by hand from the departure-time induction, and by the event-driven
@@ -19,10 +19,8 @@ from gpsq import checks
 from gpsq.checks import CATALOG, random_instance
 from gpsq.dynamics import (
     _ORACLE_EPS,
-    departure_schedule,
     fluid_oracle_phi,
     gamma,
-    gamma_i,
     gamma_values,
     last_departure_index,
     phi,
@@ -43,24 +41,17 @@ PD = pure_delay()
 class TestGamma:
     def test_worked_example(self):
         mu = CountingMeasure([2, 4])
-        assert gamma_i(mu, 5, CPS, 1) == pytest.approx(2.5)
-        assert gamma_i(mu, 5, CPS, 2) == pytest.approx(3.0)
+        assert gamma_values(mu, 5, CPS)[0] == pytest.approx(2.5)
+        assert gamma_values(mu, 5, CPS)[1] == pytest.approx(3.0)
 
     def test_constant_rate_gives_x(self):
         mu = CountingMeasure([1.0, 2.5, 7.0])
         for i in (1, 2, 3):
-            assert gamma_i(mu, 4.2, PD, i) == pytest.approx(4.2)
-
-    def test_index_out_of_range(self):
-        mu = CountingMeasure([1.0])
-        with pytest.raises(ValueError):
-            gamma_i(mu, 1.0, CPS, 0)
-        with pytest.raises(ValueError):
-            gamma_i(mu, 1.0, CPS, 2)
+            assert gamma_values(mu, 4.2, PD)[i - 1] == pytest.approx(4.2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            gamma_i(ZERO, 1.0, CPS, 1)
+            gamma_values(ZERO, 1.0, CPS)
         with pytest.raises(ValueError):
             gamma(ZERO, 1.0, CPS)
 
@@ -117,56 +108,46 @@ class TestStep:
         assert step(ZERO, 1, 3, HI) == ZERO
 
 
+def departure_times(mu, r, horizon):
+    """The instants at which ``mu``'s customers leave when nothing arrives:
+    one per departed customer, read off the ends of the busy segments of
+    :func:`trajectory_rows` (simultaneous departures end one segment)."""
+    times = []
+    rows = trajectory_rows(mu, [], horizon, r)
+    for (_, t_end, q, _, _), nxt in zip(rows, rows[1:] + [(0, 0, 0, 0, 0)]):
+        times += [t_end] * (q - nxt[2])
+    return times
+
+
 class TestDepartureSchedule:
+    # departure times of an arrival-free drain, by the induction
+    # T_i = T_{i-1} + (a_i - a_{i-1}) / r(n-i+1)
     def test_two_customer_example(self):
-        sched = departure_schedule(CountingMeasure([2, 4]), CPS)
-        assert sched.departure_times == (4.0, 6.0)
-        assert sched.base_time == 0.0
+        assert departure_times(CountingMeasure([2, 4]), CPS, 7.0) == [4.0, 6.0]
 
     def test_single_customer(self):
-        sched = departure_schedule(CountingMeasure([1.5]), HI, base_time=10.0)
-        assert sched.departure_times == (11.5,)
+        # alone from its arrival at t = 10, it leaves at 10 + 1.5 / r(1)
+        rows = trajectory_rows(ZERO, [(10.0, 1.5)], 12.0, HI)
+        assert [t_end for _, t_end, q, _, _ in rows if q == 1] == [11.5]
+        assert departure_times(CountingMeasure([1.5]), HI, 2.0) == [1.5]
 
     def test_pure_delay_departs_at_remaining_times(self):
-        sched = departure_schedule(CountingMeasure([1, 2, 3]), PD)
-        assert sched.departure_times == (1.0, 2.0, 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            departure_schedule(ZERO, CPS)
-
-    def test_budget_fills_threshold_fields(self):
-        mu = CountingMeasure([2, 4])
-        sched = departure_schedule(mu, CPS, budget=5.0)
-        assert sched.gamma_values == gamma_values(mu, 5.0, CPS)
-        assert sched.last_departure_index == 1
-        assert sched.gamma == pytest.approx(3.0)
-        bare = departure_schedule(mu, CPS)
-        assert bare.gamma_values is None and bare.gamma is None
+        assert departure_times(CountingMeasure([1, 2, 3]), PD, 4.0) == [1.0, 2.0, 3.0]
 
     def test_schedule_invariants_randomized(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
             mu, x, r = random_instance(rng, min_atoms=1)
-            sched = departure_schedule(mu, r, budget=x)
-            times = sched.departure_times
-            assert all(b >= a - 1e-12 for a, b in zip(times, times[1:]))
-            assert 0 <= sched.last_departure_index <= mu.num_atoms
-            assert sched.gamma == max(sched.gamma_values)
+            times = departure_times(mu, r, 1e6)
+            assert len(times) == mu.num_atoms
+            assert all(b >= a for a, b in zip(times, times[1:]))
+            assert 0 <= last_departure_index(mu, x, r) <= mu.num_atoms
+            assert gamma(mu, x, r) == max(gamma_values(mu, x, r))
 
     def test_duplicate_atoms_depart_together(self):
-        sched = departure_schedule(CountingMeasure([2.0, 2.0]), CPS)
-        assert sched.departure_times == (4.0, 4.0)
-
-    def test_json_shapes(self):
-        sched = departure_schedule(CountingMeasure([2, 4]), CPS, budget=5.0)
-        d = sched.to_json_dict()
-        assert d["departure_times"] == [4.0, 6.0]
-        assert d["last_departure_index"] == 1
-        seg = trajectory(ZERO, [(0.0, 2.0)], 3.0, CPS)[0]
-        assert seg.to_json_dict() == {
-            "t_start": 0.0, "t_end": 2.0, "q": 1, "w_start": 2.0, "drain_rate": 1.0,
-        }
+        rows = trajectory_rows(CountingMeasure([2.0, 2.0]), [], 5.0, CPS)
+        assert rows[0] == (0.0, 4.0, 2, 4.0, 1.0)
+        assert departure_times(CountingMeasure([2.0, 2.0]), CPS, 5.0) == [4.0, 4.0]
 
 
 class TestThresholdShape:
@@ -447,15 +428,14 @@ class TestFastPath:
             assert path.q[50] == ref.num_atoms
 
     @pytest.mark.parametrize(
-        "r, mean_sigma",
-        [(CPS, 0.8), (HI, 0.4)],
+        "r, mean_sigma, n_steps",
+        [(CPS, 0.8, 1_000_000), (HI, 0.4, 300_000)],
         ids=["classical_ps", "half_interference"],
     )
-    def test_long_run_does_not_drift(self, r, mean_sigma):
+    def test_long_run_does_not_drift(self, r, mean_sigma, n_steps):
         # load 0.8 against the throughput floor; unless the lazy offset
         # restarts when the queue empties, its rounding error reaches
         # ~1e-8 by 3e5 steps
-        n_steps = 300_000
         g = iid_input(Exponential(1.0), Exponential(mean_sigma), seed=2024)
         path = simulate_queue_path(g, r, n_steps=n_steps)
         xs, ss = g.sample_block(0, n_steps)
@@ -467,13 +447,6 @@ class TestFastPath:
             ref = step(ref, ss[n], xs[n], r)
         assert path.q[n_steps] == ref.num_atoms
         assert w_err <= 1e-9
-
-    def test_start_index_matters(self):
-        g = iid_input(Exponential(2.0), Exponential(1.0), seed=77)
-        a = simulate_queue_path(g, CPS, n_steps=20, start_index=5)
-        b = simulate_queue_path(g.shift(5), CPS, n_steps=20)
-        assert np.array_equal(a.q, b.q)
-        assert a.final_profile.tv_distance(b.final_profile) == 0
 
     def test_zero_steps(self):
         mu = CountingMeasure([1.0, 2.0])

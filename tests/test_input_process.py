@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gpsq.input_process import (
     Deterministic,
-    DeterministicModel,
     Exponential,
     IIDModel,
     MarkedInputGenerator,
@@ -255,7 +254,7 @@ class TestConfig:
 
     def test_deterministic_config(self):
         g = generator_from_config({"model": "deterministic", "xi": 1.0, "sigma": 2.5})
-        assert isinstance(g.model, DeterministicModel)
+        assert g.model == IIDModel(Deterministic(1.0), Deterministic(2.5))
         assert g.sample(0) == (1.0, 2.5)
 
     def test_markov_config(self):
@@ -285,6 +284,14 @@ class TestConfig:
             dist_from_config({"dist": "exp"})
         with pytest.raises(ValueError):
             dist_from_config({"mean": 3})
+        # constant marks: a zero or negative inter-arrival time, a negative
+        # demand, and a bool are refused
+        for xi, sigma in ((0.0, 1.0), (-1.0, 1.0), (1.0, -0.5), (True, 1.0)):
+            with pytest.raises(ValueError):
+                generator_from_config({"model": "deterministic", "xi": xi, "sigma": sigma})
+            if xi is not True:
+                with pytest.raises(ValueError):
+                    deterministic_input(xi, sigma)
 
     def test_scale_sigma(self):
         g = generator_from_config(
@@ -331,7 +338,7 @@ def generators(draw):
             sigma_dists=tuple(draw(distributions) for _ in range(k)),
         )
     else:
-        model = DeterministicModel(draw(_positive), draw(_positive))
+        model = deterministic_input(draw(_positive), draw(_positive)).model
     return MarkedInputGenerator(model=model, seed=draw(seeds))
 
 
@@ -380,8 +387,6 @@ def reference_state(model, seed, index):
 
 def reference_mark(g, n):
     model, k = g.model, n + g.offset
-    if isinstance(model, DeterministicModel):
-        return model.xi, model.sigma
     if isinstance(model, IIDModel):
         xi_dist, sigma_dist = model.xi_dist, model.sigma_dist
     else:

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,11 @@ class TestConfigParsing:
 
     def test_parse_rho(self):
         assert _parse_rho("0.5:1.0:0.25") == (0.5, 0.75, 1.0)
+        # the stop is inclusive and never overshot
+        assert _parse_rho("0.1:0.26:0.1") == (0.1, 0.2)
+        grid = _parse_rho("0.1:1.5:0.1")
+        assert len(grid) == 15 and grid[-1] == 1.5
+        assert _parse_rho("1:2:0.3") == (1.0, 1.3, 1.6, 1.9)
         assert _parse_rho("0.3,0.9") == (0.3, 0.9)
         with pytest.raises(ConfigError):
             _parse_rho("1.0:0.5:0.1")
@@ -526,6 +532,10 @@ class TestRunModes:
             {"lindley_window": True},
             {"rate": {"kind": "scaled_ps", "k": True}},
             {"input": dict(MM_INPUT, sigma={"dist": "exp", "mean": True})},
+            {"input": {"model": "deterministic", "xi": 0.0, "sigma": 1.0}},
+            {"input": {"model": "deterministic", "xi": -1.0, "sigma": 1.0}},
+            {"input": {"model": "deterministic", "xi": 1.0, "sigma": -0.5}},
+            {"input": {"model": "deterministic", "xi": True, "sigma": 1.0}},
             {"rate": {"kind": "custom_table", "floor": 0.5, "table": {1: 1.0, 2: 0.5},
                       "single_server": "false"}},
             {"rate": {"kind": "custom_table", "floor": 0.5, "table": {1: 1.0, 2: 0.5},
@@ -687,6 +697,31 @@ class TestReplicationBatches:
             assert len(chunks) == 1
         if jobs > 1 and n >= 4 * jobs:
             assert len(chunks) >= 4 * jobs
+
+    @pytest.mark.parametrize("n, jobs, workers", [(1, 64, []), (2, 64, [2]), (7, 3, [3]),
+                                                  (1000, 2, [2])])
+    def test_pool_starts_no_idle_worker(self, monkeypatch, n, jobs, workers):
+        # a forking pool starts all max_workers processes at the first
+        # submit; this stand-in records the size and runs each chunk here
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(simctl, "ProcessPoolExecutor", InlinePool)
+        items = list(range(n))
+        doubled = simctl._map_ordered(lambda chunk: [2 * i for i in chunk], items, jobs)
+        assert list(doubled) == [2 * i for i in items]
+        assert sizes == workers
 
     def test_batches_hold_at_most_batch_rows(self, tmp_path, monkeypatch):
         # the perfect-sample worker hands its whole chunk to the batch
