@@ -7,12 +7,22 @@ rate 0.5, a window twice the lookback), the two record scans on Pareto
 demands, whose service quantile (about 1e6) no 10 000 exponential gaps of
 mean 3 can reach.  Kept outside ``testpaths``; ``bench/write_bench.py``
 turns the timings into µs per term.
+
+``test_perfect_sample`` times ``backward_coupling_ps`` in ms per sample on
+M/M/1-PS input (``classical_ps``, exponential gaps of mean 1 and demands
+of mean ``rho``) at loads 0.5, 0.9 and 1.1, one sample each for
+``SAMPLES`` replication seeds.  The window is fixed at 200, so at load 1.1,
+where no window can be derived, the sampler searches instead of returning
+at once: 5 of the 8 samples scan to the cap of ``2 * max_lookback`` terms
+and exhaust, and 3 are certified by the window alone (with nonnegative
+drift there is no margin).
 """
 
 import pytest
 
-from gpsq.input_process import Exponential, Pareto, iid_input
-from gpsq.stationary import lindley_W, loynes_L, stationary_profile_gginf
+from gpsq.input_process import Exponential, Pareto, iid_input, replication_seed
+from gpsq.rates import classical_ps
+from gpsq.stationary import backward_coupling_ps, lindley_W, loynes_L, stationary_profile_gginf
 
 TERMS = 10_000
 
@@ -32,3 +42,23 @@ def test_backward_scan(benchmark, scan):
     res = benchmark(SCANS[scan])
     assert not res.converged and res.iterations == TERMS
     benchmark.extra_info.update(unit="us_per_term", count=TERMS)
+
+
+SAMPLES = 8
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 1.1])
+def test_perfect_sample(benchmark, rho):
+    gens = [iid_input(Exponential(1.0), Exponential(rho), seed=replication_seed(7, i))
+            for i in range(SAMPLES)]
+    r = classical_ps()
+
+    def draw():
+        return [backward_coupling_ps(g, r, max_lookback=10_000, improvement_window=200)
+                for g in gens]
+
+    reports = benchmark(draw)
+    coupled = [rep.coupled for rep in reports]
+    # below load 1 every sample couples; at 1.1 most scan to the cap
+    assert all(coupled) if rho < 1.0 else coupled.count(False) >= SAMPLES // 2
+    benchmark.extra_info.update(unit="ms_per_sample", count=SAMPLES)

@@ -1,12 +1,14 @@
 """pytest-benchmark cases for the input layer: one many-seed
-``sample_blocks`` read of iid and of Markov-modulated input, in µs per
-index read.
+``sample_blocks`` read of iid, deterministic and Markov-modulated input,
+in µs per index read.
 
 Each call reads ``SEEDS`` seeds (one perfect-sampling batch of
 ``stationary.BATCH_ROWS``) over ``INDICES`` indices: the iid input is the
-shipped ``configs/perfect_sample.yaml`` one, the Markov-modulated input is
-perfbench's ``sweep_mm`` chain.  Kept outside ``testpaths``;
-``bench/write_bench.py`` turns the timings into µs per index.
+shipped ``configs/perfect_sample.yaml`` one, the deterministic input has
+its means, and the Markov-modulated input is perfbench's ``sweep_mm``
+chain.  The first two are one-state chains; the deterministic one reads no
+uniforms.  Kept outside ``testpaths``; ``bench/write_bench.py`` turns the
+timings into µs per index.
 """
 
 import pytest
@@ -20,6 +22,7 @@ INDICES = 256
 INPUTS = {
     "iid": {"model": "iid", "xi": {"dist": "exp", "mean": 3},
             "sigma": {"dist": "exp", "mean": 1}},
+    "deterministic": {"model": "deterministic", "xi": 3.0, "sigma": 1.0},
     "markov_modulated": {
         "model": "markov_modulated",
         "transition": [[0.9, 0.1], [0.2, 0.8]],

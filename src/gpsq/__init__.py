@@ -36,7 +36,6 @@ from .dynamics import (
 from .input_process import (
     Deterministic,
     Exponential,
-    IIDModel,
     MarkedInputGenerator,
     MarkovModulatedModel,
     Pareto,
@@ -91,7 +90,6 @@ __all__ = [
     "trajectory",
     "Deterministic",
     "Exponential",
-    "IIDModel",
     "MarkedInputGenerator",
     "MarkovModulatedModel",
     "Pareto",

@@ -28,6 +28,9 @@ call costs about the same for one seed as for dozens.  On top of it,
 :func:`sample_blocks` reads many generators grouped by model, and
 ``sample(n)`` is the block ``[n, n + 1)``.  A kernel call has a fixed cost
 of about 0.2 ms, so read ranges with ``sample_block``, not index by index.
+A read runs the kernel only for what it uses: laws that consume no uniform
+(deterministic ones) read none, and a chain with one state (iid marks)
+reads no chain uniforms.
 
 The kernel reproduces numpy's own Philox generator bit for bit: the
 uniforms of ``(seed, purpose, n)`` are the first two ``random()`` draws of
@@ -182,8 +185,8 @@ class Exponential:
     mean: float
 
     def __post_init__(self):
-        if self.mean <= 0.0:
-            raise ValueError(f"exponential mean must be positive, got {self.mean!r}")
+        if not 0.0 < self.mean < math.inf:
+            raise ValueError(f"exponential mean must be positive and finite, got {self.mean!r}")
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         """Draws from the uniforms ``u`` by the inverse CDF
@@ -207,8 +210,10 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if self.value < 0.0:
-            raise ValueError(f"deterministic value must be nonnegative, got {self.value!r}")
+        if not 0.0 <= self.value < math.inf:
+            raise ValueError(
+                f"deterministic value must be nonnegative and finite, got {self.value!r}"
+            )
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         return np.full(u.size, float(self.value))
@@ -231,8 +236,8 @@ class Uniform:
     high: float
 
     def __post_init__(self):
-        if not 0.0 <= self.low < self.high:
-            raise ValueError(f"need 0 <= low < high, got [{self.low!r}, {self.high!r}]")
+        if not 0.0 <= self.low < self.high < math.inf:
+            raise ValueError(f"need 0 <= low < high < inf, got [{self.low!r}, {self.high!r}]")
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         return self.low + (self.high - self.low) * u
@@ -258,10 +263,10 @@ class Pareto:
     scale: float
 
     def __post_init__(self):
-        if self.alpha <= 1.0:
-            raise ValueError(f"pareto shape must exceed 1 for a finite mean, got {self.alpha!r}")
-        if self.scale <= 0.0:
-            raise ValueError(f"pareto scale must be positive, got {self.scale!r}")
+        if not 1.0 < self.alpha < math.inf:
+            raise ValueError(f"pareto shape must be finite and exceed 1, got {self.alpha!r}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"pareto scale must be positive and finite, got {self.scale!r}")
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         power = -1.0 / self.alpha
@@ -321,35 +326,6 @@ def dist_from_config(cfg: dict) -> Distribution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IIDModel:
-    """Independent marks: ``xi_n ~ xi_dist`` and ``sigma_n ~ sigma_dist``,
-    independently across indices."""
-
-    xi_dist: Distribution
-    sigma_dist: Distribution
-
-    def __post_init__(self):
-        if self.xi_dist.dist_mean() <= 0.0:
-            raise ValueError("inter-arrival distribution must have positive mean")
-
-    def sample_blocks(
-        self, seeds: Sequence[int], a: int, b: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        u = _philox_uniforms(seeds, _PURPOSE_MARKS, a, b)
-        xs, ss = _marks(self.xi_dist, self.sigma_dist, u.reshape(-1, 2))
-        return xs.reshape(u.shape[:2]), ss.reshape(u.shape[:2])
-
-    def mean_xi(self) -> float:
-        return self.xi_dist.dist_mean()
-
-    def mean_sigma(self) -> float:
-        return self.sigma_dist.dist_mean()
-
-    def sigma_quantile(self, p: float) -> float:
-        return self.sigma_dist.quantile(p)
-
-
 def _marks(
     xi_dist: Distribution, sigma_dist: Distribution, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +355,8 @@ class MarkovModulatedModel:
 
     The chain must be irreducible and aperiodic (checked at construction);
     the state at an index is the exactly stationary one, obtained by
-    coupling from the past.
+    coupling from the past.  Independent marks are the chain with one
+    state (:func:`iid_input`); a read of it resolves no states.
     """
 
     transition: tuple[tuple[float, ...], ...]
@@ -395,8 +372,14 @@ class MarkovModulatedModel:
         for row in self.transition:
             if len(row) != k:
                 raise ValueError("transition matrix must be square")
-            if any(p < 0.0 for p in row) or abs(sum(row) - 1.0) > 1e-9:
+            # negated comparisons, so that a NaN entry fails them
+            if any(not p >= 0.0 for p in row) or not abs(sum(row) - 1.0) <= 1e-9:
                 raise ValueError(f"transition row {row!r} is not a probability vector")
+        for d in self.xi_dists:
+            if d.dist_mean() <= 0.0:
+                raise ValueError("inter-arrival distributions must have positive mean")
+        if k == 1:  # the row is (1.0,): irreducible and aperiodic
+            return
         # irreducible: every state reaches every other within k - 1 steps;
         # then aperiodic iff some power is positive, and by Wielandt's
         # bound the power (k - 1)**2 + 1 is positive if any is
@@ -405,9 +388,6 @@ class MarkovModulatedModel:
             raise ValueError("chain is not irreducible")
         if not _bool_power(a, (k - 1) ** 2 + 1).all():
             raise ValueError("chain is not aperiodic")
-        for d in self.xi_dists:
-            if d.dist_mean() <= 0.0:
-                raise ValueError("inter-arrival distributions must have positive mean")
 
     @property
     def n_states(self) -> int:
@@ -419,13 +399,15 @@ class MarkovModulatedModel:
 
     @cached_property
     def _stationary(self) -> np.ndarray:
-        p = np.array(self.transition, dtype=float)
-        k = p.shape[0]
-        a = np.vstack([(p.T - np.eye(k)), np.ones(k)])
-        b = np.zeros(k + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        pi = np.clip(pi, 0.0, None)
+        # one state needs no solve (and so starts no LAPACK/BLAS runtime)
+        pi = np.ones(1)
+        if self.n_states > 1:
+            p = np.array(self.transition, dtype=float)
+            k = p.shape[0]
+            a = np.vstack([(p.T - np.eye(k)), np.ones(k)])
+            b = np.zeros(k + 1)
+            b[-1] = 1.0
+            pi = np.clip(np.linalg.lstsq(a, b, rcond=None)[0], 0.0, None)
         pi.setflags(write=False)
         return pi
 
@@ -446,10 +428,17 @@ class MarkovModulatedModel:
     def sample_blocks(
         self, seeds: Sequence[int], a: int, b: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        states = np.array(_mm_states(self, seeds, a, b), dtype=np.int64).reshape(len(seeds), b - a)
-        u = _philox_uniforms(seeds, _PURPOSE_MARKS, a, b)
-        xs = np.empty(states.shape)
-        ss = np.empty(states.shape)
+        shape = (len(seeds), b - a)
+        if any(d.consumes for d in self.xi_dists + self.sigma_dists):
+            u = _philox_uniforms(seeds, _PURPOSE_MARKS, a, b)
+        else:  # every law is deterministic and reads no uniform
+            u = np.zeros(shape + (2,))
+        if self.n_states == 1:  # the state is 0 everywhere: no chain to read
+            xs, ss = _marks(self.xi_dists[0], self.sigma_dists[0], u.reshape(-1, 2))
+            return xs.reshape(shape), ss.reshape(shape)
+        states = np.array(_mm_states(self, seeds, a, b), dtype=np.int64).reshape(shape)
+        xs = np.empty(shape)
+        ss = np.empty(shape)
         for s in range(self.n_states):
             at = states == s
             xs[at], ss[at] = _marks(self.xi_dists[s], self.sigma_dists[s], u[at])
@@ -520,9 +509,6 @@ def _mm_states(
     return out
 
 
-InputModel = IIDModel | MarkovModulatedModel
-
-
 # ---------------------------------------------------------------------------
 # the generator
 # ---------------------------------------------------------------------------
@@ -538,7 +524,7 @@ class MarkedInputGenerator:
     kernel call's fixed cost; ``shift(k)`` translates the origin.
     """
 
-    model: InputModel
+    model: MarkovModulatedModel
     seed: int
     offset: int = 0
 
@@ -567,22 +553,6 @@ class MarkedInputGenerator:
     def with_seed(self, seed: int) -> "MarkedInputGenerator":
         return replace(self, seed=seed)
 
-    def empirical_means(self, n_samples: int) -> "MeansReport":
-        """Arithmetic means of the marks over indices ``0..n_samples - 1``,
-        with plain standard errors."""
-        if n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-        xs, ss = (np.array(v) for v in self.sample_block(0, n_samples))
-        se_x = float(xs.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-        se_s = float(ss.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-        return MeansReport(
-            mean_xi=float(xs.mean()),
-            mean_sigma=float(ss.mean()),
-            se_xi=se_x,
-            se_sigma=se_s,
-            n_samples=n_samples,
-        )
-
 
 def sample_blocks(gens: Sequence, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """The marks of indices ``a .. b - 1`` of every input in ``gens``, as two
@@ -608,17 +578,14 @@ def sample_blocks(gens: Sequence, a: int, b: int) -> tuple[np.ndarray, np.ndarra
     return xs, ss
 
 
-@dataclass(frozen=True)
-class MeansReport:
-    mean_xi: float
-    mean_sigma: float
-    se_xi: float
-    se_sigma: float
-    n_samples: int
+def _one_state(xi: Distribution, sigma: Distribution) -> MarkovModulatedModel:
+    """Independent marks ``xi_n ~ xi`` and ``sigma_n ~ sigma``: the chain
+    with one state."""
+    return MarkovModulatedModel(((1.0,),), (xi,), (sigma,))
 
 
 def iid_input(xi: Distribution, sigma: Distribution, seed: int) -> MarkedInputGenerator:
-    return MarkedInputGenerator(model=IIDModel(xi, sigma), seed=seed)
+    return MarkedInputGenerator(model=_one_state(xi, sigma), seed=seed)
 
 
 def deterministic_input(xi: float, sigma: float, seed: int = 0) -> MarkedInputGenerator:
@@ -641,9 +608,9 @@ def generator_from_config(cfg: dict, seed_override: int | None = None) -> Marked
         raise ValueError(f"input spec must be a mapping with a 'model' key, got {cfg!r}")
     kind = cfg["model"]
     if kind == "iid":
-        model: InputModel = IIDModel(dist_from_config(cfg["xi"]), dist_from_config(cfg["sigma"]))
+        model = _one_state(dist_from_config(cfg["xi"]), dist_from_config(cfg["sigma"]))
     elif kind == "deterministic":
-        model = IIDModel(
+        model = _one_state(
             Deterministic(config_number(cfg["xi"], "deterministic xi")),
             Deterministic(config_number(cfg["sigma"], "deterministic sigma")),
         )
@@ -668,13 +635,5 @@ def scale_sigma(gen: MarkedInputGenerator, factor: float) -> MarkedInputGenerato
     ``factor`` (for load sweeps over families scalable by mean)."""
     if factor < 0.0:
         raise ValueError(f"scale factor must be nonnegative, got {factor!r}")
-    m = gen.model
-    if isinstance(m, IIDModel):
-        new: InputModel = IIDModel(m.xi_dist, m.sigma_dist.scaled(factor))
-    else:
-        new = MarkovModulatedModel(
-            transition=m.transition,
-            xi_dists=m.xi_dists,
-            sigma_dists=tuple(d.scaled(factor) for d in m.sigma_dists),
-        )
-    return replace(gen, model=new)
+    sigma_dists = tuple(d.scaled(factor) for d in gen.model.sigma_dists)
+    return replace(gen, model=replace(gen.model, sigma_dists=sigma_dists))

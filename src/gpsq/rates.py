@@ -5,9 +5,10 @@ to the per-customer service rate ``r(n)``; the total throughput at
 occupancy ``n`` is ``n * r(n)``.  The standing assumptions carried by a
 rate function are
 
-* ``r`` strictly positive and non-increasing in ``n``;
+* ``r`` finite, strictly positive and non-increasing in ``n``;
 * if the function is flagged ``single_server``: ``n * r(n) <= 1``;
-* a declared throughput floor ``K_r`` with ``n * r(n) >= K_r``.
+* a finite, nonnegative declared throughput floor ``K_r`` with
+  ``n * r(n) >= K_r``.
 
 The floor is declared by the constructor rather than inferred: an infimum
 over all ``n`` is not computable for an arbitrary rate function, so
@@ -77,8 +78,8 @@ class RateFunction:
             v = float(self.formula(n))  # type: ignore[misc]
         else:
             raise ValueError(f"unknown rate kind {self.kind!r}")
-        if v <= 0.0:
-            raise ValueError(f"rate must be strictly positive, r({n}) = {v!r}")
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"rate must be finite and strictly positive, r({n}) = {v!r}")
         return v
 
     def rate_vector(self, n: int) -> list[float]:
@@ -184,11 +185,16 @@ class ValidationReport:
 
 
 def validate(r: RateFunction, n_max: int = 128) -> ValidationReport:
-    """Check positivity, monotonicity, the single-server cap and the
-    declared floor for ``n = 1..n_max``."""
+    """Check that the declared floor is finite and nonnegative, and
+    positivity and finiteness, monotonicity, the single-server cap and the
+    floor for ``n = 1..n_max``."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     violations: list[str] = []
+    if not 0.0 <= r.declared_floor < math.inf:
+        violations.append(
+            f"declared floor must be finite and nonnegative, got {r.declared_floor!r}"
+        )
     seen_nonpositive = seen_increase = seen_cap = seen_floor = False
     prev = None
     min_tp, min_tp_n = float("inf"), 1

@@ -61,6 +61,7 @@ from .stationary import (
     backward_coupling_ps_batch,
     check_stability,
     loynes_L,
+    mean_se,
     stationary_profile_gginf,
 )
 
@@ -634,13 +635,6 @@ def _forward_csv_rows(i: int, seed: int, segments: Sequence[tuple]) -> bytes:
     return b"".join(blocks)
 
 
-def _mean_se(a: np.ndarray) -> tuple[float, float]:
-    if a.size == 0:
-        return math.nan, math.nan
-    se = float(a.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0
-    return float(a.mean()), se
-
-
 def _worker_sweep_point(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunction,
                         rhos: list[float]) -> Iterator[dict]:
     mean_sigma = base.mean_sigma()
@@ -658,8 +652,8 @@ def _worker_sweep_point(cfg: ExperimentConfig, base: MarkedInputGenerator, r: Ra
         verdict = check_stability(
             scaled.with_seed(cfg.base_seed), r, n_samples=cfg.stability_samples
         ).verdict
-        mean_n, se_n = _mean_se(np.array([mu.num_atoms for mu in profiles], dtype=float))
-        mean_w, se_w = _mean_se(np.array([mu.workload for mu in profiles], dtype=float))
+        mean_n, se_n = mean_se(np.array([mu.num_atoms for mu in profiles], dtype=float))
+        mean_w, se_w = mean_se(np.array([mu.workload for mu in profiles], dtype=float))
         yield {
             "rho": rho,
             "sigma_scale": factor,

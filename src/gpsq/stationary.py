@@ -89,15 +89,6 @@ class LoynesResult:
     iterations: int
     tail_bound_note: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "argmax_index": self.argmax_index,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "tail_bound_note": self.tail_bound_note,
-        }
-
 
 @dataclass(frozen=True)
 class StationaryProfileResult:
@@ -116,9 +107,9 @@ class CouplingReport:
     ``regeneration_index`` is the (nonpositive) epoch found with zero
     Lindley workload; ``stationary_profile`` the exact stationary draw at
     index 0.  ``horizon_exhausted`` is set when no certified regeneration
-    epoch exists within the lookback.  ``reason`` (not in the JSON) is
-    ``certified``, ``drift_nonnegative`` (no window derivable) or
-    ``lookback_exhausted``.
+    epoch exists within the lookback.  ``reason`` (not in the result
+    files) is ``certified``, ``drift_nonnegative`` (no window derivable)
+    or ``lookback_exhausted``.
     """
 
     coupled: bool
@@ -127,24 +118,6 @@ class CouplingReport:
     iterations_used: int
     horizon_exhausted: bool
     reason: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coupled": self.coupled,
-            "regeneration_index": self.regeneration_index,
-            "stationary_profile": None
-            if self.stationary_profile is None
-            else list(self.stationary_profile.atoms),
-            "iterations_used": self.iterations_used,
-            "horizon_exhausted": self.horizon_exhausted,
-        }
-
-
-def _sigma_quantile(gen, p: float) -> float | None:
-    try:
-        return gen.sigma_quantile(p)
-    except (AttributeError, NotImplementedError):
-        return None
 
 
 def _depths(first: int, cap: int) -> list[int]:
@@ -201,7 +174,7 @@ def loynes_L(
     """
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
-    qp = _sigma_quantile(gen, quantile)
+    qp = gen.sigma_quantile(quantile)
     buf = _Backlog([gen])
     j, converged = max_lookback, False
     for d in _depths(_FIRST_BLOCK, max_lookback):
@@ -209,7 +182,7 @@ def loynes_L(
         sum_xi = np.cumsum(buf.xs[0, :d])
         cand = buf.ss[0, :d] - sum_xi
         best = np.maximum.accumulate(cand)
-        if qp is not None and (stop := qp - sum_xi <= best).any():
+        if (stop := qp - sum_xi <= best).any():
             j, converged = int(stop.argmax()) + 1, True
             break
     top = float(best[j - 1])
@@ -217,7 +190,6 @@ def loynes_L(
         f"certified: sum(xi) - best exceeds the {quantile} service quantile ({qp})"
         if converged
         else f"horizon exhausted at lookback {max_lookback}"
-        + ("" if qp is not None else " (no quantile bound available)")
     )
     return LoynesResult(
         value=max(top, 0.0),
@@ -243,13 +215,13 @@ def stationary_profile_gginf(
     """
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
-    qp = _sigma_quantile(gen, quantile)
+    qp = gen.sigma_quantile(quantile)
     buf = _Backlog([gen])
     i, converged = max_lookback, False
     for d in _depths(_FIRST_BLOCK, max_lookback):
         buf.reach(d)
         sum_xi = np.cumsum(buf.xs[0, :d])
-        if qp is not None and (stop := sum_xi > qp).any():
+        if (stop := sum_xi > qp).any():
             i, converged = int(stop.argmax()) + 1, True
             break
     v = buf.ss[0, :i] - sum_xi[:i]
@@ -272,18 +244,13 @@ def _stopping_rule(
 ) -> tuple[int | None, float | None]:
     """Window and margin of the Lindley stopping rule: the given values, or
     defaults derived from the input's means (see :func:`lindley_W`)."""
-    mean_xi = mean_sigma = None
-    try:
-        mean_xi, mean_sigma = gen.mean_xi(), gen.mean_sigma()
-    except (AttributeError, NotImplementedError):
-        pass
-    if mean_xi is not None and mean_sigma is not None:
-        gap = k_r * mean_xi - mean_sigma
-        rho_hat = mean_sigma / (k_r * mean_xi)
-        if improvement_window is None and rho_hat < 1.0:
-            improvement_window = math.ceil(10.0 / (1.0 - rho_hat))
-        if drop_margin is None and gap > 0.0:
-            drop_margin = 50.0 * gap
+    mean_xi, mean_sigma = gen.mean_xi(), gen.mean_sigma()
+    gap = k_r * mean_xi - mean_sigma
+    rho_hat = mean_sigma / (k_r * mean_xi)
+    if improvement_window is None and rho_hat < 1.0:
+        improvement_window = math.ceil(10.0 / (1.0 - rho_hat))
+    if drop_margin is None and gap > 0.0:
+        drop_margin = 50.0 * gap
     return improvement_window, drop_margin
 
 
@@ -305,8 +272,8 @@ def lindley_W(
     drift there is no certification, only horizon exhaustion.
     ``argmax_index`` is the first term that reaches the record.
     """
-    if k_r <= 0.0:
-        raise ValueError(f"drain rate must be positive, got {k_r!r}")
+    if not 0.0 < k_r < math.inf:
+        raise ValueError(f"drain rate must be positive and finite, got {k_r!r}")
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
     window, margin = _stopping_rule(gen, k_r, improvement_window, drop_margin)
@@ -403,7 +370,7 @@ def backward_coupling_ps_batch(
         raise ValueError(
             "rate function fails validation: " + "; ".join(report.violations)
         )
-    if r.declared_floor <= 0.0:
+    if not r.declared_floor > 0.0:
         raise ValueError("perfect sampling requires a positive throughput floor")
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
@@ -482,12 +449,26 @@ class StabilityReport:
     n_samples: int
 
 
+def mean_se(a: np.ndarray) -> tuple[float, float]:
+    """Mean of ``a`` and its plain standard error ``std(ddof=1) /
+    sqrt(n)``: 0 for one value, NaN for none."""
+    if a.size == 0:
+        return math.nan, math.nan
+    se = float(a.std(ddof=1) / math.sqrt(a.size)) if a.size > 1 else 0.0
+    return float(a.mean()), se
+
+
 def check_stability(gen, r: RateFunction, n_samples: int = 10_000) -> StabilityReport:
-    """Empirical verdict on ``E[sigma] < K_r E[xi]``."""
-    rep = gen.empirical_means(n_samples)
+    """Empirical verdict on ``E[sigma] < K_r E[xi]``, from the marks of
+    indices ``0 .. n_samples - 1``."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    xs, ss = gen.sample_block(0, n_samples)
+    mean_xi, se_xi = mean_se(np.array(xs))
+    mean_sigma, se_sigma = mean_se(np.array(ss))
     k_r = r.declared_floor
-    margin = k_r * rep.mean_xi - rep.mean_sigma
-    se = math.hypot(k_r * rep.se_xi, rep.se_sigma)
+    margin = k_r * mean_xi - mean_sigma
+    se = math.hypot(k_r * se_xi, se_sigma)
     if margin > 3.0 * se:
         verdict = "stable"
     elif margin < -3.0 * se:
@@ -496,8 +477,8 @@ def check_stability(gen, r: RateFunction, n_samples: int = 10_000) -> StabilityR
         verdict = "inconclusive"
     return StabilityReport(
         verdict=verdict,
-        mean_xi=rep.mean_xi,
-        mean_sigma=rep.mean_sigma,
+        mean_xi=mean_xi,
+        mean_sigma=mean_sigma,
         floor=k_r,
         margin=margin,
         se_margin=se,

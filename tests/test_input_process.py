@@ -5,13 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gpsq import input_process
 from gpsq.input_process import (
     Deterministic,
     Exponential,
-    IIDModel,
     MarkedInputGenerator,
     MarkovModulatedModel,
     Pareto,
@@ -30,6 +30,18 @@ from gpsq.input_process import (
     scale_sigma,
     splitmix64,
 )
+from gpsq.rates import half_interference
+from gpsq.stationary import backward_coupling_ps, mean_se
+
+
+def one_state(xi, sigma):
+    return MarkovModulatedModel(((1.0,),), (xi,), (sigma,))
+
+
+def block_means(g, n):
+    """``mean_se`` of the xi and of the sigma marks of indices ``0 .. n - 1``."""
+    xs, ss = g.sample_block(0, n)
+    return mean_se(np.array(xs)), mean_se(np.array(ss))
 
 
 class TestDeterminismAndShift:
@@ -80,6 +92,20 @@ class TestDistributions:
         with pytest.raises(ValueError):
             Pareto(alpha=1.0, scale=1.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Exponential(math.nan),
+        lambda: Exponential(math.inf),
+        lambda: Deterministic(math.nan),
+        lambda: Deterministic(math.inf),
+        lambda: Pareto(math.nan, 1.0),
+        lambda: Pareto(2.0, math.inf),
+        lambda: Uniform(0.0, math.inf),
+    ], ids=["exp_nan", "exp_inf", "det_nan", "det_inf", "pareto_nan_shape",
+            "pareto_inf_scale", "uniform_inf_high"])
+    def test_non_finite_parameters_refused(self, build):
+        with pytest.raises(ValueError, match="finite|inf"):
+            build()
+
     def test_uniform_bounds_checked(self):
         with pytest.raises(ValueError):
             Uniform(2.0, 1.0)
@@ -103,15 +129,15 @@ class TestDistributions:
 
 class TestEmpiricalMeans:
     def test_deterministic(self):
-        rep = deterministic_input(3.0, 1.0).empirical_means(100)
-        assert (rep.mean_xi, rep.mean_sigma) == (3.0, 1.0)
-        assert rep.se_xi == 0.0
+        (mean_xi, se_xi), (mean_sigma, _) = block_means(deterministic_input(3.0, 1.0), 100)
+        assert (mean_xi, mean_sigma) == (3.0, 1.0)
+        assert se_xi == 0.0
 
     def test_exponential_lln(self):
         g = iid_input(Exponential(2.0), Exponential(0.5), seed=2718)
-        rep = g.empirical_means(200_000)
-        assert abs(rep.mean_xi - 2.0) <= 3 * rep.se_xi
-        assert abs(rep.mean_sigma - 0.5) <= 3 * rep.se_sigma
+        (mean_xi, se_xi), (mean_sigma, se_sigma) = block_means(g, 200_000)
+        assert abs(mean_xi - 2.0) <= 3 * se_xi
+        assert abs(mean_sigma - 0.5) <= 3 * se_sigma
 
     def test_lag_one_autocorrelation_near_zero(self):
         g = iid_input(Exponential(2.0), Exponential(1.0), seed=515)
@@ -133,8 +159,8 @@ class TestMarkovModulated:
     def test_stationary_average(self):
         model = MarkovModulatedModel(**SYMMETRIC_2STATE)
         g = MarkedInputGenerator(model=model, seed=31)
-        rep = g.empirical_means(20_000)
-        assert abs(rep.mean_xi - 2.0) <= 3 * rep.se_xi
+        (mean_xi, se_xi), _ = block_means(g, 20_000)
+        assert abs(mean_xi - 2.0) <= 3 * se_xi
         assert model.mean_xi() == pytest.approx(2.0)
 
     def test_state_frequencies_match_stationary(self):
@@ -231,6 +257,11 @@ class TestMarkovModulated:
                 sigma_dists=(Deterministic(1.0), Deterministic(1.0)),
             )
 
+    @pytest.mark.parametrize("row", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_rejects_non_finite_rows(self, row):
+        with pytest.raises(ValueError, match="probability"):
+            self.chain((row, (0.5, 0.5)))
+
 
 class TestSeedSplitting:
     def test_replication_seeds_distinct(self):
@@ -248,13 +279,13 @@ class TestConfig:
         cfg = {"model": "iid", "xi": {"dist": "exp", "mean": 3},
                "sigma": {"dist": "exp", "mean": 1}, "seed": 42}
         g = generator_from_config(cfg)
-        assert isinstance(g.model, IIDModel)
+        assert g.model == one_state(Exponential(3.0), Exponential(1.0))
         assert g.seed == 42
         assert g.mean_xi() == 3.0
 
     def test_deterministic_config(self):
         g = generator_from_config({"model": "deterministic", "xi": 1.0, "sigma": 2.5})
-        assert g.model == IIDModel(Deterministic(1.0), Deterministic(2.5))
+        assert g.model == one_state(Deterministic(1.0), Deterministic(2.5))
         assert g.sample(0) == (1.0, 2.5)
 
     def test_markov_config(self):
@@ -319,14 +350,12 @@ ranges = st.tuples(st.integers(-(10**6), 10**6), st.integers(0, 80)).map(
 
 @st.composite
 def generators(draw):
-    kind = draw(st.sampled_from(["iid", "mm", "deterministic"]))
-    if kind == "iid":
-        model = IIDModel(draw(distributions), draw(distributions))
-    elif kind == "mm":
-        # a one-state chain (its state is deterministic) or a two-state
-        # one; each state draws its own distribution kinds, so how many
-        # uniforms an index consumes depends on its state
-        if draw(st.booleans()):
+    kind = draw(st.sampled_from(["one_state", "two_state", "deterministic"]))
+    if kind != "deterministic":
+        # a one-state chain (iid marks) or a two-state one; each state
+        # draws its own distribution kinds, so how many uniforms an index
+        # consumes depends on its state
+        if kind == "one_state":
             transition = ((1.0,),)
         else:
             p, q = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
@@ -387,11 +416,8 @@ def reference_state(model, seed, index):
 
 def reference_mark(g, n):
     model, k = g.model, n + g.offset
-    if isinstance(model, IIDModel):
-        xi_dist, sigma_dist = model.xi_dist, model.sigma_dist
-    else:
-        s = reference_state(model, g.seed, k)
-        xi_dist, sigma_dist = model.xi_dists[s], model.sigma_dists[s]
+    s = reference_state(model, g.seed, k)
+    xi_dist, sigma_dist = model.xi_dists[s], model.sigma_dists[s]
     rng = _rng_at(g.seed, _PURPOSE_MARKS, k)
     return reference_draw(xi_dist, rng), reference_draw(sigma_dist, rng)
 
@@ -506,3 +532,71 @@ class TestManySeedBlocks:
         xs, ss = sample_blocks(gens, -40, 25)
         for k, gen in enumerate(gens):
             assert (xs[k].tolist(), ss[k].tolist()) == gen.sample_block(-40, 25)
+
+
+class TestReadPath:
+    """The kernel passes a read asks for: a one-state chain reads no chain
+    uniforms and laws that consume none read no mark uniforms."""
+
+    @pytest.fixture
+    def purposes(self, monkeypatch):
+        asked = []
+        kernel = input_process._philox_uniforms
+
+        def recording(seeds, purpose, a, b):
+            asked.append(purpose)
+            return kernel(seeds, purpose, a, b)
+
+        monkeypatch.setattr(input_process, "_philox_uniforms", recording)
+        return asked
+
+    def test_iid_read_asks_only_for_marks(self, purposes):
+        g = iid_input(Exponential(2.0), Pareto(2.5, 1.0), seed=9)
+        assert g.sample_block(-300, 300) == scalar_block(g, -300, 300)
+        sample_blocks([g, g.with_seed(10)], -50, 50)
+        assert purposes and set(purposes) == {_PURPOSE_MARKS}
+
+    def test_deterministic_read_asks_for_nothing(self, purposes):
+        g = deterministic_input(3.0, 1.0, seed=4)
+        assert g.sample_block(-5, 5) == ([3.0] * 10, [1.0] * 10)
+        xs, ss = sample_blocks([g, g.with_seed(5)], 0, 256)
+        assert xs.tolist() == [[3.0] * 256] * 2 and ss.tolist() == [[1.0] * 256] * 2
+        assert purposes == []
+
+    def test_two_state_read_asks_for_both(self, purposes):
+        model = MarkovModulatedModel(
+            transition=((0.6, 0.4), (0.2, 0.8)),
+            xi_dists=(Exponential(1.0), Deterministic(3.0)),
+            sigma_dists=(Deterministic(0.5), Deterministic(0.5)),
+        )
+        g = MarkedInputGenerator(model=model, seed=13)
+        assert g.sample_block(-40, 40) == scalar_block(g, -40, 40)
+        assert set(purposes) == {_PURPOSE_CHAIN, _PURPOSE_MARKS}
+        # with deterministic laws only the chain is read
+        purposes.clear()
+        det = MarkedInputGenerator(model=MarkovModulatedModel(**SYMMETRIC_2STATE), seed=1)
+        det.sample_block(0, 9)
+        assert set(purposes) == {_PURPOSE_CHAIN}
+
+    def test_one_state_law_needs_no_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-state chain solved for its stationary law")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        g = iid_input(Exponential(3.0), Exponential(1.0), seed=7)
+        pi = g.model.stationary_distribution()
+        assert pi.tolist() == [1.0]
+        assert not pi.flags.writeable
+        assert (g.mean_xi(), g.mean_sigma()) == (3.0, 1.0)
+        assert backward_coupling_ps(g, half_interference()).coupled
+
+    @settings(max_examples=100, deadline=None)
+    @given(distributions, distributions)
+    @example(Exponential(0.3), Uniform(0.1, 0.7))
+    @example(Deterministic(0.1), Pareto(3.0, 0.7))
+    def test_one_state_means_are_the_law_means(self, xi, sigma):
+        # the stopping rule's window and margin derive from these values,
+        # so they must be the law's own means to the bit
+        model = one_state(xi, sigma)
+        assert model.mean_xi() == xi.dist_mean()
+        assert model.mean_sigma() == sigma.dist_mean()

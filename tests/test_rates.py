@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import math
 
 import pytest
 
@@ -127,6 +128,20 @@ class TestValidate:
         rep = validate(formula_rate(lambda n: 1.0 - 0.2 * n, declared_floor=0.0), n_max=10)
         assert not rep.ok
         assert any("strictly positive" in v for v in rep.violations)
+
+    @pytest.mark.parametrize("build, what", [
+        (lambda: scaled_ps(math.nan), "strictly positive"),
+        (lambda: table_rate({1: math.nan}, 0.5), "strictly positive"),
+        (lambda: table_rate({1: 1.0, 2: math.inf}, 0.5), "strictly positive"),
+        (lambda: formula_rate(lambda n: math.nan, 0.5), "strictly positive"),
+        (lambda: table_rate({1: 1.0}, math.nan), "declared floor"),
+        (lambda: table_rate({1: 1.0}, -0.5), "declared floor"),
+    ], ids=["scaled_nan", "table_nan_value", "table_inf_value", "formula_nan",
+            "table_nan_floor", "table_negative_floor"])
+    def test_non_finite_values_reported(self, build, what):
+        rep = validate(build(), n_max=10)
+        assert not rep.ok
+        assert any(what in v for v in rep.violations)
 
 
 class TestDominates:
