@@ -11,11 +11,10 @@ turns the timings into µs per term.
 ``test_perfect_sample`` times ``backward_coupling_ps`` in ms per sample on
 M/M/1-PS input (``classical_ps``, exponential gaps of mean 1 and demands
 of mean ``rho``) at loads 0.5, 0.9 and 1.1, one sample each for
-``SAMPLES`` replication seeds.  The window is fixed at 200, so at load 1.1,
-where no window can be derived, the sampler searches instead of returning
-at once: 5 of the 8 samples scan to the cap of ``2 * max_lookback`` terms
-and exhaust, and 3 are certified by the window alone (with nonnegative
-drift there is no margin).
+``SAMPLES`` replication seeds.  The window is fixed at 200.  At load 1.1
+there is no stationary law: the sampler reports ``drift_nonnegative`` for
+every sample without reading a term, window or not, so that case times the
+refusal (mostly the rate's validation).
 """
 
 import pytest
@@ -59,6 +58,6 @@ def test_perfect_sample(benchmark, rho):
 
     reports = benchmark(draw)
     coupled = [rep.coupled for rep in reports]
-    # below load 1 every sample couples; at 1.1 most scan to the cap
-    assert all(coupled) if rho < 1.0 else coupled.count(False) >= SAMPLES // 2
+    # below load 1 every sample couples; at 1.1 none is searched for
+    assert all(coupled) if rho < 1.0 else not any(coupled)
     benchmark.extra_info.update(unit="ms_per_sample", count=SAMPLES)

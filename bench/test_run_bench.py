@@ -1,6 +1,8 @@
-"""pytest-benchmark cases for whole ``simctl`` runs of the shipped configs:
-``configs/perfect_sample.yaml`` and ``configs/sweep.yaml``, each at
-``jobs=1`` and ``jobs=2``, in this process, writing to a temp directory.
+"""pytest-benchmark cases for whole ``simctl`` runs, in this process: the
+shipped configs ``configs/perfect_sample.yaml`` and ``configs/sweep.yaml``,
+each at ``jobs=1`` and ``jobs=2`` and writing to a temp directory, and
+``simctl verify``.  ``test_map_ordered`` times the fan-out alone: the
+``jobs=2`` spread of a trivial function over 2 and 8 items, in ms per call.
 
 Kept outside ``testpaths``, so the test suite never collects them.  Run
 them through ``bench/write_bench.py``, which writes a ``BENCH_<tag>.json``
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gpsq.simctl import load_config, run_experiment
+from gpsq.simctl import EXIT_OK, _map_ordered, load_config, main, run_experiment
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -25,3 +27,21 @@ def test_run_experiment(benchmark, tmp_path, name, jobs):
                                 rounds=5, iterations=1, warmup_rounds=1)
     assert result.rows == (cfg.replications if name == "perfect_sample" else len(cfg.rho_grid))
     benchmark.extra_info.update(unit="s_per_run", count=1)
+
+
+def test_verify(benchmark, capsys):
+    code = benchmark.pedantic(main, args=(["verify"],), rounds=3, iterations=1,
+                              warmup_rounds=1)
+    assert code == EXIT_OK
+    benchmark.extra_info.update(unit="s_per_run", count=1)
+
+
+def _double(chunk):
+    return [2 * i for i in chunk]
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_map_ordered(benchmark, n):
+    items = list(range(n))
+    assert benchmark(lambda: list(_map_ordered(_double, items, 2))) == _double(items)
+    benchmark.extra_info.update(unit="ms_per_call", count=1)

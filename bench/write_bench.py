@@ -5,7 +5,7 @@
 The file holds the git SHA of the checkout, facts about the machine, and
 one record per case: its per-unit median (``us_per_segment``,
 ``us_per_row``, ``us_per_value``, ``us_per_step``, ``us_per_term``,
-``us_per_index``, ``ms_per_sample``, ``s_per_run``) with the quartiles,
+``us_per_index``, ``ms_per_sample``, ``ms_per_call``, ``s_per_run``) with the quartiles,
 the raw per-call statistics in seconds, and the round count.  The cases import ``gpsq`` from this checkout's
 ``src/``.
 """
@@ -24,7 +24,8 @@ import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCALE = {"us_per_segment": 1e6, "us_per_row": 1e6, "us_per_value": 1e6, "us_per_step": 1e6,
-         "us_per_term": 1e6, "us_per_index": 1e6, "ms_per_sample": 1e3, "s_per_run": 1.0}
+         "us_per_term": 1e6, "us_per_index": 1e6, "ms_per_sample": 1e3, "ms_per_call": 1e3,
+         "s_per_run": 1.0}
 
 
 def _git_sha() -> str:

@@ -22,14 +22,14 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, islice
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from itertools import accumulate, chain
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 import yaml
@@ -381,30 +381,92 @@ def _partition(items: list, jobs: int) -> list[list]:
 def _map_ordered(fn: Callable[[list], Iterable], items: list, jobs: int) -> Iterator:
     """The records ``fn`` yields for the chunks of :func:`_partition`, lazily
     and always in item order, so the artifact bytes never depend on the
-    worker count.  One chunk runs in this process, as one call; more go to
-    a pool of ``min(jobs, len(chunks))`` processes (a forking pool starts
-    all its workers at the first submit, so none without a chunk), at most
-    ``2 * jobs`` chunks outstanding, the next one submitted as each result
-    is taken; an error or an early close cancels the chunks no worker has
-    started."""
+    worker count.
+
+    ``jobs`` counts processes, this one included: ``P = min(jobs,
+    len(chunks))`` of them, so ``P - 1`` forked children, and chunk ``k``
+    runs in process ``k % P``, where process 0 is this one, which runs its
+    chunks in-line as their turn comes.  A child inherits ``fn`` and sends
+    each of its chunks back over its own pipe (:func:`_child`).  With one
+    process, or no ``os.fork``, every item goes to one call.  An error, in
+    a child or here, or an early close kills and reaps every child."""
     chunks = _partition(items, jobs)
-    if len(chunks) <= 1:
+    procs = min(jobs, len(chunks))
+    if procs <= 1 or not hasattr(os, "fork"):
         yield from fn(items)
         return
-    todo = iter(chunks)
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
+    children: list[tuple[int, io.BufferedReader]] = []  # (pid, read end)
     try:
-        ahead = deque(pool.submit(_map_list, fn, c) for c in islice(todo, 2 * jobs))
-        while ahead:
-            done = ahead.popleft().result()
-            ahead.extend(pool.submit(_map_list, fn, c) for c in islice(todo, 1))
-            yield from done
+        for p in range(1, procs):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(fn, chunks[p::procs], read_end, write_end, children)
+            os.close(write_end)
+            children.append((pid, os.fdopen(read_end, "rb")))
+        for k, chunk in enumerate(chunks):
+            if k % procs:
+                yield from _receive(*children[k % procs - 1])
+            else:
+                yield from fn(chunk)
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, pipe in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
 
 
-def _map_list(fn: Callable[[list], Iterable], items: list) -> list:
-    return list(fn(items))
+def _child(fn: Callable[[list], Iterable], chunks: list[list], read_end: int, write_end: int,
+           siblings: list[tuple[int, io.BufferedReader]]) -> NoReturn:
+    """A forked child's whole life: run ``fn`` over each of ``chunks`` and
+    send each chunk's records, or the exception that stopped it, through
+    ``write_end`` (:func:`_send`).  It leaves only through ``os._exit``, so
+    it never unwinds into the parent's frames (an ``_atomic_write``
+    cleanup, say) nor flushes buffers it inherited."""
+    status = 1
+    try:
+        os.close(read_end)
+        for _, pipe in siblings:
+            pipe.close()
+        with os.fdopen(write_end, "wb") as out:
+            try:
+                for chunk in chunks:
+                    _send(out, True, list(fn(chunk)))
+                status = 0
+            except BaseException as exc:
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # it would not arrive as itself
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                _send(out, False, exc)
+                raise
+    finally:
+        os._exit(status)
+
+
+def _send(out: io.BufferedWriter, ok: bool, value: Any) -> None:
+    """One frame: an 8-byte little-endian length, then the pickle of
+    ``(True, records)`` or ``(False, exception)``."""
+    frame = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+    out.write(len(frame).to_bytes(8, "little"))
+    out.write(frame)
+    out.flush()
+
+
+def _receive(pid: int, pipe: io.BufferedReader) -> list:
+    """The records of child ``pid``'s next chunk.  Raises the exception it
+    sent instead, or a ``RuntimeError`` when it ended without a whole
+    frame."""
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    frame = pipe.read(size)
+    if len(head) < 8 or len(frame) < size:
+        raise RuntimeError(f"worker process {pid} ended before sending its chunk")
+    ok, value = pickle.loads(frame)
+    if not ok:
+        raise value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -847,7 +909,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=None, help="override the base seed")
         sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for replications (output bytes are unaffected)")
+                        help="processes, this one included (output bytes are unaffected)")
         sp.add_argument("--strict", action="store_true",
                         help="exit 4 if any replication exhausts its horizon")
         sp.add_argument("--out", default=None, help="override the output path")

@@ -108,8 +108,8 @@ class CouplingReport:
     Lindley workload; ``stationary_profile`` the exact stationary draw at
     index 0.  ``horizon_exhausted`` is set when no certified regeneration
     epoch exists within the lookback.  ``reason`` (not in the result
-    files) is ``certified``, ``drift_nonnegative`` (no window derivable)
-    or ``lookback_exhausted``.
+    files) is ``certified``, ``drift_nonnegative`` (``K_r E[xi] - E[sigma]
+    <= 0``: no stationary law, nothing read) or ``lookback_exhausted``.
     """
 
     coupled: bool
@@ -358,8 +358,11 @@ def backward_coupling_ps_batch(
     each, equal field for field to the one-input call.
 
     The inputs of one call must share one law (they differ in seed or
-    offset): the window and margin defaults are derived once, from the
-    first input's means, and the rate is validated once.  Inputs are
+    offset): the drift test and the window and margin defaults are derived
+    once, from the first input's means, and the rate is validated once.
+    When ``K_r E[xi] - E[sigma]`` is not positive (the Lindley walk's drift
+    is nonnegative), every report is ``drift_nonnegative`` and no term is
+    read, even with a window or margin given by hand.  Inputs are
     searched in batches of at most :data:`BATCH_ROWS`.  Every row still
     searching is tested at every depth ``D`` of the schedule on its own
     first ``D`` marks, so a report depends only on its own input and any
@@ -377,10 +380,11 @@ def backward_coupling_ps_batch(
     gens = list(gens)
     if not gens:
         return []
-    window, margin = _stopping_rule(gens[0], r.declared_floor, improvement_window, drop_margin)
-    if window is None:
-        # no certification is possible, so nothing is read
+    if not r.declared_floor * gens[0].mean_xi() - gens[0].mean_sigma() > 0.0:
+        # no stationary law, so no epoch can be certified, whatever window
+        # or margin was given, and nothing is read
         return [_exhausted(0, "drift_nonnegative") for _ in gens]
+    window, margin = _stopping_rule(gens[0], r.declared_floor, improvement_window, drop_margin)
     depths = _depths(2 * window, 2 * max_lookback)
     reports: list[CouplingReport] = []
     for lo in range(0, len(gens), BATCH_ROWS):

@@ -163,6 +163,18 @@ def test_artifact_hash(tmp_path, mode, fmt):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(mode, fmt)]
 
 
+@pytest.mark.parametrize("mode, fmt", sorted(GOLDEN))
+def test_artifact_hash_does_not_depend_on_jobs(tmp_path, mode, fmt):
+    # two and three processes split the work into different chunks and
+    # run them in different processes; the bytes stay those of jobs=1
+    for jobs in (2, 3):
+        out = tmp_path / f"{mode}-{jobs}.{fmt}"
+        data = dict(CONFIGS[mode], schema_id=SCHEMA_ID,
+                    output={"path": str(out), "format": fmt})
+        run_experiment(ExperimentConfig.from_dict(data), jobs=jobs)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[(mode, fmt)], jobs
+
+
 def test_float_sum_adds_left_to_right():
     # trajectory_rows computes w_start as sum(atoms), and other float sums
     # feed the artifacts; the pinned hashes hold only while sum() adds

@@ -5,8 +5,11 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -80,14 +83,19 @@ def forward_reference(cfg):
 
 def forward_failing_at_2(cfg, base, r, reps):
     """``_worker_forward`` that marks each replication it starts, in the
-    output's directory, and raises on replication 2; module-level, so that
-    a process pool can send it."""
+    output's directory, and raises on replication 2."""
     for i in reps:
         (Path(cfg.out_path).parent / f"started-{i}").touch()
         if i == 2:
             raise RuntimeError("replication 2 failed")
         time.sleep(0.1)
         yield from _worker_forward(cfg, base, r, [i])
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def g17(x):
@@ -388,9 +396,10 @@ class TestRunModes:
     def test_forward_sim_failure_mid_stream_leaves_nothing(self, tmp_path, monkeypatch, jobs):
         # replication 2 raises once the header and replications 0 and 1 are
         # written (jobs=1) or running (jobs=2); no output and no temp file
-        # remain.  At jobs=2 the pool holds at most 2 * jobs chunks of
-        # n // (4 * jobs) replications, and the first chunk's failure is
-        # taken before any other chunk is submitted, so no replication past
+        # remain.  At jobs=2 this process runs the first chunk of
+        # n // (4 * jobs) replications itself and fails at replication 2
+        # while the one child, 0.1 s per replication, is still on the
+        # second chunk; the child is killed then, so no replication past
         # the first 2 * jobs chunks starts, nor any after 2 in the first
         monkeypatch.setattr(simctl, "_worker_forward", forward_failing_at_2)
         n = 40
@@ -698,30 +707,84 @@ class TestReplicationBatches:
         if jobs > 1 and n >= 4 * jobs:
             assert len(chunks) >= 4 * jobs
 
-    @pytest.mark.parametrize("n, jobs, workers", [(1, 64, []), (2, 64, [2]), (7, 3, [3]),
-                                                  (1000, 2, [2])])
+    @pytest.mark.parametrize("n, jobs, workers", [(1, 64, [0]), (2, 64, [0, 1]),
+                                                  (7, 3, [0, 1, 2, 0, 1, 2, 0]),
+                                                  (1000, 2, [0, 1] * 4)])
     def test_pool_starts_no_idle_worker(self, monkeypatch, n, jobs, workers):
-        # a forking pool starts all max_workers processes at the first
-        # submit; this stand-in records the size and runs each chunk here
-        sizes = []
+        # jobs counts processes, this one included: min(jobs, chunks) - 1
+        # children are forked, and chunk k runs in process k % P, where
+        # this process is process 0 and child p is process p
+        forks = []
+        fork = os.fork
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counted():
+            forks.append(None)
+            return fork()
 
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(simctl, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "fork", counted)
         items = list(range(n))
-        doubled = simctl._map_ordered(lambda chunk: [2 * i for i in chunk], items, jobs)
-        assert list(doubled) == [2 * i for i in items]
-        assert sizes == workers
+        got = list(simctl._map_ordered(lambda chunk: [(os.getpid(), chunk)], items, jobs))
+        assert [chunk for _, chunk in got] == _partition(items, jobs)
+        process = {os.getpid(): 0}
+        for pid, _ in got:
+            process.setdefault(pid, len(process))
+        assert [process[pid] for pid, _ in got] == workers
+        assert len(forks) == max(workers)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["normal", "child_raises", "parent_raises", "early_close",
+                                      "child_dies"])
+    def test_fan_out_leaves_no_child(self, case):
+        # 8 items at jobs=2 make 8 one-item chunks: the even ones run here,
+        # the odd ones in the one child
+        parent = os.getpid()
+
+        def fn(chunk):
+            (i,) = chunk
+            if case == "child_raises" and i == 3:
+                raise ValueError(f"chunk 3 failed in a child: {os.getpid() != parent}")
+            if case == "parent_raises" and i == 2:
+                raise ValueError(f"chunk 2 failed here: {os.getpid() == parent}")
+            yield 2 * i
+            if case == "child_dies" and i == 3 and os.getpid() != parent:
+                os._exit(1)
+
+        def stalled(signum, frame):
+            raise TimeoutError("the fan-out hangs")
+
+        records = simctl._map_ordered(fn, list(range(8)), 2)
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(20)
+        try:
+            if case == "normal":
+                assert list(records) == [2 * i for i in range(8)]
+            elif case == "early_close":
+                assert next(records) == 0
+                records.close()
+            else:
+                error, match = {
+                    "child_raises": (ValueError, "chunk 3 failed in a child: True"),
+                    "parent_raises": (ValueError, "chunk 2 failed here: True"),
+                    "child_dies": (RuntimeError, "ended before sending its chunk"),
+                }[case]
+                with pytest.raises(error, match=match):
+                    list(records)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+
+    def test_import_leaves_out_the_process_pool_machinery(self):
+        # the fan-out forks directly, so importing simctl loads neither
+        # concurrent.futures nor multiprocessing (start-up time and memory)
+        src = str(Path(simctl.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, gpsq.simctl; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
     def test_batches_hold_at_most_batch_rows(self, tmp_path, monkeypatch):
         # the perfect-sample worker hands its whole chunk to the batch

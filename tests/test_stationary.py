@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpsq import checks
+from gpsq import checks, stationary
 from gpsq.dynamics import step
 from gpsq.input_process import (
     Exponential,
@@ -233,15 +233,31 @@ class TestPerfectSampling:
         # no negative drift: no window can be derived, nothing is read
         (deterministic_input(1.0, 2.0), classical_ps(), {"max_lookback": 2000},
          "drift_nonnegative", 0),
-        # a window given by hand, but the partial sums only climb
+        # a window given by hand does not make the drift negative
         (deterministic_input(1.0, 2.0), classical_ps(),
-         {"max_lookback": 2000, "improvement_window": 10}, "lookback_exhausted", 4000),
+         {"max_lookback": 2000, "improvement_window": 10}, "drift_nonnegative", 0),
     ])
     def test_reason(self, gen, rate, kw, reason, iterations):
         rep = backward_coupling_ps(gen, rate, **kw)
         assert rep.reason == reason
         assert rep.coupled == (reason == "certified")
         assert rep.iterations_used == iterations
+
+    def test_hand_set_window_certifies_nothing_above_load_one(self, monkeypatch):
+        # M/M/1-PS at load 1.1 has no stationary law, yet seeds 0, 2 and 5
+        # of these 8 hold a quiet run that a 200-term window alone certifies
+        gens = [iid_input(Exponential(1.0), Exponential(1.1), seed=replication_seed(7, i))
+                for i in range(8)]
+
+        def unread(*args):
+            raise AssertionError("a drift_nonnegative batch reads no input")
+
+        monkeypatch.setattr(stationary, "sample_blocks", unread)
+        for kw in ({"improvement_window": 200}, {"improvement_window": 200, "drop_margin": 5.0}):
+            reports = backward_coupling_ps_batch(gens, classical_ps(), max_lookback=10_000, **kw)
+            assert [fields(rep) for rep in reports] == [
+                fields(reference_coupling(g, classical_ps(), 10_000, **kw)) for g in gens
+            ] == [(False, None, None, 0, True, "drift_nonnegative")] * 8
 
     def test_climb_late_in_the_buffer_blocks_the_certificate(self):
         # unit marks falling 0.5 per term, but index -151 brings a demand
@@ -528,9 +544,9 @@ def reference_coupling(gen, r, max_lookback=10_000, improvement_window=None,
     fixed schedule, every epoch is checked against the whole buffer, and
     the nearest certified one runs its forward leg."""
     k_r = r.declared_floor
-    window, margin = reference_rule(gen, k_r, improvement_window, drop_margin)
-    if window is None:
+    if not k_r * gen.mean_xi() - gen.mean_sigma() > 0.0:
         return CouplingReport(False, None, None, 0, True, "drift_nonnegative")
+    window, margin = reference_rule(gen, k_r, improvement_window, drop_margin)
     cap = 2 * max_lookback
     d = min(cap, max(256, 2 * window))
     while True:
@@ -728,9 +744,10 @@ class TestBatchedSampler:
         random.Random(3).shuffle(order)
         permuted = backward_coupling_ps_batch([gens[i] for i in order], r, **kw)
         assert [fields(rep) for rep in permuted] == [alone[i] for i in order]
-        # rows that never certify, a whole batch of them among the others
+        # rows that never certify, a whole batch of them among the others;
+        # not first, since the first input's drift decides for the batch
         stuck = deterministic_input(1.0, 2.0)
-        padded = [stuck] * 5 + gens[:10] + [stuck] * BATCH_ROWS + gens[10:]
+        padded = gens[:3] + [stuck] * 5 + gens[3:10] + [stuck] * BATCH_ROWS + gens[10:]
         got = backward_coupling_ps_batch(padded, r, **kw)
         assert [fields(rep) for rep in got if rep.reason != "lookback_exhausted"] == alone
         assert sum(rep.reason == "lookback_exhausted" for rep in got) == 5 + BATCH_ROWS
