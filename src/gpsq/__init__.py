@@ -13,7 +13,6 @@ from .rates import (
     RateFunction,
     ValidationReport,
     classical_ps,
-    dominates,
     formula_rate,
     half_interference,
     pure_delay,
@@ -54,9 +53,7 @@ from .stationary import (
     StationaryProfileResult,
     backward_coupling_ps,
     backward_coupling_ps_batch,
-    backward_iterate,
     check_stability,
-    forward_couple_two,
     lindley_W,
     loynes_L,
     stationary_profile_gginf,
@@ -71,7 +68,6 @@ __all__ = [
     "RateFunction",
     "ValidationReport",
     "classical_ps",
-    "dominates",
     "formula_rate",
     "half_interference",
     "pure_delay",
@@ -106,9 +102,7 @@ __all__ = [
     "StationaryProfileResult",
     "backward_coupling_ps",
     "backward_coupling_ps_batch",
-    "backward_iterate",
     "check_stability",
-    "forward_couple_two",
     "lindley_W",
     "loynes_L",
     "stationary_profile_gginf",

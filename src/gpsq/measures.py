@@ -23,7 +23,6 @@ Measures are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import bisect
-import json
 from typing import Callable, Iterable, Iterator
 
 #: Absolute tolerance for atom equality in tv_distance and coupling checks.
@@ -154,19 +153,6 @@ class CountingMeasure:
             else:
                 j += 1
         return (len(a) - matched) + (len(b) - matched)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        """JSON array of atoms, sorted ascending."""
-        return json.dumps(list(self._atoms))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountingMeasure":
-        data = json.loads(text)
-        if not isinstance(data, list):
-            raise ValueError("expected a JSON array of numbers")
-        return cls(data)
 
 
 #: The zero measure.

@@ -230,8 +230,3 @@ def validate(r: RateFunction, n_max: int = 128) -> ValidationReport:
         declared_floor=r.declared_floor,
         probed_n_max=n_max,
     )
-
-
-def dominates(r: RateFunction, r_other: RateFunction, n_max: int = 128) -> bool:
-    """True iff ``r(n) <= r_other(n)`` for every probed ``n``."""
-    return all(r(n) <= r_other(n) for n in range(1, n_max + 1))

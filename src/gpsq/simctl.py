@@ -500,7 +500,7 @@ def _worker_ps(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunctio
             "workload": None if mu is None else mu.workload,
             "iterations": rep.iterations_used,
             "atoms": None if mu is None else list(mu.atoms),
-            "exhausted": rep.horizon_exhausted,
+            "exhausted": not rep.coupled,
         }
 
 
@@ -935,6 +935,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "verify":
             results = run_invariant_suites(seed=args.seed)
             return EXIT_OK if all(rec["ok"] for rec in results) else EXIT_SUITE_FAILED
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = load_config(args.config)
         if args.command == "sweep":
             cfg.mode = "stability_sweep"

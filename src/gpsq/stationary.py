@@ -26,7 +26,8 @@ rule.  The rules used here are explicit and reported: the record
 constructions stop once the accumulated inter-arrival mass provably (up to
 a declared service-demand quantile) exceeds any future candidate;
 :func:`lindley_W` stops after a configurable run of non-improving partial
-sums that has also fallen a configurable margin below the running record;
+sums that has also fallen below the running record by a margin derived from
+the drift;
 :func:`backward_coupling_ps` states its certificate.  Every result says
 whether it was certified or the horizon was exhausted -- "unstable" and
 "did not look far enough" are never conflated.
@@ -106,17 +107,16 @@ class CouplingReport:
 
     ``regeneration_index`` is the (nonpositive) epoch found with zero
     Lindley workload; ``stationary_profile`` the exact stationary draw at
-    index 0.  ``horizon_exhausted`` is set when no certified regeneration
-    epoch exists within the lookback.  ``reason`` (not in the result
-    files) is ``certified``, ``drift_nonnegative`` (``K_r E[xi] - E[sigma]
-    <= 0``: no stationary law, nothing read) or ``lookback_exhausted``.
+    index 0.  ``coupled`` is false when no certified regeneration epoch
+    exists within the lookback.  ``reason`` (not in the result files) is
+    ``certified``, ``drift_nonnegative`` (``K_r E[xi] - E[sigma] <= 0``: no
+    stationary law, nothing read) or ``lookback_exhausted``.
     """
 
     coupled: bool
     regeneration_index: int | None
     stationary_profile: CountingMeasure | None
     iterations_used: int
-    horizon_exhausted: bool
     reason: str
 
 
@@ -240,18 +240,17 @@ def stationary_profile_gginf(
 
 
 def _stopping_rule(
-    gen, k_r: float, improvement_window: int | None, drop_margin: float | None
+    gen, k_r: float, improvement_window: int | None
 ) -> tuple[int | None, float | None]:
-    """Window and margin of the Lindley stopping rule: the given values, or
-    defaults derived from the input's means (see :func:`lindley_W`)."""
+    """Window and margin of the Lindley stopping rule: the given window or
+    one derived from the input's means, and the derived margin (see
+    :func:`lindley_W`)."""
     mean_xi, mean_sigma = gen.mean_xi(), gen.mean_sigma()
     gap = k_r * mean_xi - mean_sigma
     rho_hat = mean_sigma / (k_r * mean_xi)
     if improvement_window is None and rho_hat < 1.0:
         improvement_window = math.ceil(10.0 / (1.0 - rho_hat))
-    if drop_margin is None and gap > 0.0:
-        drop_margin = 50.0 * gap
-    return improvement_window, drop_margin
+    return improvement_window, 50.0 * gap if gap > 0.0 else None
 
 
 def lindley_W(
@@ -259,24 +258,23 @@ def lindley_W(
     k_r: float,
     max_lookback: int = 100_000,
     improvement_window: int | None = None,
-    drop_margin: float | None = None,
 ) -> LoynesResult:
     """Stationary workload of the constant-drain bound:
     ``[sup_j sum_{i<=j} (sigma_{-i} - K_r xi_{-i})]^+``.
 
     Certification is heuristic under negative drift: stop once the partial
     sum has not improved the record for ``improvement_window`` consecutive
-    terms and sits at least ``drop_margin`` below it.  Defaults derive from
-    the drift estimate (window ``10 / (1 - rho_hat)``, margin ``50 * (K_r
-    E[xi] - E[sigma])``); both are configurable, and with nonnegative
-    drift there is no certification, only horizon exhaustion.
+    terms and sits at least ``50 * (K_r E[xi] - E[sigma])`` below it.  The
+    window defaults to ``10 / (1 - rho_hat)``; the margin is always derived.
+    With nonnegative drift there is no margin and, unless a window is given
+    by hand, no certification, only horizon exhaustion.
     ``argmax_index`` is the first term that reaches the record.
     """
     if not 0.0 < k_r < math.inf:
         raise ValueError(f"drain rate must be positive and finite, got {k_r!r}")
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
-    window, margin = _stopping_rule(gen, k_r, improvement_window, drop_margin)
+    window, margin = _stopping_rule(gen, k_r, improvement_window)
     buf = _Backlog([gen])
     j, converged = max_lookback, False
     for d in _depths(max_lookback if window is None else window + 1, max_lookback):
@@ -327,7 +325,6 @@ def backward_coupling_ps(
     r: RateFunction,
     max_lookback: int = 10_000,
     improvement_window: int | None = None,
-    drop_margin: float | None = None,
 ) -> CouplingReport:
     """Exact draw from the stationary processor-sharing profile.
 
@@ -342,9 +339,7 @@ def backward_coupling_ps(
     Without a certified epoch at the cap the report says so instead of
     guessing.  This is :func:`backward_coupling_ps_batch` on a batch of one.
     """
-    return backward_coupling_ps_batch(
-        [gen], r, max_lookback, improvement_window, drop_margin
-    )[0]
+    return backward_coupling_ps_batch([gen], r, max_lookback, improvement_window)[0]
 
 
 def backward_coupling_ps_batch(
@@ -352,7 +347,6 @@ def backward_coupling_ps_batch(
     r: RateFunction,
     max_lookback: int = 10_000,
     improvement_window: int | None = None,
-    drop_margin: float | None = None,
 ) -> list[CouplingReport]:
     """:func:`backward_coupling_ps` for every input of ``gens``, one report
     each, equal field for field to the one-input call.
@@ -362,7 +356,7 @@ def backward_coupling_ps_batch(
     once, from the first input's means, and the rate is validated once.
     When ``K_r E[xi] - E[sigma]`` is not positive (the Lindley walk's drift
     is nonnegative), every report is ``drift_nonnegative`` and no term is
-    read, even with a window or margin given by hand.  Inputs are
+    read, even with a window given by hand.  Inputs are
     searched in batches of at most :data:`BATCH_ROWS`.  Every row still
     searching is tested at every depth ``D`` of the schedule on its own
     first ``D`` marks, so a report depends only on its own input and any
@@ -382,9 +376,9 @@ def backward_coupling_ps_batch(
         return []
     if not r.declared_floor * gens[0].mean_xi() - gens[0].mean_sigma() > 0.0:
         # no stationary law, so no epoch can be certified, whatever window
-        # or margin was given, and nothing is read
+        # was given, and nothing is read
         return [_exhausted(0, "drift_nonnegative") for _ in gens]
-    window, margin = _stopping_rule(gens[0], r.declared_floor, improvement_window, drop_margin)
+    window, margin = _stopping_rule(gens[0], r.declared_floor, improvement_window)
     depths = _depths(2 * window, 2 * max_lookback)
     reports: list[CouplingReport] = []
     for lo in range(0, len(gens), BATCH_ROWS):
@@ -393,7 +387,7 @@ def backward_coupling_ps_batch(
 
 
 def _exhausted(iterations: int, reason: str) -> CouplingReport:
-    return CouplingReport(False, None, None, iterations, True, reason)
+    return CouplingReport(False, None, None, iterations, reason)
 
 
 def _couple_batch(
@@ -401,7 +395,7 @@ def _couple_batch(
     r: RateFunction,
     depths: list[int],
     window: int,
-    margin: float | None,
+    margin: float,
     max_lookback: int,
 ) -> list[CouplingReport]:
     reports: list[CouplingReport | None] = [None] * len(gens)
@@ -416,8 +410,7 @@ def _couple_batch(
         ahead = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1]
         top = max(min(d - window, max_lookback) + 1, 0)  # epochs m = 0 .. top - 1
         ok = ahead[:, :top] - s[:, :top] <= ATOM_TOL
-        if margin is not None:
-            ok &= s[:, :top] - s[:, d, None] >= margin
+        ok &= s[:, :top] - s[:, d, None] >= margin
         hit = ok.any(axis=1)
         for row in np.flatnonzero(hit):
             m = int(ok[row].argmax())
@@ -429,7 +422,6 @@ def _couple_batch(
                 regeneration_index=-m,
                 stationary_profile=mu,
                 iterations_used=d + m,
-                horizon_exhausted=False,
                 reason="certified",
             )
         buf.keep(~hit)
@@ -467,9 +459,9 @@ def check_stability(gen, r: RateFunction, n_samples: int = 10_000) -> StabilityR
     indices ``0 .. n_samples - 1``."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    xs, ss = gen.sample_block(0, n_samples)
-    mean_xi, se_xi = mean_se(np.array(xs))
-    mean_sigma, se_sigma = mean_se(np.array(ss))
+    xs, ss = sample_blocks([gen], 0, n_samples)
+    mean_xi, se_xi = mean_se(xs[0])
+    mean_sigma, se_sigma = mean_se(ss[0])
     k_r = r.declared_floor
     margin = k_r * mean_xi - mean_sigma
     se = math.hypot(k_r * se_xi, se_sigma)
@@ -488,45 +480,3 @@ def check_stability(gen, r: RateFunction, n_samples: int = 10_000) -> StabilityR
         se_margin=se,
         n_samples=n_samples,
     )
-
-
-def forward_couple_two(
-    gen,
-    r: RateFunction,
-    zeta1: CountingMeasure,
-    zeta2: CountingMeasure,
-    horizon: int,
-) -> int | None:
-    """First index at which the recursion started from ``zeta1`` and from
-    ``zeta2`` on the same input path merge (then, by determinism, they
-    agree forever); ``None`` if they have not merged within the horizon.
-
-    For infinite-server runs the merge-to-stationarity guarantee needs the
-    initial largest atom not to exceed the backward record; that cannot be
-    checked here without computing the record first, so it is the caller's
-    lookout.
-    """
-    x, y = zeta1, zeta2
-    xs, ss = gen.sample_block(0, horizon)
-    for n in range(horizon + 1):
-        if x.tv_distance(y) == 0:
-            return n
-        if n == horizon:
-            break
-        xi, sigma = xs[n], ss[n]
-        x = step(x, sigma, xi, r)
-        y = step(y, sigma, xi, r)
-    return None
-
-
-def backward_iterate(
-    gen, r: RateFunction, n_back: int, initial: CountingMeasure = ZERO
-) -> CountingMeasure:
-    """Start the recursion from ``initial`` at index ``-n_back`` and return
-    the profile at index 0 (one term of the backward scheme)."""
-    if n_back < 0:
-        raise ValueError(f"n_back must be nonnegative, got {n_back}")
-    mu = initial
-    for xi, sigma in zip(*gen.sample_block(-n_back, 0)):
-        mu = step(mu, sigma, xi, r)
-    return mu

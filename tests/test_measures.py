@@ -1,7 +1,5 @@
 """Tests for counting measures: shift, order, matching distance."""
 
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,15 +197,3 @@ class TestTvDistance:
         for a, b in cases:
             got = CountingMeasure(a).tv_distance(CountingMeasure(b), tol=0.3)
             assert got == brute(a, b, 0.3), (a, b)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        mu = CountingMeasure([3.5, 0.25, 1.0])
-        again = CountingMeasure.from_json(mu.to_json())
-        assert again == mu
-        assert json.loads(mu.to_json()) == [0.25, 1.0, 3.5]
-
-    def test_rejects_non_array(self):
-        with pytest.raises(ValueError):
-            CountingMeasure.from_json('{"a": 1}')

@@ -6,9 +6,9 @@ import math
 
 import pytest
 
+from gpsq.checks import RATE_PAIRS
 from gpsq.rates import (
     classical_ps,
-    dominates,
     formula_rate,
     half_interference,
     pure_delay,
@@ -144,17 +144,26 @@ class TestValidate:
         assert any(what in v for v in rep.violations)
 
 
+def _below(r, r_other, n_max):
+    return all(r(n) <= r_other(n) for n in range(1, n_max + 1))
+
+
 class TestDominates:
     def test_half_interference_below_classical(self):
-        assert dominates(half_interference(), classical_ps(), n_max=200)
-        assert not dominates(classical_ps(), half_interference(), n_max=200)
+        assert _below(half_interference(), classical_ps(), n_max=200)
+        assert not _below(classical_ps(), half_interference(), n_max=200)
 
     def test_scaled_pair(self):
-        assert dominates(scaled_ps(0.4), scaled_ps(0.9), n_max=200)
-        assert dominates(scaled_ps(0.4), classical_ps(), n_max=200)
+        assert _below(scaled_ps(0.4), scaled_ps(0.9), n_max=200)
+        assert _below(scaled_ps(0.4), classical_ps(), n_max=200)
 
-    def test_reflexive(self):
-        assert dominates(classical_ps(), classical_ps(), n_max=50)
+
+class TestRatePairs:
+    def test_pairs_are_ordered_pointwise(self):
+        # checks.rate_monotonicity compares each pair as slower and faster
+        for slow, fast in RATE_PAIRS:
+            for n in range(1, 201):
+                assert slow(n) <= fast(n), (slow.kind, fast.kind, n)
 
 
 class TestRateVector:

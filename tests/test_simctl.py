@@ -522,6 +522,14 @@ class TestRunModes:
     def test_unreadable_config(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.yaml")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_config_and_write_nothing(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml", replications=2)
+        assert main(["run", str(cfg), "--jobs", jobs]) == EXIT_CONFIG
+        assert main(["sweep", str(cfg), "--rho", "0.5", "--jobs", jobs]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_semantically_bad_specs_exit_config(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         bad_specs = [

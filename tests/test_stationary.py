@@ -31,9 +31,7 @@ from gpsq.stationary import (
     StationaryProfileResult,
     backward_coupling_ps,
     backward_coupling_ps_batch,
-    backward_iterate,
     check_stability,
-    forward_couple_two,
     lindley_W,
     loynes_L,
     stationary_profile_gginf,
@@ -137,9 +135,9 @@ class TestStationaryInfiniteServer:
         # deeper restarts from empty can only grow the profile at the origin
         for r in (pure_delay(), classical_ps()):
             g = mm_input(991)
-            prev = backward_iterate(g, r, 0)
+            prev = forward_from(g, r, 0)
             for n in range(1, 25):
-                cur = backward_iterate(g, r, n)
+                cur = forward_from(g, r, n)
                 assert prev.leq(cur, tol=1e-12), (r.kind, n)
                 prev = cur
 
@@ -199,14 +197,12 @@ class TestPerfectSampling:
         assert rep.coupled
         assert rep.regeneration_index == 0
         assert rep.stationary_profile == ZERO
-        assert not rep.horizon_exhausted
 
     def test_unstable_input_never_couples(self):
         rep = backward_coupling_ps(
             deterministic_input(1.0, 2.0), classical_ps(), max_lookback=2000
         )
         assert not rep.coupled
-        assert rep.horizon_exhausted
         assert rep.stationary_profile is None
         assert rep.regeneration_index is None
 
@@ -253,11 +249,11 @@ class TestPerfectSampling:
             raise AssertionError("a drift_nonnegative batch reads no input")
 
         monkeypatch.setattr(stationary, "sample_blocks", unread)
-        for kw in ({"improvement_window": 200}, {"improvement_window": 200, "drop_margin": 5.0}):
-            reports = backward_coupling_ps_batch(gens, classical_ps(), max_lookback=10_000, **kw)
-            assert [fields(rep) for rep in reports] == [
-                fields(reference_coupling(g, classical_ps(), 10_000, **kw)) for g in gens
-            ] == [(False, None, None, 0, True, "drift_nonnegative")] * 8
+        reports = backward_coupling_ps_batch(gens, classical_ps(), 10_000, improvement_window=200)
+        assert [fields(rep) for rep in reports] == [
+            fields(reference_coupling(g, classical_ps(), 10_000, improvement_window=200))
+            for g in gens
+        ] == [(False, None, None, 0, "drift_nonnegative")] * 8
 
     def test_climb_late_in_the_buffer_blocks_the_certificate(self):
         # unit marks falling 0.5 per term, but index -151 brings a demand
@@ -275,18 +271,20 @@ class TestPerfectSampling:
         assert backward_coupling_ps(g, classical_ps()).regeneration_index == 0
 
     def test_margin_is_inclusive(self):
-        # partial sums -0.5 j, exact in binary: 256 terms end exactly 128 down
-        g = deterministic_input(1.0, 0.5)
-        rep = backward_coupling_ps(g, classical_ps(), improvement_window=10, drop_margin=128.0)
+        # load 1/2 against unit drain: the derived margin is 50 * 0.5 = 25;
+        # the first 256 backward terms are -25/256 each, exact in binary,
+        # so the first depth ends exactly 25 down
+        g = CyclicInput(xis=(1.0,), sigmas=(25 / 256,) * 256 + (231 / 256,) * 256)
+        assert stationary._stopping_rule(g, 1.0, None) == (20, 25.0)
+        rep = backward_coupling_ps(g, classical_ps())
         assert (rep.regeneration_index, rep.iterations_used) == (0, 256)
 
     def test_report_invariants(self):
-        rep = backward_coupling_ps(deterministic_input(3.0, 1.0), half_interference())
-        if rep.coupled:
-            assert rep.stationary_profile is not None
-            assert rep.regeneration_index is not None
-        else:
-            assert rep.horizon_exhausted
+        for gen in (deterministic_input(3.0, 1.0), deterministic_input(1.0, 2.0)):
+            rep = backward_coupling_ps(gen, half_interference(), max_lookback=500)
+            assert (rep.stationary_profile is not None) == rep.coupled
+            assert (rep.regeneration_index is not None) == rep.coupled
+            assert (rep.reason == "certified") == rep.coupled
 
 
 def birth_death_law(lam, mu, r, tol=1e-16):
@@ -350,32 +348,19 @@ class TestStabilityVerdict:
 
 
 class TestForwardCoupling:
-    def test_identical_starts_merge_immediately(self):
-        g = mm_input(1)
-        z = CountingMeasure([1.0, 2.0])
-        assert forward_couple_two(g, classical_ps(), z, z, horizon=10) == 0
-
-    def test_infinite_server_absorbs_small_start(self):
-        g = deterministic_input(3.0, 1.0)
-        assert forward_couple_two(g, pure_delay(), ZERO, CountingMeasure([0.5]), 10) == 1
-
     def test_stable_inputs_merge(self):
+        # two starts on one stable input path forget their difference
+        r = half_interference()
         merged = 0
         for i in range(50):
             g = mm_input(replication_seed(606, i))
-            idx = forward_couple_two(
-                g, half_interference(), ZERO, CountingMeasure([0.7, 1.4]), horizon=5000
-            )
-            merged += idx is not None
+            x, y = ZERO, CountingMeasure([0.7, 1.4])
+            for xi, sigma in zip(*g.sample_block(0, 5000)):
+                if x.tv_distance(y) == 0:
+                    break
+                x, y = step(x, sigma, xi, r), step(y, sigma, xi, r)
+            merged += x.tv_distance(y) == 0
         assert merged >= 49
-
-    def test_no_merge_within_horizon_returns_none(self):
-        # unstable input: paths from different starts keep a persistent gap
-        g = deterministic_input(1.0, 2.0)
-        assert (
-            forward_couple_two(g, classical_ps(), ZERO, CountingMeasure([5.0]), horizon=50)
-            is None
-        )
 
 
 class TestZeroRecordProbability:
@@ -458,22 +443,20 @@ def reference_gginf(gen, max_lookback=100_000, quantile=DEFAULT_QUANTILE):
     )
 
 
-def reference_rule(gen, k_r, improvement_window=None, drop_margin=None):
-    """The window and margin defaults of the Lindley stopping rule."""
+def reference_rule(gen, k_r, improvement_window=None):
+    """The window default and the derived margin of the Lindley stopping
+    rule."""
     mean_xi, mean_sigma = gen.mean_xi(), gen.mean_sigma()
     gap = k_r * mean_xi - mean_sigma
     rho_hat = mean_sigma / (k_r * mean_xi)
     if improvement_window is None and rho_hat < 1.0:
         improvement_window = math.ceil(10.0 / (1.0 - rho_hat))
-    if drop_margin is None and gap > 0.0:
-        drop_margin = 50.0 * gap
-    return improvement_window, drop_margin
+    return improvement_window, (50.0 * gap if gap > 0.0 else None)
 
 
-def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None,
-                        drop_margin=None):
+def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None):
     """The scalar Lindley loop, as it was before the batched kernel."""
-    improvement_window, drop_margin = reference_rule(gen, k_r, improvement_window, drop_margin)
+    improvement_window, margin = reference_rule(gen, k_r, improvement_window)
     s = 0.0
     best = -math.inf
     best_j = 0
@@ -491,7 +474,7 @@ def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None,
         if (
             improvement_window is not None
             and since_improve >= improvement_window
-            and (drop_margin is None or best - s >= drop_margin)
+            and (margin is None or best - s >= margin)
         ):
             converged = True
             break
@@ -526,7 +509,7 @@ def certified_epochs(gen, k_r, depth, window, margin, max_lookback):
     ahead = list(accumulate(reversed(s[1:]), max))[::-1]  # ahead[m] = max S_j, j > m
     return [
         m for m in range(min(depth - window, max_lookback) + 1)
-        if ahead[m] - s[m] <= ATOM_TOL and (margin is None or s[m] - s[depth] >= margin)
+        if ahead[m] - s[m] <= ATOM_TOL and s[m] - s[depth] >= margin
     ]
 
 
@@ -538,31 +521,29 @@ def forward_from(gen, r, m):
     return mu
 
 
-def reference_coupling(gen, r, max_lookback=10_000, improvement_window=None,
-                       drop_margin=None):
+def reference_coupling(gen, r, max_lookback=10_000, improvement_window=None):
     """Brute-force search of one replication: at each depth ``d`` of the
     fixed schedule, every epoch is checked against the whole buffer, and
     the nearest certified one runs its forward leg."""
     k_r = r.declared_floor
     if not k_r * gen.mean_xi() - gen.mean_sigma() > 0.0:
-        return CouplingReport(False, None, None, 0, True, "drift_nonnegative")
-    window, margin = reference_rule(gen, k_r, improvement_window, drop_margin)
+        return CouplingReport(False, None, None, 0, "drift_nonnegative")
+    window, margin = reference_rule(gen, k_r, improvement_window)
     cap = 2 * max_lookback
     d = min(cap, max(256, 2 * window))
     while True:
         found = certified_epochs(gen, k_r, d, window, margin, max_lookback)
         if found:
             m = found[0]
-            return CouplingReport(True, -m, forward_from(gen, r, m), d + m, False, "certified")
+            return CouplingReport(True, -m, forward_from(gen, r, m), d + m, "certified")
         if d == cap:
-            return CouplingReport(False, None, None, cap, True, "lookback_exhausted")
+            return CouplingReport(False, None, None, cap, "lookback_exhausted")
         d = min(cap, 2 * d)
 
 
 def fields(rep):
     atoms = None if rep.stationary_profile is None else rep.stationary_profile.atoms
-    return (rep.coupled, rep.regeneration_index, atoms, rep.iterations_used,
-            rep.horizon_exhausted, rep.reason)
+    return rep.coupled, rep.regeneration_index, atoms, rep.iterations_used, rep.reason
 
 
 MM_SPEC = {
@@ -683,11 +664,12 @@ class TestRecordPasses:
         got = lindley_W(g, 1.0, 10, improvement_window=5)
         assert got == reference_lindley_W(g, 1.0, 10, improvement_window=5)
         assert (got.argmax_index, got.iterations) == (1, 6)
-        # partial sums -0.5 j: the drop reaches the margin exactly at term 5
+        # partial sums -0.5 j against the derived margin 50 * 0.5 = 25: the
+        # drop from the record -0.5 reaches it exactly at term 51
         g = deterministic_input(1.0, 0.5)
-        got = lindley_W(g, 1.0, 50, improvement_window=1, drop_margin=2.0)
-        assert got == reference_lindley_W(g, 1.0, 50, improvement_window=1, drop_margin=2.0)
-        assert got.iterations == 5
+        got = lindley_W(g, 1.0, 100, improvement_window=1)
+        assert got == reference_lindley_W(g, 1.0, 100, improvement_window=1)
+        assert got.iterations == 51
 
 
 class TestBatchedSampler:
@@ -696,14 +678,13 @@ class TestBatchedSampler:
         batches(),
         st.integers(1, 400),
         st.one_of(st.none(), st.integers(1, 300)),
-        st.one_of(st.none(), st.floats(0.0, 30.0)),
     )
-    def test_equals_the_brute_force_search(self, batch, max_lookback, window, margin):
+    def test_equals_the_brute_force_search(self, batch, max_lookback, window):
         gens, r = batch
-        got = backward_coupling_ps_batch(gens, r, max_lookback, window, margin)
+        got = backward_coupling_ps_batch(gens, r, max_lookback, window)
         assert len(got) == len(gens)
         for g, rep in zip(gens, got):
-            assert fields(rep) == fields(reference_coupling(g, r, max_lookback, window, margin))
+            assert fields(rep) == fields(reference_coupling(g, r, max_lookback, window))
 
     def test_batch_of_one_is_the_single_call(self):
         r = half_interference()
@@ -737,7 +718,7 @@ class TestBatchedSampler:
 
     def test_report_ignores_its_batch_mates(self):
         r = half_interference()
-        kw = {"max_lookback": 2000, "improvement_window": 200, "drop_margin": 25.0}
+        kw = {"max_lookback": 2000, "improvement_window": 200}
         gens = [mm_input(replication_seed(21, i)) for i in range(BATCH_ROWS + 9)]
         alone = [fields(rep) for rep in backward_coupling_ps_batch(gens, r, **kw)]
         order = list(range(len(gens)))
@@ -768,11 +749,10 @@ class TestBatchedSampler:
         batches(),
         lookbacks(),
         st.one_of(st.none(), st.integers(0, 400)),
-        st.one_of(st.none(), st.floats(0.0, 30.0)),
         st.integers(-100, 100),
     )
-    def test_lindley_W_equals_the_scalar_loop(self, batch, max_lookback, window, margin, k):
+    def test_lindley_W_equals_the_scalar_loop(self, batch, max_lookback, window, k):
         gens, r = batch
         g = gens[0].shift(k)
-        got = lindley_W(g, r.declared_floor, max_lookback, window, margin)
-        assert got == reference_lindley_W(g, r.declared_floor, max_lookback, window, margin)
+        got = lindley_W(g, r.declared_floor, max_lookback, window)
+        assert got == reference_lindley_W(g, r.declared_floor, max_lookback, window)
