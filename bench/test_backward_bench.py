@@ -8,6 +8,13 @@ demands, whose service quantile (about 1e6) no 10 000 exponential gaps of
 mean 3 can reach.  Kept outside ``testpaths``; ``bench/write_bench.py``
 turns the timings into µs per term.
 
+``test_coupler_pass`` times one depth pass of the perfect sampler, in µs
+per term read: ``backward_coupling_ps_batch`` on a batch of ``ROWS``
+shipped-law inputs with a window above ``2·max_lookback``, so that the
+first depth is the cap, no epoch is tested and every row reads exactly
+``TERMS`` terms (drawing the marks, the prefix sums and the suffix maxima)
+and reports ``lookback_exhausted``.
+
 ``test_perfect_sample`` times ``backward_coupling_ps`` in ms per sample on
 M/M/1-PS input (``classical_ps``, exponential gaps of mean 1 and demands
 of mean ``rho``) at loads 0.5, 0.9 and 1.1, one sample each for
@@ -20,8 +27,14 @@ refusal (mostly the rate's validation).
 import pytest
 
 from gpsq.input_process import Exponential, Pareto, iid_input, replication_seed
-from gpsq.rates import classical_ps
-from gpsq.stationary import backward_coupling_ps, lindley_W, loynes_L, stationary_profile_gginf
+from gpsq.rates import classical_ps, half_interference
+from gpsq.stationary import (
+    backward_coupling_ps,
+    backward_coupling_ps_batch,
+    lindley_W,
+    loynes_L,
+    stationary_profile_gginf,
+)
 
 TERMS = 10_000
 
@@ -41,6 +54,24 @@ def test_backward_scan(benchmark, scan):
     res = benchmark(SCANS[scan])
     assert not res.converged and res.iterations == TERMS
     benchmark.extra_info.update(unit="us_per_term", count=TERMS)
+
+
+ROWS = 32
+
+
+def test_coupler_pass(benchmark):
+    gens = [iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(12345, i))
+            for i in range(ROWS)]
+    r = half_interference()
+
+    def run():
+        return backward_coupling_ps_batch(gens, r, max_lookback=TERMS // 2,
+                                          improvement_window=TERMS + 1)
+
+    reports = benchmark(run)
+    assert [(rep.reason, rep.iterations_used) for rep in reports] == [
+        ("lookback_exhausted", TERMS)] * ROWS
+    benchmark.extra_info.update(unit="us_per_term", count=ROWS * TERMS)
 
 
 SAMPLES = 8

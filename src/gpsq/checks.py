@@ -29,9 +29,9 @@ from .measures import ATOM_TOL, ZERO, CountingMeasure
 from .rates import classical_ps, half_interference, pure_delay, scaled_ps, table_rate
 from .stationary import backward_coupling_ps, lindley_W, loynes_L, stationary_profile_gginf
 
-#: Certification depth for the constant-drain backward scans: exact
-#: fixed-point comparisons need certified (not merely heuristic) values,
-#: so the checks use a deep non-improvement window.
+#: Window of the Lindley certificate in the checks' constant-drain scans:
+#: an epoch is certified only with this many terms read past it, and the
+#: exact fixed-point comparisons want a deep one.
 WINDOW = 200
 
 #: Rates the random one-step instances draw from: every shipped kind plus a

@@ -135,21 +135,34 @@ def table_rate(
     """Rate from an explicit ``{n: r}`` table.
 
     Between listed points the previous value extends (step function); past
-    the last point ``r(n) = r(n_last)``.  The table must define ``n = 1``.
+    the last point ``r(n) = r(n_last)``.  The table must define ``n = 1``;
+    keys are integral numbers or strings of one, and two keys that name
+    the same ``n`` are refused.
     """
     if not values:
         raise ValueError("rate table must not be empty")
-    items = tuple(sorted((int(k), float(v)) for k, v in values.items()))
+    items = tuple(sorted((_table_key(k), float(v)) for k, v in values.items()))
+    if len({k for k, _ in items}) < len(items):
+        raise ValueError(f"rate table keys collide as integers: {list(values)!r}")
     if items[0][0] != 1:
         raise ValueError("rate table must define n = 1")
-    if any(k < 1 for k, _ in items):
-        raise ValueError("rate table keys must be >= 1")
     return RateFunction(
         kind="custom_table",
         declared_floor=declared_floor,
         single_server=single_server,
         table=items,
     )
+
+
+def _table_key(k: object) -> int:
+    """Table key ``k`` as an int: an integral number or a string of one
+    (JSON object keys are strings), never a bool."""
+    try:
+        if not isinstance(k, bool) and (isinstance(k, str) or int(k) == k):
+            return int(k)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"rate table keys must be integers, got {k!r}")
 
 
 def formula_rate(

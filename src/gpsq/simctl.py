@@ -119,7 +119,7 @@ def rate_from_config(cfg: dict) -> RateFunction:
                     f"custom_table 'single_server' must be true or false, got {single_server!r}"
                 )
             return table_rate(
-                {int(k): config_number(v, "custom_table rate") for k, v in table.items()},
+                {k: config_number(v, "custom_table rate") for k, v in table.items()},
                 declared_floor=config_number(cfg["floor"], "custom_table 'floor'"),
                 single_server=single_server,
             )

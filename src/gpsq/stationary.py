@@ -22,34 +22,24 @@ restarting the recursion empty at such an epoch and iterating forward to
 the origin yields an exact draw from the stationary profile law.
 
 A backward scan over an infinite past is only computable with a stopping
-rule.  The rules used here are explicit and reported: the record
-constructions stop once the accumulated inter-arrival mass provably (up to
-a declared service-demand quantile) exceeds any future candidate;
-:func:`lindley_W` stops after a configurable run of non-improving partial
-sums that has also fallen below the running record by a margin derived from
-the drift;
-:func:`backward_coupling_ps` states its certificate.  Every result says
-whether it was certified or the horizon was exhausted -- "unstable" and
-"did not look far enough" are never conflated.
+rule, and every result says whether its rule certified the value or the
+horizon was exhausted -- "unstable" and "did not look far enough" are never
+conflated.  The record constructions stop once the accumulated
+inter-arrival mass exceeds a declared service-demand quantile.
+:func:`lindley_W` and the perfect sampler share one certificate
+(:func:`_certified`), and neither reads a term when the drift is
+nonnegative.
 
-All four constructions run on one backward engine.  The marks are drawn
-into a buffer (:class:`_Backlog`) that deepens along one doubling schedule
-of depths (:func:`_depths`), and at each depth ``D`` a construction makes
-one prefix pass over the buffer's first ``D`` columns: prefix sums by a
-sequential ``cumsum`` (so every float equals the scalar running sum), a
-running ``maximum.accumulate`` or a mask over them, and a stop at the first
-index where its rule holds.  A scan that stops early reads at most about
-twice the terms it used.
-
-Perfect sampling runs over a batch of replications
+All four constructions run on one backward engine: a buffer of marks
+(:class:`_Backlog`) that deepens along one doubling schedule of depths
+(:func:`_depths`), and at each depth ``D`` one prefix pass over its first
+``D`` columns, whose prefix sums are a sequential ``cumsum`` (so every
+float equals the scalar running sum).  Perfect sampling
 (:func:`backward_coupling_ps_batch`; :func:`backward_coupling_ps` is the
-batch of one).  The backward marks of the whole batch are drawn once, with
-many-seed reads, into one 2-D buffer, and each depth's pass covers the
-rows still searching: the suffix maxima of the prefix sums, by one
-reversed ``maximum.accumulate``, give every epoch's workload at once.  A
-row takes its nearest certified epoch, runs its forward leg and leaves the
-batch.  A row's report reads only its own marks at the depths of the
-schedule, so it does not depend on its batch mates.
+batch of one) draws the marks of a batch of replications once, into one
+2-D buffer; a row takes its nearest certified epoch, runs its forward leg
+and leaves the batch.  A row's report reads only its own marks at the
+depths of the schedule, so it does not depend on its batch mates.
 """
 
 from __future__ import annotations
@@ -239,18 +229,38 @@ def stationary_profile_gginf(
     )
 
 
-def _stopping_rule(
-    gen, k_r: float, improvement_window: int | None
-) -> tuple[int | None, float | None]:
-    """Window and margin of the Lindley stopping rule: the given window or
-    one derived from the input's means, and the derived margin (see
-    :func:`lindley_W`)."""
+def _stopping_rule(gen, k_r: float, improvement_window: int | None) -> tuple[int, float] | None:
+    """Window and margin of the Lindley certificate (:func:`_certified`):
+    the given window or ``10 / (1 - rho_hat)``, and the margin ``50 * (K_r
+    E[xi] - E[sigma])``, a heuristic and not an error bound.  ``None`` when
+    that drift gap is not positive, whatever the window: no stationary law
+    exists."""
+    if improvement_window is not None and improvement_window < 1:
+        raise ValueError(f"improvement_window must be >= 1, got {improvement_window}")
     mean_xi, mean_sigma = gen.mean_xi(), gen.mean_sigma()
     gap = k_r * mean_xi - mean_sigma
-    rho_hat = mean_sigma / (k_r * mean_xi)
-    if improvement_window is None and rho_hat < 1.0:
-        improvement_window = math.ceil(10.0 / (1.0 - rho_hat))
-    return improvement_window, 50.0 * gap if gap > 0.0 else None
+    if not gap > 0.0:
+        return None
+    if improvement_window is None:
+        improvement_window = math.ceil(10.0 / (1.0 - mean_sigma / (k_r * mean_xi)))
+    return improvement_window, 50.0 * gap
+
+
+def _certified(
+    terms: np.ndarray, window: int, margin: float, max_m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix sums ``s[:, j] = S_j`` of every row of ``terms`` (``D``
+    columns, ``S_0 = 0``) and the mask of its certified epochs ``m``: the
+    workload started at ``-m`` stays zero, ``max_{m<j<=D} S_j - S_m <=
+    ATOM_TOL``, ``S_m - S_D >= margin`` and ``m <= min(D - window, max_m)``.
+    """
+    rows, d = terms.shape
+    s = np.cumsum(np.concatenate([np.zeros((rows, 1)), terms], axis=1), axis=1)
+    ahead = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1]  # max S_j, m < j <= d
+    top = max(min(d - window, max_m) + 1, 0)
+    ok = ahead[:, :top] - s[:, :top] <= ATOM_TOL
+    ok &= s[:, :top] - s[:, d, None] >= margin
+    return s, ok
 
 
 def lindley_W(
@@ -262,49 +272,39 @@ def lindley_W(
     """Stationary workload of the constant-drain bound:
     ``[sup_j sum_{i<=j} (sigma_{-i} - K_r xi_{-i})]^+``.
 
-    Certification is heuristic under negative drift: stop once the partial
-    sum has not improved the record for ``improvement_window`` consecutive
-    terms and sits at least ``50 * (K_r E[xi] - E[sigma])`` below it.  The
-    window defaults to ``10 / (1 - rho_hat)``; the margin is always derived.
-    With nonnegative drift there is no margin and, unless a window is given
-    by hand, no certification, only horizon exhaustion.
-    ``argmax_index`` is the first term that reaches the record.
+    Reads the terms ``sigma - K_r xi`` along the depths ``min(cap, max(256,
+    2 window))``, then doubling up to ``cap = max_lookback``, and stops at
+    the first depth ``D`` where the perfect sampler's certificate
+    (:func:`_certified`) holds at some epoch, whose workload is then zero:
+    the value is ``max(S_0 .. S_D)``, ``argmax_index`` the first term that
+    reaches it and ``iterations`` ``D``.  With nonnegative drift nothing is
+    read or certified.
     """
     if not 0.0 < k_r < math.inf:
         raise ValueError(f"drain rate must be positive and finite, got {k_r!r}")
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
-    window, margin = _stopping_rule(gen, k_r, improvement_window)
+    rule = _stopping_rule(gen, k_r, improvement_window)
+    if rule is None:
+        return LoynesResult(0.0, None, False, 0, "drift nonnegative: no stationary workload")
+    window, margin = rule
     buf = _Backlog([gen])
-    j, converged = max_lookback, False
-    for d in _depths(max_lookback if window is None else window + 1, max_lookback):
+    for d in _depths(2 * window, max_lookback):
         buf.reach(d)
-        s = np.cumsum(buf.terms(k_r, d)[0])
-        best = np.maximum.accumulate(s)
-        idx = np.arange(1, d + 1)
-        record = s > np.concatenate([[-math.inf], best[:-1]])
-        since = idx - np.maximum.accumulate(np.where(record, idx, 0))
-        if window is None:
-            continue
-        stop = since >= window
-        if margin is not None:
-            stop &= best - s >= margin
-        if stop.any():
-            j, converged = int(stop.argmax()) + 1, True
+        s, ok = _certified(buf.terms(k_r, d), window, margin, max_lookback)
+        if converged := bool(ok.any()):
             break
-    top, quiet = float(best[j - 1]), int(since[j - 1])
+    s, top = s[0], float(s.max())
     note = (
-        f"certified: no record improvement for {quiet} terms, "
-        f"partial sum {top - float(s[j - 1])} below the record"
+        f"certified: zero workload at epoch -{int(ok[0].argmax())} over {d} terms"
         if converged
         else f"horizon exhausted at lookback {max_lookback}"
-        + ("" if window is not None else " (no negative-drift estimate; cannot certify)")
     )
     return LoynesResult(
-        value=max(top, 0.0),
-        argmax_index=j - quiet if top > 0.0 else None,
+        value=top,
+        argmax_index=int(s.argmax()) if top > 0.0 else None,
         converged=converged,
-        iterations=j,
+        iterations=d,
         tail_bound_note=note,
     )
 
@@ -329,13 +329,11 @@ def backward_coupling_ps(
     """Exact draw from the stationary processor-sharing profile.
 
     Reads the terms ``sigma - K_r xi`` to depth ``D``: ``min(cap, max(256,
-    2 window))``, then doubling up to ``cap = 2 max_lookback``.  Epoch
-    ``-m`` is certified when the Lindley workload started there is zero
-    (within ``ATOM_TOL``) over all ``D`` terms, ``D - m >= window``, the
-    last partial sum ends ``margin`` or more below it and ``m <=
+    2 window))``, then doubling up to ``cap = 2 max_lookback``, and takes
+    the nearest epoch ``-m`` that :func:`_certified` certifies, ``m <=
     max_lookback``.  The profile is empty there, so the recursion run
-    forward from zero at the nearest certified epoch gives the stationary
-    profile at the origin exactly; ``iterations_used`` is ``D + m``.
+    forward from zero gives the stationary profile at the origin exactly;
+    ``iterations_used`` is ``D + m``.
     Without a certified epoch at the cap the report says so instead of
     guessing.  This is :func:`backward_coupling_ps_batch` on a batch of one.
     """
@@ -354,10 +352,9 @@ def backward_coupling_ps_batch(
     The inputs of one call must share one law (they differ in seed or
     offset): the drift test and the window and margin defaults are derived
     once, from the first input's means, and the rate is validated once.
-    When ``K_r E[xi] - E[sigma]`` is not positive (the Lindley walk's drift
-    is nonnegative), every report is ``drift_nonnegative`` and no term is
-    read, even with a window given by hand.  Inputs are
-    searched in batches of at most :data:`BATCH_ROWS`.  Every row still
+    When ``K_r E[xi] - E[sigma]`` is not positive, every report is
+    ``drift_nonnegative`` and no term is read, whatever the window.  Inputs
+    are searched in batches of at most :data:`BATCH_ROWS`.  Every row still
     searching is tested at every depth ``D`` of the schedule on its own
     first ``D`` marks, so a report depends only on its own input and any
     batching gives the same bytes.
@@ -374,20 +371,15 @@ def backward_coupling_ps_batch(
     gens = list(gens)
     if not gens:
         return []
-    if not r.declared_floor * gens[0].mean_xi() - gens[0].mean_sigma() > 0.0:
-        # no stationary law, so no epoch can be certified, whatever window
-        # was given, and nothing is read
-        return [_exhausted(0, "drift_nonnegative") for _ in gens]
-    window, margin = _stopping_rule(gens[0], r.declared_floor, improvement_window)
+    rule = _stopping_rule(gens[0], r.declared_floor, improvement_window)
+    if rule is None:
+        return [CouplingReport(False, None, None, 0, "drift_nonnegative") for _ in gens]
+    window, margin = rule
     depths = _depths(2 * window, 2 * max_lookback)
     reports: list[CouplingReport] = []
     for lo in range(0, len(gens), BATCH_ROWS):
         reports += _couple_batch(gens[lo : lo + BATCH_ROWS], r, depths, window, margin, max_lookback)
     return reports
-
-
-def _exhausted(iterations: int, reason: str) -> CouplingReport:
-    return CouplingReport(False, None, None, iterations, reason)
 
 
 def _couple_batch(
@@ -403,14 +395,7 @@ def _couple_batch(
     ids = np.arange(len(gens))  # the input each buffer row belongs to
     for d in depths:
         buf.reach(d)
-        # s[:, j] = S_j, the sum of the first j terms; ahead[:, m] = the
-        # largest S_j with m < j <= d
-        terms = buf.terms(r.declared_floor, d)
-        s = np.cumsum(np.concatenate([np.zeros((ids.size, 1)), terms], axis=1), axis=1)
-        ahead = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1]
-        top = max(min(d - window, max_lookback) + 1, 0)  # epochs m = 0 .. top - 1
-        ok = ahead[:, :top] - s[:, :top] <= ATOM_TOL
-        ok &= s[:, :top] - s[:, d, None] >= margin
+        _, ok = _certified(buf.terms(r.declared_floor, d), window, margin, max_lookback)
         hit = ok.any(axis=1)
         for row in np.flatnonzero(hit):
             m = int(ok[row].argmax())
@@ -428,7 +413,8 @@ def _couple_batch(
         ids = ids[~hit]
         if not ids.size:
             break
-    return [rep or _exhausted(depths[-1], "lookback_exhausted") for rep in reports]
+    exhausted = CouplingReport(False, None, None, depths[-1], "lookback_exhausted")
+    return [rep or exhausted for rep in reports]
 
 
 @dataclass(frozen=True)

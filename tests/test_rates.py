@@ -81,6 +81,21 @@ class TestCatalog:
         with pytest.raises(ValueError):
             table_rate({2: 0.5}, declared_floor=0.1)
 
+    @pytest.mark.parametrize("values", [
+        {1: 1.0, 1.5: 0.25, 2: 0.5},  # 1.5 is no occupancy; int() made it 1
+        {True: 1.0, 2: 0.5},
+        {1: 1.0, "1": 0.5},  # two keys for n = 1
+        {1: 1.0, math.inf: 0.5},
+        {1: 1.0, "2.5": 0.5},
+    ], ids=["fraction", "bool", "collision", "inf", "fraction_string"])
+    def test_table_keys_are_distinct_integers(self, values):
+        with pytest.raises(ValueError, match="rate table keys"):
+            table_rate(values, declared_floor=0.5)
+
+    def test_table_keys_may_be_integral_numbers_or_strings(self):
+        # JSON object keys are strings
+        assert table_rate({"1": 1.0, 2.0: 0.5}, declared_floor=0.5).table == ((1, 1.0), (2, 0.5))
+
     def test_scaled_ps_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             scaled_ps(0.0)

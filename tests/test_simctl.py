@@ -145,10 +145,26 @@ class TestConfigParsing:
         r = rate_from_config({"kind": "custom_table", "floor": 0.8,
                               "table": {1: 1.0, 2: 0.495, 3: 0.3, 100: 0.008}})
         assert r(50) == 0.3
+        # JSON object keys are strings
+        r = rate_from_config({"kind": "custom_table", "floor": 0.5,
+                              "table": {"1": 1.0, "2": 0.5}})
+        assert r.table == ((1, 1.0), (2, 0.5))
         with pytest.raises(ConfigError):
             rate_from_config({"kind": "scaled_ps"})
         with pytest.raises(ConfigError):
             rate_from_config({"kind": "warp"})
+
+    @pytest.mark.parametrize("table", [
+        {1: 1.0, 1.5: 0.75, 2: 0.5},  # int() made this a valid {1: 0.75, 2: 0.5}
+        {True: 1.0, 2: 0.5},
+        {"1": 1.0, "01": 0.5},
+    ], ids=["fraction", "bool", "collision"])
+    def test_custom_table_bad_keys_exit_config(self, tmp_path, monkeypatch, table):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml",
+                           rate={"kind": "custom_table", "floor": 0.5, "table": table})
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_parse_rho(self):
         assert _parse_rho("0.5:1.0:0.25") == (0.5, 0.75, 1.0)

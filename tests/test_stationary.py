@@ -148,28 +148,31 @@ class TestLindleyWorkload:
         assert res.value == 0.0
         assert res.converged
 
-    def test_positive_drift_exhausts_horizon(self):
+    def test_positive_drift_exhausts_horizon(self, monkeypatch):
+        # no stationary workload: refused at once, nothing read
+        def unread(*args):
+            raise AssertionError("a nonnegative drift reads no input")
+
+        monkeypatch.setattr(stationary, "sample_blocks", unread)
         res = lindley_W(deterministic_input(1.0, 2.0), 1.0, max_lookback=500)
-        assert not res.converged
-        assert res.iterations == 500
-        assert res.value > 100  # partial sums keep climbing
+        assert (res.value, res.argmax_index, res.converged, res.iterations) == (0.0, None, False, 0)
+        assert "drift nonnegative" in res.tail_bound_note
 
     def test_alternating_prefix_maximum(self):
-        # sigma alternates 2, 0.1 against xi = 1 at unit drain; the
-        # brute-force prefix maximum over one full period is 2 - 1 = 1.0
-        # (the cycle has positive mean drift, so deeper scans keep
-        # climbing and the untruncated value does not exist)
-        g = CyclicInput(xis=(1.0,), sigmas=(0.1, 2.0))  # sigma at index -1 is 2.0
+        # sigma alternates 1.5, 0.1 against xi = 1 at unit drain; the
+        # brute-force prefix maximum over one full period is 1.5 - 1 = 0.5
+        # (the cycle's drift is negative, but two terms cannot certify)
+        g = CyclicInput(xis=(1.0,), sigmas=(0.1, 1.5))  # sigma at index -1 is 1.5
         prefix = []
         s = 0.0
         for j in (1, 2):
             xi, sig = g.sample(-j)
             s += sig - 1.0 * xi
             prefix.append(s)
-        assert max(prefix) == pytest.approx(1.0)
+        assert max(prefix) == pytest.approx(0.5)
         res = lindley_W(g, 1.0, max_lookback=2)
-        assert res.value == pytest.approx(1.0)
-        assert not res.converged  # truncated: drift is positive
+        assert res.value == pytest.approx(0.5)
+        assert not res.converged  # truncated at the lookback
 
     def test_one_step_equation_under_shift(self):
         res = checks.record_and_workload_fixed_points(77, 200)
@@ -179,6 +182,22 @@ class TestLindleyWorkload:
         for k_r in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 lindley_W(deterministic_input(1.0, 1.0), k_r)
+
+    def test_hand_set_window_certifies_nothing_above_load_one(self):
+        # M/M/1 at load 1.1 has no stationary workload; a 200-term window
+        # alone once certified every one of these 8 seeds
+        for i in range(8):
+            g = iid_input(Exponential(1.0), Exponential(1.1), seed=replication_seed(7, i))
+            res = lindley_W(g, 1.0, 10_000, improvement_window=200)
+            assert (res.converged, res.iterations) == (False, 0)
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_window_below_one_refused(self, window):
+        g = iid_input(Exponential(3.0), Exponential(1.0), seed=5)
+        with pytest.raises(ValueError, match="improvement_window must be >= 1"):
+            lindley_W(g, 0.5, improvement_window=window)
+        with pytest.raises(ValueError, match="improvement_window must be >= 1"):
+            backward_coupling_ps(g, half_interference(), improvement_window=window)
 
 
 class TestConstantThroughputIdentity:
@@ -444,73 +463,61 @@ def reference_gginf(gen, max_lookback=100_000, quantile=DEFAULT_QUANTILE):
 
 
 def reference_rule(gen, k_r, improvement_window=None):
-    """The window default and the derived margin of the Lindley stopping
-    rule."""
+    """The window default and the derived margin of the Lindley
+    certificate, or ``None`` without negative drift."""
     mean_xi, mean_sigma = gen.mean_xi(), gen.mean_sigma()
     gap = k_r * mean_xi - mean_sigma
+    if not gap > 0.0:
+        return None
     rho_hat = mean_sigma / (k_r * mean_xi)
-    if improvement_window is None and rho_hat < 1.0:
+    if improvement_window is None:
         improvement_window = math.ceil(10.0 / (1.0 - rho_hat))
-    return improvement_window, (50.0 * gap if gap > 0.0 else None)
+    return improvement_window, 50.0 * gap
 
 
-def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None):
-    """The scalar Lindley loop, as it was before the batched kernel."""
-    improvement_window, margin = reference_rule(gen, k_r, improvement_window)
-    s = 0.0
-    best = -math.inf
-    best_j = 0
-    since_improve = 0
-    converged = False
-    j = 0
-    for j, (xi, sigma) in enumerate(backward_marks(gen, max_lookback), 1):
-        s += sigma - k_r * xi
-        if s > best:
-            best = s
-            best_j = j
-            since_improve = 0
-        else:
-            since_improve += 1
-        if (
-            improvement_window is not None
-            and since_improve >= improvement_window
-            and (margin is None or best - s >= margin)
-        ):
-            converged = True
-            break
-    note = (
-        f"certified: no record improvement for {since_improve} terms, "
-        f"partial sum {best - s} below the record"
-        if converged
-        else f"horizon exhausted at lookback {max_lookback}"
-        + (
-            ""
-            if improvement_window is not None
-            else " (no negative-drift estimate; cannot certify)"
-        )
-    )
-    return LoynesResult(
-        value=max(best, 0.0),
-        argmax_index=best_j if best > 0.0 else None,
-        converged=converged,
-        iterations=j,
-        tail_bound_note=note,
-    )
-
-
-def certified_epochs(gen, k_r, depth, window, margin, max_lookback):
-    """Every epoch ``m`` certified by the first ``depth`` backward terms:
-    Python-float prefix sums ``S``, and each ``m`` checked against the
-    largest ``S_j`` over the whole buffer past it."""
+def prefix_sums(gen, k_r, depth):
+    """Python-float prefix sums ``S_0 = 0, S_1 .. S_depth`` of the backward
+    terms ``sigma - K_r xi``."""
     xs, ss = gen.sample_block(-depth, 0)
     s = [0.0]
     for xi, sigma in zip(reversed(list(xs)), reversed(list(ss))):
         s.append(s[-1] + (float(sigma) - k_r * float(xi)))
+    return s
+
+
+def certified_epochs(gen, k_r, depth, window, margin, max_lookback):
+    """Every epoch ``m`` certified by the first ``depth`` backward terms:
+    each ``m`` checked against the largest ``S_j`` over the whole buffer
+    past it."""
+    s = prefix_sums(gen, k_r, depth)
     ahead = list(accumulate(reversed(s[1:]), max))[::-1]  # ahead[m] = max S_j, j > m
     return [
         m for m in range(min(depth - window, max_lookback) + 1)
         if ahead[m] - s[m] <= ATOM_TOL and s[m] - s[depth] >= margin
     ]
+
+
+def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None):
+    """Brute-force Lindley workload: at each depth ``d`` of the fixed
+    schedule every epoch is checked against the whole buffer, and the first
+    depth with a certified epoch (or the cap) gives the largest prefix sum."""
+    rule = reference_rule(gen, k_r, improvement_window)
+    if rule is None:
+        return LoynesResult(0.0, None, False, 0, "drift nonnegative: no stationary workload")
+    window, margin = rule
+    d = min(max_lookback, max(256, 2 * window))
+    while not (found := certified_epochs(gen, k_r, d, window, margin, max_lookback)):
+        if d == max_lookback:
+            break
+        d = min(max_lookback, 2 * d)
+    s = prefix_sums(gen, k_r, d)
+    top = max(s)
+    note = (
+        f"certified: zero workload at epoch -{found[0]} over {d} terms"
+        if found
+        else f"horizon exhausted at lookback {max_lookback}"
+    )
+    return LoynesResult(top, s.index(top) if top > 0.0 else None, bool(found), d, note)
 
 
 def forward_from(gen, r, m):
@@ -526,9 +533,10 @@ def reference_coupling(gen, r, max_lookback=10_000, improvement_window=None):
     fixed schedule, every epoch is checked against the whole buffer, and
     the nearest certified one runs its forward leg."""
     k_r = r.declared_floor
-    if not k_r * gen.mean_xi() - gen.mean_sigma() > 0.0:
+    rule = reference_rule(gen, k_r, improvement_window)
+    if rule is None:
         return CouplingReport(False, None, None, 0, "drift_nonnegative")
-    window, margin = reference_rule(gen, k_r, improvement_window)
+    window, margin = rule
     cap = 2 * max_lookback
     d = min(cap, max(256, 2 * window))
     while True:
@@ -659,17 +667,21 @@ class TestRecordPasses:
         g = backward_cycle(2.0, 0.0, 4.0, 0.0)
         assert loynes_L(g, 4) == reference_loynes_L(g, 4)
         assert (loynes_L(g, 4).argmax_index, loynes_L(g, 4).iterations) == (1, 3)
-        # partial sums 1, 1, 1, ...: only the first is a record
-        g = backward_cycle(2.0, *[1.0] * 9)
-        got = lindley_W(g, 1.0, 10, improvement_window=5)
-        assert got == reference_lindley_W(g, 1.0, 10, improvement_window=5)
-        assert (got.argmax_index, got.iterations) == (1, 6)
+        # partial sums 1, 1, 1, 0.5, 0, ... falling 2.5 a period: the
+        # record is the first of the three ties, and a tie ahead of epoch
+        # -1 leaves its workload zero, so the epoch is certified
+        g = backward_cycle(2.0, 1.0, 1.0, *[0.5] * 7)
+        got = lindley_W(g, 1.0, 100)
+        assert got == reference_lindley_W(g, 1.0, 100)
+        assert (got.value, got.argmax_index, got.converged, got.iterations) == (1.0, 1, True, 100)
+        assert "epoch -1 " in got.tail_bound_note
         # partial sums -0.5 j against the derived margin 50 * 0.5 = 25: the
-        # drop from the record -0.5 reaches it exactly at term 51
+        # drop from S_0 reaches it exactly at term 50, and not before
         g = deterministic_input(1.0, 0.5)
-        got = lindley_W(g, 1.0, 100, improvement_window=1)
-        assert got == reference_lindley_W(g, 1.0, 100, improvement_window=1)
-        assert got.iterations == 51
+        for lookback, converged in ((50, True), (49, False)):
+            got = lindley_W(g, 1.0, lookback, improvement_window=1)
+            assert got == reference_lindley_W(g, 1.0, lookback, improvement_window=1)
+            assert (got.converged, got.iterations) == (converged, lookback)
 
 
 class TestBatchedSampler:
@@ -716,6 +728,19 @@ class TestBatchedSampler:
             moved += epochs[-1] > m
         assert moved >= 30
 
+    def test_lindley_W_stops_at_the_samplers_depth(self):
+        # one certificate: at the shipped load lindley_W reads to the depth
+        # at which the sampler certified, and its workload dominates the
+        # sample's
+        r = half_interference()
+        gens = [iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(42, i))
+                for i in range(300)]
+        for g, rep in zip(gens, backward_coupling_ps_batch(gens, r, 10_000, 200)):
+            w = lindley_W(g, r.declared_floor, 10_000, 200)
+            assert rep.coupled and w.converged
+            assert w.iterations == rep.iterations_used + rep.regeneration_index
+            assert rep.stationary_profile.workload <= w.value
+
     def test_report_ignores_its_batch_mates(self):
         r = half_interference()
         kw = {"max_lookback": 2000, "improvement_window": 200}
@@ -748,7 +773,7 @@ class TestBatchedSampler:
     @given(
         batches(),
         lookbacks(),
-        st.one_of(st.none(), st.integers(0, 400)),
+        st.one_of(st.none(), st.integers(1, 400)),
         st.integers(-100, 100),
     )
     def test_lindley_W_equals_the_scalar_loop(self, batch, max_lookback, window, k):
