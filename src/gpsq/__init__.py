@@ -54,9 +54,8 @@ from .stationary import (
     backward_coupling_ps,
     backward_coupling_ps_batch,
     check_stability,
+    gginf_stationary,
     lindley_W,
-    loynes_L,
-    stationary_profile_gginf,
 )
 
 __version__ = "0.1.0"
@@ -103,8 +102,7 @@ __all__ = [
     "backward_coupling_ps",
     "backward_coupling_ps_batch",
     "check_stability",
+    "gginf_stationary",
     "lindley_W",
-    "loynes_L",
-    "stationary_profile_gginf",
     "__version__",
 ]

@@ -27,7 +27,7 @@ from .input_process import (
 )
 from .measures import ATOM_TOL, ZERO, CountingMeasure
 from .rates import classical_ps, half_interference, pure_delay, scaled_ps, table_rate
-from .stationary import backward_coupling_ps, lindley_W, loynes_L, stationary_profile_gginf
+from .stationary import backward_coupling_ps, gginf_stationary, lindley_W
 
 #: Window of the Lindley certificate in the checks' constant-drain scans:
 #: an epoch is certified only with this many terms read past it, and the
@@ -198,9 +198,8 @@ def gginf_fixed_point(base_seed: int, count: int) -> CheckResult:
     bad: list[str] = []
     converged = 0
     for g, xi0, sig0 in _stable_inputs(base_seed, count):
-        a = stationary_profile_gginf(g)
-        b = stationary_profile_gginf(g.shift(1))
-        rec = loynes_L(g)
+        a, rec = gginf_stationary(g)
+        b, _ = gginf_stationary(g.shift(1))
         if not (a.converged and b.converged and rec.converged):
             continue
         converged += 1
@@ -221,7 +220,7 @@ def record_and_workload_fixed_points(base_seed: int, count: int) -> CheckResult:
     bad: list[str] = []
     rec_checked = work_checked = 0
     for g, xi0, sig0 in _stable_inputs(base_seed, count):
-        a, b = loynes_L(g), loynes_L(g.shift(1))
+        (_, a), (_, b) = gginf_stationary(g), gginf_stationary(g.shift(1))
         if a.converged and b.converged:
             rec_checked += 1
             if abs(b.value - max(max(a.value, sig0) - xi0, 0.0)) > ATOM_TOL:

@@ -56,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -353,10 +354,12 @@ class MarkovModulatedModel:
     marks jointly: in state ``s`` the pair is drawn from
     ``(xi_dists[s], sigma_dists[s])``.
 
-    The chain must be irreducible and aperiodic (checked at construction);
-    the state at an index is the exactly stationary one, obtained by
-    coupling from the past.  Independent marks are the chain with one
-    state (:func:`iid_input`); a read of it resolves no states.
+    The chain must be irreducible, and its inverse-CDF grand coupling able
+    to take every start state to one state, which makes it aperiodic (both
+    checked at construction); the state at an index is the exactly
+    stationary one, obtained by coupling from the past.  Independent marks
+    are the chain with one state (:func:`iid_input`); a read of it
+    resolves no states.
     """
 
     transition: tuple[tuple[float, ...], ...]
@@ -380,14 +383,24 @@ class MarkovModulatedModel:
                 raise ValueError("inter-arrival distributions must have positive mean")
         if k == 1:  # the row is (1.0,): irreducible and aperiodic
             return
-        # irreducible: every state reaches every other within k - 1 steps;
-        # then aperiodic iff some power is positive, and by Wielandt's
-        # bound the power (k - 1)**2 + 1 is positive if any is
+        # irreducible: every state reaches every other within k - 1 steps
         a = (np.array(self.transition) > 0.0).astype(np.int64)
         if not _bool_power(a | np.eye(k, dtype=np.int64), k - 1).all():
             raise ValueError("chain is not irreducible")
-        if not _bool_power(a, (k - 1) ** 2 + 1).all():
-            raise ValueError("chain is not aperiodic")
+        # coupling from the past must be able to end.  A shared uniform u
+        # moves each state by its row's inverse CDF (_advance), by the same
+        # move over each interval between the rows' running sums, so the
+        # intervals' left ends give every move; search the state sets that
+        # runs of moves reach from the full set for a single state
+        lefts = {0.0} | {acc for row in self.transition for acc in accumulate(row) if acc < 1.0}
+        moves = [[self._advance(s, u) for s in range(k)] for u in lefts]
+        seen, todo = set(), [frozenset(range(k))]
+        while todo and len(states := todo.pop()) > 1:
+            if states not in seen:
+                seen.add(states)
+                todo += [frozenset(move[s] for s in states) for move in moves]
+        if len(states) > 1:
+            raise ValueError("chain is not aperiodic or its inverse-CDF coupling never coalesces")
 
     @property
     def n_states(self) -> int:
@@ -477,7 +490,7 @@ def _coalesce(model: MarkovModulatedModel, us: list[float]) -> int | None:
 
 _NO_COALESCENCE = (
     "modulating chain did not coalesce within the lookback cap; "
-    "its rows may not admit a common inverse-CDF collapse"
+    "the runs of uniforms that collapse its start states are too unlikely"
 )
 
 
@@ -626,7 +639,11 @@ def generator_from_config(cfg: dict, seed_override: int | None = None) -> Marked
         )
     else:
         raise ValueError(f"unknown input model {kind!r}")
-    seed = seed_override if seed_override is not None else int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"input seed must be an integer, got {seed!r}")
+    if seed_override is not None:
+        seed = seed_override
     return MarkedInputGenerator(model=model, seed=seed)
 
 

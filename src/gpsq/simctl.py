@@ -60,9 +60,8 @@ from .stationary import (
     backward_coupling_ps,  # not called here; perfbench's tracer wraps simctl.backward_coupling_ps
     backward_coupling_ps_batch,
     check_stability,
-    loynes_L,
+    gginf_stationary,
     mean_se,
-    stationary_profile_gginf,
 )
 
 SCHEMA_ID = "gpsq-experiment-v1"
@@ -196,7 +195,11 @@ class ExperimentConfig:
         if not isinstance(input_spec, dict):
             errors.append(f"'input' must be a mapping, got {input_spec!r}")
             input_spec = {}
-        base_seed = data.get("base_seed", input_spec.get("seed", 0))
+        input_seed = input_spec.get("seed", 0)
+        if not _is_int(input_seed):
+            errors.append(f"input.seed must be an integer, got {input_seed!r}")
+            input_seed = 0
+        base_seed = data.get("base_seed", input_seed)
         if not _is_int(base_seed):
             errors.append(f"base_seed must be an integer, got {base_seed!r}")
             base_seed = 0
@@ -508,8 +511,7 @@ def _worker_gginf(cfg: ExperimentConfig, base: MarkedInputGenerator, r: None,
                   reps: list[int]) -> Iterator[dict]:
     for i in reps:
         gen = _rep_generator(cfg, base, i)
-        prof = stationary_profile_gginf(gen, max_lookback=cfg.max_lookback)
-        rec = loynes_L(gen, max_lookback=cfg.max_lookback)
+        prof, rec = gginf_stationary(gen, max_lookback=cfg.max_lookback)
         yield {
             "seed": gen.seed,
             "atoms": list(prof.profile.atoms),
@@ -853,8 +855,9 @@ def run_invariant_suites(seed: int = 0) -> list[dict]:
     print one PASS/FAIL line each and return one ``{suite, ok, detail}``
     record each.  A suite
     passes when its check tested at least one instance and found no
-    failure.  ``seed`` seeds the random instances; the other checks read
-    inputs at fixed seeds."""
+    failure.  ``seed``, taken modulo ``2**64`` as replication seeds are,
+    seeds the random instances; the other checks read inputs at fixed
+    seeds."""
     from . import checks  # imported on use: the experiment modes never need it
 
     suites = (
@@ -872,7 +875,7 @@ def run_invariant_suites(seed: int = 0) -> list[dict]:
     out = []
     for idx, (name, check) in enumerate(suites):
         try:
-            res = check(np.random.default_rng([seed, idx]))
+            res = check(np.random.default_rng([seed & ((1 << 64) - 1), idx]))
             ok, detail = res.failures == 0 and res.checked > 0, res.detail
         except Exception as exc:  # a crashed suite is a failed suite
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"

@@ -1,15 +1,14 @@
 """Backward constructions: stationary profiles and perfect sampling.
 
 Everything here scans the input sequence backward from the origin.  The
-three scalar/measure constructions are
+two scalar/measure constructions are
 
-* :func:`loynes_L` -- the all-time record ``[sup_j (sigma_{-j} -
-  sum_{i<=j} xi_{-i})]^+``: the remaining work, at the origin, of the past
-  customer who reaches furthest into the future when every customer is
-  served at unit rate.  It solves ``L . theta = [max(L, sigma) - xi]^+``.
-* :func:`stationary_profile_gginf` -- the explicit stationary profile of
-  the infinite-server system: one atom ``sigma_{-i} - sum_{j<=i} xi_{-j}``
-  for every past customer still unfinished at the origin.
+* :func:`gginf_stationary` -- the explicit stationary profile of the
+  infinite-server system (one atom ``sigma_{-i} - sum_{j<=i} xi_{-j}`` for
+  every past customer still unfinished at the origin) and its Loynes
+  record, the largest of those remaining works or 0: ``L = [sup_j
+  (sigma_{-j} - sum_{i<=j} xi_{-i})]^+``, which solves ``L . theta =
+  [max(L, sigma) - xi]^+``.
 * :func:`lindley_W` -- the stationary workload of a single server that
   drains at the constant rate ``K_r`` whenever busy:
   ``W . theta = [W + sigma - K_r xi]^+``.
@@ -24,13 +23,13 @@ the origin yields an exact draw from the stationary profile law.
 A backward scan over an infinite past is only computable with a stopping
 rule, and every result says whether its rule certified the value or the
 horizon was exhausted -- "unstable" and "did not look far enough" are never
-conflated.  The record constructions stop once the accumulated
-inter-arrival mass exceeds a declared service-demand quantile.
+conflated.  The infinite-server pass certifies its two stops by a declared
+service-demand quantile.
 :func:`lindley_W` and the perfect sampler share one certificate
 (:func:`_certified`), and neither reads a term when the drift is
 nonnegative.
 
-All four constructions run on one backward engine: a buffer of marks
+All three constructions run on one backward engine: a buffer of marks
 (:class:`_Backlog`) that deepens along one doubling schedule of depths
 (:func:`_depths`), and at each depth ``D`` one prefix pass over its first
 ``D`` columns, whose prefix sums are a sequential ``cumsum`` (so every
@@ -149,84 +148,64 @@ class _Backlog:
         self.xs, self.ss = self.xs[rows], self.ss[rows]
 
 
-def loynes_L(
-    gen,
-    max_lookback: int = 100_000,
-    quantile: float = DEFAULT_QUANTILE,
-) -> LoynesResult:
-    """Backward record ``[sup_{1<=j} (sigma_{-j} - sum_{i<=j} xi_{-i})]^+``.
+def gginf_stationary(
+    gen, max_lookback: int = 100_000
+) -> tuple[StationaryProfileResult, LoynesResult]:
+    """The stationary infinite-server profile and its Loynes record, from
+    one backward read of the marks.
 
-    Stops early once ``sum xi - best`` exceeds the service-demand quantile
-    bound: no deeper candidate can then beat the record, since candidates
-    shrink by the ever-growing inter-arrival mass.  The record after each
-    term is a running maximum of the candidates, and ``argmax_index`` the
-    first term that reaches it.
+    Past customer ``-i`` contributes an atom ``sigma_{-i} - sum_{j<=i}
+    xi_{-j}`` whenever that is nonnegative (it is still in service at the
+    origin); the record ``[sup_j (sigma_{-j} - sum_{i<=j} xi_{-i})]^+`` is
+    the largest of those candidates.  With ``q`` the service-demand
+    quantile at :data:`DEFAULT_QUANTILE`, the profile stops at the first
+    ``sum xi > q``, past which no customer can still be present, and the
+    record at the first ``q - sum xi <= best``, past which no candidate can
+    beat it.  The pass deepens until both rules hold or the cap
+    ``max_lookback`` is reached, and each result keeps its own stop; the
+    record's ``argmax_index`` is the first term that reaches it.
     """
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
-    qp = gen.sigma_quantile(quantile)
+    qp = gen.sigma_quantile(DEFAULT_QUANTILE)
     buf = _Backlog([gen])
-    j, converged = max_lookback, False
     for d in _depths(_FIRST_BLOCK, max_lookback):
         buf.reach(d)
         sum_xi = np.cumsum(buf.xs[0, :d])
         cand = buf.ss[0, :d] - sum_xi
         best = np.maximum.accumulate(cand)
-        if (stop := qp - sum_xi <= best).any():
-            j, converged = int(stop.argmax()) + 1, True
+        gone, beaten = sum_xi > qp, qp - sum_xi <= best
+        prof_ok, rec_ok = bool(gone.any()), bool(beaten.any())
+        if prof_ok and rec_ok:
             break
-    top = float(best[j - 1])
-    note = (
-        f"certified: sum(xi) - best exceeds the {quantile} service quantile ({qp})"
-        if converged
-        else f"horizon exhausted at lookback {max_lookback}"
+    # the stops are the first true entries: a sequential cumsum gives the
+    # same prefix at every depth
+    i = int(gone.argmax()) + 1 if prof_ok else d
+    j = int(beaten.argmax()) + 1 if rec_ok else d
+    v, top = cand[:i], float(best[j - 1])
+    profile = StationaryProfileResult(
+        profile=CountingMeasure(v[v >= 0.0].tolist()),
+        converged=prof_ok,
+        iterations=i,
+        truncation_note=(
+            f"certified: accumulated inter-arrival mass {float(sum_xi[i - 1])} exceeds the "
+            f"{DEFAULT_QUANTILE} service quantile ({qp})"
+            if prof_ok
+            else f"horizon exhausted at lookback {max_lookback}; atoms may be missing"
+        ),
     )
-    return LoynesResult(
+    record = LoynesResult(
         value=max(top, 0.0),
         argmax_index=int(cand[:j].argmax()) + 1 if top > 0.0 else None,
-        converged=converged,
+        converged=rec_ok,
         iterations=j,
-        tail_bound_note=note,
+        tail_bound_note=(
+            f"certified: sum(xi) - best exceeds the {DEFAULT_QUANTILE} service quantile ({qp})"
+            if rec_ok
+            else f"horizon exhausted at lookback {max_lookback}"
+        ),
     )
-
-
-def stationary_profile_gginf(
-    gen,
-    max_lookback: int = 100_000,
-    quantile: float = DEFAULT_QUANTILE,
-) -> StationaryProfileResult:
-    """Stationary infinite-server profile by direct backward evaluation.
-
-    Past customer ``-i`` contributes an atom ``sigma_{-i} - sum_{j<=i}
-    xi_{-j}`` whenever that is nonnegative (it is still in service at the
-    origin).  The scan stops once the accumulated inter-arrival mass
-    exceeds the service-demand quantile bound, past which no further
-    customer can still be present.
-    """
-    if max_lookback < 1:
-        raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
-    qp = gen.sigma_quantile(quantile)
-    buf = _Backlog([gen])
-    i, converged = max_lookback, False
-    for d in _depths(_FIRST_BLOCK, max_lookback):
-        buf.reach(d)
-        sum_xi = np.cumsum(buf.xs[0, :d])
-        if (stop := sum_xi > qp).any():
-            i, converged = int(stop.argmax()) + 1, True
-            break
-    v = buf.ss[0, :i] - sum_xi[:i]
-    note = (
-        f"certified: accumulated inter-arrival mass {float(sum_xi[i - 1])} exceeds the "
-        f"{quantile} service quantile ({qp})"
-        if converged
-        else f"horizon exhausted at lookback {max_lookback}; atoms may be missing"
-    )
-    return StationaryProfileResult(
-        profile=CountingMeasure(v[v >= 0.0].tolist()),
-        converged=converged,
-        iterations=i,
-        truncation_note=note,
-    )
+    return profile, record
 
 
 def _stopping_rule(gen, k_r: float, improvement_window: int | None) -> tuple[int, float] | None:

@@ -249,6 +249,12 @@ class TestMarkovModulated:
             with pytest.raises(ValueError, match="irreducible"):
                 self.chain(transition)
 
+    def test_rejects_chain_that_cannot_coalesce(self):
+        # irreducible, with self-loops, yet under the inverse-CDF coupling
+        # the state set cycles between {0, 1} and {1, 2}
+        with pytest.raises(ValueError, match="never coalesces"):
+            self.chain(((0.0, 0.5, 0.5), (0.5, 0.5, 0.0), (0.0, 0.5, 0.5)))
+
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError, match="probability"):
             MarkovModulatedModel(
@@ -307,6 +313,13 @@ class TestConfig:
     def test_seed_override(self):
         cfg = {"model": "deterministic", "xi": 1.0, "sigma": 1.0, "seed": 5}
         assert generator_from_config(cfg, seed_override=9).seed == 9
+
+    @pytest.mark.parametrize("seed", [True, 2.9, 3.0, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        cfg = {"model": "deterministic", "xi": 1.0, "sigma": 1.0, "seed": seed}
+        for override in (None, 9):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                generator_from_config(cfg, seed_override=override)
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):

@@ -166,6 +166,18 @@ class TestConfigParsing:
         assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_chain_that_cannot_coalesce_exits_config(self, tmp_path, monkeypatch):
+        # irreducible and aperiodic, but coupling from the past never ends:
+        # refused when the input is built, before any replication runs
+        monkeypatch.chdir(tmp_path)
+        det = {"dist": "deterministic", "value": 1.0}
+        cfg = write_config(tmp_path / "c.yaml", mode="forward_sim", input={
+            "model": "markov_modulated",
+            "transition": [[0, 0.5, 0.5], [0.5, 0.5, 0], [0, 0.5, 0.5]],
+            "states": [{"xi": det, "sigma": det}] * 3})
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_parse_rho(self):
         assert _parse_rho("0.5:1.0:0.25") == (0.5, 0.75, 1.0)
         # the stop is inclusive and never overshot
@@ -198,6 +210,21 @@ class TestRunModes:
         assert data["replications"][0]["atoms"] == [0.5, 1.5]
         assert data["replications"][0]["L"] == 1.5
         assert data["p_L_zero"]["estimate"] == 0.0
+
+    def test_gginf_reads_each_replications_marks_once(self, tmp_path, monkeypatch):
+        # the profile and the record come from one backward pass, and with
+        # exp(3) gaps both stop inside its first block: one read each
+        reads = []
+
+        def counted(gens, a, b):
+            reads.append(len(gens))
+            return input_process.sample_blocks(gens, a, b)
+
+        monkeypatch.setattr(stationary, "sample_blocks", counted)
+        cfg = write_config(tmp_path / "c.yaml", mode="gginf_stationary", replications=20,
+                           output={"path": str(tmp_path / "g.csv"), "format": "csv"})
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert reads == [1] * 20
 
     def test_ps_csv_schema(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -582,6 +609,10 @@ class TestRunModes:
                                             "high": float("inf")})},
             {"rate": {"kind": "custom_table", "floor": float("-inf"),
                       "table": {1: 1.0, 2: 0.5}}},
+            # an input seed that is not an integer, even when base_seed is set
+            {"input": dict(MM_INPUT, seed="abc")},
+            {"input": dict(MM_INPUT, seed=2.9), "base_seed": 3},
+            {"input": dict(MM_INPUT, seed=True)},
         ]
         for i, overrides in enumerate(bad_specs):
             cfg = write_config(tmp_path / f"c{i}.yaml", **overrides)
@@ -856,6 +887,12 @@ def failing_oracle_check(monkeypatch):
 class TestInvariantSuites:
     def test_all_pass(self, capsys):
         assert main(["verify"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"PASS {n}" for n in SUITE_NAMES]
+
+    def test_negative_seed_passes(self, capsys):
+        # taken modulo 2**64, as replication seeds are
+        assert main(["verify", "--seed", "-1"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == [f"PASS {n}" for n in SUITE_NAMES]
 

@@ -4,6 +4,7 @@ import math
 import random
 from itertools import accumulate
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +33,8 @@ from gpsq.stationary import (
     backward_coupling_ps,
     backward_coupling_ps_batch,
     check_stability,
+    gginf_stationary,
     lindley_W,
-    loynes_L,
-    stationary_profile_gginf,
 )
 
 MM_XI_MEAN = 3.0
@@ -78,21 +78,26 @@ class CyclicInput:
         return max(self.sigmas)
 
 
+def record(gen, max_lookback=100_000):
+    """The Loynes record half of :func:`gginf_stationary`."""
+    return gginf_stationary(gen, max_lookback)[1]
+
+
 class TestLoynesRecord:
     def test_deterministic_positive_record(self):
-        res = loynes_L(deterministic_input(1.0, 2.5))
+        res = record(deterministic_input(1.0, 2.5))
         assert res.value == pytest.approx(1.5)
         assert res.argmax_index == 1
         assert res.converged
 
     def test_deterministic_zero_record(self):
-        res = loynes_L(deterministic_input(3.0, 1.0))
+        res = record(deterministic_input(3.0, 1.0))
         assert res.value == 0.0
         assert res.argmax_index is None
         assert res.converged
 
     def test_zero_services(self):
-        res = loynes_L(deterministic_input(2.0, 0.0))
+        res = record(deterministic_input(2.0, 0.0))
         assert res.value == 0.0
         assert res.converged
 
@@ -104,7 +109,7 @@ class TestLoynesRecord:
         # heavy-tailed services: the quantile bound is huge, so a short
         # scan cannot certify
         g = iid_input(Exponential(1.0), Pareto(1.5, 1.0), seed=3)
-        res = loynes_L(g, max_lookback=50)
+        res = record(g, max_lookback=50)
         assert not res.converged
         assert res.iterations == 50
         assert "exhausted" in res.tail_bound_note
@@ -112,12 +117,12 @@ class TestLoynesRecord:
 
 class TestStationaryInfiniteServer:
     def test_deterministic_profile(self):
-        res = stationary_profile_gginf(deterministic_input(1.0, 2.5))
+        res, _ = gginf_stationary(deterministic_input(1.0, 2.5))
         assert res.profile.atoms == (0.5, 1.5)
         assert res.converged
 
     def test_all_clear_profile_is_empty(self):
-        res = stationary_profile_gginf(deterministic_input(3.0, 1.0))
+        res, _ = gginf_stationary(deterministic_input(3.0, 1.0))
         assert res.profile == ZERO
         assert res.converged
 
@@ -386,7 +391,7 @@ class TestZeroRecordProbability:
     def test_mm_interior(self):
         # P(L = 0) is interior: the record converges on all 200 replication
         # seeds, and both zero and positive records occur
-        recs = [loynes_L(mm_input(replication_seed(2026, i))) for i in range(200)]
+        recs = [record(mm_input(replication_seed(2026, i))) for i in range(200)]
         assert all(rec.converged for rec in recs)
         zeros = sum(rec.value <= ATOM_TOL for rec in recs)
         assert 0 < zeros < 200
@@ -641,32 +646,50 @@ QUANTILES = st.sampled_from([DEFAULT_QUANTILE, 0.999999, 0.999, 0.5])
 
 
 class TestRecordPasses:
+    # the quantile moves both stops of gginf_stationary, and each may fall
+    # in another block; each half is held to its own scalar loop
+
     @settings(max_examples=150, deadline=None)
     @given(backward_inputs(), lookbacks(), QUANTILES)
     def test_loynes_L_equals_the_scalar_loop(self, g, max_lookback, quantile):
-        assert loynes_L(g, max_lookback, quantile) == reference_loynes_L(g, max_lookback, quantile)
+        with mock.patch.object(stationary, "DEFAULT_QUANTILE", quantile):
+            _, got = gginf_stationary(g, max_lookback)
+        assert got == reference_loynes_L(g, max_lookback, quantile)
 
     @settings(max_examples=150, deadline=None)
     @given(backward_inputs(), lookbacks(), QUANTILES)
     def test_gginf_equals_the_scalar_loop(self, g, max_lookback, quantile):
-        got = stationary_profile_gginf(g, max_lookback, quantile)
+        with mock.patch.object(stationary, "DEFAULT_QUANTILE", quantile):
+            got, _ = gginf_stationary(g, max_lookback)
         assert got == reference_gginf(g, max_lookback, quantile)
 
     @pytest.mark.parametrize("max_lookback", BLOCK_EDGES + [100_000])
     @pytest.mark.parametrize("stop", BLOCK_EDGES)
     def test_stops_at_the_block_edges(self, stop, max_lookback):
         # unit gaps, and a demand of stop - 0.5 at index -stop only: both
-        # record scans certify at term `stop`
+        # stops of the infinite-server pass certify at term `stop`
         g = backward_cycle(*(stop - 0.5 if j == stop else 0.0 for j in range(1, 601)))
-        assert stationary_profile_gginf(g, max_lookback) == reference_gginf(g, max_lookback)
-        assert loynes_L(g, max_lookback) == reference_loynes_L(g, max_lookback)
+        assert gginf_stationary(g, max_lookback) == (
+            reference_gginf(g, max_lookback), reference_loynes_L(g, max_lookback))
         assert lindley_W(g, 1.0, max_lookback) == reference_lindley_W(g, 1.0, max_lookback)
+
+    @pytest.mark.parametrize("max_lookback", [300, 1000])
+    def test_stops_apart(self, max_lookback):
+        # unit gaps and one demand of 600.5 at index -1: the record stops at
+        # term 1, the profile needs 601 terms, three blocks deep
+        g = backward_cycle(600.5, *[0.0] * 999)
+        prof, rec = gginf_stationary(g, max_lookback)
+        assert (prof, rec) == (reference_gginf(g, max_lookback),
+                               reference_loynes_L(g, max_lookback))
+        assert (rec.converged, rec.iterations, rec.value) == (True, 1, 599.5)
+        assert (prof.converged, prof.iterations) == (max_lookback > 601, min(601, max_lookback))
 
     def test_exact_ties(self):
         # candidates 1, -2, 1: the record is the first term that reaches it
         g = backward_cycle(2.0, 0.0, 4.0, 0.0)
-        assert loynes_L(g, 4) == reference_loynes_L(g, 4)
-        assert (loynes_L(g, 4).argmax_index, loynes_L(g, 4).iterations) == (1, 3)
+        got = record(g, 4)
+        assert got == reference_loynes_L(g, 4)
+        assert (got.argmax_index, got.iterations) == (1, 3)
         # partial sums 1, 1, 1, 0.5, 0, ... falling 2.5 a period: the
         # record is the first of the three ties, and a tie ahead of epoch
         # -1 leaves its workload zero, so the epoch is certified
