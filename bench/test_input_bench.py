@@ -1,14 +1,17 @@
 """pytest-benchmark cases for the input layer: one many-seed
 ``sample_blocks`` read of iid, deterministic and Markov-modulated input,
-in µs per index read.
+and one long one-seed read of the Markov-modulated input, in µs per index
+read.
 
 Each call reads ``SEEDS`` seeds (one perfect-sampling batch of
 ``stationary.BATCH_ROWS``) over ``INDICES`` indices: the iid input is the
 shipped ``configs/perfect_sample.yaml`` one, the deterministic input has
 its means, and the Markov-modulated input is perfbench's ``sweep_mm``
 chain.  The first two are one-state chains; the deterministic one reads no
-uniforms.  Kept outside ``testpaths``; ``bench/write_bench.py`` turns the
-timings into µs per index.
+uniforms.  The one-seed case reads the Markov-modulated input over
+``FORWARD_INDICES`` indices from 0, the read ``check_stability`` makes on
+``sweep_mm``.  Kept outside ``testpaths``; ``bench/write_bench.py`` turns
+the timings into µs per index.
 """
 
 import pytest
@@ -18,6 +21,7 @@ from gpsq.stationary import BATCH_ROWS
 
 SEEDS = BATCH_ROWS
 INDICES = 256
+FORWARD_INDICES = 2000
 
 INPUTS = {
     "iid": {"model": "iid", "xi": {"dist": "exp", "mean": 3},
@@ -43,3 +47,10 @@ def test_sample_blocks(benchmark, model):
     xs, ss = benchmark(sample_blocks, gens, -INDICES, 0)
     assert xs.shape == ss.shape == (SEEDS, INDICES)
     benchmark.extra_info.update(unit="us_per_index", count=SEEDS * INDICES)
+
+
+def test_sample_blocks_one_seed(benchmark):
+    gens = [generator_from_config(INPUTS["markov_modulated"]).with_seed(replication_seed(42, 0))]
+    xs, ss = benchmark(sample_blocks, gens, 0, FORWARD_INDICES)
+    assert xs.shape == ss.shape == (1, FORWARD_INDICES)
+    benchmark.extra_info.update(unit="us_per_index", count=FORWARD_INDICES)

@@ -42,13 +42,15 @@ so the marks are the values the scalar inverse-CDF formulas give on the
 same uniforms.  ``np.log1p`` is not correctly rounded the same way (it is
 one ulp off ``math.log1p`` on about 6% of draws), so it is not used.
 
-The Markov-modulated model is exactly stationary: the modulating state at
-the first index of a block is resolved by coupling from the past (Propp &
-Wilson, 1996) over the grand coupling of the chain (one shared uniform per
-index, inverse-CDF transition rows), doubling the lookback from 8 until
-all start states coalesce.  The block evolves that state forward with the
-same uniforms, which gives the state coupling from the past would find at
-every later index.
+The Markov-modulated model is exactly stationary.  Its grand coupling (one
+shared uniform per index, inverse-CDF transition rows) is one table of
+moves: the rows' running sums cut ``[0, 1)`` into intervals on which every
+state moves one way.  Coupling from the past (Propp & Wilson, 1996)
+composes the moves of the indices before a block's first one, doubling the
+lookback from 8 until all start states coalesce; the block walks that
+state forward by the same moves, which gives the state coupling from the
+past would find at every later index.  The construction check searches the
+same moves.
 """
 
 from __future__ import annotations
@@ -387,18 +389,14 @@ class MarkovModulatedModel:
         a = (np.array(self.transition) > 0.0).astype(np.int64)
         if not _bool_power(a | np.eye(k, dtype=np.int64), k - 1).all():
             raise ValueError("chain is not irreducible")
-        # coupling from the past must be able to end.  A shared uniform u
-        # moves each state by its row's inverse CDF (_advance), by the same
-        # move over each interval between the rows' running sums, so the
-        # intervals' left ends give every move; search the state sets that
-        # runs of moves reach from the full set for a single state
-        lefts = {0.0} | {acc for row in self.transition for acc in accumulate(row) if acc < 1.0}
-        moves = [[self._advance(s, u) for s in range(k)] for u in lefts]
+        # coupling from the past must be able to end: search the state sets
+        # that runs of the coupling's moves reach from the full set for a
+        # single state
         seen, todo = set(), [frozenset(range(k))]
         while todo and len(states := todo.pop()) > 1:
             if states not in seen:
                 seen.add(states)
-                todo += [frozenset(move[s] for s in states) for move in moves]
+                todo += [frozenset(move[s] for s in states) for move in self._coupling[1]]
         if len(states) > 1:
             raise ValueError("chain is not aperiodic or its inverse-CDF coupling never coalesces")
 
@@ -424,14 +422,20 @@ class MarkovModulatedModel:
         pi.setflags(write=False)
         return pi
 
-    def _advance(self, state: int, u: float) -> int:
-        acc = 0.0
-        row = self.transition[state]
-        for j, p in enumerate(row):
-            acc += p
-            if u < acc:
-                return j
-        return len(row) - 1
+    @cached_property
+    def _coupling(self) -> tuple[np.ndarray, list[list[int]]]:
+        """The grand coupling as a table ``(lefts, moves)``.  One shared
+        uniform ``u`` moves each state ``s`` by its row's inverse CDF, to
+        the first ``j`` with ``u < p_s0 + ... + p_sj`` (the last state when
+        there is none).  Every running sum below 1 is in the sorted
+        ``lefts``, with 0, so each row's move is constant on each interval
+        ``[lefts[i], lefts[i + 1])``: it is ``moves[i][s]``."""
+        sums = [list(accumulate(row)) for row in self.transition]
+        lefts = sorted({0.0} | {acc for row in sums for acc in row if acc < 1.0})
+        last = self.n_states - 1
+        moves = [[next((j for j, acc in enumerate(row) if u < acc), last) for row in sums]
+                 for u in lefts]
+        return np.array(lefts), moves
 
     def state_at(self, seed: int, index: int) -> int:
         """Stationary chain state at one index: the one-seed, one-index
@@ -469,25 +473,6 @@ class MarkovModulatedModel:
         return max(d.quantile(p) for d in self.sigma_dists)
 
 
-def _coalesce(model: MarkovModulatedModel, us: list[float]) -> int | None:
-    """Chain state after the uniforms ``us`` (oldest first), run from every
-    start state at once; ``None`` if the start states have not merged.
-
-    Once every start state has been funnelled into one value the remaining
-    steps evolve that single state deterministically.
-    """
-    states = set(range(model.n_states))
-    single: int | None = None
-    for u in us:
-        if single is None:
-            states = {model._advance(s, u) for s in states}
-            if len(states) == 1:
-                single = next(iter(states))
-        else:
-            single = model._advance(single, u)
-    return single
-
-
 _NO_COALESCENCE = (
     "modulating chain did not coalesce within the lookback cap; "
     "the runs of uniforms that collapse its start states are too unlikely"
@@ -497,27 +482,39 @@ _NO_COALESCENCE = (
 def _mm_states(
     model: MarkovModulatedModel, seeds: Sequence[int], a: int, b: int
 ) -> list[list[int]]:
-    """Stationary chain states at indices ``a .. b - 1``, one list per seed:
-    one coupling from the past at ``a``, with one shared uniform per index
-    and the inverse-CDF map of each row, doubling the lookback from 8 until
-    the start states coalesce; then the forward evolution under the same
-    uniforms.  The first lookback of every seed is read in one pass."""
+    """Stationary chain states at indices ``a .. b - 1``, one list per seed,
+    by the moves of ``model._coupling``: coupling from the past at ``a``,
+    composing older blocks before newer ones and doubling the lookback from
+    8 until every start state ends in one state, then the forward walk.
+    The first lookback of every seed is read in one pass."""
     if b <= a:
         return [[] for _ in seeds]
+    lefts, moves = model._coupling
+
+    def cells(us: np.ndarray) -> list[int]:
+        return (np.searchsorted(lefts, us, side="right") - 1).tolist()
+
+    def walk(cs: list[int]) -> list[int]:
+        """Where each start state ends after the moves of ``cs``."""
+        ends = list(range(model.n_states))
+        for c in cs:
+            move = moves[c]
+            ends = [move[s] for s in ends]
+        return ends
+
     out = []
-    first = _philox_uniforms(seeds, _PURPOSE_CHAIN, a - 8 + 1, b)[:, :, 0].tolist()
-    for seed, us in zip(seeds, first):
-        lookback = 8
-        while (single := _coalesce(model, us[:lookback])) is None:
+    first = _philox_uniforms(seeds, _PURPOSE_CHAIN, a - 8 + 1, b)[:, :, 0]
+    for seed, cs in zip(seeds, cells(first)):
+        ends, lookback = walk(cs[:8]), 8
+        while min(ends) != max(ends):
             if 2 * lookback > _MM_MAX_LOOKBACK:
-                raise RuntimeError(_NO_COALESCENCE)
+                raise ValueError(_NO_COALESCENCE)
             older = _philox_uniforms((seed,), _PURPOSE_CHAIN, a - 2 * lookback + 1, a - lookback + 1)
-            us = older[0, :, 0].tolist() + us
+            ends = [ends[s] for s in walk(cells(older[0, :, 0]))]
             lookback *= 2
-        states = [single]
-        for u in us[lookback:]:
-            single = model._advance(single, u)
-            states.append(single)
+        states = [ends[0]]
+        for c in cs[8:]:
+            states.append(moves[c][states[-1]])
         out.append(states)
     return out
 

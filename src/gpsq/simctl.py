@@ -701,11 +701,8 @@ def _forward_csv_rows(i: int, seed: int, segments: Sequence[tuple]) -> bytes:
 
 def _worker_sweep_point(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunction,
                         rhos: list[float]) -> Iterator[dict]:
-    mean_sigma = base.mean_sigma()
-    if mean_sigma <= 0.0:
-        raise ConfigError("sweep needs an input with a positive mean service demand")
     for rho in rhos:
-        factor = rho * r.declared_floor * base.mean_xi() / mean_sigma
+        factor = rho * r.declared_floor * base.mean_xi() / base.mean_sigma()
         scaled = scale_sigma(base, factor)
         gens = [_rep_generator(cfg, scaled, i) for i in range(cfg.replications)]
         reports = backward_coupling_ps_batch(
@@ -808,6 +805,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if not cfg.rho_grid:
         raise ConfigError("stability_sweep needs sweep.rho (a list of load values) or --rho")
+    # the sweep scales sigma by rho * K_r * E[xi] / E[sigma]
+    if not r.declared_floor > 0.0:
+        raise ConfigError(f"sweep needs a positive rate floor, got floor {r.declared_floor!r}")
+    if not base.mean_sigma() > 0.0:
+        raise ConfigError("sweep needs an input with a positive mean service demand")
     recs = _map_ordered(partial(_worker_sweep_point, cfg, base, r), list(cfg.rho_grid), jobs)
     return _finish(cfg, t0, _SWEEP_HEADER, "grid", recs)
 

@@ -361,18 +361,27 @@ ranges = st.tuples(st.integers(-(10**6), 10**6), st.integers(0, 80)).map(
 )
 
 
+# quarters, so that rows share running sums; or any value
+_quarter_or_any = st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.05, 0.95))
+
+
 @st.composite
 def generators(draw):
-    kind = draw(st.sampled_from(["one_state", "two_state", "deterministic"]))
+    kind = draw(st.sampled_from(["one_state", "two_state", "three_state", "deterministic"]))
     if kind != "deterministic":
-        # a one-state chain (iid marks) or a two-state one; each state
-        # draws its own distribution kinds, so how many uniforms an index
-        # consumes depends on its state
+        # a one-state chain (iid marks), a two-state one, or a three-state
+        # one with zero entries; each state draws its own distribution
+        # kinds, so how many uniforms an index consumes depends on its state
         if kind == "one_state":
             transition = ((1.0,),)
-        else:
+        elif kind == "two_state":
             p, q = draw(st.floats(0.05, 0.95)), draw(st.floats(0.05, 0.95))
             transition = ((1.0 - p, p), (q, 1.0 - q))
+        else:
+            # irreducible, and a small uniform takes every state to 0
+            x = draw(st.one_of(st.just(0.25), st.floats(0.05, 0.45)))
+            y, z = draw(_quarter_or_any), draw(_quarter_or_any)
+            transition = ((1.0 - 2 * x, x, x), (y, 1.0 - y, 0.0), (0.0, z, 1.0 - z))
         k = len(transition)
         model = MarkovModulatedModel(
             transition=transition,
@@ -409,22 +418,31 @@ def reference_advance(model, state, u):
     return model.n_states - 1
 
 
-def reference_state(model, seed, index):
-    """Chain state at ``index``: every start state is run through the
-    shared uniforms of the last ``lookback`` indices, doubling the lookback
-    from 8 until they all end in one state."""
+def chain_uniforms(seed):
+    """The chain's shared uniform at each index, from numpy's generator."""
+    return lambda m: _rng_at(seed, _PURPOSE_CHAIN, m).random()
+
+
+def reference_ends(model, uniform, index, lookback):
+    """The states at ``index`` of every start state run through the shared
+    uniforms ``uniform(m)`` of the last ``lookback`` indices."""
+    us = [uniform(m) for m in range(index - lookback + 1, index + 1)]
+    ends = set()
+    for state in range(model.n_states):
+        for u in us:
+            state = reference_advance(model, state, u)
+        ends.add(state)
+    return ends
+
+
+def reference_state(model, seed, index, uniform=None):
+    """Chain state at ``index``: the lookback doubles from 8 until every
+    start state ends in one state."""
+    uniform = uniform or chain_uniforms(seed)
     lookback = 8
-    while True:
-        first = index - lookback + 1
-        us = [_rng_at(seed, _PURPOSE_CHAIN, m).random() for m in range(first, index + 1)]
-        ends = set()
-        for state in range(model.n_states):
-            for u in us:
-                state = reference_advance(model, state, u)
-            ends.add(state)
-        if len(ends) == 1:
-            return ends.pop()
+    while len(ends := reference_ends(model, uniform, index, lookback)) > 1:
         lookback *= 2
+    return ends.pop()
 
 
 def reference_mark(g, n):
@@ -481,6 +499,65 @@ class TestSampleBlock:
         assert [int(x) - 1 for x in xs] == states
         for n in (-300, -1, 0, 299):
             assert model.state_at(2**64 - 1, n) == states[n + 300]
+
+
+class TestCouplingTable:
+    """The chain's table of moves against the scalar inverse-CDF walk."""
+
+    CHAINS = (
+        # a zero entry, and running sums shared between rows
+        ((0.5, 0.25, 0.25), (0.25, 0.75, 0.0), (0.0, 0.5, 0.5)),
+        ((0.9, 0.1), (0.2, 0.8)),
+    )
+
+    @pytest.mark.parametrize("transition", CHAINS, ids=["three_state", "two_state"])
+    def test_moves_equal_the_scalar_walk(self, transition):
+        model = TestMarkovModulated.chain(transition)
+        table = model._coupling  # built by the construction check, then cached
+        assert vars(model)["_coupling"] is table
+        lefts, moves = table
+        assert lefts.tolist() == sorted(set(lefts.tolist())) and lefts[0] == 0.0
+        edges = [u for left in lefts.tolist() for u in (left, math.nextafter(left, 0.0))]
+        for u in edges + [math.nextafter(1.0, 0.0)]:
+            cell = int(np.searchsorted(lefts, u, side="right")) - 1
+            for s in range(model.n_states):
+                assert moves[cell][s] == reference_advance(model, s, u), (u, s)
+        model.state_at(3, 0)
+        assert model._coupling is table
+
+    @pytest.mark.parametrize("transition", CHAINS, ids=["three_state", "two_state"])
+    def test_reads_on_the_edges_equal_the_scalar_walk(self, transition, monkeypatch):
+        # every chain uniform is a left end, just below one, or just below 1
+        model = TestMarkovModulated.chain(transition)
+        lefts = model._coupling[0].tolist()
+        edges = [u for left in lefts for u in (left, math.nextafter(left, 0.0))]
+        table = np.random.default_rng(5).choice(edges + [math.nextafter(1.0, 0.0)], 1024)
+
+        def edge_uniforms(seeds, purpose, a, b):
+            u = np.zeros((len(seeds), b - a, 2))
+            u[:, :, 0] = table[np.arange(a, b) % table.size]
+            return u
+
+        monkeypatch.setattr(input_process, "_philox_uniforms", edge_uniforms)
+        expected = [reference_state(model, 0, n, lambda m: table[m % table.size])
+                    for n in range(-60, 60)]
+        assert input_process._mm_states(model, [0], -60, 60) == [expected]
+
+    @pytest.mark.parametrize("transition", [
+        # coalescence has probability 0.05 per index
+        ((0.97, 0.03), (0.02, 0.98)),
+        # moves that do not commute, so older blocks must be composed first
+        ((0.9, 0.05, 0.05), (0.05, 0.95, 0.0), (0.0, 0.05, 0.95)),
+    ], ids=["two_state", "three_state"])
+    def test_many_seed_read_of_a_slowly_coalescing_chain(self, transition):
+        # most seeds look back past the first 8 indices
+        model = TestMarkovModulated.chain(transition)
+        seeds = [replication_seed(19, i) for i in range(24)]
+        assert sum(len(reference_ends(model, chain_uniforms(s), -2, 8)) > 1 for s in seeds) >= 12
+        xs, _ = sample_blocks([MarkedInputGenerator(model, s) for s in seeds], -2, 2)
+        for row, seed in zip(xs.tolist(), seeds):
+            assert [int(x) - 1 for x in row] == [reference_state(model, seed, n)
+                                                 for n in range(-2, 2)]
 
 
 class TestManySeedBlocks:

@@ -178,6 +178,38 @@ class TestConfigParsing:
         assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_chain_that_coalesces_too_rarely_exits_config(self, tmp_path, monkeypatch, capsys,
+                                                          jobs):
+        # each state keeps its own state only on an interval of width 1e-9,
+        # so the chain passes construction, but coupling from the past
+        # outruns the lookback cap (lowered here; forked workers inherit it)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(input_process, "_MM_MAX_LOOKBACK", 64)
+        det = {"dist": "deterministic", "value": 1.0}
+        cfg = write_config(tmp_path / "c.yaml", mode="forward_sim", replications=2, input={
+            "model": "markov_modulated",
+            "transition": [[1e-9, 1 - 1e-9], [1 - 1e-9, 1e-9]],
+            "states": [{"xi": det, "sigma": det}] * 2})
+        assert main(["run", str(cfg), "--jobs", jobs]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "simctl: config error: modulating chain did not coalesce" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_sweep_with_floor_zero_exits_config(self, tmp_path, monkeypatch, capsys):
+        # the sweep scales sigma by rho * K_r * E[xi] / E[sigma]: refused
+        # for its floor before any load point runs
+        monkeypatch.chdir(tmp_path)
+        points = []
+        monkeypatch.setattr(simctl, "_worker_sweep_point", lambda *args: points.append(args))
+        cfg = write_config(tmp_path / "c.yaml", mode="stability_sweep", sweep={"rho": [0.5]},
+                           rate={"kind": "custom_table", "floor": 0.0, "table": {1: 1.0}})
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
+        assert "positive rate floor, got floor 0.0" in capsys.readouterr().err
+        assert points == []
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_parse_rho(self):
         assert _parse_rho("0.5:1.0:0.25") == (0.5, 0.75, 1.0)
         # the stop is inclusive and never overshot
