@@ -13,7 +13,6 @@ from .rates import (
     RateFunction,
     ValidationReport,
     classical_ps,
-    formula_rate,
     half_interference,
     pure_delay,
     scaled_ps,
@@ -67,7 +66,6 @@ __all__ = [
     "RateFunction",
     "ValidationReport",
     "classical_ps",
-    "formula_rate",
     "half_interference",
     "pure_delay",
     "scaled_ps",

@@ -10,9 +10,11 @@ rate function are
 * a finite, nonnegative declared throughput floor ``K_r`` with
   ``n * r(n) >= K_r``.
 
-The floor is declared by the constructor rather than inferred: an infimum
-over all ``n`` is not computable for an arbitrary rate function, so
-:func:`validate` certifies it only up to a probed horizon and says so.
+Every rate is a step table with a tail: ``r(n)`` is the value at the last
+table key ``<= n``, and past the last key it is ``tail / n`` (constant
+throughput ``tail``) when a tail is set, else the last value extends.  So
+:func:`validate` checks the assumptions at every ``n`` exactly, from the
+keys and the tail alone.
 
 Built-in catalog:
 
@@ -24,8 +26,6 @@ Built-in catalog:
   ``n >= 2``: contention halves the server efficiency, floor 1/2.
 * :func:`scaled_ps` -- ``r(n) = K/n``: constant throughput ``K``.
 * :func:`table_rate` -- explicit ``{n: r}`` table with step extension.
-* :func:`formula_rate` -- arbitrary callable (not picklable; library use
-  only, the CLI config never builds one).
 """
 
 from __future__ import annotations
@@ -33,17 +33,21 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
-#: Slack for the validator's inequality checks; table values are exact but
-#: formula-backed rates may carry rounding noise.
+#: Slack for the validator's inequality checks on ``n * r(n)`` at the
+#: table's keys, where the product of two floats may round below the floor.
 _CHECK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RateFunction:
     """Immutable per-customer service rate ``n -> r(n)``.
 
+    ``table`` lists ``(n, r)`` pairs by increasing ``n``, starting at
+    ``n = 1``; ``r(n)`` is the value of the last key ``<= n``.  Past the
+    last key, ``r(n) = tail / n`` when ``tail`` is set, else the last value
+    extends.  ``kind`` names the rate and is not read.
     ``declared_floor`` is the throughput floor ``K_r`` the constructor
     promises; ``single_server`` marks functions whose total throughput is
     supposed to stay at or below one.
@@ -52,11 +56,9 @@ class RateFunction:
     kind: str
     declared_floor: float
     single_server: bool = False
-    param: float | None = None
-    table: tuple[tuple[int, float], ...] | None = None
-    formula: Callable[[int], float] | None = field(default=None, compare=False)
-    # r(0..n) computed so far, index 0 unused: this instance's own values
-    # (rates that compare equal may differ, as formula rates all do)
+    table: tuple[tuple[int, float], ...]
+    tail: float | None = None
+    # r(0..n) computed so far, index 0 unused
     _vector: list[float] = field(
         default_factory=lambda: [0.0], init=False, repr=False, compare=False
     )
@@ -64,20 +66,12 @@ class RateFunction:
     def __call__(self, n: int) -> float:
         if n < 1:
             raise ValueError(f"rate is defined for n >= 1, got {n}")
-        if self.kind == "pure_delay":
-            v = 1.0
-        elif self.kind == "classical_ps":
-            v = 1.0 / n
-        elif self.kind == "half_interference":
-            v = 1.0 if n == 1 else 1.0 / (2.0 * n)
-        elif self.kind == "scaled_ps":
-            v = self.param / n  # type: ignore[operand]
-        elif self.kind == "custom_table":
-            v = self._table_lookup(n)
-        elif self.kind == "custom_formula":
-            v = float(self.formula(n))  # type: ignore[misc]
+        table = self.table
+        if self.tail is not None and n > table[-1][0]:
+            v = self.tail / n
         else:
-            raise ValueError(f"unknown rate kind {self.kind!r}")
+            # (n, inf) sorts after every (n, v): the last entry with key <= n
+            v = table[bisect.bisect_right(table, (n, math.inf)) - 1][1]
         if not 0.0 < v < math.inf:
             raise ValueError(f"rate must be finite and strictly positive, r({n}) = {v!r}")
         return v
@@ -91,11 +85,6 @@ class RateFunction:
             v.extend(self(k) for k in range(len(v), n + 1))
         return v
 
-    def _table_lookup(self, n: int) -> float:
-        # (n, inf) sorts after every (n, v): the last entry with key <= n
-        idx = bisect.bisect_right(self.table, (n, math.inf)) - 1  # type: ignore[arg-type]
-        return self.table[idx][1]  # type: ignore[index]
-
     def throughput(self, n: int) -> float:
         """Total work rate ``n * r(n)`` at occupancy ``n >= 1``."""
         if n < 1:
@@ -105,25 +94,31 @@ class RateFunction:
 
 def pure_delay() -> RateFunction:
     """Unit rate for every customer; throughput grows with occupancy."""
-    return RateFunction(kind="pure_delay", declared_floor=1.0, single_server=False)
+    return RateFunction(kind="pure_delay", declared_floor=1.0, table=((1, 1.0),))
 
 
 def classical_ps() -> RateFunction:
     """Equal split of one unit of capacity: ``r(n) = 1/n``, floor 1."""
-    return RateFunction(kind="classical_ps", declared_floor=1.0, single_server=True)
+    return RateFunction(
+        kind="classical_ps", declared_floor=1.0, single_server=True, table=((1, 1.0),), tail=1.0
+    )
 
 
 def half_interference() -> RateFunction:
     """Full rate alone, half-efficiency under contention: floor 1/2."""
-    return RateFunction(kind="half_interference", declared_floor=0.5, single_server=True)
+    return RateFunction(
+        kind="half_interference", declared_floor=0.5, single_server=True, table=((1, 1.0),),
+        tail=0.5,
+    )
 
 
 def scaled_ps(k: float) -> RateFunction:
     """Constant throughput ``k``: ``r(n) = k/n``."""
     if k <= 0.0:
         raise ValueError(f"throughput scale must be positive, got {k!r}")
+    k = float(k)
     return RateFunction(
-        kind="scaled_ps", declared_floor=k, single_server=k <= 1.0, param=k
+        kind="scaled_ps", declared_floor=k, single_server=k <= 1.0, table=((1, k),), tail=k
     )
 
 
@@ -135,9 +130,10 @@ def table_rate(
     """Rate from an explicit ``{n: r}`` table.
 
     Between listed points the previous value extends (step function); past
-    the last point ``r(n) = r(n_last)``.  The table must define ``n = 1``;
-    keys are integral numbers or strings of one, and two keys that name
-    the same ``n`` are refused.
+    the last point ``r(n) = r(n_last)``, so the throughput grows without
+    bound and a ``single_server`` table fails :func:`validate`.  The table
+    must define ``n = 1``; keys are integral numbers or strings of one, and
+    two keys that name the same ``n`` are refused.
     """
     if not values:
         raise ValueError("rate table must not be empty")
@@ -165,81 +161,80 @@ def _table_key(k: object) -> int:
     raise ValueError(f"rate table keys must be integers, got {k!r}")
 
 
-def formula_rate(
-    fn: Callable[[int], float],
-    declared_floor: float,
-    single_server: bool = False,
-) -> RateFunction:
-    """Rate backed by an arbitrary callable."""
-    return RateFunction(
-        kind="custom_formula",
-        declared_floor=declared_floor,
-        single_server=single_server,
-        formula=fn,
-    )
-
-
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of probing a rate function over ``n = 1..n_max``.
+    """Outcome of :func:`validate`.
 
-    ``violations`` holds one human-readable message per failed check (the
-    first offending ``n`` for each); ``min_throughput`` is the smallest
-    probed ``n * r(n)``, to be read alongside the declared floor.  The
-    certificate only covers the probed horizon.
+    ``violations`` holds one human-readable message per failed check,
+    naming an offending ``n``; ``min_throughput`` is the smallest
+    ``n * r(n)`` over all ``n``, first reached at ``min_throughput_n``.
     """
 
     ok: bool
     violations: tuple[str, ...]
     min_throughput: float
     min_throughput_n: int
-    declared_floor: float
-    probed_n_max: int
 
 
-def validate(r: RateFunction, n_max: int = 128) -> ValidationReport:
-    """Check that the declared floor is finite and nonnegative, and
-    positivity and finiteness, monotonicity, the single-server cap and the
-    floor for ``n = 1..n_max``."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+def validate(r: RateFunction) -> ValidationReport:
+    """Check that the declared floor is finite and nonnegative and that, at
+    every ``n >= 1``, ``r(n)`` is finite, positive and non-increasing and
+    ``n * r(n)`` is at least the floor and, for a single-server rate, at
+    most one.
+
+    ``r`` is constant between table keys, so on each step ``n * r(n)`` is
+    smallest at the step's key and largest at the ``n`` just before the
+    next key; past the last key the throughput is ``tail`` exactly, or
+    grows without bound when there is no tail.  So ``r`` is read only at
+    the keys, at the ``n`` just before each and at the first ``n`` past the
+    last key, and the tail's throughput is ``tail`` itself, not the rounded
+    ``n * (tail / n)``.
+    """
     violations: list[str] = []
     if not 0.0 <= r.declared_floor < math.inf:
         violations.append(
             f"declared floor must be finite and nonnegative, got {r.declared_floor!r}"
         )
-    seen_nonpositive = seen_increase = seen_cap = seen_floor = False
-    prev = None
-    min_tp, min_tp_n = float("inf"), 1
-    for n in range(1, n_max + 1):
+    last = r.table[-1][0]
+    probes = sorted({n for k, _ in r.table for n in (k - 1, k) if n >= 1}) + [last + 1]
+    seen_increase = seen_cap = seen_floor = False
+    prev_n, prev = 0, math.inf
+    min_tp, min_tp_n = math.inf, 1
+    for n in probes:
         try:
             v = r(n)
         except ValueError as exc:
-            if not seen_nonpositive:
-                violations.append(str(exc))
-                seen_nonpositive = True
+            violations.append(str(exc))
             break
-        if prev is not None and v > prev + _CHECK_TOL and not seen_increase:
-            violations.append(f"r not non-increasing: r({n - 1}) = {prev}, r({n}) = {v}")
+        if v > prev + _CHECK_TOL and not seen_increase:
+            violations.append(f"r not non-increasing: r({prev_n}) = {prev}, r({n}) = {v}")
             seen_increase = True
-        tp = n * v
+        tp = n * v if n <= last else math.inf if r.tail is None else r.tail
         if tp < min_tp:
             min_tp, min_tp_n = tp, n
         if r.single_server and tp > 1.0 + _CHECK_TOL and not seen_cap:
-            violations.append(f"single-server cap violated: {n} * r({n}) = {tp} > 1")
+            violations.append(f"single-server cap of 1 violated: {_throughput_text(r, n)}")
             seen_cap = True
         if tp < r.declared_floor - _CHECK_TOL and not seen_floor:
             violations.append(
-                f"throughput below declared floor: {n} * r({n}) = {tp} "
-                f"< K_r = {r.declared_floor}"
+                f"throughput below declared floor K_r = {r.declared_floor}: "
+                f"{_throughput_text(r, n)}"
             )
             seen_floor = True
-        prev = v
+        prev_n, prev = n, v
     return ValidationReport(
         ok=not violations,
         violations=tuple(violations),
         min_throughput=min_tp,
         min_throughput_n=min_tp_n,
-        declared_floor=r.declared_floor,
-        probed_n_max=n_max,
     )
+
+
+def _throughput_text(r: RateFunction, n: int) -> str:
+    """``n * r(n)`` at a probe of :func:`validate`, for its messages."""
+    last = r.table[-1][0]
+    if n <= last:
+        return f"{n} * r({n}) = {n * r(n)}"
+    if r.tail is not None:
+        return f"n * r(n) = {r.tail} for n > {last}"
+    return f"n * r(n) grows without bound for n > {last}"

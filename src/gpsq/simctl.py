@@ -947,8 +947,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg.mode = "stability_sweep"
             if args.rho is not None:
                 cfg.rho_grid = _parse_rho(args.rho)
-            if not cfg.rho_grid:
-                raise ConfigError("sweep needs sweep.rho in the config or --rho")
         if args.seed is not None:
             cfg.base_seed = args.seed
         if args.out is not None:

@@ -294,11 +294,6 @@ def lindley_W(
 #: memory of one replication at a time, at 64 about 13% above.
 BATCH_ROWS = 32
 
-#: Occupancies ``n = 1..VALIDATE_N_MAX`` at which perfect sampling checks
-#: the rate function (:func:`gpsq.rates.validate`) before it reads any input.
-VALIDATE_N_MAX = 128
-
-
 def backward_coupling_ps(
     gen,
     r: RateFunction,
@@ -338,7 +333,7 @@ def backward_coupling_ps_batch(
     first ``D`` marks, so a report depends only on its own input and any
     batching gives the same bytes.
     """
-    report = validate(r, n_max=VALIDATE_N_MAX)
+    report = validate(r)
     if not report.ok:
         raise ValueError(
             "rate function fails validation: " + "; ".join(report.violations)

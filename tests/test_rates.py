@@ -3,21 +3,25 @@
 import bisect
 import dataclasses
 import math
+import random
 
 import pytest
 
 from gpsq.checks import RATE_PAIRS
+from gpsq.input_process import Exponential, iid_input
 from gpsq.rates import (
     classical_ps,
-    formula_rate,
     half_interference,
     pure_delay,
     scaled_ps,
     table_rate,
     validate,
 )
+from gpsq.stationary import backward_coupling_ps
 
 THROUGHPUT_TABLE = {1: 1.0, 2: 0.495, 3: 0.3, 100: 0.008}
+# r(n) = 1 - 0.2 n while positive: r(5) = 0
+DOWN_TO_ZERO = {1: 0.8, 2: 0.6, 3: 0.4, 4: 0.2, 5: 0.0}
 
 
 class TestCatalog:
@@ -38,6 +42,15 @@ class TestCatalog:
         assert all(r(n) == 1.0 for n in range(1, 50))
         assert r.throughput(5) == 5.0
 
+    def test_tails_give_the_closed_form_quotients(self):
+        # tail / n is the same correctly rounded quotient as each closed
+        # form, so the tables give its floats bit for bit
+        for n in range(1, 5000):
+            assert classical_ps()(n) == 1.0 / n
+            assert half_interference()(n) == (1.0 if n == 1 else 1.0 / (2.0 * n))
+            assert scaled_ps(0.7)(n) == 0.7 / n
+        assert type(scaled_ps(2)(1)) is float
+
     def test_scaled_ps_constant_throughput(self):
         r = scaled_ps(0.5)
         assert all(abs(r.throughput(n) - 0.5) < 1e-12 for n in range(1, 50))
@@ -57,7 +70,6 @@ class TestCatalog:
         keys = [k for k, _ in r.table]
         for n in range(1, 201):
             expected = r.table[bisect.bisect_right(keys, n) - 1][1]
-            assert r._table_lookup(n) == expected
             assert r(n) == expected
 
     def test_table_throughputs(self):
@@ -72,7 +84,7 @@ class TestCatalog:
             classical_ps().throughput(0)
 
     def test_nonpositive_rate_rejected_at_call(self):
-        r = formula_rate(lambda n: 1.0 - 0.2 * n, declared_floor=0.1)
+        r = table_rate(DOWN_TO_ZERO, declared_floor=0.1)
         assert r(4) > 0
         with pytest.raises(ValueError):
             r(5)
@@ -103,44 +115,44 @@ class TestCatalog:
 
 class TestValidate:
     def test_classical_ps_valid(self):
-        rep = validate(classical_ps(), n_max=100)
+        rep = validate(classical_ps())
         assert rep.ok
-        assert rep.min_throughput == pytest.approx(1.0)
-        assert rep.probed_n_max == 100
+        assert rep.min_throughput == 1.0
+        assert rep.min_throughput_n == 1
 
     def test_half_interference_floor_certified(self):
-        rep = validate(half_interference(), n_max=100)
+        rep = validate(half_interference())
         assert rep.ok
-        assert rep.min_throughput == pytest.approx(0.5)
-        assert rep.declared_floor == 0.5
+        assert rep.min_throughput == 0.5
+        assert rep.min_throughput_n == 2
 
     def test_pure_delay_passes_without_single_server_flag(self):
-        assert validate(pure_delay(), n_max=100).ok
+        assert validate(pure_delay()).ok
 
     def test_pure_delay_flagged_when_single_server(self):
         r = dataclasses.replace(pure_delay(), single_server=True)
-        rep = validate(r, n_max=100)
+        rep = validate(r)
         assert not rep.ok
         assert any("single-server" in v for v in rep.violations)
 
     def test_table_example_valid(self):
-        rep = validate(table_rate(THROUGHPUT_TABLE, declared_floor=0.8), n_max=100)
+        rep = validate(table_rate(THROUGHPUT_TABLE, declared_floor=0.8))
         assert rep.ok
         assert rep.min_throughput == pytest.approx(0.8)
         assert rep.min_throughput_n == 100
 
     def test_monotonicity_violation_reported(self):
-        rep = validate(table_rate({1: 0.5, 2: 0.7}, declared_floor=0.1), n_max=10)
+        rep = validate(table_rate({1: 0.5, 2: 0.7}, declared_floor=0.1))
         assert not rep.ok
         assert any("non-increasing" in v for v in rep.violations)
 
     def test_floor_violation_reported_with_n(self):
-        rep = validate(table_rate({1: 1.0, 2: 0.2}, declared_floor=0.9), n_max=10)
+        rep = validate(table_rate({1: 1.0, 2: 0.2}, declared_floor=0.9))
         assert not rep.ok
         assert any("below declared floor" in v and "r(2)" in v for v in rep.violations)
 
     def test_nonpositive_rate_reported(self):
-        rep = validate(formula_rate(lambda n: 1.0 - 0.2 * n, declared_floor=0.0), n_max=10)
+        rep = validate(table_rate(DOWN_TO_ZERO, declared_floor=0.0))
         assert not rep.ok
         assert any("strictly positive" in v for v in rep.violations)
 
@@ -148,15 +160,81 @@ class TestValidate:
         (lambda: scaled_ps(math.nan), "strictly positive"),
         (lambda: table_rate({1: math.nan}, 0.5), "strictly positive"),
         (lambda: table_rate({1: 1.0, 2: math.inf}, 0.5), "strictly positive"),
-        (lambda: formula_rate(lambda n: math.nan, 0.5), "strictly positive"),
+        (lambda: table_rate({1: 1.0, 2: -0.5}, 0.5), "strictly positive"),
         (lambda: table_rate({1: 1.0}, math.nan), "declared floor"),
         (lambda: table_rate({1: 1.0}, -0.5), "declared floor"),
-    ], ids=["scaled_nan", "table_nan_value", "table_inf_value", "formula_nan",
+    ], ids=["scaled_nan", "table_nan_value", "table_inf_value", "table_negative_value",
             "table_nan_floor", "table_negative_floor"])
     def test_non_finite_values_reported(self, build, what):
-        rep = validate(build(), n_max=10)
+        rep = validate(build())
         assert not rep.ok
         assert any(what in v for v in rep.violations)
+
+    def test_floor_checked_past_128(self):
+        # 200 * r(200) = 0.2 is below the declared floor 0.5
+        r = table_rate({1: 1.0, 200: 0.001}, declared_floor=0.5)
+        rep = validate(r)
+        assert not rep.ok
+        assert any("below declared floor" in v and "r(200)" in v for v in rep.violations)
+        with pytest.raises(ValueError, match=r"r\(200\)"):
+            backward_coupling_ps(iid_input(Exponential(3.0), Exponential(1.0), seed=1), r)
+
+    def test_large_constant_throughput_valid(self):
+        # n * (k / n) rounds below k for some n; the tail's throughput is k
+        assert validate(scaled_ps(1e6)).ok
+
+    def test_single_server_table_capped_past_its_last_key(self):
+        # the last value extends, so 129 * r(129) = 129/128 > 1
+        r = table_rate({n: 1 / n for n in range(1, 129)}, declared_floor=1.0, single_server=True)
+        rep = validate(r)
+        assert not rep.ok
+        assert any("single-server" in v for v in rep.violations)
+
+    def test_tail_above_the_table_is_an_increase(self):
+        # r(1) = 0.1, then r(2) = 0.5 / 2 from the tail
+        rep = validate(dataclasses.replace(half_interference(), table=((1, 0.1),)))
+        assert not rep.ok
+        assert any("non-increasing" in v for v in rep.violations)
+
+    def test_equals_a_scan_past_the_last_key(self):
+        # Random step tables on a grid of 1/64, with and without a tail: the
+        # verdict equals the check of every n up to 80 past the last key,
+        # where a last value of at least 1/64 has extended past the cap.
+        rng = random.Random(5)
+        grid = [j / 64 for j in range(0, 81)]
+        seen = []
+        for _ in range(2000):
+            keys = sorted({1} | set(rng.sample(range(2, 40), rng.randrange(0, 5))))
+            values = rng.choices(grid, k=len(keys))
+            if rng.random() < 0.8:  # mostly non-increasing, to reach the other checks
+                values.sort(reverse=True)
+            values = dict(zip(keys, values))
+            tail = rng.choice([None, *grid[:72]])
+            r = dataclasses.replace(
+                table_rate(values, declared_floor=rng.choice(grid[:72]),
+                           single_server=rng.random() < 0.5),
+                tail=tail,
+            )
+            ok = _scan_ok(r, keys[-1] + 80)
+            assert validate(r).ok == ok, r
+            seen.append(ok)
+        assert 100 < sum(seen) < 1900
+
+
+def _scan_ok(r, n_max):
+    """The assumptions checked at every ``n <= n_max`` one by one."""
+    prev = math.inf
+    for n in range(1, n_max + 1):
+        try:
+            v = r(n)
+        except ValueError:
+            return False
+        tp = n * v
+        if (v > prev + 1e-12 or tp < r.declared_floor - 1e-12
+                or (r.single_server and tp > 1 + 1e-12)):
+            return False
+        prev = v
+    return True
 
 
 def _below(r, r_other, n_max):
@@ -183,17 +261,14 @@ class TestRatePairs:
 
 class TestRateVector:
     def test_equals_calls_for_every_kind(self):
-        fast = formula_rate(lambda n: 1.0 / n, declared_floor=1.0)
-        slow = formula_rate(lambda n: 0.5 / n, declared_floor=1.0)
-        assert fast == slow  # formula rates compare equal whatever their formula
         rates = [pure_delay(), classical_ps(), half_interference(), scaled_ps(0.7),
-                 table_rate(THROUGHPUT_TABLE, declared_floor=0.8), fast, slow]
+                 table_rate(THROUGHPUT_TABLE, declared_floor=0.8)]
         for r in rates:
             # grown on demand, in uneven steps
             for n in (3, 1, 40, 300):
                 assert r.rate_vector(n)[1 : n + 1] == [r(k) for k in range(1, n + 1)]
-        assert fast.rate_vector(5)[5] == 0.2
-        assert slow.rate_vector(5)[5] == 0.1
+        assert classical_ps().rate_vector(5)[5] == 0.2
+        assert half_interference().rate_vector(5)[5] == 0.1
 
     def test_cache_is_per_instance(self):
         r = classical_ps()
@@ -202,7 +277,7 @@ class TestRateVector:
         assert dataclasses.replace(r, single_server=False).rate_vector(4) is not r.rate_vector(4)
 
     def test_nonpositive_rate_still_raises(self):
-        r = formula_rate(lambda n: 1.0 - 0.2 * n, declared_floor=0.0)
+        r = table_rate(DOWN_TO_ZERO, declared_floor=0.0)
         assert r.rate_vector(4)[1:5] == [r(k) for k in range(1, 5)]
         with pytest.raises(ValueError, match="strictly positive"):
             r.rate_vector(5)

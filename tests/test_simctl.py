@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from gpsq import checks, input_process, simctl, stationary
 from gpsq.dynamics import trajectory_rows
 from gpsq.measures import ZERO
+from gpsq.rates import validate
 from gpsq.simctl import (
     _FORWARD_HEADER,
     EXIT_CONFIG,
@@ -557,10 +558,15 @@ class TestRunModes:
             assert b <= a + noise, freqs
         assert freqs[0] >= 0.9 and freqs[-1] <= 0.1
 
-    def test_missing_rho_is_config_error(self, tmp_path, monkeypatch):
+    def test_missing_rho_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # `run` of a sweep config and `sweep` without --rho meet one check,
+        # which names both sources of the grid, before any output is written
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.yaml", mode="stability_sweep")
-        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
+        for command in ("run", "sweep"):
+            assert main([command, str(cfg), "--jobs", "1"]) == EXIT_CONFIG, command
+            assert "needs sweep.rho" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_out_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -632,6 +638,9 @@ class TestRunModes:
                       "single_server": "false"}},
             {"rate": {"kind": "custom_table", "floor": 0.5, "table": {1: 1.0, 2: 0.5},
                       "single_server": 0}},
+            # a table's last rate extends, so 129 * r(129) = 129/128 exceeds the cap
+            {"rate": {"kind": "custom_table", "floor": 0.5, "single_server": True,
+                      "table": {n: 1 / n for n in range(1, 129)}}},
             {"mode": "stability_sweep", "sweep": {"rho": [0.5, True]}},
             # NaN and infinities are not config numbers
             {"mode": "stability_sweep", "sweep": {"rho": [float("nan"), float("inf")]}},
@@ -965,13 +974,19 @@ class TestInvariantSuites:
                    for line in capsys.readouterr().out.splitlines())
 
 
+def _perfbench_module(name):
+    """``perfbench/<name>.py``, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_perfbench_tracer_finds_its_names():
     """perfbench's tracer wraps names it looks up in gpsq's modules (for
     example ``simctl.backward_coupling_ps``); pruning one must fail here."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _perfbench_module("spans")
     originals = [(owner, attr, owner.__dict__.get(attr)) for owner, attr, *_ in spans.TRACED]
     tracer = spans.Tracer()
     try:
@@ -981,3 +996,20 @@ def test_perfbench_tracer_finds_its_names():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_perfbench_workloads_pass_the_set_up(tmp_path):
+    """What perfbench's worker runs before its timer, on every workload:
+    load the config from a file, build the input and validate the rate.  A
+    change that refuses a workload must fail here first."""
+    workloads = _perfbench_module("workloads")
+    perf_checks = _perfbench_module("checks")
+    for name, spec in workloads.WORKLOADS.items():
+        cfg = workloads.set_config(name, spec["default_seed"], 0)
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        loaded = load_config(str(path))
+        assert loaded == perf_checks.ExperimentConfig.from_dict(cfg), name
+        input_process.generator_from_config(loaded.input_spec, seed_override=0)
+        report = validate(perf_checks.rate_from_config(loaded.rate_spec))
+        assert report.ok, (name, report.violations)
