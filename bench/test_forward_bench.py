@@ -12,7 +12,7 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from gpsq.dynamics import trajectory_rows
+from gpsq.dynamics import trajectory
 from gpsq.input_process import generator_from_config, replication_seed
 from gpsq.measures import ZERO
 from gpsq.simctl import (
@@ -48,9 +48,9 @@ def replication():
     return seed, list(zip(times, sigmas)), times[-1], rate_from_config(FORWARD_LONG["rate"])
 
 
-def test_trajectory_rows(benchmark, replication):
+def test_trajectory(benchmark, replication):
     _, events, t, r = replication
-    segments = benchmark(trajectory_rows, ZERO, events, t, r)
+    segments = benchmark(trajectory, ZERO, events, t, r)
     benchmark.extra_info.update(unit="us_per_segment", count=len(segments))
 
 
@@ -58,7 +58,7 @@ def test_g17(benchmark, replication):
     # the column the renderer formats for every row, the segment end times,
     # one rendering block of them
     _, events, t, r = replication
-    t_end = np.array([seg[1] for seg in trajectory_rows(ZERO, events, t, r)[:_ROW_BLOCK]])
+    t_end = np.array([seg[1] for seg in trajectory(ZERO, events, t, r)[:_ROW_BLOCK]])
     texts = benchmark(_g17, t_end)
     assert texts.size == t_end.size
     benchmark.extra_info.update(unit="us_per_value", count=t_end.size)
@@ -66,7 +66,7 @@ def test_g17(benchmark, replication):
 
 def test_forward_csv_rows(benchmark, replication):
     seed, events, t, r = replication
-    segments = trajectory_rows(ZERO, events, t, r)
+    segments = trajectory(ZERO, events, t, r)
     rows = benchmark(_forward_csv_rows, 0, seed, segments)
     assert rows.count(b"\n") == len(segments)
     benchmark.extra_info.update(unit="us_per_row", count=len(segments))

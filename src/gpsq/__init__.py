@@ -21,7 +21,6 @@ from .rates import (
 )
 from .dynamics import (
     QueuePath,
-    TrajectorySegment,
     fluid_oracle_phi,
     gamma,
     gamma_values,
@@ -72,7 +71,6 @@ __all__ = [
     "table_rate",
     "validate",
     "QueuePath",
-    "TrajectorySegment",
     "fluid_oracle_phi",
     "gamma",
     "gamma_values",

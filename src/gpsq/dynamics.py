@@ -115,44 +115,25 @@ def step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrajectorySegment:
-    """Maximal interval with a constant customer count.
-
-    On the segment the workload is linear: ``w(t) = w_start -
-    drain_rate * (t - t_start)`` with ``drain_rate = q * r(q)`` (0 when the
-    system is empty).
-    """
-
-    t_start: float
-    t_end: float
-    q: int
-    w_start: float
-    drain_rate: float
-
-    @property
-    def w_end(self) -> float:
-        return self.w_start - self.drain_rate * (self.t_end - self.t_start)
-
-
 TRAJECTORY_CSV_HEADER = ("t_start", "t_end", "q", "w_start", "drain_rate")
 
 
-def trajectory_rows(
+def trajectory(
     mu0: CountingMeasure,
     events: Sequence[tuple[float, float]],
     horizon: float,
     r: RateFunction,
 ) -> list[tuple]:
     """Piecewise description of (customer count, workload) on [0, horizon]
-    as plain ``(t_start, t_end, q, w_start, drain_rate)`` tuples.
+    as plain ``(t_start, t_end, q, w_start, drain_rate)`` tuples, one per
+    maximal interval of constant count ``q``, on which the workload falls
+    linearly from ``w_start`` at ``drain_rate = q * r(q)`` (0 when empty).
 
     ``events`` is a list of ``(arrival_time, service_demand)`` pairs with
     strictly increasing times in ``[0, horizon)``.  The count jumps +1 at
     arrivals and -1 at departures; an arrival landing exactly on a
     departure instant is processed departure-first (the recursion's
     just-before-arrival convention).  Zero-length segments are dropped.
-    This is the one trajectory loop; :func:`trajectory` wraps its rows.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -215,16 +196,6 @@ def trajectory_rows(
             ev += 1
             next_arrival = events[ev][0] if ev < n_events else float("inf")
     return rows
-
-
-def trajectory(
-    mu0: CountingMeasure,
-    events: Sequence[tuple[float, float]],
-    horizon: float,
-    r: RateFunction,
-) -> list[TrajectorySegment]:
-    """:func:`trajectory_rows` as :class:`TrajectorySegment` objects."""
-    return [TrajectorySegment(*row) for row in trajectory_rows(mu0, events, horizon, r)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +274,7 @@ def simulate_queue_path(
     total = sum(heap)  # sum of absolute levels currently in the heap
     q = np.empty(n_steps + 1, dtype=np.int64)
     w = np.empty(n_steps + 1, dtype=np.float64)
-    rates = r.rate_vector(0)  # grown as in trajectory_rows
+    rates = r.rate_vector(0)  # grown as in trajectory
     xs, ss = gen.sample_block(0, n_steps)
     for n in range(n_steps):
         q[n] = len(heap)

@@ -14,7 +14,8 @@ Every rate is a step table with a tail: ``r(n)`` is the value at the last
 table key ``<= n``, and past the last key it is ``tail / n`` (constant
 throughput ``tail``) when a tail is set, else the last value extends.  So
 :func:`validate` checks the assumptions at every ``n`` exactly, from the
-keys and the tail alone.
+keys and the tail alone, and a :class:`RateFunction` that fails it is
+never built: construction raises ``ValueError`` naming each violation.
 
 Built-in catalog:
 
@@ -44,13 +45,16 @@ _CHECK_TOL = 1e-12
 class RateFunction:
     """Immutable per-customer service rate ``n -> r(n)``.
 
-    ``table`` lists ``(n, r)`` pairs by increasing ``n``, starting at
-    ``n = 1``; ``r(n)`` is the value of the last key ``<= n``.  Past the
-    last key, ``r(n) = tail / n`` when ``tail`` is set, else the last value
-    extends.  ``kind`` names the rate and is not read.
+    ``table`` lists ``(n, r)`` pairs by strictly increasing integer ``n``,
+    starting at ``n = 1``; ``r(n)`` is the value of the last key ``<= n``.
+    Past the last key, ``r(n) = tail / n`` when ``tail`` is set, else the
+    last value extends.  ``kind`` names the rate and is not read.
     ``declared_floor`` is the throughput floor ``K_r`` the constructor
     promises; ``single_server`` marks functions whose total throughput is
-    supposed to stay at or below one.
+    supposed to stay at or below one.  Construction (and
+    ``dataclasses.replace``) raises ``ValueError`` with :func:`validate`'s
+    violations when the table is malformed or the rate breaks an
+    assumption.
     """
 
     kind: str
@@ -63,18 +67,19 @@ class RateFunction:
         default_factory=lambda: [0.0], init=False, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        report = validate(self)
+        if not report.ok:
+            raise ValueError("; ".join(report.violations))
+
     def __call__(self, n: int) -> float:
         if n < 1:
             raise ValueError(f"rate is defined for n >= 1, got {n}")
         table = self.table
         if self.tail is not None and n > table[-1][0]:
-            v = self.tail / n
-        else:
-            # (n, inf) sorts after every (n, v): the last entry with key <= n
-            v = table[bisect.bisect_right(table, (n, math.inf)) - 1][1]
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"rate must be finite and strictly positive, r({n}) = {v!r}")
-        return v
+            return self.tail / n
+        # (n, inf) sorts after every (n, v): the last entry with key <= n
+        return table[bisect.bisect_right(table, (n, math.inf)) - 1][1]
 
     def rate_vector(self, n: int) -> list[float]:
         """``[_, r(1), ..., r(n), ...]``, index 0 unused: the values of
@@ -84,12 +89,6 @@ class RateFunction:
         if len(v) <= n:
             v.extend(self(k) for k in range(len(v), n + 1))
         return v
-
-    def throughput(self, n: int) -> float:
-        """Total work rate ``n * r(n)`` at occupancy ``n >= 1``."""
-        if n < 1:
-            raise ValueError(f"throughput is defined for n >= 1, got {n}")
-        return n * self(n)
 
 
 def pure_delay() -> RateFunction:
@@ -113,9 +112,7 @@ def half_interference() -> RateFunction:
 
 
 def scaled_ps(k: float) -> RateFunction:
-    """Constant throughput ``k``: ``r(n) = k/n``."""
-    if k <= 0.0:
-        raise ValueError(f"throughput scale must be positive, got {k!r}")
+    """Constant throughput ``k > 0``: ``r(n) = k/n``."""
     k = float(k)
     return RateFunction(
         kind="scaled_ps", declared_floor=k, single_server=k <= 1.0, table=((1, k),), tail=k
@@ -131,17 +128,13 @@ def table_rate(
 
     Between listed points the previous value extends (step function); past
     the last point ``r(n) = r(n_last)``, so the throughput grows without
-    bound and a ``single_server`` table fails :func:`validate`.  The table
-    must define ``n = 1``; keys are integral numbers or strings of one, and
-    two keys that name the same ``n`` are refused.
+    bound and a ``single_server`` table is refused.  The table must define
+    ``n = 1``; keys are integral numbers or strings of one, and two keys
+    that name the same ``n`` are refused.
     """
-    if not values:
-        raise ValueError("rate table must not be empty")
     items = tuple(sorted((_table_key(k), float(v)) for k, v in values.items()))
     if len({k for k, _ in items}) < len(items):
         raise ValueError(f"rate table keys collide as integers: {list(values)!r}")
-    if items[0][0] != 1:
-        raise ValueError("rate table must define n = 1")
     return RateFunction(
         kind="custom_table",
         declared_floor=declared_floor,
@@ -163,22 +156,17 @@ def _table_key(k: object) -> int:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate`.
-
-    ``violations`` holds one human-readable message per failed check,
-    naming an offending ``n``; ``min_throughput`` is the smallest
-    ``n * r(n)`` over all ``n``, first reached at ``min_throughput_n``.
-    """
+    """Outcome of :func:`validate`: ``violations`` holds one human-readable
+    message per failed check, naming an offending ``n``."""
 
     ok: bool
     violations: tuple[str, ...]
-    min_throughput: float
-    min_throughput_n: int
 
 
 def validate(r: RateFunction) -> ValidationReport:
-    """Check that the declared floor is finite and nonnegative and that, at
-    every ``n >= 1``, ``r(n)`` is finite, positive and non-increasing and
+    """Check that the table's keys are integers rising strictly from 1, that
+    the declared floor is finite and nonnegative and that, at every
+    ``n >= 1``, ``r(n)`` is finite, positive and non-increasing and
     ``n * r(n)`` is at least the floor and, for a single-server rate, at
     most one.
 
@@ -195,23 +183,27 @@ def validate(r: RateFunction) -> ValidationReport:
         violations.append(
             f"declared floor must be finite and nonnegative, got {r.declared_floor!r}"
         )
-    last = r.table[-1][0]
-    probes = sorted({n for k, _ in r.table for n in (k - 1, k) if n >= 1}) + [last + 1]
+    keys = [k for k, _ in r.table]
+    if (not keys or keys[0] != 1
+            or any(type(k) is not int for k in keys)
+            or any(a >= b for a, b in zip(keys, keys[1:]))):
+        violations.append(
+            f"rate table keys must be integers rising strictly from n = 1, got {r.table!r}"
+        )
+        return ValidationReport(ok=False, violations=tuple(violations))
+    last = keys[-1]
+    probes = sorted({n for k in keys for n in (k - 1, k) if n >= 1}) + [last + 1]
     seen_increase = seen_cap = seen_floor = False
     prev_n, prev = 0, math.inf
-    min_tp, min_tp_n = math.inf, 1
     for n in probes:
-        try:
-            v = r(n)
-        except ValueError as exc:
-            violations.append(str(exc))
+        v = r(n)
+        if not 0.0 < v < math.inf:
+            violations.append(f"rate must be finite and strictly positive, r({n}) = {v!r}")
             break
         if v > prev + _CHECK_TOL and not seen_increase:
             violations.append(f"r not non-increasing: r({prev_n}) = {prev}, r({n}) = {v}")
             seen_increase = True
         tp = n * v if n <= last else math.inf if r.tail is None else r.tail
-        if tp < min_tp:
-            min_tp, min_tp_n = tp, n
         if r.single_server and tp > 1.0 + _CHECK_TOL and not seen_cap:
             violations.append(f"single-server cap of 1 violated: {_throughput_text(r, n)}")
             seen_cap = True
@@ -222,12 +214,7 @@ def validate(r: RateFunction) -> ValidationReport:
             )
             seen_floor = True
         prev_n, prev = n, v
-    return ValidationReport(
-        ok=not violations,
-        violations=tuple(violations),
-        min_throughput=min_tp,
-        min_throughput_n=min_tp_n,
-    )
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 def _throughput_text(r: RateFunction, n: int) -> str:

@@ -35,11 +35,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import (
-    TRAJECTORY_CSV_HEADER,
-    trajectory,  # not called here; perfbench's tracer wraps simctl.trajectory
-    trajectory_rows,
-)
+from .dynamics import TRAJECTORY_CSV_HEADER, trajectory
 from .input_process import (
     MarkedInputGenerator,
     config_number,
@@ -94,7 +90,9 @@ def rate_from_config(cfg: dict) -> RateFunction:
 
     Kinds: ``pure_delay``, ``classical_ps``, ``half_interference``,
     ``scaled_ps`` (needs ``k``), ``custom_table`` (needs ``table`` plus
-    ``floor``; optional ``single_server``).
+    ``floor``; optional ``single_server``).  A rate that fails
+    :func:`~gpsq.rates.validate` cannot be built, so every mode that reads
+    a rate refuses a bad one here, before any worker starts.
     """
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError(f"rate spec must be a mapping with a 'kind' key, got {cfg!r}")
@@ -537,7 +535,7 @@ def _forward_replication(cfg: ExperimentConfig, gen: MarkedInputGenerator, r: Ra
     xis, sigmas = gen.sample_block(0, cfg.horizon)
     # arrival times summed left to right from 0.0; the last one is the horizon
     times = list(accumulate(xis, initial=0.0))
-    segments = trajectory_rows(ZERO, list(zip(times, sigmas)), times[-1], r)
+    segments = trajectory(ZERO, list(zip(times, sigmas)), times[-1], r)
     if cfg.out_format == "csv":
         return {"seed": gen.seed, "csv": _forward_csv_rows(i, gen.seed, segments),
                 "exhausted": False}
@@ -658,7 +656,7 @@ _ROW_BLOCK = 2048
 
 def _forward_csv_rows(i: int, seed: int, segments: Sequence[tuple]) -> bytes:
     """The ``forward_sim`` CSV rows of replication ``i``, encoded: one line
-    ``i,seed,t_start,t_end,q,w_start,drain_rate`` per ``trajectory_rows``
+    ``i,seed,t_start,t_end,q,w_start,drain_rate`` per ``trajectory``
     segment, the floats as ``"%.17g"``.  Rendered in the worker that
     simulated it, so the parent only concatenates; the bytes are those of
     ``"%d,%d,%.17g,%.17g,%d,%.17g,%.17g\n"`` per segment.
@@ -962,8 +960,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_EXHAUSTED
         return EXIT_OK
     except (ConfigError, ValueError) as exc:
-        # a ValueError is a config-induced runtime rejection (e.g. a rate
-        # failing validation)
+        # a ValueError is a config-induced runtime rejection (e.g. a
+        # perfect sample asked of a rate with floor 0)
         print(f"simctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

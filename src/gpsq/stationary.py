@@ -52,7 +52,7 @@ import numpy as np
 from .dynamics import step
 from .input_process import sample_blocks
 from .measures import ATOM_TOL, ZERO, CountingMeasure
-from .rates import RateFunction, validate
+from .rates import RateFunction
 
 #: Per-draw tail probability the certification rules are allowed to ignore.
 DEFAULT_QUANTILE = 1.0 - 1e-9
@@ -325,7 +325,7 @@ def backward_coupling_ps_batch(
 
     The inputs of one call must share one law (they differ in seed or
     offset): the drift test and the window and margin defaults are derived
-    once, from the first input's means, and the rate is validated once.
+    once, from the first input's means.
     When ``K_r E[xi] - E[sigma]`` is not positive, every report is
     ``drift_nonnegative`` and no term is read, whatever the window.  Inputs
     are searched in batches of at most :data:`BATCH_ROWS`.  Every row still
@@ -333,11 +333,6 @@ def backward_coupling_ps_batch(
     first ``D`` marks, so a report depends only on its own input and any
     batching gives the same bytes.
     """
-    report = validate(r)
-    if not report.ok:
-        raise ValueError(
-            "rate function fails validation: " + "; ".join(report.violations)
-        )
     if not r.declared_floor > 0.0:
         raise ValueError("perfect sampling requires a positive throughput floor")
     if max_lookback < 1:

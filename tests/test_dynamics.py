@@ -27,7 +27,6 @@ from gpsq.dynamics import (
     simulate_queue_path,
     step,
     trajectory,
-    trajectory_rows,
 )
 from gpsq.input_process import Exponential, Uniform, iid_input
 from gpsq.measures import ZERO, CountingMeasure
@@ -111,9 +110,9 @@ class TestStep:
 def departure_times(mu, r, horizon):
     """The instants at which ``mu``'s customers leave when nothing arrives:
     one per departed customer, read off the ends of the busy segments of
-    :func:`trajectory_rows` (simultaneous departures end one segment)."""
+    :func:`trajectory` (simultaneous departures end one segment)."""
     times = []
-    rows = trajectory_rows(mu, [], horizon, r)
+    rows = trajectory(mu, [], horizon, r)
     for (_, t_end, q, _, _), nxt in zip(rows, rows[1:] + [(0, 0, 0, 0, 0)]):
         times += [t_end] * (q - nxt[2])
     return times
@@ -127,7 +126,7 @@ class TestDepartureSchedule:
 
     def test_single_customer(self):
         # alone from its arrival at t = 10, it leaves at 10 + 1.5 / r(1)
-        rows = trajectory_rows(ZERO, [(10.0, 1.5)], 12.0, HI)
+        rows = trajectory(ZERO, [(10.0, 1.5)], 12.0, HI)
         assert [t_end for _, t_end, q, _, _ in rows if q == 1] == [11.5]
         assert departure_times(CountingMeasure([1.5]), HI, 2.0) == [1.5]
 
@@ -145,7 +144,7 @@ class TestDepartureSchedule:
             assert gamma(mu, x, r) == max(gamma_values(mu, x, r))
 
     def test_duplicate_atoms_depart_together(self):
-        rows = trajectory_rows(CountingMeasure([2.0, 2.0]), [], 5.0, CPS)
+        rows = trajectory(CountingMeasure([2.0, 2.0]), [], 5.0, CPS)
         assert rows[0] == (0.0, 4.0, 2, 4.0, 1.0)
         assert departure_times(CountingMeasure([2.0, 2.0]), CPS, 5.0) == [4.0, 4.0]
 
@@ -239,108 +238,6 @@ class TestConstantThroughputDrain:
             assert got == pytest.approx(want, abs=1e-9), (mu.atoms, x, k)
 
 
-class TestTrajectory:
-    def test_single_arrival(self):
-        segs = trajectory(ZERO, [(0.0, 2.0)], 3.0, CPS)
-        assert [(s.t_start, s.t_end, s.q) for s in segs] == [(0.0, 2.0, 1), (2.0, 3.0, 0)]
-        assert segs[0].drain_rate == 1.0
-        assert segs[0].w_end == pytest.approx(0.0)
-
-    def test_classical_ps_conserves_unit_drain(self):
-        segs = trajectory(ZERO, [(0.0, 2.0), (1.0, 2.0)], 5.0, CPS)
-        busy = [s for s in segs if s.q > 0]
-        assert all(s.drain_rate == 1.0 for s in busy)
-        assert sum(s.t_end - s.t_start for s in busy) == pytest.approx(4.0)
-
-    def test_interference_slows_drain(self):
-        segs = trajectory(ZERO, [(0.0, 1.0), (0.5, 1.0)], 3.0, HI)
-        two_busy = [s for s in segs if s.q == 2]
-        assert len(two_busy) == 1
-        assert two_busy[0].drain_rate == pytest.approx(0.5)
-        assert (two_busy[0].t_start, two_busy[0].t_end) == (0.5, 2.5)
-
-    def test_workload_continuous_up_to_arrival_jumps(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            n_ev = int(rng.integers(1, 8))
-            times = np.sort(rng.uniform(0, 9, n_ev))
-            if len(set(times)) != n_ev:
-                continue
-            events = [(float(t), float(rng.uniform(0, 3))) for t in times]
-            segs = trajectory(ZERO, events, 10.0, CPS)
-            arrivals = dict(events)
-            for a, b in zip(segs, segs[1:]):
-                assert a.t_end == b.t_start
-                jump = arrivals.get(b.t_start, 0.0)
-                assert b.w_start == pytest.approx(a.w_end + jump, abs=1e-9)
-
-    def test_workload_nonnegative_on_every_segment(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            n_ev = int(rng.integers(1, 8))
-            times = np.sort(rng.uniform(0, 9, n_ev))
-            if len(set(times)) != n_ev:
-                continue
-            events = [(float(t), float(rng.uniform(0, 3))) for t in times]
-            r = CATALOG[int(rng.integers(0, len(CATALOG)))]
-            for seg in trajectory(ZERO, events, 10.0, r):
-                assert seg.w_start >= 0.0
-                assert seg.w_end >= -1e-9
-
-    def test_count_jump_bookkeeping(self):
-        # jumps of q across segment boundaries = arrivals - departures
-        segs = trajectory(ZERO, [(0.0, 2.0), (1.0, 2.0)], 5.0, CPS)
-        qs = [0] + [s.q for s in segs]
-        ups = sum(max(b - a, 0) for a, b in zip(qs, qs[1:]))
-        downs = sum(max(a - b, 0) for a, b in zip(qs, qs[1:]))
-        assert ups == 2
-        assert downs == 2
-
-    def test_departure_first_on_tie(self):
-        # second arrival lands exactly when the first customer finishes:
-        # the count stays at 1 through the boundary instead of touching 2
-        segs = trajectory(ZERO, [(0.0, 1.0), (1.0, 1.0)], 3.0, PD)
-        assert [(s.t_start, s.t_end, s.q) for s in segs] == [
-            (0.0, 1.0, 1),
-            (1.0, 2.0, 1),
-            (2.0, 3.0, 0),
-        ]
-
-    def test_unordered_events_rejected(self):
-        with pytest.raises(ValueError):
-            trajectory(ZERO, [(1.0, 1.0), (0.5, 1.0)], 3.0, CPS)
-        with pytest.raises(ValueError):
-            trajectory(ZERO, [(0.0, 1.0), (0.0, 1.0)], 3.0, CPS)
-
-    def test_event_outside_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            trajectory(ZERO, [(3.0, 1.0)], 3.0, CPS)
-
-    def test_nonempty_initial_profile(self):
-        segs = trajectory(CountingMeasure([1.0, 2.0]), [], 5.0, CPS)
-        assert [s.q for s in segs] == [2, 1, 0]
-        assert segs[0].w_start == pytest.approx(3.0)
-
-    def test_finish_time_rounding_onto_clock_departs(self):
-        # past t = 2**14 half an ulp of the clock exceeds 1e-12, so the
-        # tiny atom's finish time t + a / r(1) rounds back onto t; it must
-        # still leave instead of stalling the clock
-        def stalled(signum, frame):
-            raise TimeoutError("trajectory stalled")
-
-        previous = signal.signal(signal.SIGALRM, stalled)
-        signal.alarm(10)
-        try:
-            segs = trajectory(ZERO, [(17259.0, 1.54e-12)], 17260.0, CPS)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert [(s.t_start, s.t_end, s.q) for s in segs] == [
-            (0.0, 17259.0, 0),
-            (17259.0, 17260.0, 0),
-        ]
-
-
 def reference_trajectory_rows(mu0, events, horizon, r):
     """The segment loop as first written (one r(q) call per segment, min()
     for the next event), kept to pin the kernel's arithmetic."""
@@ -396,17 +293,121 @@ def trajectory_case(draw):
     return mu0, list(zip(times, demands)), horizon
 
 
-class TestTrajectoryRows:
+def w_end(segment):
+    """Workload at the end of a ``(t_start, t_end, q, w_start, drain_rate)``
+    segment, on which it falls linearly."""
+    t_start, t_end, _, w_start, drain_rate = segment
+    return w_start - drain_rate * (t_end - t_start)
+
+
+class TestTrajectory:
+    def test_single_arrival(self):
+        segs = trajectory(ZERO, [(0.0, 2.0)], 3.0, CPS)
+        assert [s[:3] for s in segs] == [(0.0, 2.0, 1), (2.0, 3.0, 0)]
+        assert segs[0][4] == 1.0
+        assert w_end(segs[0]) == pytest.approx(0.0)
+
+    def test_classical_ps_conserves_unit_drain(self):
+        segs = trajectory(ZERO, [(0.0, 2.0), (1.0, 2.0)], 5.0, CPS)
+        busy = [s for s in segs if s[2] > 0]
+        assert all(drain == 1.0 for _, _, _, _, drain in busy)
+        assert sum(t1 - t0 for t0, t1, _, _, _ in busy) == pytest.approx(4.0)
+
+    def test_interference_slows_drain(self):
+        segs = trajectory(ZERO, [(0.0, 1.0), (0.5, 1.0)], 3.0, HI)
+        two_busy = [s for s in segs if s[2] == 2]
+        assert len(two_busy) == 1
+        assert two_busy[0][4] == pytest.approx(0.5)
+        assert two_busy[0][:2] == (0.5, 2.5)
+
+    def test_workload_continuous_up_to_arrival_jumps(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n_ev = int(rng.integers(1, 8))
+            times = np.sort(rng.uniform(0, 9, n_ev))
+            if len(set(times)) != n_ev:
+                continue
+            events = [(float(t), float(rng.uniform(0, 3))) for t in times]
+            segs = trajectory(ZERO, events, 10.0, CPS)
+            arrivals = dict(events)
+            for a, b in zip(segs, segs[1:]):
+                assert a[1] == b[0]
+                jump = arrivals.get(b[0], 0.0)
+                assert b[3] == pytest.approx(w_end(a) + jump, abs=1e-9)
+
+    def test_workload_nonnegative_on_every_segment(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n_ev = int(rng.integers(1, 8))
+            times = np.sort(rng.uniform(0, 9, n_ev))
+            if len(set(times)) != n_ev:
+                continue
+            events = [(float(t), float(rng.uniform(0, 3))) for t in times]
+            r = CATALOG[int(rng.integers(0, len(CATALOG)))]
+            for seg in trajectory(ZERO, events, 10.0, r):
+                assert seg[3] >= 0.0
+                assert w_end(seg) >= -1e-9
+
+    def test_count_jump_bookkeeping(self):
+        # jumps of q across segment boundaries = arrivals - departures
+        segs = trajectory(ZERO, [(0.0, 2.0), (1.0, 2.0)], 5.0, CPS)
+        qs = [0] + [s[2] for s in segs]
+        ups = sum(max(b - a, 0) for a, b in zip(qs, qs[1:]))
+        downs = sum(max(a - b, 0) for a, b in zip(qs, qs[1:]))
+        assert ups == 2
+        assert downs == 2
+
+    def test_departure_first_on_tie(self):
+        # second arrival lands exactly when the first customer finishes:
+        # the count stays at 1 through the boundary instead of touching 2
+        segs = trajectory(ZERO, [(0.0, 1.0), (1.0, 1.0)], 3.0, PD)
+        assert [s[:3] for s in segs] == [
+            (0.0, 1.0, 1),
+            (1.0, 2.0, 1),
+            (2.0, 3.0, 0),
+        ]
+
+    def test_unordered_events_rejected(self):
+        with pytest.raises(ValueError):
+            trajectory(ZERO, [(1.0, 1.0), (0.5, 1.0)], 3.0, CPS)
+        with pytest.raises(ValueError):
+            trajectory(ZERO, [(0.0, 1.0), (0.0, 1.0)], 3.0, CPS)
+
+    def test_event_outside_horizon_rejected(self):
+        with pytest.raises(ValueError):
+            trajectory(ZERO, [(3.0, 1.0)], 3.0, CPS)
+
+    def test_nonempty_initial_profile(self):
+        segs = trajectory(CountingMeasure([1.0, 2.0]), [], 5.0, CPS)
+        assert [s[2] for s in segs] == [2, 1, 0]
+        assert segs[0][3] == pytest.approx(3.0)
+
+    def test_finish_time_rounding_onto_clock_departs(self):
+        # past t = 2**14 half an ulp of the clock exceeds 1e-12, so the
+        # tiny atom's finish time t + a / r(1) rounds back onto t; it must
+        # still leave instead of stalling the clock
+        def stalled(signum, frame):
+            raise TimeoutError("trajectory stalled")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(10)
+        try:
+            segs = trajectory(ZERO, [(17259.0, 1.54e-12)], 17260.0, CPS)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [s[:3] for s in segs] == [
+            (0.0, 17259.0, 0),
+            (17259.0, 17260.0, 0),
+        ]
+
     @settings(max_examples=300, deadline=None)
     @given(case=trajectory_case(),
            ridx=st.integers(min_value=0, max_value=len(CATALOG) - 1))
-    def test_rows_are_the_segments_fields(self, case, ridx):
+    def test_matches_the_reference_loop(self, case, ridx):
         mu0, events, horizon = case
         r = CATALOG[ridx]
-        rows = trajectory_rows(mu0, events, horizon, r)
-        fields = [(s.t_start, s.t_end, s.q, s.w_start, s.drain_rate)
-                  for s in trajectory(mu0, events, horizon, r)]
-        assert rows == fields
+        rows = trajectory(mu0, events, horizon, r)
         assert rows == reference_trajectory_rows(mu0, events, horizon, r)
         assert all(type(row) is tuple and len(row) == 5 for row in rows)
 

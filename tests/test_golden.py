@@ -176,7 +176,7 @@ def test_artifact_hash_does_not_depend_on_jobs(tmp_path, mode, fmt):
 
 
 def test_float_sum_adds_left_to_right():
-    # trajectory_rows computes w_start as sum(atoms), and other float sums
+    # trajectory computes w_start as sum(atoms), and other float sums
     # feed the artifacts; the pinned hashes hold only while sum() adds
     # plainly from left to right
     assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (

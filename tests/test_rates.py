@@ -1,4 +1,5 @@
-"""Tests for the rate-function catalog and its validator."""
+"""Tests for the rate-function catalog and its validator, which every
+construction runs."""
 
 import bisect
 import dataclasses
@@ -8,8 +9,8 @@ import random
 import pytest
 
 from gpsq.checks import RATE_PAIRS
-from gpsq.input_process import Exponential, iid_input
 from gpsq.rates import (
+    RateFunction,
     classical_ps,
     half_interference,
     pure_delay,
@@ -17,7 +18,6 @@ from gpsq.rates import (
     table_rate,
     validate,
 )
-from gpsq.stationary import backward_coupling_ps
 
 THROUGHPUT_TABLE = {1: 1.0, 2: 0.495, 3: 0.3, 100: 0.008}
 # r(n) = 1 - 0.2 n while positive: r(5) = 0
@@ -27,20 +27,20 @@ DOWN_TO_ZERO = {1: 0.8, 2: 0.6, 3: 0.4, 4: 0.2, 5: 0.0}
 class TestCatalog:
     def test_classical_ps_throughput_is_one(self):
         r = classical_ps()
-        assert all(abs(r.throughput(n) - 1.0) < 1e-12 for n in range(1, 101))
-        assert r.throughput(7) == 1.0
+        assert all(abs(n * r(n) - 1.0) < 1e-12 for n in range(1, 101))
+        assert 7 * r(7) == 1.0
 
     def test_half_interference_values(self):
         r = half_interference()
         assert r(1) == 1.0
         assert r(2) == 0.25
-        assert r.throughput(2) == 0.5
+        assert 2 * r(2) == 0.5
         assert r.declared_floor == 0.5
 
     def test_pure_delay(self):
         r = pure_delay()
         assert all(r(n) == 1.0 for n in range(1, 50))
-        assert r.throughput(5) == 5.0
+        assert 5 * r(5) == 5.0
 
     def test_tails_give_the_closed_form_quotients(self):
         # tail / n is the same correctly rounded quotient as each closed
@@ -53,7 +53,7 @@ class TestCatalog:
 
     def test_scaled_ps_constant_throughput(self):
         r = scaled_ps(0.5)
-        assert all(abs(r.throughput(n) - 0.5) < 1e-12 for n in range(1, 50))
+        assert all(abs(n * r(n) - 0.5) < 1e-12 for n in range(1, 50))
 
     def test_table_step_extension(self):
         r = table_rate(THROUGHPUT_TABLE, declared_floor=0.8)
@@ -74,24 +74,18 @@ class TestCatalog:
 
     def test_table_throughputs(self):
         r = table_rate(THROUGHPUT_TABLE, declared_floor=0.8)
-        got = {n: r.throughput(n) for n in (1, 2, 3, 100)}
+        got = {n: n * r(n) for n in (1, 2, 3, 100)}
         assert got == {1: 1.0, 2: 0.99, 3: pytest.approx(0.9), 100: 0.8}
 
     def test_n_below_one_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n >= 1"):
             classical_ps()(0)
-        with pytest.raises(ValueError):
-            classical_ps().throughput(0)
-
-    def test_nonpositive_rate_rejected_at_call(self):
-        r = table_rate(DOWN_TO_ZERO, declared_floor=0.1)
-        assert r(4) > 0
-        with pytest.raises(ValueError):
-            r(5)
 
     def test_table_requires_n_equal_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="from n = 1"):
             table_rate({2: 0.5}, declared_floor=0.1)
+        with pytest.raises(ValueError, match="from n = 1"):
+            table_rate({}, declared_floor=0.1)
 
     @pytest.mark.parametrize("values", [
         {1: 1.0, 1.5: 0.25, 2: 0.5},  # 1.5 is no occupancy; int() made it 1
@@ -109,52 +103,49 @@ class TestCatalog:
         assert table_rate({"1": 1.0, 2.0: 0.5}, declared_floor=0.5).table == ((1, 1.0), (2, 0.5))
 
     def test_scaled_ps_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"strictly positive, r\(1\) = 0\.0"):
             scaled_ps(0.0)
+        with pytest.raises(ValueError, match="declared floor must be finite and nonnegative"):
+            scaled_ps(-1.0)
 
 
 class TestValidate:
     def test_classical_ps_valid(self):
         rep = validate(classical_ps())
-        assert rep.ok
-        assert rep.min_throughput == 1.0
-        assert rep.min_throughput_n == 1
+        assert rep.ok and rep.violations == ()
 
     def test_half_interference_floor_certified(self):
-        rep = validate(half_interference())
-        assert rep.ok
-        assert rep.min_throughput == 0.5
-        assert rep.min_throughput_n == 2
+        assert validate(half_interference()).ok
+        # the floor 1/2 is tight: the tail's throughput is 0.5 exactly
+        with pytest.raises(ValueError, match=r"floor .*: n \* r\(n\) = 0\.5 for n > 1"):
+            dataclasses.replace(half_interference(), declared_floor=0.5 + 1e-9)
 
     def test_pure_delay_passes_without_single_server_flag(self):
         assert validate(pure_delay()).ok
 
     def test_pure_delay_flagged_when_single_server(self):
-        r = dataclasses.replace(pure_delay(), single_server=True)
-        rep = validate(r)
-        assert not rep.ok
-        assert any("single-server" in v for v in rep.violations)
+        with pytest.raises(ValueError, match="single-server"):
+            dataclasses.replace(pure_delay(), single_server=True)
 
     def test_table_example_valid(self):
-        rep = validate(table_rate(THROUGHPUT_TABLE, declared_floor=0.8))
-        assert rep.ok
-        assert rep.min_throughput == pytest.approx(0.8)
-        assert rep.min_throughput_n == 100
+        assert validate(table_rate(THROUGHPUT_TABLE, declared_floor=0.8)).ok
+        # the floor 0.8 is tight, reached at n = 100
+        with pytest.raises(ValueError, match=r"below declared floor .*: 100 \* r\(100\)"):
+            table_rate(THROUGHPUT_TABLE, declared_floor=0.8 + 1e-9)
 
     def test_monotonicity_violation_reported(self):
-        rep = validate(table_rate({1: 0.5, 2: 0.7}, declared_floor=0.1))
-        assert not rep.ok
-        assert any("non-increasing" in v for v in rep.violations)
+        with pytest.raises(ValueError, match="non-increasing"):
+            table_rate({1: 0.5, 2: 0.7}, declared_floor=0.1)
 
     def test_floor_violation_reported_with_n(self):
-        rep = validate(table_rate({1: 1.0, 2: 0.2}, declared_floor=0.9))
-        assert not rep.ok
-        assert any("below declared floor" in v and "r(2)" in v for v in rep.violations)
+        with pytest.raises(ValueError, match=r"below declared floor .*r\(2\)"):
+            table_rate({1: 1.0, 2: 0.2}, declared_floor=0.9)
 
     def test_nonpositive_rate_reported(self):
-        rep = validate(table_rate(DOWN_TO_ZERO, declared_floor=0.0))
-        assert not rep.ok
-        assert any("strictly positive" in v for v in rep.violations)
+        # r(4) > 0, but r(5) = 0: refused when built, so no call meets it
+        for floor in (0.0, 0.1):
+            with pytest.raises(ValueError, match=r"strictly positive, r\(5\) = 0\.0"):
+                table_rate(DOWN_TO_ZERO, declared_floor=floor)
 
     @pytest.mark.parametrize("build, what", [
         (lambda: scaled_ps(math.nan), "strictly positive"),
@@ -166,18 +157,13 @@ class TestValidate:
     ], ids=["scaled_nan", "table_nan_value", "table_inf_value", "table_negative_value",
             "table_nan_floor", "table_negative_floor"])
     def test_non_finite_values_reported(self, build, what):
-        rep = validate(build())
-        assert not rep.ok
-        assert any(what in v for v in rep.violations)
+        with pytest.raises(ValueError, match=what):
+            build()
 
     def test_floor_checked_past_128(self):
         # 200 * r(200) = 0.2 is below the declared floor 0.5
-        r = table_rate({1: 1.0, 200: 0.001}, declared_floor=0.5)
-        rep = validate(r)
-        assert not rep.ok
-        assert any("below declared floor" in v and "r(200)" in v for v in rep.violations)
-        with pytest.raises(ValueError, match=r"r\(200\)"):
-            backward_coupling_ps(iid_input(Exponential(3.0), Exponential(1.0), seed=1), r)
+        with pytest.raises(ValueError, match=r"below declared floor .*r\(200\)"):
+            table_rate({1: 1.0, 200: 0.001}, declared_floor=0.5)
 
     def test_large_constant_throughput_valid(self):
         # n * (k / n) rounds below k for some n; the tail's throughput is k
@@ -185,21 +171,31 @@ class TestValidate:
 
     def test_single_server_table_capped_past_its_last_key(self):
         # the last value extends, so 129 * r(129) = 129/128 > 1
-        r = table_rate({n: 1 / n for n in range(1, 129)}, declared_floor=1.0, single_server=True)
-        rep = validate(r)
-        assert not rep.ok
-        assert any("single-server" in v for v in rep.violations)
+        with pytest.raises(ValueError, match=r"single-server cap .*: n \* r\(n\) grows"):
+            table_rate({n: 1 / n for n in range(1, 129)}, declared_floor=1.0, single_server=True)
 
     def test_tail_above_the_table_is_an_increase(self):
         # r(1) = 0.1, then r(2) = 0.5 / 2 from the tail
-        rep = validate(dataclasses.replace(half_interference(), table=((1, 0.1),)))
-        assert not rep.ok
-        assert any("non-increasing" in v for v in rep.violations)
+        with pytest.raises(ValueError, match="non-increasing"):
+            dataclasses.replace(half_interference(), table=((1, 0.1),))
+
+    @pytest.mark.parametrize("table", [
+        (),
+        ((2, 0.5),),  # r(1) would read the n = 2 value
+        ((1, 1.0), (3, 0.5), (2, 0.6)),
+        ((1, 1.0), (1, 0.5)),
+        ((1, 1.0), (2.0, 0.5)),
+        ((True, 1.0),),
+    ], ids=["empty", "no_n_1", "unsorted", "repeated", "float_key", "bool_key"])
+    def test_table_shape_refused_at_construction(self, table):
+        with pytest.raises(ValueError, match="rate table keys must be integers rising strictly"):
+            RateFunction(kind="x", declared_floor=0.5, table=table)
 
     def test_equals_a_scan_past_the_last_key(self):
-        # Random step tables on a grid of 1/64, with and without a tail: the
-        # verdict equals the check of every n up to 80 past the last key,
-        # where a last value of at least 1/64 has extended past the cap.
+        # Random step tables on a grid of 1/64, with and without a tail:
+        # construction succeeds exactly when every n up to 80 past the last
+        # key passes, where a last value of at least 1/64 has extended past
+        # the cap.
         rng = random.Random(5)
         grid = [j / 64 for j in range(0, 81)]
         seen = []
@@ -208,30 +204,35 @@ class TestValidate:
             values = rng.choices(grid, k=len(keys))
             if rng.random() < 0.8:  # mostly non-increasing, to reach the other checks
                 values.sort(reverse=True)
-            values = dict(zip(keys, values))
+            table = tuple(zip(keys, values))
             tail = rng.choice([None, *grid[:72]])
-            r = dataclasses.replace(
-                table_rate(values, declared_floor=rng.choice(grid[:72]),
-                           single_server=rng.random() < 0.5),
-                tail=tail,
-            )
-            ok = _scan_ok(r, keys[-1] + 80)
-            assert validate(r).ok == ok, r
+            floor = rng.choice(grid[:72])
+            single_server = rng.random() < 0.5
+            ok = _scan_ok(table, tail, floor, single_server, keys[-1] + 80)
+            try:
+                RateFunction(kind="custom_table", declared_floor=floor,
+                             single_server=single_server, table=table, tail=tail)
+                built = True
+            except ValueError:
+                built = False
+            assert built == ok, (table, tail, floor, single_server)
             seen.append(ok)
         assert 100 < sum(seen) < 1900
 
 
-def _scan_ok(r, n_max):
-    """The assumptions checked at every ``n <= n_max`` one by one."""
+def _scan_ok(table, tail, floor, single_server, n_max):
+    """The assumptions checked at every ``n <= n_max`` one by one, on the
+    step table ``table`` with ``tail``, evaluated here."""
+    keys = [k for k, _ in table]
     prev = math.inf
     for n in range(1, n_max + 1):
-        try:
-            v = r(n)
-        except ValueError:
-            return False
+        if tail is not None and n > keys[-1]:
+            v = tail / n
+        else:
+            v = table[bisect.bisect_right(keys, n) - 1][1]
         tp = n * v
-        if (v > prev + 1e-12 or tp < r.declared_floor - 1e-12
-                or (r.single_server and tp > 1 + 1e-12)):
+        if (not 0.0 < v < math.inf or v > prev + 1e-12 or tp < floor - 1e-12
+                or (single_server and tp > 1 + 1e-12)):
             return False
         prev = v
     return True
@@ -275,11 +276,3 @@ class TestRateVector:
         assert r.rate_vector(4) is r.rate_vector(2)
         assert classical_ps().rate_vector(4) is not r.rate_vector(4)
         assert dataclasses.replace(r, single_server=False).rate_vector(4) is not r.rate_vector(4)
-
-    def test_nonpositive_rate_still_raises(self):
-        r = table_rate(DOWN_TO_ZERO, declared_floor=0.0)
-        assert r.rate_vector(4)[1:5] == [r(k) for k in range(1, 5)]
-        with pytest.raises(ValueError, match="strictly positive"):
-            r.rate_vector(5)
-        with pytest.raises(ValueError, match="strictly positive"):
-            r(5)

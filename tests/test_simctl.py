@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpsq import checks, input_process, simctl, stationary
-from gpsq.dynamics import trajectory_rows
+from gpsq.dynamics import trajectory
 from gpsq.measures import ZERO
 from gpsq.rates import validate
 from gpsq.simctl import (
@@ -68,7 +68,7 @@ def write_config(path, **overrides):
 
 
 def forward_reference(cfg):
-    """(seed, trajectory_rows segments) of each forward_sim replication,
+    """(seed, trajectory segments) of each forward_sim replication,
     built from the replication's own input block."""
     r = rate_from_config(cfg.rate_spec)
     reps = []
@@ -78,7 +78,7 @@ def forward_reference(cfg):
         xi, sigma = gen.sample_block(0, cfg.horizon)
         arrivals = np.concatenate([[0.0], np.cumsum(xi)])
         events = [(float(arrivals[k]), float(sigma[k])) for k in range(cfg.horizon)]
-        reps.append((seed, trajectory_rows(ZERO, events, float(arrivals[-1]), r)))
+        reps.append((seed, trajectory(ZERO, events, float(arrivals[-1]), r)))
     return reps
 
 
@@ -371,7 +371,7 @@ class TestRunModes:
     def test_forward_sim_bytes_do_not_depend_on_jobs(self, tmp_path, n, fmt):
         # 7 and 21 replications do not split evenly into _map_ordered's
         # chunks at jobs=2; both formats must equal a reference built from
-        # trajectory_rows
+        # trajectory
         out = {}
         for jobs in (1, 2):
             path = tmp_path / f"f-{jobs}.{fmt}"
@@ -654,10 +654,17 @@ class TestRunModes:
             {"input": dict(MM_INPUT, seed="abc")},
             {"input": dict(MM_INPUT, seed=2.9), "base_seed": 3},
             {"input": dict(MM_INPUT, seed=True)},
+            # a forward run reads the rate too: increasing, above the
+            # single-server cap and below its floor
+            {"mode": "forward_sim", "replications": 2, "horizon": 50,
+             "rate": {"kind": "custom_table", "floor": 5.0, "single_server": True,
+                      "table": {1: 0.5, 2: 0.9}}},
         ]
         for i, overrides in enumerate(bad_specs):
             cfg = write_config(tmp_path / f"c{i}.yaml", **overrides)
             assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG, overrides
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"c{i}.yaml" for i in range(len(bad_specs)))
         cfg = write_config(tmp_path / "sweep.yaml", mode="stability_sweep")
         for rho in ("nan", "0.5,inf", "-1,0.5", "0,0.5"):
             assert main(["sweep", str(cfg), f"--rho={rho}", "--jobs", "1"]) == EXIT_CONFIG, rho
@@ -1013,3 +1020,27 @@ def test_perfbench_workloads_pass_the_set_up(tmp_path):
         input_process.generator_from_config(loaded.input_spec, seed_override=0)
         report = validate(perf_checks.rate_from_config(loaded.rate_spec))
         assert report.ok, (name, report.violations)
+
+
+def test_perfbench_tracer_counts_forward_segments(tmp_path):
+    """perfbench's tracer, installed around a forward_sim run as its worker
+    does, counts one trajectory segment per CSV data row."""
+    spans = _perfbench_module("spans")
+    cfg = ExperimentConfig.from_dict({
+        "schema_id": "gpsq-experiment-v1", "mode": "forward_sim", "base_seed": 3,
+        "replications": 3, "horizon": 40, "input": MM_INPUT,
+        "rate": {"kind": "classical_ps"},
+        "output": {"path": str(tmp_path / "f.csv"), "format": "csv"},
+    })
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        t0 = time.perf_counter()
+        simctl.run_experiment(cfg, jobs=1)
+        wall_s = time.perf_counter() - t0
+    finally:
+        tracer.uninstall()
+    data_rows = (tmp_path / "f.csv").read_bytes().count(b"\n") - 1
+    metrics = tracer.summary(wall_s)
+    assert metrics["dynamics.segments"] == data_rows > 0
+    assert metrics["dynamics.trajectory_s"] > 0.0

@@ -238,10 +238,10 @@ class TestPerfectSampling:
         assert res.converged >= 57
 
     def test_invalid_rate_rejected(self):
-        # unit rate flagged single-server violates the throughput cap
-        bad = replace(pure_delay(), single_server=True)
-        with pytest.raises(ValueError):
-            backward_coupling_ps(deterministic_input(3.0, 1.0), bad)
+        # unit rate flagged single-server violates the throughput cap: it
+        # cannot be built, so no sampler ever receives it
+        with pytest.raises(ValueError, match="single-server"):
+            replace(pure_delay(), single_server=True)
 
     @pytest.mark.parametrize("floor", [math.nan, math.inf, -0.5, 0.0])
     def test_floor_must_be_finite_and_positive(self, floor):
@@ -785,9 +785,8 @@ class TestBatchedSampler:
         assert backward_coupling_ps_batch([], half_interference()) == []
 
     def test_batch_rejects_what_the_single_call_rejects(self):
-        bad = replace(pure_delay(), single_server=True)
-        with pytest.raises(ValueError):
-            backward_coupling_ps_batch([deterministic_input(3.0, 1.0)], bad)
+        with pytest.raises(ValueError, match="positive throughput floor"):
+            backward_coupling_ps_batch([deterministic_input(3.0, 1.0)], table_rate({1: 1.0}, 0.0))
         with pytest.raises(ValueError):
             backward_coupling_ps_batch([deterministic_input(3.0, 1.0)], classical_ps(),
                                        max_lookback=0)
