@@ -8,6 +8,12 @@ one record per case: its per-unit median (``us_per_segment``,
 ``us_per_index``, ``ms_per_sample``, ``ms_per_call``, ``s_per_run``) with the quartiles,
 the raw per-call statistics in seconds, and the round count.  The cases import ``gpsq`` from this checkout's
 ``src/``.
+
+The machine's speed drifts, so perfbench's gpsq-free yardstick
+(``perfbench/worker.py::yardstick_s``) is timed before and after the cases,
+into ``yardstick_s``, and each case also gets ``median_scaled``: its median
+times perfbench's reference ``YARDSTICK_S`` over the median yardstick, the
+median the case would have read at the reference speed.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -23,6 +30,11 @@ import tempfile
 import numpy
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from run import YARDSTICK_S  # noqa: E402  (perfbench/run.py)
+from worker import yardstick_s  # noqa: E402  (perfbench/worker.py)
+
 SCALE = {"us_per_segment": 1e6, "us_per_row": 1e6, "us_per_value": 1e6, "us_per_step": 1e6,
          "us_per_term": 1e6, "us_per_index": 1e6, "ms_per_sample": 1e3, "ms_per_call": 1e3,
          "s_per_run": 1.0}
@@ -52,6 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("out", help="path of the JSON file to write")
     args = ap.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    yardstick = [yardstick_s()]
     with tempfile.TemporaryDirectory() as tmp:
         raw_path = os.path.join(tmp, "raw.json")
         subprocess.run(
@@ -61,6 +74,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         with open(raw_path, encoding="utf-8") as fh:
             raw = json.load(fh)
+    yardstick.append(yardstick_s())
+    scale = YARDSTICK_S / statistics.median(yardstick)
     cases = []
     for b in raw["benchmarks"]:
         unit, count = b["extra_info"]["unit"], b["extra_info"]["count"]
@@ -71,6 +86,7 @@ def main(argv: list[str] | None = None) -> int:
             "unit": unit,
             "count": count,
             "median": st["median"] * per,
+            "median_scaled": st["median"] * per * scale,
             "q1": st["q1"] * per,
             "q3": st["q3"] * per,
             "rounds": st["rounds"],
@@ -88,14 +104,18 @@ def main(argv: list[str] | None = None) -> int:
             "pytest_benchmark": raw.get("version"),
         },
         "datetime": raw.get("datetime"),
+        "yardstick_s": yardstick,
         "cases": cases,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
+    print(f"yardstick: {yardstick[0]:.4g} s before, {yardstick[1]:.4g} s after "
+          f"(reference {YARDSTICK_S} s)")
     for c in cases:
         print(f"{c['name']}: {c['median']:.4g} {c['unit']} "
-              f"(q1 {c['q1']:.4g}, q3 {c['q3']:.4g}, {c['rounds']} rounds)")
+              f"(q1 {c['q1']:.4g}, q3 {c['q3']:.4g}, {c['rounds']} rounds; "
+              f"scaled {c['median_scaled']:.4g})")
     return 0
 
 

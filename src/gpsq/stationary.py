@@ -21,13 +21,21 @@ restarting the recursion empty at such an epoch and iterating forward to
 the origin yields an exact draw from the stationary profile law.
 
 A backward scan over an infinite past is only computable with a stopping
-rule, and every result says whether its rule certified the value or the
-horizon was exhausted -- "unstable" and "did not look far enough" are never
-conflated.  The infinite-server pass certifies its two stops by a declared
-service-demand quantile.
-:func:`lindley_W` and the perfect sampler share one certificate
-(:func:`_certified`), and neither reads a term when the drift is
-nonnegative.
+rule, and every result says why its scan stopped, in a ``reason`` field
+holding one of three codes:
+
+* ``certified`` -- the rule certified the value: no deeper term can change it;
+* ``lookback_exhausted`` -- the cap was reached first, so the value rests on
+  a truncated past;
+* ``drift_nonnegative`` -- ``K_r E[xi] - E[sigma] <= 0``: no stationary law
+  exists, and nothing was read.
+
+So "unstable" and "did not look far enough" are never conflated, and a
+result's ``converged`` (``coupled``) is ``reason == "certified"``.  The
+infinite-server pass certifies its two stops by a declared service-demand
+quantile; it is stable at any load, so its reason is never
+``drift_nonnegative``.  :func:`lindley_W` and the perfect sampler share
+one certificate (:func:`_certified`).
 
 All three constructions run on one backward engine: a buffer of marks
 (:class:`_Backlog`) that deepens along one doubling schedule of depths
@@ -64,20 +72,15 @@ _FIRST_BLOCK = 256
 
 @dataclass(frozen=True)
 class LoynesResult:
-    """Value of a backward record construction plus its diagnostics.
+    """Value of a backward record construction and why its scan stopped.
 
-    ``argmax_index`` is the backward index ``j >= 1`` achieving the record
-    (``None`` when the record is the empty-past value 0).  ``converged``
-    means the stopping rule certified that deeper terms cannot raise the
-    value; otherwise the horizon was exhausted and the value is a lower
-    bound.
+    Unless ``reason`` is ``certified`` the value is a lower bound.
     """
 
     value: float
-    argmax_index: int | None
     converged: bool
     iterations: int
-    tail_bound_note: str
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class StationaryProfileResult:
     profile: CountingMeasure
     converged: bool
     iterations: int
-    truncation_note: str
+    reason: str
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,7 @@ class CouplingReport:
     ``regeneration_index`` is the (nonpositive) epoch found with zero
     Lindley workload; ``stationary_profile`` the exact stationary draw at
     index 0.  ``coupled`` is false when no certified regeneration epoch
-    exists within the lookback.  ``reason`` (not in the result files) is
-    ``certified``, ``drift_nonnegative`` (``K_r E[xi] - E[sigma] <= 0``: no
-    stationary law, nothing read) or ``lookback_exhausted``.
+    exists within the lookback.  ``reason`` is not in the result files.
     """
 
     coupled: bool
@@ -162,8 +163,7 @@ def gginf_stationary(
     ``sum xi > q``, past which no customer can still be present, and the
     record at the first ``q - sum xi <= best``, past which no candidate can
     beat it.  The pass deepens until both rules hold or the cap
-    ``max_lookback`` is reached, and each result keeps its own stop; the
-    record's ``argmax_index`` is the first term that reaches it.
+    ``max_lookback`` is reached, and each result keeps its own stop.
     """
     if max_lookback < 1:
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
@@ -182,28 +182,13 @@ def gginf_stationary(
     # same prefix at every depth
     i = int(gone.argmax()) + 1 if prof_ok else d
     j = int(beaten.argmax()) + 1 if rec_ok else d
-    v, top = cand[:i], float(best[j - 1])
+    v = cand[:i]
     profile = StationaryProfileResult(
-        profile=CountingMeasure(v[v >= 0.0].tolist()),
-        converged=prof_ok,
-        iterations=i,
-        truncation_note=(
-            f"certified: accumulated inter-arrival mass {float(sum_xi[i - 1])} exceeds the "
-            f"{DEFAULT_QUANTILE} service quantile ({qp})"
-            if prof_ok
-            else f"horizon exhausted at lookback {max_lookback}; atoms may be missing"
-        ),
+        CountingMeasure(v[v >= 0.0].tolist()), prof_ok, i,
+        "certified" if prof_ok else "lookback_exhausted",
     )
     record = LoynesResult(
-        value=max(top, 0.0),
-        argmax_index=int(cand[:j].argmax()) + 1 if top > 0.0 else None,
-        converged=rec_ok,
-        iterations=j,
-        tail_bound_note=(
-            f"certified: sum(xi) - best exceeds the {DEFAULT_QUANTILE} service quantile ({qp})"
-            if rec_ok
-            else f"horizon exhausted at lookback {max_lookback}"
-        ),
+        max(float(best[j - 1]), 0.0), rec_ok, j, "certified" if rec_ok else "lookback_exhausted"
     )
     return profile, record
 
@@ -255,9 +240,8 @@ def lindley_W(
     2 window))``, then doubling up to ``cap = max_lookback``, and stops at
     the first depth ``D`` where the perfect sampler's certificate
     (:func:`_certified`) holds at some epoch, whose workload is then zero:
-    the value is ``max(S_0 .. S_D)``, ``argmax_index`` the first term that
-    reaches it and ``iterations`` ``D``.  With nonnegative drift nothing is
-    read or certified.
+    the value is ``max(S_0 .. S_D)`` and ``iterations`` ``D``.  With
+    nonnegative drift nothing is read or certified.
     """
     if not 0.0 < k_r < math.inf:
         raise ValueError(f"drain rate must be positive and finite, got {k_r!r}")
@@ -265,7 +249,7 @@ def lindley_W(
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
     rule = _stopping_rule(gen, k_r, improvement_window)
     if rule is None:
-        return LoynesResult(0.0, None, False, 0, "drift nonnegative: no stationary workload")
+        return LoynesResult(0.0, False, 0, "drift_nonnegative")
     window, margin = rule
     buf = _Backlog([gen])
     for d in _depths(2 * window, max_lookback):
@@ -273,18 +257,8 @@ def lindley_W(
         s, ok = _certified(buf.terms(k_r, d), window, margin, max_lookback)
         if converged := bool(ok.any()):
             break
-    s, top = s[0], float(s.max())
-    note = (
-        f"certified: zero workload at epoch -{int(ok[0].argmax())} over {d} terms"
-        if converged
-        else f"horizon exhausted at lookback {max_lookback}"
-    )
     return LoynesResult(
-        value=top,
-        argmax_index=int(s.argmax()) if top > 0.0 else None,
-        converged=converged,
-        iterations=d,
-        tail_bound_note=note,
+        float(s.max()), converged, d, "certified" if converged else "lookback_exhausted"
     )
 
 

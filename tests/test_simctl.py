@@ -211,6 +211,39 @@ class TestConfigParsing:
         assert points == []
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("config, command, message", [
+        ({"rate": 5}, [], "rate spec must be a mapping with a 'kind' key"),
+        ("- 1\n- 2\n", [], "config must be a mapping"),
+        ("mode: [ps_perfect_sample\n", [], "cannot parse config"),
+        ({"input": [1, 2]}, [], "'input' must be a mapping"),
+        ({"mode": "stability_sweep", "sweep": {"rho": [0.5]},
+          "input": dict(MM_INPUT, sigma={"dist": "det", "value": 0})},
+         [], "sweep needs an input with a positive mean service demand"),
+        ({"mode": "stability_sweep"}, ["sweep", "--rho", "0.1:0.5"],
+         "--rho expects start:stop:step"),
+    ], ids=["rate-not-mapping", "yaml-list", "yaml-unparsable", "input-not-mapping",
+            "sweep-zero-demand", "rho-two-fields"])
+    def test_config_error_names_its_cause(self, tmp_path, monkeypatch, capsys, config, command,
+                                          message):
+        monkeypatch.chdir(tmp_path)
+        if isinstance(config, dict):
+            cfg = write_config(tmp_path / "c.yaml", **config)
+        else:
+            cfg = tmp_path / "c.yaml"
+            cfg.write_text(config)
+        command = command or ["run"]
+        assert main([command[0], str(cfg), *command[1:], "--jobs", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_pure_delay_perfect_sample_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml", replications=2, rate={"kind": "pure_delay"})
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text())))
+        assert len(rows) == 2
+
     def test_parse_rho(self):
         assert _parse_rho("0.5:1.0:0.25") == (0.5, 0.75, 1.0)
         # the stop is inclusive and never overshot

@@ -87,13 +87,11 @@ class TestLoynesRecord:
     def test_deterministic_positive_record(self):
         res = record(deterministic_input(1.0, 2.5))
         assert res.value == pytest.approx(1.5)
-        assert res.argmax_index == 1
         assert res.converged
 
     def test_deterministic_zero_record(self):
         res = record(deterministic_input(3.0, 1.0))
         assert res.value == 0.0
-        assert res.argmax_index is None
         assert res.converged
 
     def test_zero_services(self):
@@ -112,7 +110,7 @@ class TestLoynesRecord:
         res = record(g, max_lookback=50)
         assert not res.converged
         assert res.iterations == 50
-        assert "exhausted" in res.tail_bound_note
+        assert res.reason == "lookback_exhausted"
 
 
 class TestStationaryInfiniteServer:
@@ -160,8 +158,8 @@ class TestLindleyWorkload:
 
         monkeypatch.setattr(stationary, "sample_blocks", unread)
         res = lindley_W(deterministic_input(1.0, 2.0), 1.0, max_lookback=500)
-        assert (res.value, res.argmax_index, res.converged, res.iterations) == (0.0, None, False, 0)
-        assert "drift nonnegative" in res.tail_bound_note
+        assert (res.value, res.converged, res.iterations) == (0.0, False, 0)
+        assert res.reason == "drift_nonnegative"
 
     def test_alternating_prefix_maximum(self):
         # sigma alternates 1.5, 0.1 against xi = 1 at unit drain; the
@@ -410,31 +408,21 @@ def reference_loynes_L(gen, max_lookback=100_000, quantile=DEFAULT_QUANTILE):
     """The scalar record loop, as it was before the prefix pass."""
     qp = gen.sigma_quantile(quantile)
     best = -math.inf
-    best_j = None
     sum_xi = 0.0
     converged = False
     j = 0
     for j, (xi, sigma) in enumerate(backward_marks(gen, max_lookback), 1):
         sum_xi += xi
         cand = sigma - sum_xi
-        if cand > best:
-            best = cand
-            best_j = j
+        best = max(best, cand)
         if qp - sum_xi <= best:
             converged = True
             break
-    value = max(best, 0.0)
-    note = (
-        f"certified: sum(xi) - best exceeds the {quantile} service quantile ({qp})"
-        if converged
-        else f"horizon exhausted at lookback {max_lookback}"
-    )
     return LoynesResult(
-        value=value,
-        argmax_index=best_j if best > 0.0 else None,
+        value=max(best, 0.0),
         converged=converged,
         iterations=j,
-        tail_bound_note=note,
+        reason="certified" if converged else "lookback_exhausted",
     )
 
 
@@ -453,17 +441,11 @@ def reference_gginf(gen, max_lookback=100_000, quantile=DEFAULT_QUANTILE):
         if sum_xi > qp:
             converged = True
             break
-    note = (
-        f"certified: accumulated inter-arrival mass {sum_xi} exceeds the "
-        f"{quantile} service quantile ({qp})"
-        if converged
-        else f"horizon exhausted at lookback {max_lookback}; atoms may be missing"
-    )
     return StationaryProfileResult(
         profile=CountingMeasure(atoms),
         converged=converged,
         iterations=i,
-        truncation_note=note,
+        reason="certified" if converged else "lookback_exhausted",
     )
 
 
@@ -508,21 +490,15 @@ def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None)
     depth with a certified epoch (or the cap) gives the largest prefix sum."""
     rule = reference_rule(gen, k_r, improvement_window)
     if rule is None:
-        return LoynesResult(0.0, None, False, 0, "drift nonnegative: no stationary workload")
+        return LoynesResult(0.0, False, 0, "drift_nonnegative")
     window, margin = rule
     d = min(max_lookback, max(256, 2 * window))
     while not (found := certified_epochs(gen, k_r, d, window, margin, max_lookback)):
         if d == max_lookback:
             break
         d = min(max_lookback, 2 * d)
-    s = prefix_sums(gen, k_r, d)
-    top = max(s)
-    note = (
-        f"certified: zero workload at epoch -{found[0]} over {d} terms"
-        if found
-        else f"horizon exhausted at lookback {max_lookback}"
-    )
-    return LoynesResult(top, s.index(top) if top > 0.0 else None, bool(found), d, note)
+    reason = "certified" if found else "lookback_exhausted"
+    return LoynesResult(max(prefix_sums(gen, k_r, d)), bool(found), d, reason)
 
 
 def forward_from(gen, r, m):
@@ -685,19 +661,21 @@ class TestRecordPasses:
         assert (prof.converged, prof.iterations) == (max_lookback > 601, min(601, max_lookback))
 
     def test_exact_ties(self):
-        # candidates 1, -2, 1: the record is the first term that reaches it
+        # candidates 1, -2, 1 against the quantile 4: at term 3, q - sum xi
+        # = 1 ties the record, and the tie stops the scan
         g = backward_cycle(2.0, 0.0, 4.0, 0.0)
         got = record(g, 4)
         assert got == reference_loynes_L(g, 4)
-        assert (got.argmax_index, got.iterations) == (1, 3)
-        # partial sums 1, 1, 1, 0.5, 0, ... falling 2.5 a period: the
-        # record is the first of the three ties, and a tie ahead of epoch
-        # -1 leaves its workload zero, so the epoch is certified
+        assert (got.value, got.iterations, got.reason) == (1.0, 3, "certified")
+        # partial sums 1, 1, 1, 0.5, 0, ... falling 2.5 a period: a tie
+        # ahead of epoch -1 leaves its workload zero, so the epoch is
+        # certified, and the sampler regenerates there
         g = backward_cycle(2.0, 1.0, 1.0, *[0.5] * 7)
         got = lindley_W(g, 1.0, 100)
         assert got == reference_lindley_W(g, 1.0, 100)
-        assert (got.value, got.argmax_index, got.converged, got.iterations) == (1.0, 1, True, 100)
-        assert "epoch -1 " in got.tail_bound_note
+        assert (got.value, got.converged, got.iterations) == (1.0, True, 100)
+        rep = backward_coupling_ps(g, classical_ps(), max_lookback=100)
+        assert (rep.regeneration_index, rep.reason) == (-1, "certified")
         # partial sums -0.5 j against the derived margin 50 * 0.5 = 25: the
         # drop from S_0 reaches it exactly at term 50, and not before
         g = deterministic_input(1.0, 0.5)
@@ -803,3 +781,33 @@ class TestBatchedSampler:
         g = gens[0].shift(k)
         got = lindley_W(g, r.declared_floor, max_lookback, window)
         assert got == reference_lindley_W(g, r.declared_floor, max_lookback, window)
+
+
+# -- one vocabulary of stopping reasons ---------------------------------------
+
+CODES = ("certified", "lookback_exhausted", "drift_nonnegative")
+
+
+def test_every_backward_result_gives_one_of_the_three_reasons():
+    # the Pareto demands' quantile is far beyond 50 unit-mean gaps, so both
+    # halves of the infinite-server pass run out of lookback
+    pareto = iid_input(Exponential(1.0), Pareto(1.5, 1.0), seed=3)
+    stable, unstable = deterministic_input(3.0, 1.0), deterministic_input(1.0, 2.0)
+    cases = [
+        (gginf_stationary(deterministic_input(1.0, 2.5)), ["certified"] * 2),
+        (gginf_stationary(pareto, max_lookback=50), ["lookback_exhausted"] * 2),
+        ([lindley_W(stable, 0.5),
+          lindley_W(deterministic_input(1.0, 0.5), 1.0, 49, improvement_window=1),
+          lindley_W(unstable, 1.0)], list(CODES)),
+        # load 1/2 at a cap of 2 terms: below the derived window of 20
+        ([backward_coupling_ps(stable, half_interference()),
+          backward_coupling_ps(deterministic_input(1.0, 0.5), classical_ps(), max_lookback=1),
+          backward_coupling_ps(unstable, classical_ps())], list(CODES)),
+    ]
+    for results, reasons in cases:
+        assert [res.reason for res in results] == reasons
+        for res in results:
+            ok = res.coupled if isinstance(res, CouplingReport) else res.converged
+            assert ok == (res.reason == "certified")
+    # the codes are listed once, in the module's docstring
+    assert all(f"``{code}``" in stationary.__doc__ for code in CODES)
