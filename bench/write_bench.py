@@ -2,9 +2,9 @@
 
     python bench/write_bench.py BENCH_<tag>.json
 
-The file holds the git SHA of the checkout, facts about the machine, and
-one record per case: its per-unit median (``us_per_segment``,
-``us_per_row``, ``us_per_value``, ``us_per_step``, ``us_per_term``,
+The file holds the git SHA of the checkout (``null`` outside a git
+checkout), facts about the machine, and one record per case: its
+per-unit median (``us_per_segment``, ``us_per_row``, ``us_per_value``, ``us_per_step``, ``us_per_term``,
 ``us_per_index``, ``ms_per_sample``, ``ms_per_call``, ``s_per_run``) with the quartiles,
 the raw per-call statistics in seconds, and the round count.  The cases import ``gpsq`` from this checkout's
 ``src/``.
@@ -40,11 +40,17 @@ SCALE = {"us_per_segment": 1e6, "us_per_row": 1e6, "us_per_value": 1e6, "us_per_
          "s_per_run": 1.0}
 
 
-def _git_sha() -> str:
-    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                         text=True, check=True).stdout.strip()
-    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
-                           capture_output=True, text=True, check=True).stdout.strip()
+def _git_sha(root: str = ROOT) -> str | None:
+    """The commit checked out at ``root``, with ``-dirty`` when a tracked
+    file differs from it; ``None`` when git cannot name one (say, in a copy
+    made by ``git archive``)."""
+    try:
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                             text=True, check=True).stdout.strip()
+        dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                               cwd=root, capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
     return sha + ("-dirty" if dirty else "")
 
 
@@ -63,6 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", help="path of the JSON file to write")
     args = ap.parse_args(argv)
+    git_sha = _git_sha()  # before the cases, which take a while
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     yardstick = [yardstick_s()]
     with tempfile.TemporaryDirectory() as tmp:
@@ -94,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
                                             "q1", "q3", "iqr", "rounds", "iterations")},
         })
     record = {
-        "git_sha": _git_sha(),
+        "git_sha": git_sha,
         "machine": {
             "cpu": _cpu_model(),
             "cpus": os.cpu_count(),

@@ -180,10 +180,8 @@ class ExperimentConfig:
                 return default
             return v
 
-        replications = _pos_int("replications", 1)
-        horizon = _pos_int("horizon", 100)
-        max_lookback = _pos_int("max_lookback", 10_000)
-        stability_samples = _pos_int("stability_samples", 10_000)
+        counts = {name: _pos_int(name, getattr(cls, name))
+                  for name in ("replications", "horizon", "max_lookback", "stability_samples")}
         lindley_window = data.get("lindley_window")
         if lindley_window is not None and (
             not _is_int(lindley_window) or lindley_window < 1
@@ -205,11 +203,11 @@ class ExperimentConfig:
         if not isinstance(out, dict):
             errors.append(f"'output' must be a mapping, got {out!r}")
             out = {}
-        out_path = out.get("path", "")
+        out_path = out.get("path", cls.out_path)
         if not isinstance(out_path, str):
             errors.append(f"output.path must be a string, got {out_path!r}")
-            out_path = ""
-        out_format = out.get("format", "csv")
+            out_path = cls.out_path
+        out_format = out.get("format", cls.out_format)
         if out_format not in ("csv", "json"):
             errors.append(f"output.format must be 'csv' or 'json', got {out_format!r}")
         sweep = data.get("sweep", {})
@@ -228,10 +226,7 @@ class ExperimentConfig:
             input_spec=input_spec,
             rate_spec=data.get("rate", {}),
             base_seed=base_seed,
-            replications=replications,
-            horizon=horizon,
-            max_lookback=max_lookback,
-            stability_samples=stability_samples,
+            **counts,
             lindley_window=lindley_window,
             rho_grid=rho_grid,
             out_path=out_path,
@@ -766,18 +761,26 @@ class RunResult:
     out_path: str
     exhausted: int
     rows: int
+    failed_suites: int = 0
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
-    """Execute one experiment; returns the output path and how many
-    replications (or grid points) exhausted their horizon."""
+    """Execute one experiment; returns the output path, how many
+    replications (or grid points) exhausted their horizon and, in
+    ``invariant_suite`` mode, how many suites failed."""
     t0 = time.perf_counter()
     if cfg.mode == "invariant_suite":
-        recs = run_invariant_suites(seed=cfg.base_seed)
-        result = _finish(cfg, t0, _SUITE_HEADER, "suites", recs)
-        if not all(rec["ok"] for rec in recs):
-            raise SuiteFailure(result)
-        return result
+        return _finish(cfg, t0, _SUITE_HEADER, "suites", run_invariant_suites(seed=cfg.base_seed))
+    # looked up per call, so a worker patched on this module is the one run
+    data_modes = {
+        "ps_perfect_sample": (_worker_ps, _PS_HEADER, "replications"),
+        "gginf_stationary": (_worker_gginf, _GGINF_HEADER, "replications"),
+        "forward_sim": (_worker_forward, _FORWARD_HEADER, "replications"),
+        "stability_sweep": (_worker_sweep_point, _SWEEP_HEADER, "grid"),
+    }
+    if cfg.mode not in data_modes:
+        raise ConfigError(f"unknown mode {cfg.mode!r}")
+    worker, header, key = data_modes[cfg.mode]
     # the specs are interpreted once, here, which also rejects bad ones
     # before any worker starts; the workers get the objects
     try:
@@ -785,37 +788,24 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad input spec: {exc}") from None
     r = None if cfg.mode == "gginf_stationary" else rate_from_config(cfg.rate_spec)
-    reps = list(range(cfg.replications))
-    if cfg.mode == "ps_perfect_sample":
-        recs = _map_ordered(partial(_worker_ps, cfg, base, r), reps, jobs)
-        return _finish(cfg, t0, _PS_HEADER, "replications", recs)
+    items, fields = list(range(cfg.replications)), None
+    if cfg.mode == "stability_sweep":
+        if not cfg.rho_grid:
+            raise ConfigError("stability_sweep needs sweep.rho (a list of load values) or --rho")
+        # the sweep scales sigma by rho * K_r * E[xi] / E[sigma]
+        if not r.declared_floor > 0.0:
+            raise ConfigError(f"sweep needs a positive rate floor, got floor {r.declared_floor!r}")
+        if not base.mean_sigma() > 0.0:
+            raise ConfigError("sweep needs an input with a positive mean service demand")
+        items = list(cfg.rho_grid)
+    recs = _map_ordered(partial(worker, cfg, base, r), items, jobs)
     if cfg.mode == "gginf_stationary":
-        recs = list(_map_ordered(partial(_worker_gginf, cfg, base, r), reps, jobs))
+        recs = list(recs)
         conv = [rec for rec in recs if rec["L_converged"]]
         zeros = sum(1 for rec in conv if rec["L"] <= 1e-9)
         p_zero = zeros / len(conv) if conv else None
-        return _finish(cfg, t0, _GGINF_HEADER, "replications", recs,
-                       {"p_L_zero": {"estimate": p_zero, "n_converged": len(conv)}})
-    if cfg.mode == "forward_sim":
-        recs = _map_ordered(partial(_worker_forward, cfg, base, r), reps, jobs)
-        return _finish(cfg, t0, _FORWARD_HEADER, "replications", recs)
-    if cfg.mode != "stability_sweep":  # pragma: no cover - from_dict rejects unknown modes
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
-    if not cfg.rho_grid:
-        raise ConfigError("stability_sweep needs sweep.rho (a list of load values) or --rho")
-    # the sweep scales sigma by rho * K_r * E[xi] / E[sigma]
-    if not r.declared_floor > 0.0:
-        raise ConfigError(f"sweep needs a positive rate floor, got floor {r.declared_floor!r}")
-    if not base.mean_sigma() > 0.0:
-        raise ConfigError("sweep needs an input with a positive mean service demand")
-    recs = _map_ordered(partial(_worker_sweep_point, cfg, base, r), list(cfg.rho_grid), jobs)
-    return _finish(cfg, t0, _SWEEP_HEADER, "grid", recs)
-
-
-class SuiteFailure(Exception):
-    def __init__(self, result: RunResult):
-        self.result = result
-        super().__init__("one or more invariant suites failed")
+        fields = {"p_L_zero": {"estimate": p_zero, "n_converged": len(conv)}}
+    return _finish(cfg, t0, header, key, recs, fields)
 
 
 def _finish(cfg: ExperimentConfig, t0: float, header: Sequence[str], key: str,
@@ -824,15 +814,17 @@ def _finish(cfg: ExperimentConfig, t0: float, header: Sequence[str], key: str,
     as CSV under ``header`` (:func:`_csv_chunks`), or as the JSON object
     ``{"schema_id", "mode", **fields, key: recs}`` (:func:`_json_chunks`).
     Each record is written as it comes back, so a lazy ``recs`` is held one
-    record at a time, and counted as it streams past."""
+    record at a time, and counted as it streams past: every record, those
+    that exhausted their horizon, and the suite records that failed."""
     out = _resolve_out(cfg.out_path or f"simctl-{cfg.mode}.{cfg.out_format}")
-    rows = exhausted = 0
+    rows = exhausted = failed = 0
 
     def counted() -> Iterator[dict]:
-        nonlocal rows, exhausted
+        nonlocal rows, exhausted, failed
         for rec in recs:
             rows += 1
             exhausted += bool(rec.get("exhausted"))
+            failed += not rec.get("ok", True)
             yield rec
 
     if cfg.out_format == "csv":
@@ -842,7 +834,7 @@ def _finish(cfg: ExperimentConfig, t0: float, header: Sequence[str], key: str,
         chunks = _json_chunks(fields, key, counted())
     _atomic_write(out, chunks)
     _write_manifest(out, cfg, time.perf_counter() - t0, {"horizon_exhausted": exhausted})
-    return RunResult(out_path=out, exhausted=exhausted, rows=rows)
+    return RunResult(out_path=out, exhausted=exhausted, rows=rows, failed_suites=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -949,10 +941,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg.base_seed = args.seed
         if args.out is not None:
             cfg.out_path = args.out
-        try:
-            result = run_experiment(cfg, jobs=args.jobs)
-        except SuiteFailure as sf:
-            print(f"wrote {sf.result.out_path}", file=sys.stderr)
+        result = run_experiment(cfg, jobs=args.jobs)
+        if result.failed_suites:
+            print(f"wrote {result.out_path}", file=sys.stderr)
             return EXIT_SUITE_FAILED
         print(f"wrote {result.out_path} ({result.rows} records, "
               f"{result.exhausted} horizon-exhausted)", file=sys.stderr)

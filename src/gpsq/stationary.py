@@ -363,15 +363,12 @@ def _couple_batch(
 @dataclass(frozen=True)
 class StabilityReport:
     """Drift comparison ``E[sigma]`` vs ``K_r E[xi]`` with a no-decision
-    band of three standard errors."""
+    band of three standard errors: ``verdict`` is ``"stable"``,
+    ``"unstable"`` or ``"inconclusive"``, and ``margin`` the estimate of
+    ``K_r E[xi] - E[sigma]``."""
 
-    verdict: str  # "stable" | "unstable" | "inconclusive"
-    mean_xi: float
-    mean_sigma: float
-    floor: float
-    margin: float  # K_r * mean_xi - mean_sigma
-    se_margin: float
-    n_samples: int
+    verdict: str
+    margin: float
 
 
 def mean_se(a: np.ndarray) -> tuple[float, float]:
@@ -400,12 +397,4 @@ def check_stability(gen, r: RateFunction, n_samples: int = 10_000) -> StabilityR
         verdict = "unstable"
     else:
         verdict = "inconclusive"
-    return StabilityReport(
-        verdict=verdict,
-        mean_xi=mean_xi,
-        mean_sigma=mean_sigma,
-        floor=k_r,
-        margin=margin,
-        se_margin=se,
-        n_samples=n_samples,
-    )
+    return StabilityReport(verdict, margin)

@@ -237,6 +237,15 @@ class TestConfigParsing:
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_unknown_mode_of_a_built_config_is_config_error(self, tmp_path):
+        # from_dict refuses it too; a config built by hand reaches run_experiment
+        out = tmp_path / "bogus.csv"
+        cfg = ExperimentConfig(mode="bogus", input_spec=MM_INPUT,
+                               rate_spec={"kind": "half_interference"}, out_path=str(out))
+        with pytest.raises(ConfigError, match="unknown mode 'bogus'"):
+            run_experiment(cfg, jobs=1)
+        assert list(tmp_path.iterdir()) == []
+
     def test_pure_delay_perfect_sample_runs(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path / "c.yaml", replications=2, rate={"kind": "pure_delay"})
@@ -994,6 +1003,14 @@ class TestInvariantSuites:
         assert [row["suite"] for row in rows] == list(SUITE_NAMES)
         assert [row["suite"] for row in rows if row["ok"] == "False"] == ["oracle_equivalence"]
 
+    def test_failing_check_is_returned_not_raised(self, tmp_path, failing_oracle_check):
+        cfg = ExperimentConfig(mode="invariant_suite", input_spec={}, rate_spec={},
+                               out_path=str(tmp_path / "suites.csv"))
+        result = run_experiment(cfg, jobs=1)
+        assert (result.failed_suites, result.rows) == (1, len(SUITE_NAMES))
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "suites.csv").read_text())))
+        assert [row["suite"] for row in rows if row["ok"] == "False"] == ["oracle_equivalence"]
+
     def test_one_flipped_kernel_bit_fails_input_determinism(self, monkeypatch, capsys):
         # the lowest mantissa bit of the first uniform of every kernel call:
         # the check compares the kernel with numpy's generator
@@ -1077,3 +1094,17 @@ def test_perfbench_tracer_counts_forward_segments(tmp_path):
     metrics = tracer.summary(wall_s)
     assert metrics["dynamics.segments"] == data_rows > 0
     assert metrics["dynamics.trajectory_s"] > 0.0
+
+
+def test_write_bench_records_no_sha_outside_a_git_checkout(tmp_path):
+    """``bench/write_bench.py`` names no commit, rather than failing, in a
+    directory git does not know (a ``git archive`` copy, say).  Run in a
+    subprocess: importing it puts ``perfbench/`` on ``sys.path``."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import write_bench; "
+            "print(write_bench._git_sha(sys.argv[2]))")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env["GIT_CEILING_DIRECTORIES"] = str(tmp_path.parent)
+    out = subprocess.run([sys.executable, "-c", code, str(root / "bench"), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "None\n"
