@@ -7,7 +7,10 @@ checkout), facts about the machine, and one record per case: its
 per-unit median (``us_per_segment``, ``us_per_row``, ``us_per_value``, ``us_per_step``, ``us_per_term``,
 ``us_per_index``, ``ms_per_sample``, ``ms_per_call``, ``s_per_run``) with the quartiles,
 the raw per-call statistics in seconds, and the round count.  The cases import ``gpsq`` from this checkout's
-``src/``.
+``src/``.  One case is not a pytest-benchmark case: ``tier1`` times one run
+of the Tier-1 command (``python -m pytest -q --continue-on-collection-errors``
+at the root, with ``PYTHONPATH=src``) in a fresh process, in ``s_per_run``
+over 1 round.  The Tier-1 tests never run this script, so it cannot recurse.
 
 The machine's speed drifts, so perfbench's gpsq-free yardstick
 (``perfbench/worker.py::yardstick_s``) is timed before and after the cases,
@@ -26,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy
 
@@ -52,6 +56,14 @@ def _git_sha(root: str = ROOT) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return sha + ("-dirty" if dirty else "")
+
+
+def _tier1_s(env: dict) -> float:
+    """Wall time of one Tier-1 run in a fresh process; a failing run raises."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                   cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - t0
 
 
 def _cpu_model() -> str:
@@ -81,7 +93,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         with open(raw_path, encoding="utf-8") as fh:
             raw = json.load(fh)
+    t = _tier1_s(env)
     yardstick.append(yardstick_s())
+    raw["benchmarks"].append({
+        "name": "tier1", "extra_info": {"unit": "s_per_run", "count": 1},
+        "stats": {"min": t, "max": t, "mean": t, "stddev": 0.0, "median": t, "q1": t, "q3": t,
+                  "iqr": 0.0, "rounds": 1, "iterations": 1},
+    })
     scale = YARDSTICK_S / statistics.median(yardstick)
     cases = []
     for b in raw["benchmarks"]:

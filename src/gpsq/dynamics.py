@@ -115,9 +115,6 @@ def step(
 # ---------------------------------------------------------------------------
 
 
-TRAJECTORY_CSV_HEADER = ("t_start", "t_end", "q", "w_start", "drain_rate")
-
-
 def trajectory(
     mu0: CountingMeasure,
     events: Sequence[tuple[float, float]],

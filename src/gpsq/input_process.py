@@ -49,8 +49,9 @@ state moves one way.  Coupling from the past (Propp & Wilson, 1996)
 composes the moves of the indices before a block's first one, doubling the
 lookback from 8 until all start states coalesce; the block walks that
 state forward by the same moves, which gives the state coupling from the
-past would find at every later index.  The construction check searches the
-same moves.
+past would find at every later index.  The construction check finds
+irreducibility by reachability over the matrix's positive entries, and
+coalescence by a search of the same moves.
 """
 
 from __future__ import annotations
@@ -337,19 +338,6 @@ def _marks(
     return xi_dist.transform(u[:, 0]), sigma_dist.transform(u[:, xi_dist.consumes])
 
 
-def _bool_power(m: np.ndarray, e: int) -> np.ndarray:
-    """The boolean power ``m**e`` of a 0/1 integer matrix: entry ``(i, j)``
-    says whether a walk of exactly ``e`` steps leads from ``i`` to ``j``.
-    By squaring, each product clipped back to 0/1, so nothing overflows."""
-    out = np.eye(len(m), dtype=np.int64)
-    while e:
-        if e & 1:
-            out = np.minimum(out @ m, 1)
-        m = np.minimum(m @ m, 1)
-        e >>= 1
-    return out.astype(bool)
-
-
 @dataclass(frozen=True)
 class MarkovModulatedModel:
     """Finite ergodic chain sampled at arrival epochs, modulating the
@@ -385,10 +373,17 @@ class MarkovModulatedModel:
                 raise ValueError("inter-arrival distributions must have positive mean")
         if k == 1:  # the row is (1.0,): irreducible and aperiodic
             return
-        # irreducible: every state reaches every other within k - 1 steps
-        a = (np.array(self.transition) > 0.0).astype(np.int64)
-        if not _bool_power(a | np.eye(k, dtype=np.int64), k - 1).all():
-            raise ValueError("chain is not irreducible")
+        # irreducible: along the positive entries, state 0 reaches every
+        # state (a closure along the rows) and every state reaches state 0
+        # (the same closure along the columns)
+        for m in (self.transition, tuple(zip(*self.transition))):
+            reached, todo = {0}, [0]
+            while todo:
+                new = {j for j, p in enumerate(m[todo.pop()]) if p > 0.0} - reached
+                reached |= new
+                todo += new
+            if len(reached) < k:
+                raise ValueError("chain is not irreducible")
         # coupling from the past must be able to end: search the state sets
         # that runs of the coupling's moves reach from the full set for a
         # single state
@@ -625,11 +620,13 @@ def generator_from_config(cfg: dict, seed_override: int | None = None) -> Marked
             Deterministic(config_number(cfg["sigma"], "deterministic sigma")),
         )
     elif kind == "markov_modulated":
-        states = cfg["states"]
+        states, rows = cfg["states"], cfg["transition"]
+        # a string would be read character by character
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"transition must be a list of rows, each a list, got {rows!r}")
         model = MarkovModulatedModel(
             transition=tuple(
-                tuple(config_number(p, "transition probability") for p in row)
-                for row in cfg["transition"]
+                tuple(config_number(p, "transition probability") for p in row) for row in rows
             ),
             xi_dists=tuple(dist_from_config(s["xi"]) for s in states),
             sigma_dists=tuple(dist_from_config(s["sigma"]) for s in states),

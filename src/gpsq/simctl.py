@@ -26,7 +26,7 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
@@ -35,7 +35,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import TRAJECTORY_CSV_HEADER, trajectory
+from .dynamics import trajectory
 from .input_process import (
     MarkedInputGenerator,
     config_number,
@@ -127,10 +127,12 @@ def rate_from_config(cfg: dict) -> RateFunction:
     raise ConfigError(f"unknown rate kind {kind!r}")
 
 
-def _rho_grid(values: Iterable, what: str) -> tuple[float, ...]:
-    """Load values from ``what`` (``sweep.rho`` or ``--rho``): finite and
-    positive numbers."""
+def _rho_grid(values: Any, what: str) -> tuple[float, ...]:
+    """Load values from ``what`` (``sweep.rho`` or ``--rho``): a list of
+    finite and positive numbers."""
     try:
+        if not isinstance(values, list):  # a string would be read by character
+            raise TypeError
         grid = tuple(config_number(x, what) for x in values)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be a list of finite numbers, got {values!r}") from None
@@ -170,39 +172,32 @@ class ExperimentConfig:
         if "rate" not in data and mode not in ("invariant_suite", "gginf_stationary"):
             errors.append("missing 'rate' (rate function spec)")
 
-        def _is_int(v: Any) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool)
+        def integer(name: str, value: Any, default: Any, least: int | None = None) -> Any:
+            """``value`` if it is an integer (a bool is not) of at least
+            ``least``; else ``default``, and an error is noted."""
+            if isinstance(value, int) and not isinstance(value, bool) and (
+                    least is None or value >= least):
+                return value
+            kind = "an integer" if least is None else "a positive integer"
+            errors.append(f"{name} must be {kind}, got {value!r}")
+            return default
 
-        def _pos_int(name: str, default: int) -> int:
-            v = data.get(name, default)
-            if not _is_int(v) or v < 1:
-                errors.append(f"{name} must be a positive integer, got {v!r}")
-                return default
-            return v
+        def mapping(key: str) -> dict:
+            value = data.get(key, {})
+            if isinstance(value, dict):
+                return value
+            errors.append(f"'{key}' must be a mapping, got {value!r}")
+            return {}
 
-        counts = {name: _pos_int(name, getattr(cls, name))
+        counts = {name: integer(name, data.get(name, getattr(cls, name)), getattr(cls, name), 1)
                   for name in ("replications", "horizon", "max_lookback", "stability_samples")}
         lindley_window = data.get("lindley_window")
-        if lindley_window is not None and (
-            not _is_int(lindley_window) or lindley_window < 1
-        ):
-            errors.append(f"lindley_window must be a positive integer, got {lindley_window!r}")
-        input_spec = data.get("input", {})
-        if not isinstance(input_spec, dict):
-            errors.append(f"'input' must be a mapping, got {input_spec!r}")
-            input_spec = {}
-        input_seed = input_spec.get("seed", 0)
-        if not _is_int(input_seed):
-            errors.append(f"input.seed must be an integer, got {input_seed!r}")
-            input_seed = 0
-        base_seed = data.get("base_seed", input_seed)
-        if not _is_int(base_seed):
-            errors.append(f"base_seed must be an integer, got {base_seed!r}")
-            base_seed = 0
-        out = data.get("output", {})
-        if not isinstance(out, dict):
-            errors.append(f"'output' must be a mapping, got {out!r}")
-            out = {}
+        if lindley_window is not None:
+            lindley_window = integer("lindley_window", lindley_window, None, 1)
+        input_spec = mapping("input")
+        input_seed = integer("input.seed", input_spec.get("seed", 0), 0)
+        base_seed = integer("base_seed", data.get("base_seed", input_seed), 0)
+        out = mapping("output")
         out_path = out.get("path", cls.out_path)
         if not isinstance(out_path, str):
             errors.append(f"output.path must be a string, got {out_path!r}")
@@ -210,12 +205,8 @@ class ExperimentConfig:
         out_format = out.get("format", cls.out_format)
         if out_format not in ("csv", "json"):
             errors.append(f"output.format must be 'csv' or 'json', got {out_format!r}")
-        sweep = data.get("sweep", {})
-        if not isinstance(sweep, dict):
-            errors.append(f"'sweep' must be a mapping, got {sweep!r}")
-            sweep = {}
         try:
-            rho_grid = _rho_grid(sweep.get("rho", ()), "sweep.rho")
+            rho_grid = _rho_grid(mapping("sweep").get("rho", []), "sweep.rho")
         except ConfigError as exc:
             errors.append(str(exc))
             rho_grid = ()
@@ -232,24 +223,6 @@ class ExperimentConfig:
             out_path=out_path,
             out_format=out_format,
         )
-
-    def effective_dict(self) -> dict:
-        """Canonical form of the fully resolved config (hashed into the
-        manifest)."""
-        return {
-            "schema_id": SCHEMA_ID,
-            "mode": self.mode,
-            "input": self.input_spec,
-            "rate": self.rate_spec,
-            "base_seed": self.base_seed,
-            "replications": self.replications,
-            "horizon": self.horizon,
-            "max_lookback": self.max_lookback,
-            "stability_samples": self.stability_samples,
-            "lindley_window": self.lindley_window,
-            "sweep": {"rho": list(self.rho_grid)},
-            "output": {"path": self.out_path, "format": self.out_format},
-        }
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -351,7 +324,7 @@ def _write_manifest(out_path: str, cfg: ExperimentConfig, wall_s: float, extra: 
     payload = {
         "schema_id": SCHEMA_ID,
         "config_sha256": hashlib.sha256(
-            json.dumps(cfg.effective_dict(), sort_keys=True).encode()
+            json.dumps(asdict(cfg), sort_keys=True).encode()
         ).hexdigest(),
         "mode": cfg.mode,
         "base_seed": cfg.base_seed,
@@ -750,7 +723,7 @@ _SWEEP_HEADER = (
     "se_w",
     "replications",
 )
-_FORWARD_HEADER = ("replication", "seed") + TRAJECTORY_CSV_HEADER
+_FORWARD_HEADER = ("replication", "seed", "t_start", "t_end", "q", "w_start", "drain_rate")
 
 
 _SUITE_HEADER = ("suite", "ok", "detail")
@@ -950,9 +923,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.strict and result.exhausted:
             return EXIT_EXHAUSTED
         return EXIT_OK
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OverflowError) as exc:
         # a ValueError is a config-induced runtime rejection (e.g. a
-        # perfect sample asked of a rate with floor 0)
+        # perfect sample asked of a rate with floor 0), and an OverflowError
+        # a count too large for a machine integer (replications: 2**70)
         print(f"simctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

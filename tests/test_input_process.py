@@ -1,5 +1,6 @@
 """Tests for seeded shift-indexable marked input sequences."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -248,6 +249,29 @@ class TestMarkovModulated:
         for transition in reducible:
             with pytest.raises(ValueError, match="irreducible"):
                 self.chain(transition)
+
+    def test_refuses_exactly_the_reducible_chains(self):
+        # every 2- and 3-state chain with entries in {0, 1/4, 1/2, 3/4, 1}:
+        # construction refuses as reducible exactly the chains whose graph of
+        # positive entries is not strongly connected (Warshall's closure,
+        # here), and refuses any other only as one that cannot coalesce
+        for k in (2, 3):
+            rows = [row for row in itertools.product(range(5), repeat=k) if sum(row) == 4]
+            for quarters in itertools.product(rows, repeat=k):
+                reach = [[i == j or quarters[i][j] > 0 for j in range(k)] for i in range(k)]
+                for m in range(k):
+                    reach = [[reach[i][j] or (reach[i][m] and reach[m][j]) for j in range(k)]
+                             for i in range(k)]
+                try:
+                    self.chain(tuple(tuple(q / 4 for q in row) for row in quarters))
+                    message = None
+                except ValueError as exc:
+                    message = str(exc)
+                if all(map(all, reach)):
+                    assert message in (None, "chain is not aperiodic or its inverse-CDF "
+                                             "coupling never coalesces"), quarters
+                else:
+                    assert message == "chain is not irreducible", quarters
 
     def test_rejects_chain_that_cannot_coalesce(self):
         # irreducible, with self-loops, yet under the inverse-CDF coupling

@@ -1,15 +1,20 @@
 """Integration tests for the simctl front end."""
 
+import contextlib
+import copy
 import csv
 import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -46,9 +51,12 @@ from gpsq.simctl import (
 from gpsq.stationary import BATCH_ROWS
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 from test_golden import GOLDEN, SCHEMA_ID
+from test_golden import MM_INPUT as MODULATED_INPUT
 
 MM_INPUT = {"model": "iid", "xi": {"dist": "exp", "mean": 3},
             "sigma": {"dist": "exp", "mean": 1}}
+ONE_STATE_MM = {"model": "markov_modulated", "transition": [[1.0]],
+                "states": [{"xi": {"dist": "exp", "mean": 3}, "sigma": {"dist": "exp", "mean": 1}}]}
 
 
 def write_config(path, **overrides):
@@ -140,6 +148,38 @@ class TestConfigParsing:
                 "output": {"path": "x", "format": "xml"},
             })
 
+    def test_every_field_wrong_lists_every_message_in_order(self):
+        modes = ("('forward_sim', 'gginf_stationary', 'ps_perfect_sample', 'stability_sweep', "
+                 "'invariant_suite')")
+        head = ("schema_id must be 'gpsq-experiment-v1', got 'v0'; "
+                f"mode must be one of {modes}, got 'nope'; "
+                "missing 'rate' (rate function spec); "
+                "replications must be a positive integer, got 0; "
+                "horizon must be a positive integer, got -1; "
+                "max_lookback must be a positive integer, got 0.5; "
+                "stability_samples must be a positive integer, got True; "
+                "lindley_window must be a positive integer, got 'x'; ")
+        data = {"schema_id": "v0", "mode": "nope", "replications": 0, "horizon": -1,
+                "max_lookback": 0.5, "stability_samples": True, "lindley_window": "x",
+                "input": {"seed": "7"}, "base_seed": None,
+                "output": {"path": 5, "format": "xml"}, "sweep": {"rho": ["a"]}}
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(data)
+        assert str(exc.value) == head + (
+            "input.seed must be an integer, got '7'; "
+            "base_seed must be an integer, got None; "
+            "output.path must be a string, got 5; "
+            "output.format must be 'csv' or 'json', got 'xml'; "
+            "sweep.rho must be a list of finite numbers, got ['a']")
+        # the three sections that are not mappings: nothing inside them is read
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict(dict(data, input=[1], output="o", sweep=3))
+        assert str(exc.value) == head + (
+            "'input' must be a mapping, got [1]; "
+            "base_seed must be an integer, got None; "
+            "'output' must be a mapping, got 'o'; "
+            "'sweep' must be a mapping, got 3")
+
     def test_rate_specs(self):
         assert rate_from_config({"kind": "classical_ps"}).kind == "classical_ps"
         assert rate_from_config({"kind": "scaled_ps", "k": 0.5}).declared_floor == 0.5
@@ -221,8 +261,17 @@ class TestConfigParsing:
          [], "sweep needs an input with a positive mean service demand"),
         ({"mode": "stability_sweep"}, ["sweep", "--rho", "0.1:0.5"],
          "--rho expects start:stop:step"),
+        # strings are not lists: "12" was the loads 1.0 and 2.0, and "1" the
+        # one-state chain [[1.0]]
+        ({"mode": "stability_sweep", "sweep": {"rho": "12"}}, [],
+         "sweep.rho must be a list of finite numbers, got '12'"),
+        ({"input": dict(ONE_STATE_MM, transition="1")}, [],
+         "transition must be a list of rows, each a list, got '1'"),
+        ({"input": dict(ONE_STATE_MM, transition=["1"])}, [],
+         "transition must be a list of rows, each a list, got ['1']"),
     ], ids=["rate-not-mapping", "yaml-list", "yaml-unparsable", "input-not-mapping",
-            "sweep-zero-demand", "rho-two-fields"])
+            "sweep-zero-demand", "rho-two-fields", "rho-string", "transition-string",
+            "transition-row-string"])
     def test_config_error_names_its_cause(self, tmp_path, monkeypatch, capsys, config, command,
                                           message):
         monkeypatch.chdir(tmp_path)
@@ -235,6 +284,19 @@ class TestConfigParsing:
         assert main([command[0], str(cfg), *command[1:], "--jobs", "1"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("mode", ["forward_sim", "gginf_stationary", "ps_perfect_sample",
+                                      "stability_sweep"])
+    def test_count_past_a_machine_integer_exits_config(self, tmp_path, monkeypatch, capsys,
+                                                       mode):
+        # range(2**70) cannot be listed: an OverflowError, not a traceback
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml", mode=mode, replications=2**70,
+                           sweep={"rho": [0.5]})
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("simctl: config error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_unknown_mode_of_a_built_config_is_config_error(self, tmp_path):
@@ -268,6 +330,121 @@ class TestConfigParsing:
                     "0.5:inf:0.1", "0:1:0.5", "0.5:1:0", "0.5:1:-0.1"):
             with pytest.raises(ConfigError, match="--rho"):
                 _parse_rho(bad)
+
+
+def fuzz_bases():
+    """The shipped configs, shrunk to run in milliseconds, and a sweep of
+    Markov-modulated input over a table rate."""
+    bases = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")):
+        cfg = yaml.safe_load(path.read_text())
+        cfg.update(replications=3, horizon=20, max_lookback=200, stability_samples=50)
+        if cfg["mode"] == "stability_sweep":
+            cfg.update(replications=2, sweep={"rho": [0.5, 1.2]})
+        bases.append(cfg)
+    bases.append({
+        "schema_id": SCHEMA_ID, "mode": "stability_sweep", "base_seed": 7, "replications": 2,
+        "max_lookback": 200, "stability_samples": 50, "input": MODULATED_INPUT,
+        "rate": {"kind": "custom_table", "floor": 0.9,
+                 "table": {n: (0.9 + 0.1 / n) / n for n in range(1, 5)}},
+        "sweep": {"rho": [0.5, 1.2]}, "output": {"path": "mm.csv", "format": "csv"}})
+    return bases
+
+
+FUZZ_BASES = fuzz_bases()
+
+# no count between about 10**5 and 2**63: such a run is long, or asks for
+# terabytes; 2**70 does not fit a machine integer
+FUZZ_VALUES = ("12", "x", "", [1, 2], {}, True, None, math.nan, math.inf, -math.inf, 0, -1,
+               0.5, 2**70)
+
+
+def field_paths(node, path=()):
+    """The key path of every field of a config, at any depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def mutate(cfg, path, action):
+    """``cfg`` with the field at ``path`` deleted (``"delete"``), an unknown
+    key added beside it (``"unknown"``; an extra entry in a list), or set to
+    ``action``'s value (``("set", value)``)."""
+    cfg = copy.deepcopy(cfg)
+    *where, key = path
+    parent = reduce(lambda node, k: node[k], where, cfg)
+    if action == "delete":
+        del parent[key]
+    elif action == "unknown":
+        if isinstance(parent, dict):
+            parent["unknown_key"] = 1
+        else:
+            parent.append(copy.deepcopy(parent[key]))
+    else:
+        parent[key] = copy.deepcopy(action[1])
+    return cfg
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = draw(st.sampled_from(FUZZ_BASES))
+    path = draw(st.sampled_from(list(field_paths(cfg))))
+    action = draw(st.one_of(st.sampled_from(["delete", "unknown"]),
+                            st.tuples(st.just("set"), st.sampled_from(FUZZ_VALUES))))
+    return mutate(cfg, path, action)
+
+
+def run_in_fresh_dir(data, jobs):
+    """``simctl run`` of the config ``data`` in process, in a new directory:
+    its exit code and every file it left there but the config, by name.
+    Bounded by a 10 s alarm."""
+    def stalled(signum, frame):
+        raise TimeoutError("simctl run took longer than 10 s")
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(10)
+        try:
+            Path("c.yaml").write_text(yaml.safe_dump(data))
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["run", "c.yaml", "--jobs", str(jobs)])
+            return code, {name: Path(name).read_bytes() for name in sorted(os.listdir("."))
+                          if name != "c.yaml"}
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            os.chdir(cwd)
+
+
+def results(files):
+    """``files`` without the manifests, which record wall time."""
+    return {name: data for name, data in files.items() if not name.endswith(".manifest.json")}
+
+
+class TestConfigFuzz:
+    """One field of a working config, at any depth, deleted, joined by an
+    unknown key, or set to a value of the wrong type or range: ``simctl
+    run`` exits 0 or 2 and never raises; at 2 it leaves no file, output or
+    temp, and at 0 ``--jobs 2`` writes the same bytes."""
+
+    @given(mutated_configs())
+    @settings(max_examples=120, deadline=None, database=None)
+    def test_one_field_mutation_exits_cleanly(self, data):
+        code, files = run_in_fresh_dir(data, 1)
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        if code == EXIT_CONFIG:
+            assert files == {}
+        else:
+            code_2, files_2 = run_in_fresh_dir(data, 2)
+            assert code_2 == code and results(files_2) == results(files) != {}
 
 
 class TestRunModes:
