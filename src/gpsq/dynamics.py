@@ -131,6 +131,11 @@ def trajectory(
     arrivals and -1 at departures; an arrival landing exactly on a
     departure instant is processed departure-first (the recursion's
     just-before-arrival convention).  Zero-length segments are dropped.
+
+    Contract (``forward_sim``'s CSV renderer formats from it): the first
+    row starts at 0.0 and each later one at the previous row's ``t_end``,
+    bit for bit, and ``drain_rate`` is ``q * r.rate_vector(q)[q]``, one
+    value per ``q``.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")

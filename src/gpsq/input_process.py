@@ -421,15 +421,16 @@ class MarkovModulatedModel:
     def _coupling(self) -> tuple[np.ndarray, list[list[int]]]:
         """The grand coupling as a table ``(lefts, moves)``.  One shared
         uniform ``u`` moves each state ``s`` by its row's inverse CDF, to
-        the first ``j`` with ``u < p_s0 + ... + p_sj`` (the last state when
-        there is none).  Every running sum below 1 is in the sorted
-        ``lefts``, with 0, so each row's move is constant on each interval
-        ``[lefts[i], lefts[i + 1])``: it is ``moves[i][s]``."""
+        the first ``j`` with ``u < p_s0 + ... + p_sj``.  Where there is none
+        (a row whose sums end an ulp below 1) it moves to the row's last
+        state of positive probability.  Every running sum below 1 is in the
+        sorted ``lefts``, with 0, so each row's move is constant on each
+        interval ``[lefts[i], lefts[i + 1])``: it is ``moves[i][s]``."""
         sums = [list(accumulate(row)) for row in self.transition]
         lefts = sorted({0.0} | {acc for row in sums for acc in row if acc < 1.0})
-        last = self.n_states - 1
-        moves = [[next((j for j, acc in enumerate(row) if u < acc), last) for row in sums]
-                 for u in lefts]
+        lasts = [max(j for j, p in enumerate(row) if p > 0.0) for row in self.transition]
+        moves = [[next((j for j, acc in enumerate(row) if u < acc), last)
+                  for row, last in zip(sums, lasts)] for u in lefts]
         return np.array(lefts), moves
 
     def state_at(self, seed: int, index: int) -> int:

@@ -320,12 +320,26 @@ def _json_chunks(fields: dict, key: str, recs: Iterable[dict]) -> Iterator[bytes
     yield (end + tail + "\n").encode("utf-8")
 
 
+def _config_sha256(cfg: ExperimentConfig) -> str:
+    """The sha256 of ``cfg`` as JSON with each mapping's keys in order:
+    numbers by value, then strings, then any other key as its ``repr``.
+    So keys of mixed types (a table's ``1`` and ``"2"``) still sort, where
+    ``sort_keys`` would compare them with ``<``; keys of one kind sort as
+    ``sort_keys`` sorts them.  A value JSON cannot encode is its ``repr``."""
+    def ordered(x: Any) -> Any:
+        if isinstance(x, dict):
+            ranked = [((0, k) if isinstance(k, (int, float)) else
+                       (1, k) if isinstance(k, str) else (2, repr(k)), v) for k, v in x.items()]
+            ranked.sort(key=lambda item: item[0])
+            return {k: ordered(v) for (_, k), v in ranked}
+        return [ordered(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+    return hashlib.sha256(json.dumps(ordered(asdict(cfg)), default=repr).encode()).hexdigest()
+
+
 def _write_manifest(out_path: str, cfg: ExperimentConfig, wall_s: float, extra: dict) -> None:
     payload = {
         "schema_id": SCHEMA_ID,
-        "config_sha256": hashlib.sha256(
-            json.dumps(asdict(cfg), sort_keys=True).encode()
-        ).hexdigest(),
         "mode": cfg.mode,
         "base_seed": cfg.base_seed,
         "replications": cfg.replications,
@@ -629,39 +643,27 @@ def _forward_csv_rows(i: int, seed: int, segments: Sequence[tuple]) -> bytes:
     simulated it, so the parent only concatenates; the bytes are those of
     ``"%d,%d,%.17g,%.17g,%d,%.17g,%.17g\n"`` per segment.
 
-    Each value is formatted once: a ``t_start`` equal in bits to the row
-    before's ``t_end`` reuses its text, and each ``(q, drain_rate)`` pair,
-    keyed on the float's bits, is formatted once per replication."""
+    It renders from :func:`~gpsq.dynamics.trajectory`'s contract.  Each row
+    starts where the row before it ended, bit for bit, so one text per end
+    time (and one for the first start) is a row's ``t_end`` and the next
+    row's ``t_start``.  ``drain_rate`` is ``q * r(q)``, one value per
+    occupancy, so each ``q`` and its drain are formatted once per
+    replication."""
+    n = len(segments)
+    t_start, t_end, q, w_start, drain = np.fromiter(
+        chain.from_iterable(segments), np.float64, 5 * n).reshape(n, 5).T
+    occupancy, first, which = np.unique(q, return_index=True, return_inverse=True)
+    q_text = np.array([b"%d," % k for k in occupancy.astype(np.int64).tolist()])
+    drain_text = np.array([b"%.17g\n" % d for d in drain[first].tolist()])
+    times = np.concatenate((t_start[:1], t_end))
     prefix = b"%d,%d," % (i, seed)
-    pair_text: dict[tuple[int, int], tuple[bytes, bytes]] = {}
     blocks = []
-    for lo in range(0, len(segments), _ROW_BLOCK):
-        block = segments[lo:lo + _ROW_BLOCK]
-        n = len(block)
-        t_start, t_end, q, w_start, drain = np.fromiter(
-            chain.from_iterable(block), np.float64, 5 * n).reshape(n, 5).T
-        end = _g17(t_end)
-        start = np.empty_like(end)
-        start[1:] = end[:-1]
-        fresh = np.flatnonzero(t_start.view(np.int64)[1:] != t_end.view(np.int64)[:-1]) + 1
-        fresh = np.concatenate(([0], fresh))
-        start[fresh] = _g17(t_start[fresh])
-        # the distinct (q, drain bits) pairs, and which one each row has
-        qs, bits = q.astype(np.int64), drain.view(np.int64)
-        order = np.lexsort((bits, qs))
-        qs, bits = qs[order], bits[order]
-        new = np.concatenate(([True], (qs[1:] != qs[:-1]) | (bits[1:] != bits[:-1])))
-        pair = np.empty(n, dtype=np.intp)
-        pair[order] = np.cumsum(new) - 1
-        texts = []
-        for key, rate in zip(zip(qs[new].tolist(), bits[new].tolist()),
-                             drain[order[new]].tolist()):
-            if key not in pair_text:
-                pair_text[key] = (b"%d," % key[0], b"%.17g\n" % rate)
-            texts.append(pair_text[key])
-        q_text, drain_text = (np.array(col)[pair] for col in zip(*texts))
-        blocks.append(_join_columns(n, (
-            prefix, start, b",", end, b",", q_text, _g17(w_start), b",", drain_text)))
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        time_text, pair = _g17(times[lo:hi + 1]), which[lo:hi]
+        blocks.append(_join_columns(hi - lo, (
+            prefix, time_text[:-1], b",", time_text[1:], b",", q_text[pair],
+            _g17(w_start[lo:hi]), b",", drain_text[pair])))
     return b"".join(blocks)
 
 
@@ -772,7 +774,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> RunResult:
             raise ConfigError("sweep needs an input with a positive mean service demand")
         items = list(cfg.rho_grid)
     recs = _map_ordered(partial(worker, cfg, base, r), items, jobs)
-    if cfg.mode == "gginf_stationary":
+    if cfg.mode == "gginf_stationary" and cfg.out_format == "json":  # CSV has no p_L_zero
         recs = list(recs)
         conv = [rec for rec in recs if rec["L_converged"]]
         zeros = sum(1 for rec in conv if rec["L"] <= 1e-9)
@@ -790,6 +792,7 @@ def _finish(cfg: ExperimentConfig, t0: float, header: Sequence[str], key: str,
     record at a time, and counted as it streams past: every record, those
     that exhausted their horizon, and the suite records that failed."""
     out = _resolve_out(cfg.out_path or f"simctl-{cfg.mode}.{cfg.out_format}")
+    config_sha256 = _config_sha256(cfg)  # before the result file, which then has a manifest
     rows = exhausted = failed = 0
 
     def counted() -> Iterator[dict]:
@@ -806,7 +809,8 @@ def _finish(cfg: ExperimentConfig, t0: float, header: Sequence[str], key: str,
         fields = {"schema_id": SCHEMA_ID, "mode": cfg.mode, **(fields or {})}
         chunks = _json_chunks(fields, key, counted())
     _atomic_write(out, chunks)
-    _write_manifest(out, cfg, time.perf_counter() - t0, {"horizon_exhausted": exhausted})
+    _write_manifest(out, cfg, time.perf_counter() - t0,
+                    {"config_sha256": config_sha256, "horizon_exhausted": exhausted})
     return RunResult(out_path=out, exhausted=exhausted, rows=rows, failed_suites=failed)
 
 
@@ -923,10 +927,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.strict and result.exhausted:
             return EXIT_EXHAUSTED
         return EXIT_OK
-    except (ConfigError, ValueError, OverflowError) as exc:
+    except (ConfigError, ValueError, OverflowError, MemoryError) as exc:
         # a ValueError is a config-induced runtime rejection (e.g. a
-        # perfect sample asked of a rate with floor 0), and an OverflowError
-        # a count too large for a machine integer (replications: 2**70)
+        # perfect sample asked of a rate with floor 0), an OverflowError a
+        # count too large for a machine integer (replications: 2**70), and
+        # a MemoryError one too large for memory (horizon: 2**40)
         print(f"simctl: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -410,6 +410,13 @@ class TestTrajectory:
         rows = trajectory(mu0, events, horizon, r)
         assert rows == reference_trajectory_rows(mu0, events, horizon, r)
         assert all(type(row) is tuple and len(row) == 5 for row in rows)
+        # the contract forward_sim's CSV renderer relies on: rows join bit
+        # for bit from 0.0, and each q has the one drain q * r(q)
+        # (float.hex tells every two floats of different bits apart)
+        ends = [0.0.hex()] + [row[1].hex() for row in rows]
+        assert [row[0].hex() for row in rows] == ends[:-1]
+        assert all(drain.hex() == (q * r.rate_vector(q)[q]).hex()
+                   for _, _, q, _, drain in rows)
 
 
 class TestFastPath:

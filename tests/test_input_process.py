@@ -439,7 +439,8 @@ def reference_advance(model, state, u):
         acc += p
         if u < acc:
             return j
-    return model.n_states - 1
+    # sums that end an ulp below 1 leave the rest to the last positive entry
+    return max(j for j, p in enumerate(model.transition[state]) if p > 0.0)
 
 
 def chain_uniforms(seed):
@@ -532,9 +533,12 @@ class TestCouplingTable:
         # a zero entry, and running sums shared between rows
         ((0.5, 0.25, 0.25), (0.25, 0.75, 0.0), (0.0, 0.5, 0.5)),
         ((0.9, 0.1), (0.2, 0.8)),
+        # row 0's running sums end at 0.9999999999999999, before its zero
+        ((0.05, 0.05, 0.8999999999999999, 0.0),) + ((0.25,) * 4,) * 3,
     )
+    IDS = ["three_state", "two_state", "ulp_short_row"]
 
-    @pytest.mark.parametrize("transition", CHAINS, ids=["three_state", "two_state"])
+    @pytest.mark.parametrize("transition", CHAINS, ids=IDS)
     def test_moves_equal_the_scalar_walk(self, transition):
         model = TestMarkovModulated.chain(transition)
         table = model._coupling  # built by the construction check, then cached
@@ -549,7 +553,28 @@ class TestCouplingTable:
         model.state_at(3, 0)
         assert model._coupling is table
 
-    @pytest.mark.parametrize("transition", CHAINS, ids=["three_state", "two_state"])
+    def test_no_move_lands_on_a_zero_entry(self):
+        # the chains above, and random 2-4-state chains with zero entries
+        # whose rows, divided by their sums, may sum an ulp away from 1
+        rng = np.random.default_rng(29)
+        chains = list(self.CHAINS)
+        while len(chains) < 300:
+            k = int(rng.integers(2, 5))
+            p = rng.uniform(0.0, 1.0, (k, k)) * (rng.uniform(0.0, 1.0, (k, k)) < 0.7)
+            if (p.sum(axis=1) > 0).all():
+                chains.append(tuple(tuple((row / row.sum()).tolist()) for row in p))
+        built = 0
+        for transition in chains:
+            try:
+                model = TestMarkovModulated.chain(transition)
+            except ValueError:  # reducible, or never coalesces
+                continue
+            built += 1
+            for move in model._coupling[1]:
+                assert all(transition[s][j] > 0.0 for s, j in enumerate(move)), transition
+        assert built >= 100
+
+    @pytest.mark.parametrize("transition", CHAINS, ids=IDS)
     def test_reads_on_the_edges_equal_the_scalar_walk(self, transition, monkeypatch):
         # every chain uniform is a left end, just below one, or just below 1
         model = TestMarkovModulated.chain(transition)

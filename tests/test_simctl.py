@@ -3,12 +3,15 @@
 import contextlib
 import copy
 import csv
+import dataclasses
+import datetime
 import hashlib
 import importlib.util
 import io
 import json
 import math
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -299,6 +302,28 @@ class TestConfigParsing:
         assert err.startswith("simctl: config error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_count_past_memory_exits_config(self, tmp_path, jobs):
+        # 2**40 arrivals need 16 TiB of uniforms: a MemoryError, not a
+        # traceback.  The run gets a 2 GiB address space, so the allocation
+        # fails at once even where the kernel would overcommit it
+        cfg = write_config(tmp_path / "c.yaml", mode="forward_sim", replications=2,
+                           horizon=2**40)
+        src = str(Path(simctl.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        code = "import sys; from gpsq.simctl import main; sys.exit(main(sys.argv[1:]))"
+        out = subprocess.run([sys.executable, "-c", code, "run", str(cfg), "--jobs", str(jobs)],
+                             cwd=tmp_path, env=env, preexec_fn=limit_address_space,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == EXIT_CONFIG, out.stderr
+        assert out.stderr.startswith("simctl: config error: ") and "Traceback" not in out.stderr
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unknown_mode_of_a_built_config_is_config_error(self, tmp_path):
         # from_dict refuses it too; a config built by hand reaches run_experiment
         out = tmp_path / "bogus.csv"
@@ -561,10 +586,10 @@ class TestRunModes:
         assert b"e-0" in expected
 
         # edge values: negative and subnormal w_start, an int 0 (empty
-        # system), negative zero, huge times, the largest seed; segments
-        # that do not join (a t_start unequal to the t_end before, a 0.0
-        # end followed by a -0.0 start), a q with two drains, and a
-        # replication longer than one rendering block
+        # system), negative zero, huge times, the largest seed; a 0.0 end
+        # and a -0.0 end, each the next row's start, a -0.0 drain, and a
+        # replication longer than one rendering block.  Rows join and each
+        # q has one drain, as trajectory guarantees
         rng = np.random.default_rng(3)
         ends = np.cumsum(rng.exponential(1.0, 2 * simctl._ROW_BLOCK + 5)).tolist()
         qs = rng.integers(0, 5, len(ends)).tolist()
@@ -575,9 +600,9 @@ class TestRunModes:
             (0, 2**64 - 1, [(0.0, 1e-300, 3, -3.5e-13, 0.75)]),
             (1, 2**63, [(1e20, 1.5e20, 0, 0, 0.0), (1.5e20, 2e20, 2, 1e20, 0.5)]),
             (2, 0, [(5e-324, 0.1, 1, -0.0, 1.0)]),
-            (3, 17, [(0.5, 1.0, 2, 0.25, 1.0), (1.25, 2.0, 2, 0.5, 1.5),
-                     (2.0, 0.0, 1, 1e-5, 0.0), (-0.0, 3.0, 1, 123.456, -0.0),
-                     (3.0, 4.0, 2, 7.0, 1.0)]),
+            (3, 17, [(0.5, 1.0, 2, 0.25, 1.0), (1.0, 2.0, 3, 0.5, 1.5),
+                     (2.0, 0.0, 1, 1e-5, -0.0), (0.0, -0.0, 2, 123.456, 1.0),
+                     (-0.0, 3.0, 1, 7.0, -0.0), (3.0, 4.0, 2, 7.0, 1.0)]),
             (4, 5, long_rep),
         ]
         rendered = _csv_bytes([_FORWARD_HEADER]) + b"".join(
@@ -665,6 +690,32 @@ class TestRunModes:
                 assert out == jobs2_bytes
             else:
                 assert hashlib.sha256(out).hexdigest() == GOLDEN[(name, "csv")]
+
+    def test_gginf_csv_streams_each_record(self, tmp_path, monkeypatch):
+        # CSV has no p_L_zero, so at jobs=1 each record becomes its row
+        # before the next replication is computed, and no list of records
+        # (atom lists included) is built; the file is still the golden one
+        events = []
+        worker, cells = simctl._worker_gginf, simctl._cells
+
+        def computed(cfg, base, r, reps):
+            for i in reps:
+                events.append("compute")
+                yield from worker(cfg, base, r, [i])
+
+        def logged_cells(rec, header):
+            events.append("row")
+            return cells(rec, header)
+
+        monkeypatch.setattr(simctl, "_worker_gginf", computed)
+        monkeypatch.setattr(simctl, "_cells", logged_cells)
+        path = tmp_path / "g.csv"
+        cfg = ExperimentConfig.from_dict(dict(
+            GOLDEN_CONFIGS["gginf_stationary"], schema_id=SCHEMA_ID,
+            output={"path": str(path), "format": "csv"}))
+        run_experiment(cfg, jobs=1)
+        assert events == ["compute", "row"] * cfg.replications
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[("gginf_stationary", "csv")]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS) + ["invariant_suite"])
     def test_specs_are_interpreted_once(self, tmp_path, monkeypatch, name):
@@ -810,6 +861,30 @@ class TestRunModes:
         assert len(man["config_sha256"]) == 64
         assert man["horizon_exhausted"] == 0
         assert "wall_time_s" in man
+
+    @pytest.mark.parametrize("rate", [
+        {"kind": "custom_table", "table": {1: 1.0, "2": 0.5}, "floor": 1.0},
+        # a key no rate reads, whose YAML value is a date
+        {"kind": "half_interference", "note": datetime.date(2020, 1, 1)},
+    ], ids=["mixed_table_keys", "date_value"])
+    def test_manifest_of_a_config_json_cannot_sort_or_encode(self, tmp_path, monkeypatch,
+                                                              capsys, rate):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml", replications=2, rate=rate)
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        man = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert len(man["config_sha256"]) == 64
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.yaml", "out.csv", "out.csv.manifest.json"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_config_hash_is_sorted_json_where_json_can_sort(self, name):
+        # keys of one kind sort as sort_keys sorts them (the tables' int
+        # keys by value), so the hash of such a config is that of sort_keys
+        cfg = ExperimentConfig.from_dict(dict(GOLDEN_CONFIGS[name], schema_id=SCHEMA_ID))
+        text = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
+        assert simctl._config_sha256(cfg) == hashlib.sha256(text.encode()).hexdigest()
 
     def test_write_failure_exits_io_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
