@@ -325,7 +325,7 @@ def input_determinism(rng: np.random.Generator, ranges: int) -> CheckResult:
             b = a + int(rng.integers(0, 64))
             for purpose in (_PURPOSE_CHAIN, _PURPOSE_MARKS):
                 # through the module: the kernel checked is the one in use
-                u = input_process._philox_uniforms((gen.seed,), purpose, a, b)[0].tolist()
+                u = input_process._philox_uniforms([(gen.seed, purpose)], a, b)[0].tolist()
                 if u != [_rng_at(gen.seed, purpose, n).random(2).tolist() for n in range(a, b)]:
                     bad.append(f"kernel uniforms of [{a}, {b}) differ from numpy's Philox")
             c = int(rng.integers(a, b, endpoint=True))

@@ -13,6 +13,10 @@ need to have received by the next arrival for the drain analysis to place
 its departure inside the cycle.  A customer departs iff its remaining work
 is at most its ``gamma_i``; the overall per-customer drain of the cycle is
 ``gamma = max_i gamma_i``, and the next profile is ``mu.shift(gamma)``.
+The thresholds rise while customers depart and fall after, so the drain
+(:func:`_drain`) stops its scan once a threshold lies provably below the
+maximum: about one threshold per departure.  :func:`leg` steps a run of
+marks on one sorted list, with :func:`step` its one-mark case.
 
 The independent check (:func:`fluid_oracle_phi`) simulates the same cycle
 event by event -- advance to the next emptying atom at the current rate,
@@ -28,7 +32,9 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import math
 from dataclasses import dataclass
+from operator import ge, neg
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +44,10 @@ from .rates import RateFunction
 
 #: Departure threshold for the event-driven oracle's drained atoms.
 _ORACLE_EPS = 1e-12
+
+#: Rates from here up scan every threshold: the drain's early stop assumes
+#: that ``1 / r(n)`` is a normal float.
+_RATE_CAP = 2.0**1000
 
 
 def gamma_values(mu: CountingMeasure, x: float, r: RateFunction) -> tuple[float, ...]:
@@ -81,10 +91,60 @@ def last_departure_index(mu: CountingMeasure, x: float, r: RateFunction) -> int:
 
 
 def gamma(mu: CountingMeasure, x: float, r: RateFunction) -> float:
-    """Per-customer work drained over a cycle of length ``x`` (the max of
-    the thresholds; never negative since the first threshold is
-    ``r(n) * x``)."""
-    return max(gamma_values(mu, x, r))
+    """Per-customer work drained over a cycle of length ``x``: the max of
+    the thresholds, ``max(gamma_values(mu, x, r))`` bit for bit, by the
+    drain :func:`_drain`.  Never negative, since the first threshold is
+    ``r(n) * x``."""
+    if mu.is_empty:
+        raise ValueError("gamma values are undefined for the zero measure")
+    if x < 0.0:
+        raise ValueError(f"cycle length must be nonnegative, got {x!r}")
+    n = mu.num_atoms
+    rates = r.rate_vector(n)
+    return _drain(mu.atoms, x, rates, _no_rise(rates, 1, n))
+
+
+def _no_rise(rates: list[float], lo: int, hi: int) -> bool:
+    """Whether ``rates[lo .. hi]`` never rises."""
+    return all(map(ge, rates[lo:hi], rates[lo + 1 : hi + 1]))
+
+
+def _drain(atoms: Sequence[float], x: float, rates: list[float], falls: bool) -> float:
+    """``max(gamma_values)`` of the sorted ``atoms`` for a cycle of length
+    ``x``, bit for bit; ``rates`` holds ``r(1) .. r(n)`` at least, and
+    ``falls`` says they never rise.
+
+    The thresholds are those of :func:`gamma_values`, in the same float
+    operations.  Two consecutive equal rates leave ``corr`` and the
+    threshold as they were (``1/r - 1/r`` is exactly 0), so they are
+    passed over.  When ``falls``, the scan starts past the run of rates
+    equal to ``r(n)``, whose thresholds all equal the first, and stops at
+    the first threshold below the running maximum by more than the bound
+    ``E`` of the README's "Numerical conventions": no later threshold can
+    then exceed the maximum."""
+    n = len(atoms)
+    rate = rates[n]
+    best = rate * x
+    m = n
+    stop = math.inf
+    if falls and n > 1:
+        if rates[n - 1] == rate:
+            m = bisect.bisect_left(rates, -rate, 1, n, key=neg)
+        r1 = rates[1]
+        if r1 < _RATE_CAP:
+            stop = (n + 8) * 2.0**-52 * r1 * x + (n + 2) * (r1 + 1.0) * 2.0**-1070
+    corr = 0.0
+    for q in range(m, 1, -1):  # the atom at occupancy q, then the one above it
+        nxt = rates[q - 1]
+        if nxt != rate:
+            corr += atoms[n - q] * (1.0 / rate - 1.0 / nxt)
+            g = nxt * (x - corr)
+            if g > best:
+                best = g
+            elif g < best - stop:
+                break
+            rate = nxt
+    return best
 
 
 def phi(mu: CountingMeasure, x: float, r: RateFunction) -> CountingMeasure:
@@ -105,9 +165,39 @@ def step(
     """One arrival-to-arrival step: admit a customer with service demand
     ``sigma``, then drain for the inter-arrival time ``xi``.
 
-    Returns the profile just before the next arrival.
+    Returns the profile just before the next arrival: the :func:`leg` of
+    one mark.
     """
-    return phi(mu.add_atom(sigma), xi, r)
+    return leg(mu, (xi,), (sigma,), r)
+
+
+def leg(
+    mu: CountingMeasure, xis: Sequence[float], sigmas: Sequence[float], r: RateFunction
+) -> CountingMeasure:
+    """The profile after the steps of the marks ``(sigmas[k], xis[k])``, in
+    order: repeated :func:`step`, bit for bit, run on one sorted list.
+
+    Each mark inserts its demand, drains by :func:`_drain` and keeps the
+    atoms above the drain, less the drain, as ``phi`` does; the measure is
+    built once, at the end.  A negative demand or cycle length raises
+    ``ValueError``, as in ``CountingMeasure.add_atom`` and :func:`phi`."""
+    atoms = list(mu.atoms)
+    rates = r.rate_vector(1)
+    checked = 1  # rates[1 .. checked] never rise; 0 once one does
+    for x, s in zip(xis, sigmas, strict=True):
+        if s < 0.0:
+            raise ValueError(f"atom must be nonnegative, got {s!r}")
+        if x < 0.0:
+            raise ValueError(f"cycle length must be nonnegative, got {x!r}")
+        bisect.insort(atoms, float(s))
+        n = len(atoms)
+        if n >= len(rates):
+            rates = r.rate_vector(n)
+        if checked and n > checked:
+            checked = n if _no_rise(rates, checked, n) else 0
+        g = _drain(atoms, x, rates, n <= checked)
+        atoms = [a - g for a in atoms if a > g]
+    return CountingMeasure.of_sorted(atoms)
 
 
 # ---------------------------------------------------------------------------

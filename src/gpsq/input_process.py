@@ -28,9 +28,12 @@ call costs about the same for one seed as for dozens.  On top of it,
 :func:`sample_blocks` reads many generators grouped by model, and
 ``sample(n)`` is the block ``[n, n + 1)``.  A kernel call has a fixed cost
 of about 0.2 ms, so read ranges with ``sample_block``, not index by index.
-A read runs the kernel only for what it uses: laws that consume no uniform
-(deterministic ones) read none, and a chain with one state (iid marks)
-reads no chain uniforms.
+A read is one kernel pass, which holds the chain rows and the mark rows
+alike, and runs the kernel only for what it uses: laws that consume no
+uniform (deterministic ones) read no mark rows, and a chain with one state
+(iid marks) reads no chain rows.  The read (:func:`_read`) depends on the
+model only through its transition matrix, and the last one is kept, so
+reads that differ only in their laws share it.
 
 The kernel reproduces numpy's own Philox generator bit for bit: the
 uniforms of ``(seed, purpose, n)`` are the first two ``random()`` draws of
@@ -46,10 +49,11 @@ The Markov-modulated model is exactly stationary.  Its grand coupling (one
 shared uniform per index, inverse-CDF transition rows) is one table of
 moves: the rows' running sums cut ``[0, 1)`` into intervals on which every
 state moves one way.  Coupling from the past (Propp & Wilson, 1996)
-composes the moves of the indices before a block's first one, doubling the
-lookback from 8 until all start states coalesce; the block walks that
-state forward by the same moves, which gives the state coupling from the
-past would find at every later index.  The construction check finds
+composes the moves of the indices before a block's first one, from the
+64 read with the block, doubling the lookback until all start states
+coalesce; the block walks that state forward by the same moves, which
+gives the state coupling from the past would find at every later index.
+The construction check finds
 irreducibility by reachability over the matrix's positive entries, and
 coalescence by a search of the same moves.
 """
@@ -57,8 +61,9 @@ coalescence by a search of the same moves.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar, Sequence
 
@@ -70,6 +75,8 @@ _PURPOSE_MARKS = 1
 
 #: Lookback cap for the modulating chain's coupling-from-the-past search.
 _MM_MAX_LOOKBACK = 1 << 20
+#: First lookback of that search, read in the same kernel pass as the block.
+_MM_FIRST_LOOKBACK = 64
 
 
 def _rng_at(seed: int, purpose: int, index: int) -> np.random.Generator:
@@ -138,29 +145,28 @@ def _philox_pass(key: np.ndarray, counter: np.ndarray) -> tuple[np.ndarray, np.n
     return x[0], y[0]
 
 
-def _philox_uniforms(seeds: Sequence[int], purpose: int, a: int, b: int) -> np.ndarray:
-    """The first two ``random()`` draws of the generator of every seed in
-    ``seeds`` and index in ``a .. b - 1``, as an array of shape
-    ``(len(seeds), b - a, 2)``; entry ``[k, i]`` equals
-    ``_rng_at(seeds[k], purpose, a + i).random(2)`` bit for bit.
+def _philox_uniforms(rows: Sequence[tuple[int, int]], a: int, b: int) -> np.ndarray:
+    """The first two ``random()`` draws of the generator of every ``(seed,
+    purpose)`` pair in ``rows`` and index in ``a .. b - 1``, as an array of
+    shape ``(len(rows), b - a, 2)``; entry ``[k, i]`` equals
+    ``_rng_at(*rows[k], a + i).random(2)`` bit for bit.
 
-    The (seed, index) pairs run in row-major order as one sequence of
+    The (row, index) pairs run in row-major order as one sequence of
     counters, each with its own key, in passes of at most
     :data:`_PHILOX_CHUNK` counters."""
     n = b - a
-    seed_words = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
-    total = seed_words.size * n
+    # the key words of each row: seeds, then purposes
+    keys = np.array([[s & _MASK64 for s, _ in rows], [p for _, p in rows]], dtype=np.uint64)
+    total = len(rows) * n
     out = np.empty((total, 2))
     for lo in range(0, total, _PHILOX_CHUNK):
         pair = np.arange(lo, min(lo + _PHILOX_CHUNK, total))
-        key = np.empty((2, pair.size), dtype=np.uint64)
-        key[0] = seed_words[pair // n]
-        key[1] = purpose
+        key = keys[:, pair // n]
         w0, w1 = _philox_pass(key, (pair % n).astype(np.uint64) + np.uint64(a & _MASK64))
         out[lo : lo + pair.size, 0] = w0 >> np.uint64(11)
         out[lo : lo + pair.size, 1] = w1 >> np.uint64(11)
     out *= 1.0 / 9007199254740992.0
-    return out.reshape(seed_words.size, n, 2)
+    return out.reshape(len(rows), n, 2)
 
 
 def splitmix64(x: int) -> int:
@@ -291,9 +297,10 @@ Distribution = Exponential | Deterministic | Uniform | Pareto
 
 def config_number(v, what: str) -> float:
     """``float(v)`` for a number read from a config.  A bool is not one
-    (``true`` would otherwise pass as 1.0), and neither is NaN or an
-    infinity, which no parameter admits."""
-    if isinstance(v, bool):
+    (``true`` would otherwise pass as 1.0), nor is a string (``"12"``, as
+    the integer fields refuse it too), and neither is NaN or an infinity,
+    which no parameter admits."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise ValueError(f"{what} must be a number, got {v!r}")
     x = float(v)
     if not math.isfinite(x):
@@ -349,7 +356,9 @@ class MarkovModulatedModel:
     checked at construction); the state at an index is the exactly
     stationary one, obtained by coupling from the past.  Independent marks
     are the chain with one state (:func:`iid_input`); a read of it
-    resolves no states.
+    resolves no states.  The facts of the chain (the checks, the coupling
+    table and the stationary law) are worked out once per transition
+    matrix, so models that differ only in their laws share them.
     """
 
     transition: tuple[tuple[float, ...], ...]
@@ -371,87 +380,34 @@ class MarkovModulatedModel:
         for d in self.xi_dists:
             if d.dist_mean() <= 0.0:
                 raise ValueError("inter-arrival distributions must have positive mean")
-        if k == 1:  # the row is (1.0,): irreducible and aperiodic
-            return
-        # irreducible: along the positive entries, state 0 reaches every
-        # state (a closure along the rows) and every state reaches state 0
-        # (the same closure along the columns)
-        for m in (self.transition, tuple(zip(*self.transition))):
-            reached, todo = {0}, [0]
-            while todo:
-                new = {j for j, p in enumerate(m[todo.pop()]) if p > 0.0} - reached
-                reached |= new
-                todo += new
-            if len(reached) < k:
-                raise ValueError("chain is not irreducible")
-        # coupling from the past must be able to end: search the state sets
-        # that runs of the coupling's moves reach from the full set for a
-        # single state
-        seen, todo = set(), [frozenset(range(k))]
-        while todo and len(states := todo.pop()) > 1:
-            if states not in seen:
-                seen.add(states)
-                todo += [frozenset(move[s] for s in states) for move in self._coupling[1]]
-        if len(states) > 1:
-            raise ValueError("chain is not aperiodic or its inverse-CDF coupling never coalesces")
+        if k > 1:  # one state, the row (1.0,), is irreducible and aperiodic
+            _coupling_table(self.transition)
 
     @property
     def n_states(self) -> int:
         return len(self.transition)
 
     def stationary_distribution(self) -> np.ndarray:
-        """The chain's stationary law (read-only; solved once per model)."""
-        return self._stationary
-
-    @cached_property
-    def _stationary(self) -> np.ndarray:
-        # one state needs no solve (and so starts no LAPACK/BLAS runtime)
-        pi = np.ones(1)
-        if self.n_states > 1:
-            p = np.array(self.transition, dtype=float)
-            k = p.shape[0]
-            a = np.vstack([(p.T - np.eye(k)), np.ones(k)])
-            b = np.zeros(k + 1)
-            b[-1] = 1.0
-            pi = np.clip(np.linalg.lstsq(a, b, rcond=None)[0], 0.0, None)
-        pi.setflags(write=False)
-        return pi
-
-    @cached_property
-    def _coupling(self) -> tuple[np.ndarray, list[list[int]]]:
-        """The grand coupling as a table ``(lefts, moves)``.  One shared
-        uniform ``u`` moves each state ``s`` by its row's inverse CDF, to
-        the first ``j`` with ``u < p_s0 + ... + p_sj``.  Where there is none
-        (a row whose sums end an ulp below 1) it moves to the row's last
-        state of positive probability.  Every running sum below 1 is in the
-        sorted ``lefts``, with 0, so each row's move is constant on each
-        interval ``[lefts[i], lefts[i + 1])``: it is ``moves[i][s]``."""
-        sums = [list(accumulate(row)) for row in self.transition]
-        lefts = sorted({0.0} | {acc for row in sums for acc in row if acc < 1.0})
-        lasts = [max(j for j, p in enumerate(row) if p > 0.0) for row in self.transition]
-        moves = [[next((j for j, acc in enumerate(row) if u < acc), last)
-                  for row, last in zip(sums, lasts)] for u in lefts]
-        return np.array(lefts), moves
+        """The chain's stationary law (read-only; solved once per
+        transition matrix)."""
+        return _stationary_law(self.transition)
 
     def state_at(self, seed: int, index: int) -> int:
         """Stationary chain state at one index: the one-seed, one-index
         case of the block read."""
-        return _mm_states(self, (seed,), index, index + 1)[0][0]
+        states = _read(self.transition, (seed,), index, index + 1, False)[1]
+        return 0 if states is None else int(states[0, 0])
 
     def sample_blocks(
         self, seeds: Sequence[int], a: int, b: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        shape = (len(seeds), b - a)
-        if any(d.consumes for d in self.xi_dists + self.sigma_dists):
-            u = _philox_uniforms(seeds, _PURPOSE_MARKS, a, b)
-        else:  # every law is deterministic and reads no uniform
-            u = np.zeros(shape + (2,))
-        if self.n_states == 1:  # the state is 0 everywhere: no chain to read
+        consumes = any(d.consumes for d in self.xi_dists + self.sigma_dists)
+        u, states = _read(self.transition, tuple(seeds), a, b, consumes)
+        if states is None:  # the state is 0 everywhere
             xs, ss = _marks(self.xi_dists[0], self.sigma_dists[0], u.reshape(-1, 2))
-            return xs.reshape(shape), ss.reshape(shape)
-        states = np.array(_mm_states(self, seeds, a, b), dtype=np.int64).reshape(shape)
-        xs = np.empty(shape)
-        ss = np.empty(shape)
+            return xs.reshape(u.shape[:2]), ss.reshape(u.shape[:2])
+        xs = np.empty(states.shape)
+        ss = np.empty(states.shape)
         for s in range(self.n_states):
             at = states == s
             xs[at], ss[at] = _marks(self.xi_dists[s], self.sigma_dists[s], u[at])
@@ -469,49 +425,153 @@ class MarkovModulatedModel:
         return max(d.quantile(p) for d in self.sigma_dists)
 
 
+@lru_cache(maxsize=64)
+def _stationary_law(transition: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    """The stationary law of the chain ``transition``, read-only.  One
+    state needs no solve (and so starts no LAPACK/BLAS runtime)."""
+    pi = np.ones(1)
+    if len(transition) > 1:
+        p = np.array(transition, dtype=float)
+        k = p.shape[0]
+        a = np.vstack([(p.T - np.eye(k)), np.ones(k)])
+        b = np.zeros(k + 1)
+        b[-1] = 1.0
+        pi = np.clip(np.linalg.lstsq(a, b, rcond=None)[0], 0.0, None)
+    pi.setflags(write=False)
+    return pi
+
+
+@lru_cache(maxsize=64)
+def _coupling_table(
+    transition: tuple[tuple[float, ...], ...]
+) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The grand coupling of a chain of two or more states as a table
+    ``(lefts, moves)``, once the chain passes its construction check.
+
+    One shared uniform ``u`` moves each state ``s`` by its row's inverse
+    CDF, to the first ``j`` with ``u < p_s0 + ... + p_sj``.  Where there is
+    none (a row whose sums end an ulp below 1) it moves to the row's last
+    state of positive probability.  Every running sum below 1 is in the
+    sorted ``lefts``, with 0, so each row's move is constant on each
+    interval ``[lefts[i], lefts[i + 1])``: it is ``moves[i][s]``.
+
+    Raises ``ValueError`` unless the chain is irreducible and runs of these
+    moves can take every start state to one state."""
+    k = len(transition)
+    # irreducible: along the positive entries, state 0 reaches every state
+    # (a closure along the rows) and every state reaches state 0 (the same
+    # closure along the columns)
+    for m in (transition, tuple(zip(*transition))):
+        reached, todo = {0}, [0]
+        while todo:
+            new = {j for j, p in enumerate(m[todo.pop()]) if p > 0.0} - reached
+            reached |= new
+            todo += new
+        if len(reached) < k:
+            raise ValueError("chain is not irreducible")
+    sums = [list(accumulate(row)) for row in transition]
+    lefts = np.array(sorted({0.0} | {acc for row in sums for acc in row if acc < 1.0}))
+    lefts.setflags(write=False)
+    lasts = [max(j for j, p in enumerate(row) if p > 0.0) for row in transition]
+    moves = tuple(tuple(next((j for j, acc in enumerate(row) if u < acc), last)
+                        for row, last in zip(sums, lasts)) for u in lefts.tolist())
+    # coupling from the past must be able to end: search the state sets that
+    # runs of the moves reach from the full set for a single state
+    seen, todo = set(), [frozenset(range(k))]
+    while todo and len(states := todo.pop()) > 1:
+        if states not in seen:
+            seen.add(states)
+            todo += [frozenset(move[s] for s in states) for move in moves]
+    if len(states) > 1:
+        raise ValueError("chain is not aperiodic or its inverse-CDF coupling never coalesces")
+    return lefts, moves
+
+
 _NO_COALESCENCE = (
     "modulating chain did not coalesce within the lookback cap; "
     "the runs of uniforms that collapse its start states are too unlikely"
 )
 
 
-def _mm_states(
-    model: MarkovModulatedModel, seeds: Sequence[int], a: int, b: int
-) -> list[list[int]]:
-    """Stationary chain states at indices ``a .. b - 1``, one list per seed,
-    by the moves of ``model._coupling``: coupling from the past at ``a``,
-    composing older blocks before newer ones and doubling the lookback from
-    8 until every start state ends in one state, then the forward walk.
-    The first lookback of every seed is read in one pass."""
-    if b <= a:
-        return [[] for _ in seeds]
-    lefts, moves = model._coupling
+@lru_cache(maxsize=1)
+def _read(
+    transition: tuple[tuple[float, ...], ...], seeds: tuple[int, ...], a: int, b: int, marks: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The uniforms and the chain states of indices ``a .. b - 1`` of every
+    seed, in one kernel pass: ``(u, states)``, read-only.
 
-    def cells(us: np.ndarray) -> list[int]:
+    ``u`` has shape ``(len(seeds), b - a, 2)``; it holds the mark uniforms
+    when ``marks`` is true, and zeros when no law of the model consumes a
+    uniform.  ``states`` has shape ``(len(seeds), b - a)`` for a chain of
+    more than one state, and is ``None`` for one state, whose chain is not
+    read.  The pass reads the chain rows from :data:`_MM_FIRST_LOOKBACK`
+    ``- 1`` indices before ``a``, so that coupling from the past starts
+    from what it holds (:func:`_mm_states`), and the mark rows over the
+    same range.  The read depends on the model only through its transition
+    matrix; the last one is kept, so reads that differ only in the laws
+    (the load points of a sweep) share it."""
+    k, n = len(seeds), max(b - a, 0)
+    chain = len(transition) > 1
+    lo = a - _MM_FIRST_LOOKBACK + 1 if chain else a
+    rows = [(s, _PURPOSE_CHAIN) for s in seeds] if chain and n else []
+    if marks and n:
+        rows += [(s, _PURPOSE_MARKS) for s in seeds]
+    both = _philox_uniforms(rows, lo, b) if rows else None
+    if marks and n:
+        u = both[len(rows) - k :, a - lo :]
+    else:  # what laws that consume no uniform are given
+        u = np.zeros((k, n, 2))
+    u.setflags(write=False)
+    if not chain:
+        return u, None
+    states = _mm_states(transition, seeds, both[:k, :, 0], a) if n else np.zeros((k, 0), np.int64)
+    states.setflags(write=False)
+    return u, states
+
+
+def _mm_states(
+    transition: tuple[tuple[float, ...], ...], seeds: Sequence[int], u: np.ndarray, a: int
+) -> np.ndarray:
+    """Stationary chain states at indices ``a .. a + n - 1`` of every seed,
+    from the chain uniforms ``u`` of indices ``a - L + 1 .. a + n - 1``
+    (``L`` = :data:`_MM_FIRST_LOOKBACK`), one row per seed, by the moves of
+    :func:`_coupling_table`: coupling from the past at ``a`` composes the
+    last ``L`` moves, then, while the start states have not all ended in
+    one state, doubles the lookback with a one-seed read of the older
+    block, composed before the newer ones; the forward walk follows.  Once
+    the newest moves coalesce no older move can change the state, so every
+    first lookback gives the same states."""
+    lefts, moves = _coupling_table(transition)
+    first = _MM_FIRST_LOOKBACK
+
+    def cells(us: np.ndarray) -> list:
         return (np.searchsorted(lefts, us, side="right") - 1).tolist()
 
     def walk(cs: list[int]) -> list[int]:
         """Where each start state ends after the moves of ``cs``."""
-        ends = list(range(model.n_states))
+        ends = list(range(len(transition)))
         for c in cs:
             move = moves[c]
             ends = [move[s] for s in ends]
         return ends
 
-    out = []
-    first = _philox_uniforms(seeds, _PURPOSE_CHAIN, a - 8 + 1, b)[:, :, 0]
-    for seed, cs in zip(seeds, cells(first)):
-        ends, lookback = walk(cs[:8]), 8
+    out = np.empty((len(seeds), u.shape[1] - first + 1), dtype=np.int64)
+    for row, (seed, cs) in enumerate(zip(seeds, cells(u))):
+        ends, lookback = walk(cs[:first]), first
         while min(ends) != max(ends):
             if 2 * lookback > _MM_MAX_LOOKBACK:
                 raise ValueError(_NO_COALESCENCE)
-            older = _philox_uniforms((seed,), _PURPOSE_CHAIN, a - 2 * lookback + 1, a - lookback + 1)
+            older = _philox_uniforms(
+                [(seed, _PURPOSE_CHAIN)], a - 2 * lookback + 1, a - lookback + 1
+            )
             ends = [ends[s] for s in walk(cells(older[0, :, 0]))]
             lookback *= 2
-        states = [ends[0]]
-        for c in cs[8:]:
-            states.append(moves[c][states[-1]])
-        out.append(states)
+        state = ends[0]
+        states = [state]
+        for c in cs[first:]:
+            state = moves[c][state]
+            states.append(state)
+        out[row] = states
     return out
 
 

@@ -46,6 +46,15 @@ class CountingMeasure:
             raise ValueError(f"atoms must be nonnegative, got {xs[0]!r}")
         self._atoms: tuple[float, ...] = tuple(xs)
 
+    @classmethod
+    def of_sorted(cls, atoms: Iterable[float]) -> "CountingMeasure":
+        """The measure of ``atoms``, which must already be nonnegative
+        floats in non-decreasing order: unlike the constructor, it neither
+        sorts nor checks them."""
+        out = cls.__new__(cls)
+        out._atoms = tuple(atoms)
+        return out
+
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -100,9 +109,7 @@ class CountingMeasure:
         """
         if y < 0.0:
             raise ValueError(f"shift amount must be nonnegative, got {y!r}")
-        out = CountingMeasure.__new__(CountingMeasure)
-        out._atoms = tuple(a - y for a in self._atoms if a > y)
-        return out
+        return CountingMeasure.of_sorted(a - y for a in self._atoms if a > y)
 
     def add_atom(self, s: float) -> "CountingMeasure":
         """Return a copy with one more atom ``s`` (duplicates kept)."""
@@ -110,9 +117,7 @@ class CountingMeasure:
             raise ValueError(f"atom must be nonnegative, got {s!r}")
         xs = list(self._atoms)
         bisect.insort(xs, float(s))
-        out = CountingMeasure.__new__(CountingMeasure)
-        out._atoms = tuple(xs)
-        return out
+        return CountingMeasure.of_sorted(xs)
 
     def integrate(self, f: Callable[[float], float]) -> float:
         """Sum of ``f`` over the atoms (0 for the zero measure)."""

@@ -669,18 +669,24 @@ def _forward_csv_rows(i: int, seed: int, segments: Sequence[tuple]) -> bytes:
 
 def _worker_sweep_point(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunction,
                         rhos: list[float]) -> Iterator[dict]:
+    # the verdicts of every point first: their reads of base_seed differ only
+    # in the scaled sigma laws, so all but the first are the input layer's
+    # cached read
+    points = []
     for rho in rhos:
         factor = rho * r.declared_floor * base.mean_xi() / base.mean_sigma()
         scaled = scale_sigma(base, factor)
+        verdict = check_stability(
+            scaled.with_seed(cfg.base_seed), r, n_samples=cfg.stability_samples
+        ).verdict
+        points.append((rho, factor, scaled, verdict))
+    for rho, factor, scaled, verdict in points:
         gens = [_rep_generator(cfg, scaled, i) for i in range(cfg.replications)]
         reports = backward_coupling_ps_batch(
             gens, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
         )
         profiles = [rep.stationary_profile for rep in reports if rep.coupled]
         coupled = len(profiles)
-        verdict = check_stability(
-            scaled.with_seed(cfg.base_seed), r, n_samples=cfg.stability_samples
-        ).verdict
         mean_n, se_n = mean_se(np.array([mu.num_atoms for mu in profiles], dtype=float))
         mean_w, se_w = mean_se(np.array([mu.workload for mu in profiles], dtype=float))
         yield {
@@ -864,14 +870,22 @@ def _parse_rho(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"--rho expects start:stop:step, got {text!r}")
-        start, stop, step_ = _rho_grid(parts, "--rho")
+        start, stop, step_ = _rho_grid(_cli_numbers(parts), "--rho")
         if stop < start:
             raise ConfigError(f"--rho range is empty or descending: {text!r}")
         # the last point at or below stop; the slack keeps a stop that
         # is a whole number of steps away (0.1:1.5:0.1) on the grid
         n = math.floor((stop - start) / step_ + 1e-9)
         return tuple(round(start + k * step_, 10) for k in range(n + 1))
-    return _rho_grid(text.split(","), "--rho")
+    return _rho_grid(_cli_numbers(text.split(",")), "--rho")
+
+
+def _cli_numbers(parts: list[str]) -> list[float]:
+    """The numbers written in ``parts``, the pieces of ``--rho``."""
+    try:
+        return [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"--rho must be a list of finite numbers, got {parts!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

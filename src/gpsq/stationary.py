@@ -57,7 +57,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import step
+# step is not called here: perfbench's tracer wraps stationary.step, and its
+# install fails without the name
+from .dynamics import leg, step  # noqa: F401
 from .input_process import sample_blocks
 from .measures import ATOM_TOL, ZERO, CountingMeasure
 from .rates import RateFunction
@@ -342,9 +344,8 @@ def _couple_batch(
         hit = ok.any(axis=1)
         for row in np.flatnonzero(hit):
             m = int(ok[row].argmax())
-            mu = ZERO
-            for xi, sigma in zip(buf.xs[row, :m][::-1].tolist(), buf.ss[row, :m][::-1].tolist()):
-                mu = step(mu, sigma, xi, r)
+            xs, ss = buf.xs[row, :m][::-1].tolist(), buf.ss[row, :m][::-1].tolist()
+            mu = leg(ZERO, xs, ss, r)
             reports[ids[row]] = CouplingReport(
                 coupled=True,
                 regeneration_index=-m,

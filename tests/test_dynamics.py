@@ -8,21 +8,24 @@ oracle together on broad instance families.
 """
 
 import bisect
+import math
 import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpsq import checks
 from gpsq.checks import CATALOG, random_instance
 from gpsq.dynamics import (
     _ORACLE_EPS,
+    _drain,
     fluid_oracle_phi,
     gamma,
     gamma_values,
     last_departure_index,
+    leg,
     phi,
     simulate_queue_path,
     step,
@@ -30,7 +33,14 @@ from gpsq.dynamics import (
 )
 from gpsq.input_process import Exponential, Uniform, iid_input
 from gpsq.measures import ZERO, CountingMeasure
-from gpsq.rates import classical_ps, half_interference, pure_delay, scaled_ps, table_rate
+from gpsq.rates import (
+    _CHECK_TOL,
+    classical_ps,
+    half_interference,
+    pure_delay,
+    scaled_ps,
+    table_rate,
+)
 
 CPS = classical_ps()
 HI = half_interference()
@@ -105,6 +115,148 @@ class TestStep:
         assert step(ZERO, 3, 1, CPS).atoms == (2.0,)
         assert step(CountingMeasure([2]), 4, 5, CPS).atoms == (1.0,)
         assert step(ZERO, 1, 3, HI) == ZERO
+
+
+    def test_negative_marks_raise(self):
+        with pytest.raises(ValueError, match="atom must be nonnegative"):
+            step(ZERO, -1.0, 1.0, CPS)
+        with pytest.raises(ValueError, match="cycle length must be nonnegative"):
+            step(CountingMeasure([2.0]), 1.0, -0.5, CPS)
+
+
+# perfbench's sweep_mm rate: n r(n) = 0.9 + 0.1 / n up to n = 32, then r(32)
+SWEEP_TABLE = table_rate({n: (0.9 + 0.1 / n) / n for n in range(1, 33)}, declared_floor=0.9)
+DRAIN_RATES = (
+    CPS, HI, PD, scaled_ps(0.7), SWEEP_TABLE,
+    # a step function: runs of equal rates between its keys
+    table_rate({1: 1.0, 3: 0.5, 7: 0.2, 12: 0.1}, declared_floor=0.5),
+    # consecutive rates an ulp apart
+    table_rate({1: 1.0, 2: math.nextafter(1.0, 0.0), 3: 0.5, 4: math.nextafter(0.5, 0.0)},
+               declared_floor=1.0),
+    # a rise that validate allows, so the drain scans in full
+    table_rate({1: 1.0, 2: 0.5, 3: 0.5 + _CHECK_TOL / 2, 6: 0.25}, declared_floor=0.9),
+)
+
+
+def ulps(v, k):
+    """``v`` moved by ``k`` ulps."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.inf if k > 0 else 0.0)
+    return v
+
+
+@st.composite
+def drain_cases(draw):
+    """Sorted atoms, a cycle length and a rate.  An atom is drawn freely or
+    within a few ulps of its own threshold (which the atoms below it fix),
+    so that the thresholds turn on near-ties."""
+    r = draw(st.sampled_from(DRAIN_RATES))
+    n = draw(st.integers(1, 48))
+    x = draw(st.one_of(st.floats(0.0, 50.0), st.sampled_from([0.0, 5e-324, 1e-300, 1e-9])))
+    rates = r.rate_vector(n)
+    atoms, corr = [], 0.0
+    for i in range(1, n + 1):
+        g = rates[n - i + 1] * (x - corr)
+        if g > 0.0 and draw(st.integers(0, 3)):
+            a = ulps(g, draw(st.integers(-3, 3)))
+        else:
+            a = draw(st.floats(0.0, 60.0))
+        atoms.append(max(a, atoms[-1] if atoms else 0.0))
+        if i < n:
+            corr += atoms[-1] * (1.0 / rates[n - i + 1] - 1.0 / rates[n - i])
+    return atoms, x, r
+
+
+def head_step(mu, sigma, xi, r):
+    """One step by the full threshold scan: the atom added, then the shift
+    by the largest of every threshold."""
+    arrived = mu.add_atom(sigma)
+    return arrived.shift(max(gamma_values(arrived, xi, r)))
+
+
+class ReadCounting(list):
+    """A list that notes which indices are read."""
+
+    def __init__(self, xs):
+        super().__init__(xs)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+class TestDrain:
+    @settings(max_examples=400, deadline=None)
+    @given(drain_cases())
+    # runs of atoms on their thresholds, where a scan that stopped at the
+    # first threshold below the maximum would miss a later, larger one
+    @example(([0.3953387887297386] * 2 + [0.3953387887297387] * 4 + [2.0663931855291646]
+              + [7.712933030060357] * 3 + [8.525120626820518], 4.348726676027125, CPS))
+    @example(([1.374833237444956] * 2 + [7.624798179508924] * 4 + [10.78422193693732],
+              9.62383266211469, CPS))
+    @example(([0.13554895945452666] * 3 + [7.79516368006254] * 2 + [8.389945069219317] * 3
+              + [11.872305337297764] * 2, 1.489549004994799, SWEEP_TABLE))
+    def test_equals_the_full_scan_bit_for_bit(self, case):
+        atoms, x, r = case
+        mu = CountingMeasure(atoms)
+        assert gamma(mu, x, r).hex() == max(gamma_values(mu, x, r)).hex()
+        rates = r.rate_vector(len(atoms))
+        assert _drain(atoms, x, rates, False).hex() == max(gamma_values(mu, x, r)).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(DRAIN_RATES), st.lists(st.floats(0.0, 20.0), max_size=6),
+           st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)), max_size=40))
+    def test_leg_is_repeated_steps(self, r, start, marks):
+        mu = CountingMeasure(start)
+        expected = mu
+        for xi, sigma in marks:
+            expected = head_step(expected, sigma, xi, r)
+        got = leg(mu, [xi for xi, _ in marks], [sigma for _, sigma in marks], r)
+        assert got.atoms == expected.atoms
+        assert [a.hex() for a in got.atoms] == [a.hex() for a in expected.atoms]
+        if marks:
+            xi, sigma = marks[0]
+            assert step(mu, sigma, xi, r) == head_step(mu, sigma, xi, r)
+
+    def test_leg_refuses_what_step_refuses(self):
+        with pytest.raises(ValueError, match="atom must be nonnegative"):
+            leg(ZERO, [1.0, 1.0], [1.0, -1.0], CPS)
+        with pytest.raises(ValueError, match="cycle length must be nonnegative"):
+            leg(ZERO, [1.0, -1.0], [1.0, 1.0], CPS)
+        with pytest.raises(ValueError):
+            leg(ZERO, [1.0, 1.0], [1.0], CPS)
+        assert leg(CountingMeasure([3.0]), [], [], CPS) == CountingMeasure([3.0])
+
+    def test_scan_reads_about_one_atom_per_departure(self):
+        rng = np.random.default_rng(11)
+        big = np.sort(rng.uniform(1.0, 10.0, 1000)).tolist()
+        # a cycle too short for anyone to leave: the second threshold is
+        # below the first, and the scan ends there
+        atoms = ReadCounting(big)
+        _drain(atoms, 1e-3, HI.rate_vector(1000), True)
+        assert atoms.read == {0}
+        # five customers leave: their atoms and the one above them
+        atoms = ReadCounting([1e-6 * k for k in range(1, 6)] + big)
+        g = _drain(atoms, 0.1, HI.rate_vector(1005), True)
+        assert atoms.read == set(range(6))
+        assert g == max(gamma_values(CountingMeasure(atoms), 0.1, HI))
+        assert CountingMeasure(atoms).shift(g).num_atoms == 1000
+        # without the early stop (a rate that rises somewhere) every
+        # threshold is formed
+        atoms = ReadCounting(big[:10])
+        _drain(atoms, 1e-3, HI.rate_vector(10), False)
+        assert atoms.read == set(range(9))
+
+    def test_equal_rates_are_passed_over(self):
+        big = ReadCounting(np.linspace(1.0, 10.0, 200).tolist())
+        # pure delay: every threshold is x
+        assert _drain(big, 0.5, PD.rate_vector(200), True) == 0.5
+        assert big.read == set()
+        # the sweep table past its last key: the scan starts at occupancy 32
+        g = _drain(big, 1e-3, SWEEP_TABLE.rate_vector(200), True)
+        assert big.read == {200 - 32}
+        assert g == max(gamma_values(CountingMeasure(big), 1e-3, SWEEP_TABLE))
 
 
 def departure_times(mu, r, horizon):

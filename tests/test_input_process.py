@@ -194,11 +194,12 @@ class TestMarkovModulated:
         for n in range(-10, 10):
             assert g.shift(4).sample(n - 4) == g.sample(n)
 
-    def test_stationary_law_is_solved_once_per_model(self, monkeypatch):
+    def test_stationary_law_is_solved_once_per_transition(self, monkeypatch):
         spec = dict(transition=((0.9, 0.1), (0.2, 0.8)),
                     xi_dists=(Exponential(1.5), Exponential(0.5)),
                     sigma_dists=(Exponential(0.5), Uniform(0.0, 2.0)))
         expected = MarkovModulatedModel(**spec).stationary_distribution().copy()
+        input_process._stationary_law.cache_clear()
         calls = []
         lstsq = np.linalg.lstsq
 
@@ -216,8 +217,13 @@ class TestMarkovModulated:
         assert pi.tolist() == expected.tolist()
         assert pi.tolist() == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
         assert not pi.flags.writeable
-        MarkovModulatedModel(**spec).mean_xi()
-        assert len(calls) == 2  # per instance, not shared between equal models
+        # shared by every model of the chain, whatever its laws (the load
+        # points of a sweep), and solved again for another chain
+        scaled = MarkovModulatedModel(**dict(spec, sigma_dists=(Exponential(1.0),) * 2))
+        assert scaled.stationary_distribution() is pi
+        assert len(calls) == 1
+        MarkovModulatedModel(**dict(spec, transition=((0.5, 0.5), (0.2, 0.8)))).mean_xi()
+        assert len(calls) == 2
 
     @staticmethod
     def chain(transition):
@@ -540,9 +546,11 @@ class TestCouplingTable:
 
     @pytest.mark.parametrize("transition", CHAINS, ids=IDS)
     def test_moves_equal_the_scalar_walk(self, transition):
+        # built by the construction check, then kept for the matrix
+        input_process._coupling_table.cache_clear()
         model = TestMarkovModulated.chain(transition)
-        table = model._coupling  # built by the construction check, then cached
-        assert vars(model)["_coupling"] is table
+        assert input_process._coupling_table.cache_info().misses == 1
+        table = input_process._coupling_table(model.transition)
         lefts, moves = table
         assert lefts.tolist() == sorted(set(lefts.tolist())) and lefts[0] == 0.0
         edges = [u for left in lefts.tolist() for u in (left, math.nextafter(left, 0.0))]
@@ -551,7 +559,7 @@ class TestCouplingTable:
             for s in range(model.n_states):
                 assert moves[cell][s] == reference_advance(model, s, u), (u, s)
         model.state_at(3, 0)
-        assert model._coupling is table
+        assert input_process._coupling_table(model.transition) is table
 
     def test_no_move_lands_on_a_zero_entry(self):
         # the chains above, and random 2-4-state chains with zero entries
@@ -570,7 +578,7 @@ class TestCouplingTable:
             except ValueError:  # reducible, or never coalesces
                 continue
             built += 1
-            for move in model._coupling[1]:
+            for move in input_process._coupling_table(transition)[1]:
                 assert all(transition[s][j] > 0.0 for s, j in enumerate(move)), transition
         assert built >= 100
 
@@ -578,19 +586,20 @@ class TestCouplingTable:
     def test_reads_on_the_edges_equal_the_scalar_walk(self, transition, monkeypatch):
         # every chain uniform is a left end, just below one, or just below 1
         model = TestMarkovModulated.chain(transition)
-        lefts = model._coupling[0].tolist()
+        lefts = input_process._coupling_table(transition)[0].tolist()
         edges = [u for left in lefts for u in (left, math.nextafter(left, 0.0))]
         table = np.random.default_rng(5).choice(edges + [math.nextafter(1.0, 0.0)], 1024)
 
-        def edge_uniforms(seeds, purpose, a, b):
-            u = np.zeros((len(seeds), b - a, 2))
+        def edge_uniforms(rows, a, b):
+            u = np.zeros((len(rows), b - a, 2))
             u[:, :, 0] = table[np.arange(a, b) % table.size]
             return u
 
         monkeypatch.setattr(input_process, "_philox_uniforms", edge_uniforms)
         expected = [reference_state(model, 0, n, lambda m: table[m % table.size])
                     for n in range(-60, 60)]
-        assert input_process._mm_states(model, [0], -60, 60) == [expected]
+        states = input_process._read(model.transition, (0,), -60, 60, False)[1]
+        assert states.tolist() == [expected]
 
     @pytest.mark.parametrize("transition", [
         # coalescence has probability 0.05 per index
@@ -609,6 +618,55 @@ class TestCouplingTable:
                                                  for n in range(-2, 2)]
 
 
+def coalescence_lookback(model, seed, index):
+    """The lookback at which the doubling from 8 first coalesces."""
+    lookback = 8
+    while len(reference_ends(model, chain_uniforms(seed), index, lookback)) > 1:
+        lookback *= 2
+    return lookback
+
+
+class TestFirstLookback:
+    """Coupling from the past starts from the 64 moves read with the block;
+    the states are those of the doubling from 8, whatever lookback a seed
+    needs."""
+
+    CHAINS = {
+        # coalescence has probability 0.3 per index
+        "within_8": (((0.9, 0.1), (0.2, 0.8)), lambda lb: lb == 8),
+        # 0.05 per index
+        "from_8_to_64": (((0.97, 0.03), (0.02, 0.98)), lambda lb: 8 < lb <= 64),
+        # 0.02 per index
+        "beyond_64": (((0.99, 0.01), (0.01, 0.99)), lambda lb: lb > 64),
+    }
+
+    @pytest.mark.parametrize("name", list(CHAINS))
+    def test_states_equal_the_scalar_walk(self, name):
+        transition, wanted = self.CHAINS[name]
+        model = TestMarkovModulated.chain(transition)
+        seeds = [replication_seed(23, i) for i in range(12)]
+        # the lookbacks this chain is here for occur among these seeds
+        assert any(wanted(coalescence_lookback(model, s, -3)) for s in seeds)
+        xs, _ = sample_blocks([MarkedInputGenerator(model, s) for s in seeds], -3, 3)
+        for row, seed in zip(xs.tolist(), seeds):
+            expected = [reference_state(model, seed, n) for n in range(-3, 3)]
+            assert [int(x) - 1 for x in row] == expected
+            assert model.state_at(seed, -3) == expected[0]
+
+    def test_lookback_cap_error_is_unchanged(self, monkeypatch):
+        model = TestMarkovModulated.chain(self.CHAINS["beyond_64"][0])
+        seed = next(s for s in (replication_seed(23, i) for i in range(64))
+                    if coalescence_lookback(model, s, 0) == 128)
+        monkeypatch.setattr(input_process, "_MM_MAX_LOOKBACK", 64)
+        with pytest.raises(ValueError) as err:
+            model.state_at(seed, 0)
+        assert str(err.value) == (
+            "modulating chain did not coalesce within the lookback cap; "
+            "the runs of uniforms that collapse its start states are too unlikely")
+        monkeypatch.setattr(input_process, "_MM_MAX_LOOKBACK", 128)
+        assert model.state_at(seed, 0) == reference_state(model, seed, 0)
+
+
 class TestManySeedBlocks:
     @pytest.mark.parametrize("purpose", [_PURPOSE_CHAIN, _PURPOSE_MARKS])
     def test_many_seed_kernel_equals_per_seed_kernel(self, purpose):
@@ -616,23 +674,36 @@ class TestManySeedBlocks:
         seeds = [0, 2**63 + 5, 2**64 - 1]
         a, b = -3000, 3001
         assert len(seeds) * (b - a) > 2 * _PHILOX_CHUNK
-        many = _philox_uniforms(seeds, purpose, a, b)
+        many = _philox_uniforms([(s, purpose) for s in seeds], a, b)
         assert many.shape == (3, b - a, 2)
         for k, seed in enumerate(seeds):
-            assert np.array_equal(many[k], _philox_uniforms([seed], purpose, a, b)[0])
+            assert np.array_equal(many[k], _philox_uniforms([(seed, purpose)], a, b)[0])
             for i in (0, 1, 2190, 2191, 2999, 3000, 3001, 4381, 4382, 6000):
                 assert many[k, i].tolist() == _rng_at(seed, purpose, a + i).random(2).tolist()
 
     def test_many_seed_kernel_at_the_index_wrap(self):
         seeds = [7, 2**63]
-        many = _philox_uniforms(seeds, _PURPOSE_MARKS, -3, 3)
+        many = _philox_uniforms([(s, _PURPOSE_MARKS) for s in seeds], -3, 3)
         for k, seed in enumerate(seeds):
             for i in range(6):
                 assert many[k, i].tolist() == _rng_at(seed, _PURPOSE_MARKS, i - 3).random(2).tolist()
 
+    def test_rows_mix_purposes(self):
+        # chain and mark rows of one pass, each keyed by its own pair; 3 x
+        # 3000 counters cross a pass boundary inside row 2
+        rows = [(5, _PURPOSE_CHAIN), (2**64 - 1, _PURPOSE_MARKS), (5, _PURPOSE_MARKS)]
+        a, b = -1500, 1500
+        assert len(rows) * (b - a) > _PHILOX_CHUNK
+        many = _philox_uniforms(rows, a, b)
+        for k, row in enumerate(rows):
+            assert np.array_equal(many[k], _philox_uniforms([row], a, b)[0])
+            for i in (0, 2191, 2192, 2999):
+                assert many[k, i].tolist() == _rng_at(*row, a + i).random(2).tolist()
+
     def test_no_seeds_and_empty_ranges(self):
-        assert _philox_uniforms([], _PURPOSE_MARKS, 0, 10).shape == (0, 10, 2)
-        assert _philox_uniforms([1, 2], _PURPOSE_MARKS, 4, 4).shape == (2, 0, 2)
+        assert _philox_uniforms([], 0, 10).shape == (0, 10, 2)
+        rows = [(1, _PURPOSE_MARKS), (2, _PURPOSE_CHAIN)]
+        assert _philox_uniforms(rows, 4, 4).shape == (2, 0, 2)
         xs, ss = sample_blocks([], 0, 5)
         assert xs.shape == ss.shape == (0, 5)
         with pytest.raises(ValueError):
@@ -674,48 +745,106 @@ class TestManySeedBlocks:
 
 
 class TestReadPath:
-    """The kernel passes a read asks for: a one-state chain reads no chain
-    uniforms and laws that consume none read no mark uniforms."""
+    """The kernel passes a read asks for: one pass per read, holding the
+    chain rows and the mark rows together; a one-state chain reads no chain
+    rows and laws that consume no uniform read no mark rows."""
+
+    SWEEP_CHAIN = MarkovModulatedModel(
+        transition=((0.9, 0.1), (0.2, 0.8)),
+        xi_dists=(Exponential(1.5), Exponential(0.5)),
+        sigma_dists=(Exponential(0.5), Uniform(0.0, 2.0)),
+    )
 
     @pytest.fixture
-    def purposes(self, monkeypatch):
+    def passes(self, monkeypatch):
+        """The purposes of the rows of each kernel call, one set per call."""
         asked = []
         kernel = input_process._philox_uniforms
 
-        def recording(seeds, purpose, a, b):
-            asked.append(purpose)
-            return kernel(seeds, purpose, a, b)
+        def recording(rows, a, b):
+            asked.append({purpose for _, purpose in rows})
+            return kernel(rows, a, b)
 
         monkeypatch.setattr(input_process, "_philox_uniforms", recording)
         return asked
 
-    def test_iid_read_asks_only_for_marks(self, purposes):
+    def test_iid_read_asks_only_for_marks(self, passes):
         g = iid_input(Exponential(2.0), Pareto(2.5, 1.0), seed=9)
         assert g.sample_block(-300, 300) == scalar_block(g, -300, 300)
         sample_blocks([g, g.with_seed(10)], -50, 50)
-        assert purposes and set(purposes) == {_PURPOSE_MARKS}
+        assert passes == [{_PURPOSE_MARKS}] * 2
 
-    def test_deterministic_read_asks_for_nothing(self, purposes):
+    def test_deterministic_read_asks_for_nothing(self, passes):
         g = deterministic_input(3.0, 1.0, seed=4)
         assert g.sample_block(-5, 5) == ([3.0] * 10, [1.0] * 10)
         xs, ss = sample_blocks([g, g.with_seed(5)], 0, 256)
         assert xs.tolist() == [[3.0] * 256] * 2 and ss.tolist() == [[1.0] * 256] * 2
-        assert purposes == []
+        assert passes == []
 
-    def test_two_state_read_asks_for_both(self, purposes):
+    def test_two_state_read_asks_for_both(self, passes):
         model = MarkovModulatedModel(
             transition=((0.6, 0.4), (0.2, 0.8)),
             xi_dists=(Exponential(1.0), Deterministic(3.0)),
             sigma_dists=(Deterministic(0.5), Deterministic(0.5)),
         )
         g = MarkedInputGenerator(model=model, seed=13)
-        assert g.sample_block(-40, 40) == scalar_block(g, -40, 40)
-        assert set(purposes) == {_PURPOSE_CHAIN, _PURPOSE_MARKS}
+        expected = scalar_block(g, -40, 40)
+        passes.clear()
+        assert g.sample_block(-40, 40) == expected
+        assert passes == [{_PURPOSE_CHAIN, _PURPOSE_MARKS}]
         # with deterministic laws only the chain is read
-        purposes.clear()
+        passes.clear()
         det = MarkedInputGenerator(model=MarkovModulatedModel(**SYMMETRIC_2STATE), seed=1)
         det.sample_block(0, 9)
-        assert set(purposes) == {_PURPOSE_CHAIN}
+        assert passes == [{_PURPOSE_CHAIN}]
+
+    def test_one_index_read_is_one_pass(self, passes):
+        # the first lookback of coupling from the past rides in the pass
+        # of the index itself, for every seed that coalesces within it
+        g = MarkedInputGenerator(model=self.SWEEP_CHAIN, seed=replication_seed(7, 0))
+        for n in range(-20, 20):
+            passes.clear()
+            assert g.sample(n) == reference_mark(g, n)
+            assert passes == [{_PURPOSE_CHAIN, _PURPOSE_MARKS}]
+        passes.clear()
+        assert g.model.state_at(g.seed, 3) == reference_state(g.model, g.seed, 3)
+        assert passes == [{_PURPOSE_CHAIN}]
+
+    def test_many_seed_read_is_one_pass(self, passes):
+        gens = [MarkedInputGenerator(self.SWEEP_CHAIN, replication_seed(3, i)) for i in range(32)]
+        xs, ss = sample_blocks(gens, -256, 0)
+        assert passes == [{_PURPOSE_CHAIN, _PURPOSE_MARKS}]
+        assert (xs[5].tolist(), ss[5].tolist()) == scalar_block(gens[5], -256, 0)
+
+    def test_cached_read_is_read_only(self):
+        model = TestMarkovModulated.chain(((0.9, 0.1), (0.2, 0.8)))
+        u, states = input_process._read(model.transition, (1, 2), -5, 5, True)
+        assert u.shape == (2, 10, 2) and states.shape == (2, 10)
+        assert not u.flags.writeable and not states.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0, 0] = 0.5
+        with pytest.raises(ValueError):
+            states[0, 0] = 1
+        iid, _ = input_process._read(((1.0,),), (1,), 0, 4, True)
+        det, none = input_process._read(((1.0,),), (1,), 0, 4, False)
+        assert not iid.flags.writeable and not det.flags.writeable and none is None
+        # the marks drawn from the read are the caller's own
+        xs, _ = model.sample_blocks((1, 2), -5, 5)
+        assert xs.flags.writeable
+
+    def test_reads_that_differ_only_in_laws_share_one_pass(self, passes):
+        # the load points of a sweep: scaled sigma laws, one base read
+        g = generator_from_config({
+            "model": "markov_modulated", "transition": [[0.9, 0.1], [0.2, 0.8]],
+            "states": [{"xi": {"dist": "exp", "mean": 1.5}, "sigma": {"dist": "exp", "mean": 0.5}},
+                       {"xi": {"dist": "exp", "mean": 0.5},
+                        "sigma": {"dist": "uniform", "low": 0.0, "high": 2.0}}],
+            "seed": 7})
+        blocks = [scale_sigma(g, c).sample_block(0, 500) for c in (1.0, 2.0, 0.5)]
+        assert len(passes) == 1
+        assert blocks[1][0] == blocks[0][0]
+        assert blocks[1][1] == [2.0 * s for s in blocks[0][1]]
+        assert blocks[0] == scale_sigma(g, 1.0).sample_block(0, 500)
 
     def test_one_state_law_needs_no_solve(self, monkeypatch):
         def refuse(*args, **kwargs):

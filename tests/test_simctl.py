@@ -272,9 +272,16 @@ class TestConfigParsing:
          "transition must be a list of rows, each a list, got '1'"),
         ({"input": dict(ONE_STATE_MM, transition=["1"])}, [],
          "transition must be a list of rows, each a list, got ['1']"),
+        # a number written as a string is refused wherever a number is read,
+        # as the integer fields refuse it
+        ({"input": dict(MM_INPUT, xi={"dist": "exp", "mean": "12"})}, [],
+         "distribution 'exp' parameter 'mean' must be a number, got '12'"),
+        ({"rate": {"kind": "custom_table", "floor": 0.5, "table": {1: "1.0"}}}, [],
+         "custom_table rate must be a number, got '1.0'"),
+        ({"replications": "12"}, [], "replications must be a positive integer, got '12'"),
     ], ids=["rate-not-mapping", "yaml-list", "yaml-unparsable", "input-not-mapping",
             "sweep-zero-demand", "rho-two-fields", "rho-string", "transition-string",
-            "transition-row-string"])
+            "transition-row-string", "mean-string", "table-value-string", "count-string"])
     def test_config_error_names_its_cause(self, tmp_path, monkeypatch, capsys, config, command,
                                           message):
         monkeypatch.chdir(tmp_path)
@@ -288,6 +295,28 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("points", [1, 4])
+    def test_sweep_solves_its_chain_once(self, tmp_path, monkeypatch, points):
+        # the load points' models differ only in their sigma laws, so they
+        # share one transition matrix and its one stationary solve
+        input_process._stationary_law.cache_clear()
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        cfg = ExperimentConfig.from_dict({
+            "schema_id": SCHEMA_ID, "mode": "stability_sweep", "base_seed": 3,
+            "replications": 2, "max_lookback": 200, "stability_samples": 50,
+            "input": MODULATED_INPUT, "rate": {"kind": "half_interference"},
+            "sweep": {"rho": [0.3 + 0.2 * k for k in range(points)]},
+            "output": {"path": str(tmp_path / "sweep.csv")}})
+        assert run_experiment(cfg, jobs=1).rows == points
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode", ["forward_sim", "gginf_stationary", "ps_perfect_sample",
                                       "stability_sweep"])
@@ -1268,8 +1297,8 @@ class TestInvariantSuites:
         # the check compares the kernel with numpy's generator
         kernel = input_process._philox_uniforms
 
-        def flipped(seeds, purpose, a, b):
-            u = kernel(seeds, purpose, a, b)
+        def flipped(rows, a, b):
+            u = kernel(rows, a, b)
             if u.size:
                 u.view(np.uint64)[0, 0, 0] ^= np.uint64(1)
             return u
