@@ -15,6 +15,13 @@ first depth is the cap, no epoch is tested and every row reads exactly
 ``TERMS`` terms (drawing the marks, the prefix sums and the suffix maxima)
 and reports ``lookback_exhausted``.
 
+``test_shipped_batch`` times ``backward_coupling_ps_batch`` on perfbench's
+``ps_shipped`` shape, in ms per sample: one batch of ``ROWS`` inputs with
+the shipped law (exponential gaps of mean 3 and demands of mean 1 against
+``half_interference``, load 2/3), window 200 and lookback 10 000.  Every
+row certifies at the first depth, 400, so the case times one many-seed
+read, the screened search and the forward legs.
+
 ``test_perfect_sample`` times ``backward_coupling_ps`` in ms per sample on
 M/M/1-PS input (``classical_ps``, exponential gaps of mean 1 and demands
 of mean ``rho``) at loads 0.5, 0.9 and 1.1, one sample each for
@@ -26,7 +33,6 @@ refusal (mostly the rate's validation).
 
 import pytest
 
-from gpsq import input_process
 from gpsq.input_process import Exponential, Pareto, iid_input, replication_seed
 from gpsq.rates import classical_ps, half_interference
 from gpsq.stationary import (
@@ -43,9 +49,6 @@ HEAVY = iid_input(Exponential(3.0), Pareto(1.5, 1.0), seed=12345)
 
 
 def lindley_scan():
-    # the scan reads once, and the input layer keeps its last read, so each
-    # round clears it first (as test_coupler_pass does)
-    input_process._read.cache_clear()
     return (lindley_W(SHIPPED, 0.5, max_lookback=TERMS, improvement_window=2 * TERMS),)
 
 
@@ -71,7 +74,6 @@ def test_coupler_pass(benchmark):
     r = half_interference()
 
     def run():
-        input_process._read.cache_clear()
         return backward_coupling_ps_batch(gens, r, max_lookback=TERMS // 2,
                                           improvement_window=TERMS + 1)
 
@@ -79,6 +81,15 @@ def test_coupler_pass(benchmark):
     assert [(rep.reason, rep.iterations_used) for rep in reports] == [
         ("lookback_exhausted", TERMS)] * ROWS
     benchmark.extra_info.update(unit="us_per_term", count=ROWS * TERMS)
+
+
+def test_shipped_batch(benchmark):
+    gens = [iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(42, i))
+            for i in range(ROWS)]
+    reports = benchmark(backward_coupling_ps_batch, gens, half_interference(),
+                        max_lookback=10_000, improvement_window=200)
+    assert all(rep.coupled for rep in reports)
+    benchmark.extra_info.update(unit="ms_per_sample", count=ROWS)
 
 
 SAMPLES = 8

@@ -12,15 +12,12 @@ uniforms.  The one-seed case reads the Markov-modulated input over
 ``FORWARD_INDICES`` indices from 0, the read ``check_stability`` makes on
 ``sweep_mm``.  The one-index case reads ``ONE_INDEX_READS`` single
 indices of the Markov-modulated input with ``sample(n)``, one kernel pass
-each.  The input layer keeps its last read, so each round clears it first:
-a round that found its read kept would time nothing.  Kept outside
-``testpaths``; ``bench/write_bench.py`` turns the timings into µs per
+each.  Kept outside ``testpaths``; ``bench/write_bench.py`` turns the timings into µs per
 index.
 """
 
 import pytest
 
-from gpsq import input_process
 from gpsq.input_process import generator_from_config, replication_seed, sample_blocks
 from gpsq.stationary import BATCH_ROWS
 
@@ -50,14 +47,14 @@ def test_sample_blocks(benchmark, model):
     base = generator_from_config(INPUTS[model])
     gens = [base.with_seed(replication_seed(42, i)) for i in range(SEEDS)]
     # a backward read, as the perfect sampler's buffer makes
-    xs, ss = benchmark(fresh_read, gens, -INDICES, 0)
+    xs, ss = benchmark(sample_blocks, gens, -INDICES, 0)
     assert xs.shape == ss.shape == (SEEDS, INDICES)
     benchmark.extra_info.update(unit="us_per_index", count=SEEDS * INDICES)
 
 
 def test_sample_blocks_one_seed(benchmark):
     gens = [generator_from_config(INPUTS["markov_modulated"]).with_seed(replication_seed(42, 0))]
-    xs, ss = benchmark(fresh_read, gens, 0, FORWARD_INDICES)
+    xs, ss = benchmark(sample_blocks, gens, 0, FORWARD_INDICES)
     assert xs.shape == ss.shape == (1, FORWARD_INDICES)
     benchmark.extra_info.update(unit="us_per_index", count=FORWARD_INDICES)
 
@@ -66,14 +63,8 @@ def test_sample_one_index(benchmark):
     gen = generator_from_config(INPUTS["markov_modulated"]).with_seed(replication_seed(42, 0))
 
     def reads():
-        # distinct indices: none is the kept read
         return [gen.sample(n) for n in range(-ONE_INDEX_READS, 0)]
 
     assert len(benchmark(reads)) == ONE_INDEX_READS
     benchmark.extra_info.update(unit="us_per_index", count=ONE_INDEX_READS)
 
-
-def fresh_read(gens, a, b):
-    """``sample_blocks(gens, a, b)`` with no kept read to find."""
-    input_process._read.cache_clear()
-    return sample_blocks(gens, a, b)

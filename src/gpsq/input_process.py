@@ -32,8 +32,9 @@ A read is one kernel pass, which holds the chain rows and the mark rows
 alike, and runs the kernel only for what it uses: laws that consume no
 uniform (deterministic ones) read no mark rows, and a chain with one state
 (iid marks) reads no chain rows.  The read (:func:`_read`) depends on the
-model only through its transition matrix, and the last one is kept, so
-reads that differ only in their laws share it.
+model only through its transition matrix, so inside a
+:func:`shared_reads` block reads that differ only in their laws share it;
+outside one nothing is kept.
 
 The kernel reproduces numpy's own Philox generator bit for bit: the
 uniforms of ``(seed, purpose, n)`` are the first two ``random()`` draws of
@@ -43,7 +44,13 @@ through it.  The transforms apply ``math.log1p`` and ``**`` per element
 and the affine steps in numpy, which rounds them exactly as Python does,
 so the marks are the values the scalar inverse-CDF formulas give on the
 same uniforms.  ``np.log1p`` is not correctly rounded the same way (it is
-one ulp off ``math.log1p`` on about 6% of draws), so it is not used.
+one ulp off ``math.log1p`` on about 7% of draws), so no mark that is
+written out comes from it.  Each law also has a vectorised ``screen``
+(``np.log1p``, ``np.power``), within its stated relative ``screen_bound``
+(:data:`SCREEN_BOUND`) of ``transform``: the perfect sampler decides its
+regeneration epoch on screened marks with a slack derived from that bound,
+and computes exact marks only where a decision is close or a mark is
+written out (``gpsq.stationary``).
 
 The Markov-modulated model is exactly stationary.  Its grand coupling (one
 shared uniform per index, inverse-CDF transition rows) is one table of
@@ -62,6 +69,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
@@ -186,11 +194,20 @@ def replication_seed(base_seed: int, i: int) -> int:
 # distributions
 # ---------------------------------------------------------------------------
 
+#: Relative bound of a law's :meth:`screen` against its exact
+#: :meth:`transform`: ``|screen(u) - transform(u)| <= screen_bound *
+#: screen(u)`` at every uniform.  ``np.log1p`` and ``np.power`` are within a
+#: few ulps (2^-52 each) of ``math.log1p`` and ``**``; the bound leaves 2^12
+#: of headroom.  Laws whose screen is their transform state 0.
+SCREEN_BOUND = 2.0**-40
+
 
 @dataclass(frozen=True)
 class Exponential:
     #: uniforms one draw consumes
     consumes: ClassVar[int] = 1
+    #: relative bound of :meth:`screen` against :meth:`transform`
+    screen_bound: ClassVar[float] = SCREEN_BOUND
 
     mean: float
 
@@ -202,6 +219,11 @@ class Exponential:
         """Draws from the uniforms ``u`` by the inverse CDF
         ``-mean * log1p(-u)``, one ``math.log1p`` per element."""
         return -self.mean * np.fromiter(map(math.log1p, (-u).tolist()), float, u.size)
+
+    def screen(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`transform` with ``np.log1p``, within ``screen_bound`` of
+        it relatively."""
+        return -self.mean * np.log1p(-u)
 
     def dist_mean(self) -> float:
         return self.mean
@@ -216,6 +238,7 @@ class Exponential:
 @dataclass(frozen=True)
 class Deterministic:
     consumes: ClassVar[int] = 0
+    screen_bound: ClassVar[float] = 0.0
 
     value: float
 
@@ -227,6 +250,8 @@ class Deterministic:
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         return np.full(u.size, float(self.value))
+
+    screen = transform
 
     def dist_mean(self) -> float:
         return self.value
@@ -241,6 +266,7 @@ class Deterministic:
 @dataclass(frozen=True)
 class Uniform:
     consumes: ClassVar[int] = 1
+    screen_bound: ClassVar[float] = 0.0
 
     low: float
     high: float
@@ -251,6 +277,8 @@ class Uniform:
 
     def transform(self, u: np.ndarray) -> np.ndarray:
         return self.low + (self.high - self.low) * u
+
+    screen = transform
 
     def dist_mean(self) -> float:
         return 0.5 * (self.low + self.high)
@@ -268,6 +296,7 @@ class Pareto:
     the mean is finite."""
 
     consumes: ClassVar[int] = 1
+    screen_bound: ClassVar[float] = SCREEN_BOUND
 
     alpha: float
     scale: float
@@ -281,6 +310,11 @@ class Pareto:
     def transform(self, u: np.ndarray) -> np.ndarray:
         power = -1.0 / self.alpha
         return self.scale * np.fromiter((v**power for v in (1.0 - u).tolist()), float, u.size)
+
+    def screen(self, u: np.ndarray) -> np.ndarray:
+        """:meth:`transform` with ``np.power``, within ``screen_bound`` of
+        it relatively."""
+        return self.scale * np.power(1.0 - u, -1.0 / self.alpha)
 
     def dist_mean(self) -> float:
         return self.alpha * self.scale / (self.alpha - 1.0)
@@ -338,11 +372,14 @@ def dist_from_config(cfg: dict) -> Distribution:
 
 
 def _marks(
-    xi_dist: Distribution, sigma_dist: Distribution, u: np.ndarray
+    xi_dist: Distribution, sigma_dist: Distribution, u: np.ndarray, screen: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     # the uniforms of one index are consumed in order, xi first: sigma
     # takes the first one when xi is deterministic
-    return xi_dist.transform(u[:, 0]), sigma_dist.transform(u[:, xi_dist.consumes])
+    ux, us = u[:, 0], u[:, xi_dist.consumes]
+    if screen:
+        return xi_dist.screen(ux), sigma_dist.screen(us)
+    return xi_dist.transform(ux), sigma_dist.transform(us)
 
 
 @dataclass(frozen=True)
@@ -392,26 +429,49 @@ class MarkovModulatedModel:
         transition matrix)."""
         return _stationary_law(self.transition)
 
+    @property
+    def screen_bound(self) -> float:
+        """The largest ``screen_bound`` of the model's laws: the relative
+        bound of :meth:`marks` with ``screen`` against the exact marks."""
+        return max(d.screen_bound for d in self.xi_dists + self.sigma_dists)
+
     def state_at(self, seed: int, index: int) -> int:
         """Stationary chain state at one index: the one-seed, one-index
         case of the block read."""
         states = _read(self.transition, (seed,), index, index + 1, False)[1]
         return 0 if states is None else int(states[0, 0])
 
-    def sample_blocks(
-        self, seeds: Sequence[int], a: int, b: int
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def read(self, seeds: Sequence[int], a: int, b: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The uniforms and chain states of indices ``a .. b - 1`` of every
+        seed, read-only, as :func:`_read` gives them; :meth:`marks` turns
+        them into marks."""
         consumes = any(d.consumes for d in self.xi_dists + self.sigma_dists)
-        u, states = _read(self.transition, tuple(seeds), a, b, consumes)
+        return _read(self.transition, tuple(seeds), a, b, consumes)
+
+    def marks(
+        self, u: np.ndarray, states: np.ndarray | None, screen: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The marks ``(xi, sigma)`` of the uniforms ``u`` (shape ``(...,
+        2)``) in the chain states ``states`` (shape ``u.shape[:-1]``, or
+        ``None`` for one state), each of shape ``u.shape[:-1]``.  Each law
+        maps its uniforms by its exact ``transform``, or by its vectorised
+        ``screen`` when ``screen`` is true.  An exact mark depends only on
+        its own uniforms and state, so any selection of them gives the
+        same exact marks."""
         if states is None:  # the state is 0 everywhere
-            xs, ss = _marks(self.xi_dists[0], self.sigma_dists[0], u.reshape(-1, 2))
-            return xs.reshape(u.shape[:2]), ss.reshape(u.shape[:2])
+            xs, ss = _marks(self.xi_dists[0], self.sigma_dists[0], u.reshape(-1, 2), screen)
+            return xs.reshape(u.shape[:-1]), ss.reshape(u.shape[:-1])
         xs = np.empty(states.shape)
         ss = np.empty(states.shape)
         for s in range(self.n_states):
             at = states == s
-            xs[at], ss[at] = _marks(self.xi_dists[s], self.sigma_dists[s], u[at])
+            xs[at], ss[at] = _marks(self.xi_dists[s], self.sigma_dists[s], u[at], screen)
         return xs, ss
+
+    def sample_blocks(
+        self, seeds: Sequence[int], a: int, b: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return self.marks(*self.read(seeds, a, b))
 
     def mean_xi(self) -> float:
         pi = self.stationary_distribution()
@@ -493,7 +553,26 @@ _NO_COALESCENCE = (
 )
 
 
-@lru_cache(maxsize=1)
+#: The last read inside a :func:`shared_reads` block, as ``(arguments,
+#: read)``; ``None`` outside one, so that no read outlives its callers.
+_shared: tuple | None = None
+
+
+@contextmanager
+def shared_reads():
+    """Within the block, a read equal to the one before it (same transition
+    matrix, seeds, range and mark flag) is that read, without a kernel
+    pass: reads that differ only in their laws, such as the verdicts of a
+    sweep's load points, share one pass.  The kept read is dropped when the
+    block ends."""
+    global _shared
+    _shared = ()
+    try:
+        yield
+    finally:
+        _shared = None
+
+
 def _read(
     transition: tuple[tuple[float, ...], ...], seeds: tuple[int, ...], a: int, b: int, marks: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -508,8 +587,12 @@ def _read(
     ``- 1`` indices before ``a``, so that coupling from the past starts
     from what it holds (:func:`_mm_states`), and the mark rows over the
     same range.  The read depends on the model only through its transition
-    matrix; the last one is kept, so reads that differ only in the laws
-    (the load points of a sweep) share it."""
+    matrix, so inside a :func:`shared_reads` block reads that differ only in
+    the laws (the load points of a sweep) share it."""
+    global _shared
+    args = (transition, seeds, a, b, marks)
+    if _shared and _shared[0] == args:
+        return _shared[1]
     k, n = len(seeds), max(b - a, 0)
     chain = len(transition) > 1
     lo = a - _MM_FIRST_LOOKBACK + 1 if chain else a
@@ -522,10 +605,13 @@ def _read(
     else:  # what laws that consume no uniform are given
         u = np.zeros((k, n, 2))
     u.setflags(write=False)
-    if not chain:
-        return u, None
-    states = _mm_states(transition, seeds, both[:k, :, 0], a) if n else np.zeros((k, 0), np.int64)
-    states.setflags(write=False)
+    states = None
+    if chain:
+        states = (_mm_states(transition, seeds, both[:k, :, 0], a) if n
+                  else np.zeros((k, 0), np.int64))
+        states.setflags(write=False)
+    if _shared is not None:
+        _shared = (args, (u, states))
     return u, states
 
 

@@ -42,6 +42,7 @@ from .input_process import (
     generator_from_config,
     replication_seed,
     scale_sigma,
+    shared_reads,
 )
 from .measures import ZERO
 from .rates import (
@@ -670,16 +671,16 @@ def _forward_csv_rows(i: int, seed: int, segments: Sequence[tuple]) -> bytes:
 def _worker_sweep_point(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunction,
                         rhos: list[float]) -> Iterator[dict]:
     # the verdicts of every point first: their reads of base_seed differ only
-    # in the scaled sigma laws, so all but the first are the input layer's
-    # cached read
+    # in the scaled sigma laws, so all but the first are the shared read
     points = []
-    for rho in rhos:
-        factor = rho * r.declared_floor * base.mean_xi() / base.mean_sigma()
-        scaled = scale_sigma(base, factor)
-        verdict = check_stability(
-            scaled.with_seed(cfg.base_seed), r, n_samples=cfg.stability_samples
-        ).verdict
-        points.append((rho, factor, scaled, verdict))
+    with shared_reads():
+        for rho in rhos:
+            factor = rho * r.declared_floor * base.mean_xi() / base.mean_sigma()
+            scaled = scale_sigma(base, factor)
+            verdict = check_stability(
+                scaled.with_seed(cfg.base_seed), r, n_samples=cfg.stability_samples
+            ).verdict
+            points.append((rho, factor, scaled, verdict))
     for rho, factor, scaled, verdict in points:
         gens = [_rep_generator(cfg, scaled, i) for i in range(cfg.replications)]
         reports = backward_coupling_ps_batch(

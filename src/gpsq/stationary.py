@@ -47,12 +47,19 @@ batch of one) draws the marks of a batch of replications once, into one
 2-D buffer; a row takes its nearest certified epoch, runs its forward leg
 and leaves the batch.  A row's report reads only its own marks at the
 depths of the schedule, so it does not depend on its batch mates.
+
+The sampler searches on the laws' vectorised screened marks
+(``screen``), within a stated relative bound of the exact ones, and runs
+the certificate with a slack derived from that bound; only a close
+decision, and the forward legs, read exact marks.  So its reports are
+those of the exact search.  The other constructions read exact marks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -60,12 +67,15 @@ import numpy as np
 # step is not called here: perfbench's tracer wraps stationary.step, and its
 # install fails without the name
 from .dynamics import leg, step  # noqa: F401
-from .input_process import sample_blocks
+from .input_process import MarkedInputGenerator, sample_blocks
 from .measures import ATOM_TOL, ZERO, CountingMeasure
 from .rates import RateFunction
 
 #: Per-draw tail probability the certification rules are allowed to ignore.
 DEFAULT_QUANTILE = 1.0 - 1e-9
+
+#: Unit roundoff of float64 arithmetic.
+_U = 2.0**-53
 
 #: Smallest first block of a backward scan; a block of 256 costs about
 #: twice a block of one, so smaller blocks buy nothing.
@@ -127,28 +137,115 @@ class _Backlog:
     Row ``k``, column ``c`` of ``xs`` and ``ss`` holds the marks of index
     ``-(c + 1)`` of input ``k``.  Every row has the same depth;
     :meth:`reach` deepens all rows at once, in one many-seed read.
+
+    A screened backlog (``screen`` true, on inputs that share one model
+    whose ``screen_bound`` is not 0) holds the laws' screened marks,
+    within the relative ``bound`` of the exact ones, and, in ``us`` and
+    ``states``, the uniforms and chain states they came from, so that
+    :meth:`exact_terms` and :meth:`exact` can give any of them exactly.
+    Otherwise the marks are exact and ``bound`` is 0.
     """
 
-    def __init__(self, gens: list):
+    def __init__(self, gens: list, screen: bool = False):
         self.gens = gens
         self.xs = self.ss = np.empty((len(gens), 0))
+        self.model = _screened_model(gens) if screen else None
+        self.bound = 0.0 if self.model is None else self.model.screen_bound
+        self.us = self.states = None
+        if self.model is not None:
+            self.us = np.empty((len(gens), 0, 2))
+            if self.model.n_states > 1:
+                self.states = np.empty((len(gens), 0), dtype=np.int64)
 
     def reach(self, depth: int) -> None:
         have = self.xs.shape[1]
-        if depth > have:
+        if depth <= have:
+            return
+        if self.model is None:
             xs, ss = sample_blocks(self.gens, -depth, -have)
-            self.xs = np.concatenate([self.xs, xs[:, ::-1]], axis=1)
-            self.ss = np.concatenate([self.ss, ss[:, ::-1]], axis=1)
+        else:
+            off = self.gens[0].offset
+            u, states = self.model.read([g.seed for g in self.gens], off - depth, off - have)
+            xs, ss = self.model.marks(u, states, screen=True)
+            self.us = np.concatenate([self.us, u[:, ::-1]], axis=1)
+            if states is not None:
+                self.states = np.concatenate([self.states, states[:, ::-1]], axis=1)
+        self.xs = np.concatenate([self.xs, xs[:, ::-1]], axis=1)
+        self.ss = np.concatenate([self.ss, ss[:, ::-1]], axis=1)
 
     def terms(self, k_r: float, depth: int) -> np.ndarray:
         """The Lindley terms ``sigma - K_r xi`` of the first ``depth``
         columns of every row."""
         return self.ss[:, :depth] - k_r * self.xs[:, :depth]
 
+    def slack(self, k_r: float, depth: int, margin: float) -> np.ndarray | float:
+        """Per row, the absolute slack of :func:`_certified` on
+        :meth:`terms`: no test on them differs from the same test on the
+        exact terms by more (README, "Numerical conventions").  With
+        ``A`` the row's sum of ``sigma + K_r xi``, ``s = (2 bound + 4u (D +
+        2)) A + (D + 2) 2^-1070`` bounds each prefix sum's distance from the
+        exact one, and the slack is ``4 s + 2u (ATOM_TOL + margin)``, ``u =
+        2^-53``.  0 for exact marks."""
+        if not self.bound:
+            return 0.0
+        a = self.ss[:, :depth].sum(axis=1) + k_r * self.xs[:, :depth].sum(axis=1)
+        near = (2.0 * self.bound + 4.0 * _U * (depth + 2)) * a + (depth + 2) * 2.0**-1070
+        return (4.0 * near + 2.0 * _U * (ATOM_TOL + margin))[:, None]
+
+    def exact_terms(self, k_r: float, depth: int, rows: np.ndarray) -> np.ndarray:
+        """:meth:`terms` of the rows ``rows`` of a screened backlog on exact
+        marks."""
+        states = None if self.states is None else self.states[rows, :depth]
+        xs, ss = self.model.marks(self.us[rows, :depth], states)
+        return ss - k_r * xs
+
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row whose entry of the mask ``rows`` is false."""
         self.gens = [g for g, k in zip(self.gens, rows) if k]
         self.xs, self.ss = self.xs[rows], self.ss[rows]
+        if self.model is not None:
+            self.us = self.us[rows]
+            self.states = None if self.states is None else self.states[rows]
+
+    def cut(self, rows: np.ndarray, ms: np.ndarray) -> tuple:
+        """What :meth:`exact` needs of the first ``ms[k]`` columns of each
+        row ``rows[k]``: their marks, uniforms and states, each as one
+        array of the prefixes in order, and ``ms``."""
+        prefix = np.arange(ms.max()) < ms[:, None]
+        return tuple(None if a is None else a[rows, :prefix.shape[1]][prefix]
+                     for a in (self.xs, self.ss, self.us, self.states)) + (ms,)
+
+    def exact(self, cuts: list[tuple]) -> list[tuple[list[float], list[float]]] | None:
+        """The exact marks of every prefix of the cuts (:meth:`cut`), each
+        oldest index first, from one ``transform`` call per law.  ``None``
+        when one of them is not within ``bound`` of its screened value: the
+        screen broke its bound, and no decision made on it can be trusted."""
+        if not cuts:
+            return []
+        xs, ss, us, states, ms = (None if part[0] is None else np.concatenate(part)
+                                  for part in zip(*cuts))
+        if self.model is not None:
+            screened = xs, ss
+            xs, ss = self.model.marks(us, states)
+            if not all((np.abs(exact - near) <= self.bound * near).all()
+                       for exact, near in zip((xs, ss), screened)):
+                return None
+        at = list(accumulate(ms.tolist(), initial=0))
+        return [(xs[i:j][::-1].tolist(), ss[i:j][::-1].tolist()) for i, j in zip(at, at[1:])]
+
+
+def _screened_model(gens: list):
+    """The model every input of ``gens`` reads, at one offset, when one of
+    its laws has a screen that is not its transform; otherwise (inputs
+    that do not share one, or any that is not a
+    :class:`MarkedInputGenerator`) ``None``."""
+    first = gens[0]
+    if not isinstance(first, MarkedInputGenerator) or not first.model.screen_bound:
+        return None
+    if all(isinstance(g, MarkedInputGenerator) and g.model == first.model
+           and g.offset == first.offset for g in gens):
+        return first.model
+    return None
 
 
 def gginf_stationary(
@@ -213,20 +310,28 @@ def _stopping_rule(gen, k_r: float, improvement_window: int | None) -> tuple[int
 
 
 def _certified(
-    terms: np.ndarray, window: int, margin: float, max_m: int
-) -> tuple[np.ndarray, np.ndarray]:
+    terms: np.ndarray, window: int, margin: float, max_m: int, slack: np.ndarray | float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The prefix sums ``s[:, j] = S_j`` of every row of ``terms`` (``D``
-    columns, ``S_0 = 0``) and the mask of its certified epochs ``m``: the
+    columns, ``S_0 = 0``) and two masks of its certified epochs ``m``: the
     workload started at ``-m`` stays zero, ``max_{m<j<=D} S_j - S_m <=
     ATOM_TOL``, ``S_m - S_D >= margin`` and ``m <= min(D - window, max_m)``.
+
+    The first mask ("sure") holds both tests with ``slack`` to spare, the
+    second ("possible") fails neither by more than ``slack`` (one value, or
+    one per row as a column).  With terms within ``slack`` of exact ones
+    (:meth:`_Backlog.slack`), a sure epoch is certified on the exact terms
+    and a certified one is possible.  At slack 0 both are the exact test.
     """
     rows, d = terms.shape
     s = np.cumsum(np.concatenate([np.zeros((rows, 1)), terms], axis=1), axis=1)
     ahead = np.maximum.accumulate(s[:, :0:-1], axis=1)[:, ::-1]  # max S_j, m < j <= d
     top = max(min(d - window, max_m) + 1, 0)
-    ok = ahead[:, :top] - s[:, :top] <= ATOM_TOL
-    ok &= s[:, :top] - s[:, d, None] >= margin
-    return s, ok
+    rise, drop = ahead[:, :top] - s[:, :top], s[:, :top] - s[:, d, None]
+    sure = (rise <= ATOM_TOL - slack) & (drop >= margin + slack)
+    if not np.any(slack):
+        return s, sure, sure
+    return s, sure, (rise <= ATOM_TOL + slack) & (drop >= margin - slack)
 
 
 def lindley_W(
@@ -256,7 +361,7 @@ def lindley_W(
     buf = _Backlog([gen])
     for d in _depths(2 * window, max_lookback):
         buf.reach(d)
-        s, ok = _certified(buf.terms(k_r, d), window, margin, max_lookback)
+        s, ok, _ = _certified(buf.terms(k_r, d), window, margin, max_lookback)
         if converged := bool(ok.any()):
             break
     return LoynesResult(
@@ -334,31 +439,54 @@ def _couple_batch(
     window: int,
     margin: float,
     max_lookback: int,
+    screen: bool = True,
 ) -> list[CouplingReport]:
-    reports: list[CouplingReport | None] = [None] * len(gens)
-    buf = _Backlog(gens)
+    # At each depth a row with no possible epoch reads deeper, a row whose
+    # first possible epoch is sure takes it, and any other row takes the
+    # first epoch the exact test certifies, if any: what the exact test
+    # alone would choose, since sure <= certified <= possible.
+    k_r = r.declared_floor
+    buf = _Backlog(gens, screen)
     ids = np.arange(len(gens))  # the input each buffer row belongs to
+    found = []  # (input, depth, epoch) of every row certified, depth by depth
+    cuts = []  # the prefixes of those rows, one cut per depth
     for d in depths:
         buf.reach(d)
-        _, ok = _certified(buf.terms(r.declared_floor, d), window, margin, max_lookback)
-        hit = ok.any(axis=1)
-        for row in np.flatnonzero(hit):
-            m = int(ok[row].argmax())
-            xs, ss = buf.xs[row, :m][::-1].tolist(), buf.ss[row, :m][::-1].tolist()
-            mu = leg(ZERO, xs, ss, r)
-            reports[ids[row]] = CouplingReport(
-                coupled=True,
-                regeneration_index=-m,
-                stationary_profile=mu,
-                iterations_used=d + m,
-                reason="certified",
-            )
-        buf.keep(~hit)
-        ids = ids[~hit]
+        _, sure, possible = _certified(
+            buf.terms(k_r, d), window, margin, max_lookback, buf.slack(k_r, d, margin))
+        epoch = np.full(ids.size, -1)
+        rows = np.flatnonzero(possible.any(axis=1))
+        if rows.size:
+            first = possible[rows].argmax(axis=1)
+            decided = sure[rows, first]
+            epoch[rows[decided]] = first[decided]
+            close = rows[~decided]
+            if close.size:
+                _, ok, _ = _certified(buf.exact_terms(k_r, d, close), window, margin, max_lookback)
+                hit = ok.any(axis=1)
+                epoch[close[hit]] = ok[hit].argmax(axis=1)
+        done = np.flatnonzero(epoch >= 0)
+        if done.size:
+            found += [(i, d, m) for i, m in zip(ids[done].tolist(), epoch[done].tolist())]
+            cuts.append(buf.cut(done, epoch[done]))
+        searching = epoch < 0
+        buf.keep(searching)
+        ids = ids[searching]
         if not ids.size:
             break
-    exhausted = CouplingReport(False, None, None, depths[-1], "lookback_exhausted")
-    return [rep or exhausted for rep in reports]
+    legs = buf.exact(cuts)
+    if legs is None:
+        return _couple_batch(gens, r, depths, window, margin, max_lookback, screen=False)
+    reports = [CouplingReport(False, None, None, depths[-1], "lookback_exhausted")] * len(gens)
+    for (i, d, m), (xs, ss) in zip(found, legs):
+        reports[i] = CouplingReport(
+            coupled=True,
+            regeneration_index=-m,
+            stationary_profile=leg(ZERO, xs, ss, r),
+            iterations_used=d + m,
+            reason="certified",
+        )
+    return reports
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,13 @@ def one_state(xi, sigma):
     return MarkovModulatedModel(((1.0,),), (xi,), (sigma,))
 
 
+@pytest.fixture(scope="module")
+def million_uniforms():
+    """10^6 kernel uniforms and the edges 0, 2^-53, 0.5 and 1 - 2^-53."""
+    u = _philox_uniforms([(5, _PURPOSE_MARKS)], 0, 500_000).reshape(-1)
+    return np.concatenate([u, [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53]])
+
+
 def block_means(g, n):
     """``mean_se`` of the xi and of the sigma marks of indices ``0 .. n - 1``."""
     xs, ss = g.sample_block(0, n)
@@ -120,6 +127,21 @@ class TestDistributions:
         for xi, sigma in zip(*g.sample_block(0, 200)):
             assert xi > 0
             assert sigma >= 2.0  # pareto support starts at its scale
+
+    @pytest.mark.parametrize("law", [
+        Exponential(1.0), Exponential(3.0), Pareto(1.01, 1.0), Pareto(1.5, 2.0),
+        Pareto(50.0, 0.5), Uniform(0.0, 2.0), Uniform(0.5, 3.0), Deterministic(4.0),
+    ], ids=repr)
+    def test_screen_within_its_bound(self, law, million_uniforms):
+        u = million_uniforms
+        exact, screened = law.transform(u), law.screen(u)
+        err = np.abs(screened - exact)
+        assert (err <= law.screen_bound * screened).all()
+        if not law.screen_bound:
+            assert screened.tolist() == exact.tolist()
+        # the largest relative error seen is 2^-52 (one ulp of log1p or pow):
+        # 2^10 below the stated bound
+        assert (err <= 2.0**-10 * input_process.SCREEN_BOUND * screened).all()
 
     def test_scaled(self):
         assert Exponential(2.0).scaled(3.0).mean == 6.0
@@ -840,11 +862,15 @@ class TestReadPath:
                        {"xi": {"dist": "exp", "mean": 0.5},
                         "sigma": {"dist": "uniform", "low": 0.0, "high": 2.0}}],
             "seed": 7})
-        blocks = [scale_sigma(g, c).sample_block(0, 500) for c in (1.0, 2.0, 0.5)]
+        with input_process.shared_reads():
+            blocks = [scale_sigma(g, c).sample_block(0, 500) for c in (1.0, 2.0, 0.5)]
         assert len(passes) == 1
         assert blocks[1][0] == blocks[0][0]
         assert blocks[1][1] == [2.0 * s for s in blocks[0][1]]
+        # outside the block nothing is kept: each read is its own pass
         assert blocks[0] == scale_sigma(g, 1.0).sample_block(0, 500)
+        assert blocks[0] == scale_sigma(g, 1.0).sample_block(0, 500)
+        assert len(passes) == 3 and input_process._shared is None
 
     def test_one_state_law_needs_no_solve(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -7,13 +7,16 @@ from dataclasses import dataclass, replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpsq import checks, stationary
 from gpsq.dynamics import step
 from gpsq.input_process import (
+    Deterministic,
     Exponential,
+    MarkedInputGenerator,
+    MarkovModulatedModel,
     Pareto,
     Uniform,
     deterministic_input,
@@ -781,6 +784,120 @@ class TestBatchedSampler:
         g = gens[0].shift(k)
         got = lindley_W(g, r.declared_floor, max_lookback, window)
         assert got == reference_lindley_W(g, r.declared_floor, max_lookback, window)
+
+
+LAWS = st.one_of(
+    st.builds(Exponential, st.floats(0.1, 5.0)),
+    st.builds(Pareto, st.floats(1.1, 5.0), st.floats(0.1, 2.0)),
+    st.builds(lambda low, width: Uniform(low, low + width), st.floats(0.0, 2.0),
+              st.floats(0.1, 3.0)),
+    st.builds(Deterministic, st.floats(0.1, 3.0)),
+)
+
+
+@st.composite
+def screened_batches(draw):
+    """A batch of inputs of one model, iid or Markov-modulated, whose laws
+    are drawn from all four, at load ``rho`` against the rate's floor."""
+    r = draw(st.sampled_from(RATES))
+    states = draw(st.integers(1, 2))
+    transition = ((1.0,),) if states == 1 else ((0.9, 0.1), (0.2, 0.8))
+    model = MarkovModulatedModel(transition, tuple(draw(LAWS) for _ in range(states)),
+                                 tuple(draw(LAWS) for _ in range(states)))
+    base = MarkedInputGenerator(model, seed=0, offset=draw(st.integers(-50, 50)))
+    rho = draw(st.floats(0.2, 1.2))
+    base = scale_sigma(base, rho * r.declared_floor * base.mean_xi() / base.mean_sigma())
+    seed = draw(st.integers(0, 2**64 - 1))
+    return [base.with_seed(replication_seed(seed, i)) for i in range(draw(st.integers(1, 40)))], r
+
+
+def shipped_batch(n, base_seed=42):
+    return [iid_input(Exponential(3.0), Exponential(1.0), seed=replication_seed(base_seed, i))
+            for i in range(n)]
+
+
+def exact_path(gens, r, *args):
+    """The sampler's reports with no input screened."""
+    with mock.patch.object(stationary, "_screened_model", return_value=None):
+        return [fields(rep) for rep in backward_coupling_ps_batch(gens, r, *args)]
+
+
+class TestScreenedCoupler:
+    # The sampler decides on screened marks and computes exact ones only
+    # for close decisions and the forward legs; its reports are those of
+    # the exact path, field for field.
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        screened_batches(),
+        st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(1, 3000)),
+        st.one_of(st.none(), st.integers(1, 400)),
+    )
+    # a window deeper than the only depth, 2: no epoch can be tested
+    @example(batch=(shipped_batch(4), half_interference()), max_lookback=1, window=300)
+    def test_reports_equal_the_exact_path(self, batch, max_lookback, window):
+        gens, r = batch
+        got = backward_coupling_ps_batch(gens, r, max_lookback, window)
+        assert [fields(rep) for rep in got] == exact_path(gens, r, max_lookback, window)
+
+    def test_shipped_input_is_screened(self):
+        gens = shipped_batch(3)
+        assert stationary._screened_model(gens) is gens[0].model
+        assert stationary._screened_model(gens + [deterministic_input(3.0, 1.0)]) is None
+        assert stationary._screened_model([gens[0].shift(1)] + gens) is None
+        # exact screens, or an input that is not a generator: nothing to screen
+        assert stationary._screened_model([deterministic_input(3.0, 1.0)]) is None
+        assert stationary._screened_model([backward_cycle(1.0)] + gens) is None
+
+    @pytest.mark.parametrize("gens, r, args, bound", [
+        (shipped_batch(2 * BATCH_ROWS), half_interference(), (10_000, 200), 2.0**-16),
+        # load 0.9: some close rows hold no certified epoch yet and read on
+        ([iid_input(Exponential(1.0), Exponential(0.9), seed=replication_seed(8, i))
+          for i in range(2 * BATCH_ROWS)], classical_ps(), (5000, None), 2.0**-12),
+    ], ids=["shipped", "load_0.9"])
+    def test_close_decisions_fall_back_to_the_exact_test(self, gens, r, args, bound,
+                                                         monkeypatch):
+        # a screen off by up to half a raised bound leaves the first
+        # possible epoch of some rows short of sure: those rows are decided
+        # on exact marks, and no report moves
+        want = exact_path(gens, r, *args)
+        screen = Exponential.screen
+        monkeypatch.setattr(Exponential, "screen_bound", bound)
+        monkeypatch.setattr(Exponential, "screen",
+                            lambda law, u: screen(law, u) * (1.0 + 0.5 * bound * (2.0 * u - 1.0)))
+        close = []
+        exact_terms = stationary._Backlog.exact_terms
+
+        def counted(buf, k_r, depth, rows):
+            close.extend(rows.tolist())
+            return exact_terms(buf, k_r, depth, rows)
+
+        monkeypatch.setattr(stationary._Backlog, "exact_terms", counted)
+        got = backward_coupling_ps_batch(gens, r, *args)
+        assert [fields(rep) for rep in got] == want
+        assert 0 < len(close) < len(gens)
+
+    def test_a_screen_beyond_its_bound_redoes_the_batch(self, monkeypatch):
+        # the runtime check: the exact marks of the chosen prefixes lie
+        # within the bound of their screened values, or the batch is
+        # decided again on exact marks
+        gens, r = shipped_batch(BATCH_ROWS), half_interference()
+        want = exact_path(gens, r, 10_000, 200)
+        passes = []
+        couple = stationary._couple_batch
+
+        def recorded(*args, **kwargs):
+            passes.append(kwargs.get("screen", True))
+            return couple(*args, **kwargs)
+
+        monkeypatch.setattr(stationary, "_couple_batch", recorded)
+        assert [fields(rep) for rep in backward_coupling_ps_batch(gens, r, 10_000, 200)] == want
+        assert passes == [True]
+        passes.clear()
+        screen = Exponential.screen
+        monkeypatch.setattr(Exponential, "screen", lambda law, u: screen(law, u) * (1.0 + 2.0**-30))
+        assert [fields(rep) for rep in backward_coupling_ps_batch(gens, r, 10_000, 200)] == want
+        assert passes == [True, False]
 
 
 # -- one vocabulary of stopping reasons ---------------------------------------
