@@ -22,6 +22,15 @@ the shipped law (exponential gaps of mean 3 and demands of mean 1 against
 row certifies at the first depth, 400, so the case times one many-seed
 read, the screened search and the forward legs.
 
+``test_deep_batch`` times ``backward_coupling_ps_batch`` on perfbench's
+``sweep_mm`` input, in ms per sample: ``DEEP_ROWS`` replications of the
+two-state Markov-modulated input against its 32-key table rate, with
+demands scaled to load 0.9 of the table's floor and lookback 1000.  Its
+rows certify at depths 256 and 1024, and their regeneration prefixes need
+exact marks for 584 of the 1536 indices read: the deep path of the
+screened search, which ``test_shipped_batch``, certifying every row at
+the first depth, does not take.
+
 ``test_perfect_sample`` times ``backward_coupling_ps`` in ms per sample on
 M/M/1-PS input (``classical_ps``, exponential gaps of mean 1 and demands
 of mean ``rho``) at loads 0.5, 0.9 and 1.1, one sample each for
@@ -33,8 +42,15 @@ refusal (mostly the rate's validation).
 
 import pytest
 
-from gpsq.input_process import Exponential, Pareto, iid_input, replication_seed
-from gpsq.rates import classical_ps, half_interference
+from gpsq.input_process import (
+    Exponential,
+    Pareto,
+    generator_from_config,
+    iid_input,
+    replication_seed,
+    scale_sigma,
+)
+from gpsq.rates import classical_ps, half_interference, table_rate
 from gpsq.stationary import (
     backward_coupling_ps,
     backward_coupling_ps_batch,
@@ -90,6 +106,30 @@ def test_shipped_batch(benchmark):
                         max_lookback=10_000, improvement_window=200)
     assert all(rep.coupled for rep in reports)
     benchmark.extra_info.update(unit="ms_per_sample", count=ROWS)
+
+
+# perfbench's sweep_mm input and rate (perfbench/workloads.py)
+MM_INPUT = {
+    "model": "markov_modulated",
+    "transition": [[0.9, 0.1], [0.2, 0.8]],
+    "states": [
+        {"xi": {"dist": "exp", "mean": 1.5}, "sigma": {"dist": "exp", "mean": 0.5}},
+        {"xi": {"dist": "exp", "mean": 0.5}, "sigma": {"dist": "uniform", "low": 0.0, "high": 2.0}},
+    ],
+}
+MM_RATE = table_rate({n: (0.9 + 0.1 / n) / n for n in range(1, 33)}, declared_floor=0.9)
+DEEP_ROWS = 3
+
+
+def test_deep_batch(benchmark):
+    base = generator_from_config(MM_INPUT)
+    scaled = scale_sigma(base, 0.9 * MM_RATE.declared_floor * base.mean_xi() / base.mean_sigma())
+    gens = [scaled.with_seed(replication_seed(7, i)) for i in range(DEEP_ROWS)]
+    reports = benchmark(backward_coupling_ps_batch, gens, MM_RATE, max_lookback=1000)
+    assert all(rep.coupled for rep in reports)
+    # the rows leave the batch at different depths D = iterations_used - m
+    assert len({rep.iterations_used + rep.regeneration_index for rep in reports}) > 1
+    benchmark.extra_info.update(unit="ms_per_sample", count=DEEP_ROWS)
 
 
 SAMPLES = 8

@@ -34,7 +34,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from operator import ge, neg
+from operator import neg
 from typing import Sequence
 
 import numpy as np
@@ -99,20 +99,13 @@ def gamma(mu: CountingMeasure, x: float, r: RateFunction) -> float:
         raise ValueError("gamma values are undefined for the zero measure")
     if x < 0.0:
         raise ValueError(f"cycle length must be nonnegative, got {x!r}")
-    n = mu.num_atoms
-    rates = r.rate_vector(n)
-    return _drain(mu.atoms, x, rates, _no_rise(rates, 1, n))
-
-
-def _no_rise(rates: list[float], lo: int, hi: int) -> bool:
-    """Whether ``rates[lo .. hi]`` never rises."""
-    return all(map(ge, rates[lo:hi], rates[lo + 1 : hi + 1]))
+    return _drain(mu.atoms, x, r.rate_vector(mu.num_atoms), r.falls)
 
 
 def _drain(atoms: Sequence[float], x: float, rates: list[float], falls: bool) -> float:
     """``max(gamma_values)`` of the sorted ``atoms`` for a cycle of length
     ``x``, bit for bit; ``rates`` holds ``r(1) .. r(n)`` at least, and
-    ``falls`` says they never rise.
+    ``falls`` says they never rise (:attr:`RateFunction.falls`).
 
     The thresholds are those of :func:`gamma_values`, in the same float
     operations.  Two consecutive equal rates leave ``corr`` and the
@@ -183,7 +176,6 @@ def leg(
     ``ValueError``, as in ``CountingMeasure.add_atom`` and :func:`phi`."""
     atoms = list(mu.atoms)
     rates = r.rate_vector(1)
-    checked = 1  # rates[1 .. checked] never rise; 0 once one does
     for x, s in zip(xis, sigmas, strict=True):
         if s < 0.0:
             raise ValueError(f"atom must be nonnegative, got {s!r}")
@@ -193,9 +185,7 @@ def leg(
         n = len(atoms)
         if n >= len(rates):
             rates = r.rate_vector(n)
-        if checked and n > checked:
-            checked = n if _no_rise(rates, checked, n) else 0
-        g = _drain(atoms, x, rates, n <= checked)
+        g = _drain(atoms, x, rates, r.falls)
         atoms = [a - g for a in atoms if a > g]
     return CountingMeasure.of_sorted(atoms)
 

@@ -49,8 +49,8 @@ written out comes from it.  Each law also has a vectorised ``screen``
 (``np.log1p``, ``np.power``), within its stated relative ``screen_bound``
 (:data:`SCREEN_BOUND`) of ``transform``: the perfect sampler decides its
 regeneration epoch on screened marks with a slack derived from that bound,
-and computes exact marks only where a decision is close or a mark is
-written out (``gpsq.stationary``).
+computes exact marks only for the marks it writes out, and searches again
+on exact marks when a decision is close (``gpsq.stationary``).
 
 The Markov-modulated model is exactly stationary.  Its grand coupling (one
 shared uniform per index, inverse-CDF transition rows) is one table of

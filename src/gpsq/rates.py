@@ -34,6 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Mapping
 
 #: Slack for the validator's inequality checks on ``n * r(n)`` at the
@@ -54,7 +55,9 @@ class RateFunction:
     supposed to stay at or below one.  Construction (and
     ``dataclasses.replace``) raises ``ValueError`` with :func:`validate`'s
     violations when the table is malformed or the rate breaks an
-    assumption.
+    assumption.  ``falls``, derived at construction and not settable, says
+    that ``r(n)`` never rises for ``n >= 1``, not even within the slack
+    :func:`validate` allows.
     """
 
     kind: str
@@ -66,11 +69,15 @@ class RateFunction:
     _vector: list[float] = field(
         default_factory=lambda: [0.0], init=False, repr=False, compare=False
     )
+    falls: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         report = validate(self)
         if not report.ok:
             raise ValueError("; ".join(report.violations))
+        # r is constant between the probes, and tail / n never rises
+        values = [self(n) for n in _probes(self.table)]
+        object.__setattr__(self, "falls", all(map(ge, values, values[1:])))
 
     def __call__(self, n: int) -> float:
         if n < 1:
@@ -192,10 +199,9 @@ def validate(r: RateFunction) -> ValidationReport:
         )
         return ValidationReport(ok=False, violations=tuple(violations))
     last = keys[-1]
-    probes = sorted({n for k in keys for n in (k - 1, k) if n >= 1}) + [last + 1]
     seen_increase = seen_cap = seen_floor = False
     prev_n, prev = 0, math.inf
-    for n in probes:
+    for n in _probes(r.table):
         v = r(n)
         if not 0.0 < v < math.inf:
             violations.append(f"rate must be finite and strictly positive, r({n}) = {v!r}")
@@ -215,6 +221,13 @@ def validate(r: RateFunction) -> ValidationReport:
             seen_floor = True
         prev_n, prev = n, v
     return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def _probes(table: tuple[tuple[int, float], ...]) -> list[int]:
+    """The ``n`` at which :func:`validate` reads ``r``: each key, the ``n``
+    just before it and the first ``n`` past the last key."""
+    keys = [k for k, _ in table]
+    return sorted({n for k in keys for n in (k - 1, k) if n >= 1}) + [keys[-1] + 1]
 
 
 def _throughput_text(r: RateFunction, n: int) -> str:

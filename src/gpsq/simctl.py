@@ -26,7 +26,7 @@ import pickle
 import signal
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
@@ -335,7 +335,7 @@ def _config_sha256(cfg: ExperimentConfig) -> str:
             return {k: ordered(v) for (_, k), v in ranked}
         return [ordered(v) for v in x] if isinstance(x, (list, tuple)) else x
 
-    return hashlib.sha256(json.dumps(ordered(asdict(cfg)), default=repr).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(ordered(vars(cfg)), default=repr).encode()).hexdigest()
 
 
 def _write_manifest(out_path: str, cfg: ExperimentConfig, wall_s: float, extra: dict) -> None:

@@ -50,8 +50,9 @@ depths of the schedule, so it does not depend on its batch mates.
 
 The sampler searches on the laws' vectorised screened marks
 (``screen``), within a stated relative bound of the exact ones, and runs
-the certificate with a slack derived from that bound; only a close
-decision, and the forward legs, read exact marks.  So its reports are
+the certificate with a slack derived from that bound; only the forward
+legs read exact marks.  A close decision, or a screen beyond its bound,
+sends the batch back to be searched on exact marks.  So its reports are
 those of the exact search.  The other constructions read exact marks.
 """
 
@@ -142,7 +143,7 @@ class _Backlog:
     whose ``screen_bound`` is not 0) holds the laws' screened marks,
     within the relative ``bound`` of the exact ones, and, in ``us`` and
     ``states``, the uniforms and chain states they came from, so that
-    :meth:`exact_terms` and :meth:`exact` can give any of them exactly.
+    :meth:`exact` can give any of them exactly.
     Otherwise the marks are exact and ``bound`` is 0.
     """
 
@@ -191,13 +192,6 @@ class _Backlog:
         a = self.ss[:, :depth].sum(axis=1) + k_r * self.xs[:, :depth].sum(axis=1)
         near = (2.0 * self.bound + 4.0 * _U * (depth + 2)) * a + (depth + 2) * 2.0**-1070
         return (4.0 * near + 2.0 * _U * (ATOM_TOL + margin))[:, None]
-
-    def exact_terms(self, k_r: float, depth: int, rows: np.ndarray) -> np.ndarray:
-        """:meth:`terms` of the rows ``rows`` of a screened backlog on exact
-        marks."""
-        states = None if self.states is None else self.states[rows, :depth]
-        xs, ss = self.model.marks(self.us[rows, :depth], states)
-        return ss - k_r * xs
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row whose entry of the mask ``rows`` is false."""
@@ -441,10 +435,12 @@ def _couple_batch(
     max_lookback: int,
     screen: bool = True,
 ) -> list[CouplingReport]:
-    # At each depth a row with no possible epoch reads deeper, a row whose
-    # first possible epoch is sure takes it, and any other row takes the
-    # first epoch the exact test certifies, if any: what the exact test
-    # alone would choose, since sure <= certified <= possible.
+    # At each depth a row with no possible epoch reads deeper and a row whose
+    # first possible epoch is sure takes it: what the exact test alone would
+    # choose, since sure <= certified <= possible.  A row whose first
+    # possible epoch is not sure (a close decision), or a screen beyond its
+    # bound, sends the batch back to be searched on exact marks, where sure
+    # and possible are one mask.
     k_r = r.declared_floor
     buf = _Backlog(gens, screen)
     ids = np.arange(len(gens))  # the input each buffer row belongs to
@@ -454,27 +450,20 @@ def _couple_batch(
         buf.reach(d)
         _, sure, possible = _certified(
             buf.terms(k_r, d), window, margin, max_lookback, buf.slack(k_r, d, margin))
-        epoch = np.full(ids.size, -1)
-        rows = np.flatnonzero(possible.any(axis=1))
-        if rows.size:
-            first = possible[rows].argmax(axis=1)
-            decided = sure[rows, first]
-            epoch[rows[decided]] = first[decided]
-            close = rows[~decided]
-            if close.size:
-                _, ok, _ = _certified(buf.exact_terms(k_r, d, close), window, margin, max_lookback)
-                hit = ok.any(axis=1)
-                epoch[close[hit]] = ok[hit].argmax(axis=1)
-        done = np.flatnonzero(epoch >= 0)
-        if done.size:
-            found += [(i, d, m) for i, m in zip(ids[done].tolist(), epoch[done].tolist())]
-            cuts.append(buf.cut(done, epoch[done]))
-        searching = epoch < 0
+        searching = ~possible.any(axis=1)
+        done = np.flatnonzero(~searching)
+        if done.size:  # argmax refuses the rows of a mask with no column
+            epoch = possible[done].argmax(axis=1)
+            if not sure[done, epoch].all():
+                cuts = None
+                break
+            found += [(i, d, m) for i, m in zip(ids[done].tolist(), epoch.tolist())]
+            cuts.append(buf.cut(done, epoch))
         buf.keep(searching)
         ids = ids[searching]
         if not ids.size:
             break
-    legs = buf.exact(cuts)
+    legs = None if cuts is None else buf.exact(cuts)
     if legs is None:
         return _couple_batch(gens, r, depths, window, margin, max_lookback, screen=False)
     reports = [CouplingReport(False, None, None, depths[-1], "lookback_exhausted")] * len(gens)

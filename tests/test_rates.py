@@ -7,9 +7,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gpsq.checks import RATE_PAIRS
+from gpsq.checks import CATALOG, RATE_PAIRS
 from gpsq.rates import (
+    _CHECK_TOL,
     RateFunction,
     classical_ps,
     half_interference,
@@ -218,6 +221,40 @@ class TestValidate:
             assert built == ok, (table, tail, floor, single_server)
             seen.append(ok)
         assert 100 < sum(seen) < 1900
+
+
+@st.composite
+def near_flat_tables(draw):
+    """Non-increasing step tables, with or without a tail, of which one
+    step may rise by up to ``_CHECK_TOL``, a rise :func:`validate` allows."""
+    keys = sorted(draw(st.sets(st.integers(2, 40), max_size=5)) | {1})
+    values = sorted(draw(st.lists(st.floats(0.1, 1.0), min_size=len(keys),
+                                  max_size=len(keys))), reverse=True)
+    if len(keys) > 1:
+        rise = draw(st.integers(1, len(keys) - 1))
+        values[rise] = values[rise - 1] + draw(st.sampled_from([0.0, _CHECK_TOL / 2, _CHECK_TOL]))
+    tail = draw(st.one_of(st.none(), st.floats(0.1, 1.0).map(lambda f: f * keys[-1] * values[-1])))
+    return RateFunction(kind="custom_table", declared_floor=0.0, table=tuple(zip(keys, values)),
+                        tail=tail)
+
+
+class TestFalls:
+    @given(st.one_of(st.sampled_from(CATALOG), near_flat_tables()))
+    def test_equals_a_scan(self, r):
+        # r is constant between keys and tail / n never rises, so the scan
+        # reaches every step once it passes the last key
+        n_max = r.table[-1][0] + 80
+        values = [r(n) for n in range(1, n_max + 1)]
+        assert r.falls == all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_is_derived(self):
+        r = table_rate({1: 1.0, 2: 0.5, 3: 0.5 + _CHECK_TOL / 2}, declared_floor=0.9)
+        assert not r.falls and classical_ps().falls
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.falls = True
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(r, falls=True)
+        assert dataclasses.replace(r, table=((1, 1.0), (2, 0.5))).falls
 
 
 def _scan_ok(table, tail, floor, single_server, n_max):

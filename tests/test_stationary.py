@@ -822,10 +822,32 @@ def exact_path(gens, r, *args):
         return [fields(rep) for rep in backward_coupling_ps_batch(gens, r, *args)]
 
 
+def perturb_screen(monkeypatch, bound):
+    """Raise the exponential law's screen bound to ``bound`` and move its
+    screen by up to half of it: the runtime check still passes, and the
+    first possible epoch of some rows falls short of sure."""
+    screen = Exponential.screen
+    monkeypatch.setattr(Exponential, "screen_bound", bound)
+    monkeypatch.setattr(Exponential, "screen",
+                        lambda law, u: screen(law, u) * (1.0 + 0.5 * bound * (2.0 * u - 1.0)))
+
+
+def record_passes(monkeypatch, events):
+    """Append ``("pass", screen)`` to ``events`` at every batch search."""
+    couple = stationary._couple_batch
+
+    def recorded(*args, **kwargs):
+        events.append(("pass", kwargs.get("screen", True)))
+        return couple(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, "_couple_batch", recorded)
+
+
 class TestScreenedCoupler:
     # The sampler decides on screened marks and computes exact ones only
-    # for close decisions and the forward legs; its reports are those of
-    # the exact path, field for field.
+    # for the forward legs; a close decision or a screen beyond its bound
+    # has the batch searched again on exact marks.  Its reports are those
+    # of the exact path, field for field.
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -851,31 +873,49 @@ class TestScreenedCoupler:
 
     @pytest.mark.parametrize("gens, r, args, bound", [
         (shipped_batch(2 * BATCH_ROWS), half_interference(), (10_000, 200), 2.0**-16),
-        # load 0.9: some close rows hold no certified epoch yet and read on
+        # load 0.9: rows certify at several depths
         ([iid_input(Exponential(1.0), Exponential(0.9), seed=replication_seed(8, i))
           for i in range(2 * BATCH_ROWS)], classical_ps(), (5000, None), 2.0**-12),
     ], ids=["shipped", "load_0.9"])
     def test_close_decisions_fall_back_to_the_exact_test(self, gens, r, args, bound,
                                                          monkeypatch):
-        # a screen off by up to half a raised bound leaves the first
-        # possible epoch of some rows short of sure: those rows are decided
-        # on exact marks, and no report moves
+        # a close decision sends its batch back to be searched on exact
+        # marks, and no report moves
         want = exact_path(gens, r, *args)
-        screen = Exponential.screen
-        monkeypatch.setattr(Exponential, "screen_bound", bound)
-        monkeypatch.setattr(Exponential, "screen",
-                            lambda law, u: screen(law, u) * (1.0 + 0.5 * bound * (2.0 * u - 1.0)))
-        close = []
-        exact_terms = stationary._Backlog.exact_terms
-
-        def counted(buf, k_r, depth, rows):
-            close.extend(rows.tolist())
-            return exact_terms(buf, k_r, depth, rows)
-
-        monkeypatch.setattr(stationary._Backlog, "exact_terms", counted)
+        perturb_screen(monkeypatch, bound)
+        passes = []
+        record_passes(monkeypatch, passes)
         got = backward_coupling_ps_batch(gens, r, *args)
         assert [fields(rep) for rep in got] == want
-        assert 0 < len(close) < len(gens)
+        assert ("pass", False) in passes
+
+    def test_a_late_close_decision_drops_the_rows_already_certified(self, monkeypatch):
+        # the first row certifies at a shallower depth than the one where the
+        # batch's first close decision appears: the exact search starts over,
+        # and the screened pass computes no leg
+        gens = [iid_input(Exponential(1.0), Exponential(0.9), seed=replication_seed(13, i))
+                for i in range(2)]
+        r, args = classical_ps(), (5000, None)
+        want = exact_path(gens, r, *args)
+        perturb_screen(monkeypatch, 2.0**-16)
+        events = []
+        record_passes(monkeypatch, events)
+        cut, exact = stationary._Backlog.cut, stationary._Backlog.exact
+
+        def recorded_cut(buf, rows, ms):
+            events.append(("cut", buf.bound > 0))
+            return cut(buf, rows, ms)
+
+        def recorded_exact(buf, cuts):
+            events.append(("legs", buf.bound > 0))
+            return exact(buf, cuts)
+
+        monkeypatch.setattr(stationary._Backlog, "cut", recorded_cut)
+        monkeypatch.setattr(stationary._Backlog, "exact", recorded_exact)
+        got = backward_coupling_ps_batch(gens, r, *args)
+        assert [fields(rep) for rep in got] == want
+        assert events[:3] == [("pass", True), ("cut", True), ("pass", False)]
+        assert ("legs", True) not in events
 
     def test_a_screen_beyond_its_bound_redoes_the_batch(self, monkeypatch):
         # the runtime check: the exact marks of the chosen prefixes lie
@@ -884,20 +924,14 @@ class TestScreenedCoupler:
         gens, r = shipped_batch(BATCH_ROWS), half_interference()
         want = exact_path(gens, r, 10_000, 200)
         passes = []
-        couple = stationary._couple_batch
-
-        def recorded(*args, **kwargs):
-            passes.append(kwargs.get("screen", True))
-            return couple(*args, **kwargs)
-
-        monkeypatch.setattr(stationary, "_couple_batch", recorded)
+        record_passes(monkeypatch, passes)
         assert [fields(rep) for rep in backward_coupling_ps_batch(gens, r, 10_000, 200)] == want
-        assert passes == [True]
+        assert passes == [("pass", True)]
         passes.clear()
         screen = Exponential.screen
         monkeypatch.setattr(Exponential, "screen", lambda law, u: screen(law, u) * (1.0 + 2.0**-30))
         assert [fields(rep) for rep in backward_coupling_ps_batch(gens, r, 10_000, 200)] == want
-        assert passes == [True, False]
+        assert passes == [("pass", True), ("pass", False)]
 
 
 # -- one vocabulary of stopping reasons ---------------------------------------
