@@ -23,6 +23,7 @@ import json
 import math
 import os
 import pickle
+import re
 import signal
 import sys
 import time
@@ -226,10 +227,23 @@ class ExperimentConfig:
         )
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that also reads the exponent numbers YAML 1.1
+    leaves as strings (``1e-3``, ``1E3``, ``.5e2``: no point or no sign), as
+    JSON and YAML 1.2 read them."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_ConfigLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except yaml.YAMLError as exc:

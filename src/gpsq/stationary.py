@@ -51,9 +51,10 @@ depths of the schedule, so it does not depend on its batch mates.
 The sampler searches on the laws' vectorised screened marks
 (``screen``), within a stated relative bound of the exact ones, and runs
 the certificate with a slack derived from that bound; only the forward
-legs read exact marks.  A close decision, or a screen beyond its bound,
-sends the batch back to be searched on exact marks.  So its reports are
-those of the exact search.  The other constructions read exact marks.
+legs read exact marks, those of the rows certified at one depth in one
+``transform`` call per law.  A close decision, or a screen beyond its
+bound, sends the batch back to be searched on exact marks.  So its
+reports are those of the exact search.  The other constructions read exact marks.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ class LoynesResult:
     """
 
     value: float
-    converged: bool
     iterations: int
     reason: str
+    converged = property(lambda self: self.reason == "certified")
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,9 @@ class StationaryProfileResult:
     """Truncated backward evaluation of the infinite-server profile."""
 
     profile: CountingMeasure
-    converged: bool
     iterations: int
     reason: str
+    converged = property(lambda self: self.reason == "certified")
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,11 @@ class CouplingReport:
     exists within the lookback.  ``reason`` is not in the result files.
     """
 
-    coupled: bool
     regeneration_index: int | None
     stationary_profile: CountingMeasure | None
     iterations_used: int
     reason: str
+    coupled = property(lambda self: self.reason == "certified")
 
 
 def _depths(first: int, cap: int) -> list[int]:
@@ -143,7 +144,8 @@ class _Backlog:
     whose ``screen_bound`` is not 0) holds the laws' screened marks,
     within the relative ``bound`` of the exact ones, and, in ``us`` and
     ``states``, the uniforms and chain states they came from, so that
-    :meth:`exact` can give any of them exactly.
+    :meth:`exact` can give the prefix of any row exactly, at the depth where
+    that row certifies and before :meth:`keep` drops it.
     Otherwise the marks are exact and ``bound`` is 0.
     """
 
@@ -201,23 +203,17 @@ class _Backlog:
             self.us = self.us[rows]
             self.states = None if self.states is None else self.states[rows]
 
-    def cut(self, rows: np.ndarray, ms: np.ndarray) -> tuple:
-        """What :meth:`exact` needs of the first ``ms[k]`` columns of each
-        row ``rows[k]``: their marks, uniforms and states, each as one
-        array of the prefixes in order, and ``ms``."""
+    def exact(
+        self, rows: np.ndarray, ms: np.ndarray
+    ) -> list[tuple[list[float], list[float]]] | None:
+        """The exact marks of the first ``ms[k]`` columns of each row
+        ``rows[k]``, oldest index first, from one ``transform`` call per
+        law.  ``None`` when one of them is not within ``bound`` of its
+        screened value: the screen broke its bound, and no decision made on
+        it can be trusted."""
         prefix = np.arange(ms.max()) < ms[:, None]
-        return tuple(None if a is None else a[rows, :prefix.shape[1]][prefix]
-                     for a in (self.xs, self.ss, self.us, self.states)) + (ms,)
-
-    def exact(self, cuts: list[tuple]) -> list[tuple[list[float], list[float]]] | None:
-        """The exact marks of every prefix of the cuts (:meth:`cut`), each
-        oldest index first, from one ``transform`` call per law.  ``None``
-        when one of them is not within ``bound`` of its screened value: the
-        screen broke its bound, and no decision made on it can be trusted."""
-        if not cuts:
-            return []
-        xs, ss, us, states, ms = (None if part[0] is None else np.concatenate(part)
-                                  for part in zip(*cuts))
+        xs, ss, us, states = (None if a is None else a[rows, :prefix.shape[1]][prefix]
+                              for a in (self.xs, self.ss, self.us, self.states))
         if self.model is not None:
             screened = xs, ss
             xs, ss = self.model.marks(us, states)
@@ -277,11 +273,10 @@ def gginf_stationary(
     j = int(beaten.argmax()) + 1 if rec_ok else d
     v = cand[:i]
     profile = StationaryProfileResult(
-        CountingMeasure(v[v >= 0.0].tolist()), prof_ok, i,
-        "certified" if prof_ok else "lookback_exhausted",
+        CountingMeasure(v[v >= 0.0].tolist()), i, "certified" if prof_ok else "lookback_exhausted"
     )
     record = LoynesResult(
-        max(float(best[j - 1]), 0.0), rec_ok, j, "certified" if rec_ok else "lookback_exhausted"
+        max(float(best[j - 1]), 0.0), j, "certified" if rec_ok else "lookback_exhausted"
     )
     return profile, record
 
@@ -350,7 +345,7 @@ def lindley_W(
         raise ValueError(f"max_lookback must be >= 1, got {max_lookback}")
     rule = _stopping_rule(gen, k_r, improvement_window)
     if rule is None:
-        return LoynesResult(0.0, False, 0, "drift_nonnegative")
+        return LoynesResult(0.0, 0, "drift_nonnegative")
     window, margin = rule
     buf = _Backlog([gen])
     for d in _depths(2 * window, max_lookback):
@@ -358,9 +353,7 @@ def lindley_W(
         s, ok, _ = _certified(buf.terms(k_r, d), window, margin, max_lookback)
         if converged := bool(ok.any()):
             break
-    return LoynesResult(
-        float(s.max()), converged, d, "certified" if converged else "lookback_exhausted"
-    )
+    return LoynesResult(float(s.max()), d, "certified" if converged else "lookback_exhausted")
 
 
 #: Most inputs :func:`backward_coupling_ps_batch` scans together.  It bounds
@@ -417,7 +410,7 @@ def backward_coupling_ps_batch(
         return []
     rule = _stopping_rule(gens[0], r.declared_floor, improvement_window)
     if rule is None:
-        return [CouplingReport(False, None, None, 0, "drift_nonnegative") for _ in gens]
+        return [CouplingReport(None, None, 0, "drift_nonnegative") for _ in gens]
     window, margin = rule
     depths = _depths(2 * window, 2 * max_lookback)
     reports: list[CouplingReport] = []
@@ -437,15 +430,15 @@ def _couple_batch(
 ) -> list[CouplingReport]:
     # At each depth a row with no possible epoch reads deeper and a row whose
     # first possible epoch is sure takes it: what the exact test alone would
-    # choose, since sure <= certified <= possible.  A row whose first
-    # possible epoch is not sure (a close decision), or a screen beyond its
-    # bound, sends the batch back to be searched on exact marks, where sure
-    # and possible are one mask.
+    # choose, since sure <= certified <= possible.  The rows that take an
+    # epoch at this depth get the exact marks of their prefixes, run their
+    # legs and leave the batch.  A row whose first possible epoch is not sure
+    # (a close decision), or a screen beyond its bound, sends the batch back
+    # to be searched on exact marks, where sure and possible are one mask.
     k_r = r.declared_floor
     buf = _Backlog(gens, screen)
     ids = np.arange(len(gens))  # the input each buffer row belongs to
-    found = []  # (input, depth, epoch) of every row certified, depth by depth
-    cuts = []  # the prefixes of those rows, one cut per depth
+    reports = [CouplingReport(None, None, depths[-1], "lookback_exhausted")] * len(gens)
     for d in depths:
         buf.reach(d)
         _, sure, possible = _certified(
@@ -454,27 +447,15 @@ def _couple_batch(
         done = np.flatnonzero(~searching)
         if done.size:  # argmax refuses the rows of a mask with no column
             epoch = possible[done].argmax(axis=1)
-            if not sure[done, epoch].all():
-                cuts = None
-                break
-            found += [(i, d, m) for i, m in zip(ids[done].tolist(), epoch.tolist())]
-            cuts.append(buf.cut(done, epoch))
+            legs = buf.exact(done, epoch) if sure[done, epoch].all() else None
+            if legs is None:
+                return _couple_batch(gens, r, depths, window, margin, max_lookback, screen=False)
+            for i, m, (xs, ss) in zip(ids[done].tolist(), epoch.tolist(), legs):
+                reports[i] = CouplingReport(-m, leg(ZERO, xs, ss, r), d + m, "certified")
         buf.keep(searching)
         ids = ids[searching]
         if not ids.size:
             break
-    legs = None if cuts is None else buf.exact(cuts)
-    if legs is None:
-        return _couple_batch(gens, r, depths, window, margin, max_lookback, screen=False)
-    reports = [CouplingReport(False, None, None, depths[-1], "lookback_exhausted")] * len(gens)
-    for (i, d, m), (xs, ss) in zip(found, legs):
-        reports[i] = CouplingReport(
-            coupled=True,
-            regeneration_index=-m,
-            stationary_profile=leg(ZERO, xs, ss, r),
-            iterations_used=d + m,
-            reason="certified",
-        )
     return reports
 
 

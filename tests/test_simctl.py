@@ -11,12 +11,14 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+from decimal import Decimal
 from functools import reduce
 from pathlib import Path
 
@@ -60,6 +62,9 @@ MM_INPUT = {"model": "iid", "xi": {"dist": "exp", "mean": 3},
             "sigma": {"dist": "exp", "mean": 1}}
 ONE_STATE_MM = {"model": "markov_modulated", "transition": [[1.0]],
                 "states": [{"xi": {"dist": "exp", "mean": 3}, "sigma": {"dist": "exp", "mean": 1}}]}
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(path, **overrides):
@@ -296,6 +301,60 @@ class TestConfigParsing:
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
 
+    # YAML 1.1 reads an exponent number without a point or without a sign
+    # (1e-3, 1E3, .5e2) as a string; the config loader reads it as JSON does
+    @pytest.mark.parametrize("name", ["gginf", "forward_sim"])
+    def test_floats_in_exponent_form_write_the_same_bytes(self, tmp_path, monkeypatch, name):
+        def exponent(match):
+            _, digits, power = Decimal(match[2]).normalize().as_tuple()
+            return f"{match[1]}{''.join(map(str, digits))}e{power}"
+
+        text = (CONFIGS / f"{name}.yaml").read_text()
+        rewritten = re.sub(r"\b((?:mean|xi|sigma): )([0-9.]+)\b", exponent, text)
+        assert rewritten != text and "e0" in rewritten
+        outputs = []
+        for i, body in enumerate((text, rewritten)):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            Path("c.yaml").write_text(body)
+            assert main(["run", "c.yaml", "--jobs", "1"]) == EXIT_OK
+            outputs.append(results({p.name: p.read_bytes() for p in Path().iterdir()
+                                    if p.name != "c.yaml"}))
+        assert outputs[0] == outputs[1] != {}
+
+    @pytest.mark.parametrize("suffix", ["yaml", "json"])
+    def test_an_exponent_mean_runs(self, tmp_path, monkeypatch, suffix):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml",
+                           input=dict(MM_INPUT, sigma={"dist": "exp", "mean": 0.001}))
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_OK
+        want = (tmp_path / "out.csv").read_bytes()
+        text = cfg.read_text() if suffix == "yaml" else json.dumps(yaml.safe_load(cfg.read_text()))
+        cfg = tmp_path / f"e.{suffix}"
+        cfg.write_text(text.replace("0.001", "1e-3"))
+        assert "1e-3" in cfg.read_text()
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert (tmp_path / "out.csv").read_bytes() == want
+        # the loader is its own: yaml's safe loader still reads a string
+        assert yaml.safe_load("mean: 1e-3") == {"mean": "1e-3"}
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("mean: 0.001", 'mean: "1e-3"',
+         "distribution 'exp' parameter 'mean' must be a number, got '1e-3'"),
+        ("replications: 5", "replications: 1e3",
+         "replications must be a positive integer, got 1000.0"),
+    ], ids=["quoted-exponent", "exponent-count"])
+    def test_quoted_numbers_and_exponent_counts_exit_config(self, tmp_path, monkeypatch, capsys,
+                                                             old, new, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.yaml",
+                           input=dict(MM_INPUT, sigma={"dist": "exp", "mean": 0.001}))
+        assert old in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["run", str(cfg), "--jobs", "1"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     @pytest.mark.parametrize("points", [1, 4])
     def test_sweep_solves_its_chain_once(self, tmp_path, monkeypatch, points):
         # the load points' models differ only in their sigma laws, so they
@@ -390,7 +449,7 @@ def fuzz_bases():
     """The shipped configs, shrunk to run in milliseconds, and a sweep of
     Markov-modulated input over a table rate."""
     bases = []
-    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")):
+    for path in sorted(CONFIGS.glob("*.yaml")):
         cfg = yaml.safe_load(path.read_text())
         cfg.update(replications=3, horizon=20, max_lookback=200, stability_samples=50)
         if cfg["mode"] == "stability_sweep":

@@ -423,7 +423,6 @@ def reference_loynes_L(gen, max_lookback=100_000, quantile=DEFAULT_QUANTILE):
             break
     return LoynesResult(
         value=max(best, 0.0),
-        converged=converged,
         iterations=j,
         reason="certified" if converged else "lookback_exhausted",
     )
@@ -446,7 +445,6 @@ def reference_gginf(gen, max_lookback=100_000, quantile=DEFAULT_QUANTILE):
             break
     return StationaryProfileResult(
         profile=CountingMeasure(atoms),
-        converged=converged,
         iterations=i,
         reason="certified" if converged else "lookback_exhausted",
     )
@@ -493,7 +491,7 @@ def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None)
     depth with a certified epoch (or the cap) gives the largest prefix sum."""
     rule = reference_rule(gen, k_r, improvement_window)
     if rule is None:
-        return LoynesResult(0.0, False, 0, "drift_nonnegative")
+        return LoynesResult(0.0, 0, "drift_nonnegative")
     window, margin = rule
     d = min(max_lookback, max(256, 2 * window))
     while not (found := certified_epochs(gen, k_r, d, window, margin, max_lookback)):
@@ -501,7 +499,7 @@ def reference_lindley_W(gen, k_r, max_lookback=100_000, improvement_window=None)
             break
         d = min(max_lookback, 2 * d)
     reason = "certified" if found else "lookback_exhausted"
-    return LoynesResult(max(prefix_sums(gen, k_r, d)), bool(found), d, reason)
+    return LoynesResult(max(prefix_sums(gen, k_r, d)), d, reason)
 
 
 def forward_from(gen, r, m):
@@ -519,7 +517,7 @@ def reference_coupling(gen, r, max_lookback=10_000, improvement_window=None):
     k_r = r.declared_floor
     rule = reference_rule(gen, k_r, improvement_window)
     if rule is None:
-        return CouplingReport(False, None, None, 0, "drift_nonnegative")
+        return CouplingReport(None, None, 0, "drift_nonnegative")
     window, margin = rule
     cap = 2 * max_lookback
     d = min(cap, max(256, 2 * window))
@@ -527,9 +525,9 @@ def reference_coupling(gen, r, max_lookback=10_000, improvement_window=None):
         found = certified_epochs(gen, k_r, d, window, margin, max_lookback)
         if found:
             m = found[0]
-            return CouplingReport(True, -m, forward_from(gen, r, m), d + m, "certified")
+            return CouplingReport(-m, forward_from(gen, r, m), d + m, "certified")
         if d == cap:
-            return CouplingReport(False, None, None, cap, "lookback_exhausted")
+            return CouplingReport(None, None, cap, "lookback_exhausted")
         d = min(cap, 2 * d)
 
 
@@ -891,8 +889,8 @@ class TestScreenedCoupler:
 
     def test_a_late_close_decision_drops_the_rows_already_certified(self, monkeypatch):
         # the first row certifies at a shallower depth than the one where the
-        # batch's first close decision appears: the exact search starts over,
-        # and the screened pass computes no leg
+        # batch's first close decision appears: its exact marks are computed
+        # there, and the exact search still starts over
         gens = [iid_input(Exponential(1.0), Exponential(0.9), seed=replication_seed(13, i))
                 for i in range(2)]
         r, args = classical_ps(), (5000, None)
@@ -900,22 +898,42 @@ class TestScreenedCoupler:
         perturb_screen(monkeypatch, 2.0**-16)
         events = []
         record_passes(monkeypatch, events)
-        cut, exact = stationary._Backlog.cut, stationary._Backlog.exact
+        exact = stationary._Backlog.exact
 
-        def recorded_cut(buf, rows, ms):
-            events.append(("cut", buf.bound > 0))
-            return cut(buf, rows, ms)
+        def recorded_exact(buf, rows, ms):
+            events.append(("exact", buf.bound > 0))
+            return exact(buf, rows, ms)
 
-        def recorded_exact(buf, cuts):
-            events.append(("legs", buf.bound > 0))
-            return exact(buf, cuts)
-
-        monkeypatch.setattr(stationary._Backlog, "cut", recorded_cut)
         monkeypatch.setattr(stationary._Backlog, "exact", recorded_exact)
         got = backward_coupling_ps_batch(gens, r, *args)
         assert [fields(rep) for rep in got] == want
-        assert events[:3] == [("pass", True), ("cut", True), ("pass", False)]
-        assert ("legs", True) not in events
+        assert events[:3] == [("pass", True), ("exact", True), ("pass", False)]
+
+    def test_exact_marks_once_per_certifying_depth(self, monkeypatch):
+        # the deep batch of bench/test_backward_bench.py: its rows certify at
+        # two depths, and each depth maps exactly the prefixes of the rows it
+        # certifies, in one call
+        r = RATES[2]
+        base = generator_from_config(MM_SPEC)
+        base = scale_sigma(base, 0.9 * r.declared_floor * base.mean_xi() / base.mean_sigma())
+        gens = [base.with_seed(replication_seed(7, i)) for i in range(3)]
+        want = exact_path(gens, r, 1000)
+        calls = []
+        marks = MarkovModulatedModel.marks
+
+        def recorded_marks(model, u, states, screen=False):
+            calls.append((screen, u.shape[:-1]))
+            return marks(model, u, states, screen)
+
+        monkeypatch.setattr(MarkovModulatedModel, "marks", recorded_marks)
+        reps = backward_coupling_ps_batch(gens, r, 1000)
+        assert [fields(rep) for rep in reps] == want
+        depths = {rep.iterations_used + rep.regeneration_index for rep in reps}
+        assert depths == {256, 1024}
+        exact = [math.prod(shape) for screen, shape in calls if not screen]
+        assert len(exact) == len(depths)
+        assert sum(exact) == -sum(rep.regeneration_index for rep in reps) == 584
+        assert sum(math.prod(shape) for screen, shape in calls if screen) == 1536
 
     def test_a_screen_beyond_its_bound_redoes_the_batch(self, monkeypatch):
         # the runtime check: the exact marks of the chosen prefixes lie
@@ -958,7 +976,10 @@ def test_every_backward_result_gives_one_of_the_three_reasons():
     for results, reasons in cases:
         assert [res.reason for res in results] == reasons
         for res in results:
-            ok = res.coupled if isinstance(res, CouplingReport) else res.converged
-            assert ok == (res.reason == "certified")
+            flag = "coupled" if isinstance(res, CouplingReport) else "converged"
+            assert getattr(res, flag) == (res.reason == "certified")
+            # the flag is read from the reason, never given on its own
+            with pytest.raises(TypeError):
+                replace(res, **{flag: True})
     # the codes are listed once, in the module's docstring
     assert all(f"``{code}``" in stationary.__doc__ for code in CODES)
