@@ -23,9 +23,13 @@ event by event -- advance to the next emptying atom at the current rate,
 subtract the drained work from everyone, repeat -- and shares no code with
 the closed form.  Their agreement is part of the acceptance suite.
 
-:func:`simulate_queue_path` is an equivalent lazy-deletion fast path for
-long runs (the per-step cost is O(log n) instead of O(n)); its agreement
-with repeated :func:`step` is property-tested.
+The two forward engines for long runs keep a min-heap of absolute
+levels (remaining work plus a lazy per-customer drain offset), so each
+event costs O(log n): :func:`trajectory` lists the continuous-time
+segments that ``forward_sim`` writes, and :func:`simulate_queue_path`
+reads the profile just before each arrival.  Their agreement with each
+other, with repeated :func:`step` and with the segment loop as first
+written is property-tested.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import ATOM_TOL, CountingMeasure, ZERO
+from .measures import ATOM_TOL, CountingMeasure, ZERO, left_sum
 from .rates import RateFunction
 
 #: Departure threshold for the event-driven oracle's drained atoms.
@@ -215,7 +219,15 @@ def trajectory(
     Contract (``forward_sim``'s CSV renderer formats from it): the first
     row starts at 0.0 and each later one at the previous row's ``t_end``,
     bit for bit, and ``drain_rate`` is ``q * r.rate_vector(q)[q]``, one
-    value per ``q``.
+    value per ``q``.  An empty segment's ``w_start`` is the int ``0``.
+
+    The customers present sit on a min-heap of absolute levels, each its
+    remaining work plus ``offset``, the per-customer work drained since
+    the queue last emptied, and ``w_start`` comes from a running total of
+    the levels: O(log n) per event.  A segment that ends at a departure
+    sets ``offset`` to the departing level, so the departure drains
+    exactly its remaining work; ``offset`` and the total restart at 0
+    whenever the queue empties.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -229,10 +241,12 @@ def trajectory(
             raise ValueError(f"service demand must be nonnegative, got {s!r}")
         prev_t = t
 
-    atoms = [a for a in mu0.atoms if a > 0.0]
+    heap = [a for a in mu0.atoms if a > 0.0]  # sorted, so already a heap
+    offset = 0.0
+    total = left_sum(heap)
     rows: list[tuple] = []
     append = rows.append
-    insort = bisect.insort
+    push, pop = heapq.heappush, heapq.heappop
     eps = _ORACLE_EPS
     # r's own rate cache, grown to each occupancy as the run reaches it
     rates = r.rate_vector(0)
@@ -241,40 +255,40 @@ def trajectory(
     t = 0.0
     ev = 0
     while t < horizon:
-        if atoms:
-            q = len(atoms)
+        q = len(heap)
+        if q:
             if q >= len(rates):
                 rates = r.rate_vector(q)
             rate = rates[q]
-            finish = t + atoms[0] / rate
+            finish = t + (heap[0] - offset) / rate
             if finish <= t:
                 # the smallest atom's finish time rounds back onto the
                 # clock (possible once t passes 2**14): it departs at t
-                d = atoms[0]
-                atoms = [a - d for a in atoms]
+                offset = heap[0]
             # min(finish, next_arrival, horizon), with min's tie order
             t_next = finish
             if next_arrival < t_next:
                 t_next = next_arrival
             if horizon < t_next:
                 t_next = horizon
-            drain = q * rate
+            if t_next > t:
+                append((t, t_next, q, total - offset * q, q * rate))
+                # a departure drains exactly the smallest remaining work
+                offset = heap[0] if t_next == finish else offset + rate * (t_next - t)
         else:
-            q = 0
-            rate = 0.0
             t_next = horizon if horizon < next_arrival else next_arrival
-            drain = 0.0
-        if t_next > t:
-            append((t, t_next, q, sum(atoms), drain))
-            if atoms:
-                d = rate * (t_next - t)
-                atoms = [a - d for a in atoms]
+            if t_next > t:
+                append((t, t_next, 0, 0, 0.0))
         t = t_next
         # departures first, then the arrival sharing the same instant
-        while atoms and atoms[0] <= eps:
-            atoms.pop(0)
+        while heap and heap[0] - offset <= eps:
+            total -= pop(heap)
+        if not heap:
+            offset = total = 0.0
         if next_arrival == t and t < horizon:
-            insort(atoms, events[ev][1])
+            level = events[ev][1] + offset
+            push(heap, level)
+            total += level
             ev += 1
             next_arrival = events[ev][0] if ev < n_events else float("inf")
     return rows
@@ -353,7 +367,7 @@ def simulate_queue_path(
     offset = 0.0  # cumulative per-customer drained work since the start
     heap = [a for a in initial.atoms if a > 0.0]
     heapq.heapify(heap)
-    total = sum(heap)  # sum of absolute levels currently in the heap
+    total = left_sum(heap)  # sum of absolute levels currently in the heap
     q = np.empty(n_steps + 1, dtype=np.int64)
     w = np.empty(n_steps + 1, dtype=np.float64)
     rates = r.rate_vector(0)  # grown as in trajectory

@@ -77,6 +77,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
+from .measures import left_sum
+
 _MASK64 = (1 << 64) - 1
 _PURPOSE_CHAIN = 0
 _PURPOSE_MARKS = 1
@@ -475,11 +477,11 @@ class MarkovModulatedModel:
 
     def mean_xi(self) -> float:
         pi = self.stationary_distribution()
-        return float(sum(pi[s] * d.dist_mean() for s, d in enumerate(self.xi_dists)))
+        return float(left_sum(pi[s] * d.dist_mean() for s, d in enumerate(self.xi_dists)))
 
     def mean_sigma(self) -> float:
         pi = self.stationary_distribution()
-        return float(sum(pi[s] * d.dist_mean() for s, d in enumerate(self.sigma_dists)))
+        return float(left_sum(pi[s] * d.dist_mean() for s, d in enumerate(self.sigma_dists)))
 
     def sigma_quantile(self, p: float) -> float:
         return max(d.quantile(p) for d in self.sigma_dists)

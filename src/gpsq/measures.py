@@ -23,12 +23,22 @@ Measures are immutable; every operation returns a new value.
 from __future__ import annotations
 
 import bisect
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, Iterator
 
 #: Absolute tolerance for atom equality in tv_distance and coupling checks.
 #: All arithmetic downstream composes float subtractions, so exact equality
 #: would be brittle.
 ATOM_TOL = 1e-9
+
+
+def left_sum(xs: Iterable[float]) -> float:
+    """``xs`` added from left to right, starting from the int ``0`` as
+    ``sum()`` does (so the sum of nothing is ``0``).  CPython 3.12 and
+    later compensate a float ``sum()``; this fold keeps the plain
+    additions, and so the result bytes, on every interpreter."""
+    return reduce(add, xs, 0)
 
 
 class CountingMeasure:
@@ -79,7 +89,7 @@ class CountingMeasure:
     @property
     def workload(self) -> float:
         """Sum of all atoms (integral of the identity function)."""
-        return sum(self._atoms)
+        return left_sum(self._atoms)
 
     def __len__(self) -> int:
         return len(self._atoms)

@@ -132,25 +132,25 @@ GOLDEN = {
     ("gginf_stationary", "json"):
         "07f9a223b58d94cb60985f8fc788bd17b76418763574c4883332db78f90c60f6",
     ("forward_sim", "csv"):
-        "3b84fce665d14041624eff0e637fe8cbbb955d682bb1c9ad43307d78eec93b36",
+        "77a9b767849a28b63480bdfdc79fb0f9de3e28f269036dd3bcc30a3b2e0ccd8d",
     ("forward_sim", "json"):
-        "e55cfd7083b8bda4e413292984451c020d5e1611ea5464702068de0e152bb9ec",
+        "44924b5fa33f5d43c2c78326d909e5f9a82eeceb1585b6a3f8d1a1caca9c26c4",
     ("forward_sim_mm", "csv"):
-        "89fd8ff0f6da5db04c36ffc6615ae7b03d4e81a8914927a5295886f1adce0f72",
+        "0c8d61c69c095e705da4da5489b10821bb3ed95b3013e5d338bf9fcf22e01ec6",
     ("forward_sim_mm", "json"):
-        "aef4e1ed9ab68f1f9a379fdd62464ed7ad553436801c50e79ca10093d6ace751",
+        "be25596cb8b913e41ada1b73ee5cdd91490dd8bc532f46583b4238f6a43becd6",
     ("stability_sweep", "csv"):
         "5c3d41bbdafbd1d8e98ac5172386e3ea66115df0a584ebe474c6d30d2fe1d30c",
     ("stability_sweep", "json"):
         "f2716b66c4b16db665e8ecd4bc825b20fa591ec7bf778eb5f6fe16a93f60e937",
     ("forward_sim_det_xi_pareto", "csv"):
-        "bc29e2cd9c865e2ef2180edb08c6eccb4b66281bed7fc05ba34d986ca650416c",
+        "b3a239391bc1920ef9baab7c985b4ffef75cd6eff327db3cd8903ca2ed5331c0",
     ("forward_sim_det_xi_pareto", "json"):
-        "2d911111493996a289190333706fc70d88b61fba9502b2f7a2ddc9f975c48a35",
+        "2f867a3dc43256f82266e33c9d68079d5e65f965d5b03179c5ffaef2cc4c6739",
     ("forward_sim_deterministic", "csv"):
-        "acdd5be8016fd1a97805339ee18a78475e83b947a3646e2464e7e8d2c2457070",
+        "575da8b37bdb5559f35893a10e2480ecbd952dce8061ab1b4101afa64903b1c7",
     ("forward_sim_deterministic", "json"):
-        "175613d081600441f8ab82ae88e318b57a27f514b221f6007371278aa2c83e48",
+        "6f57db11c51d49ac98a7ed9266cfe4c5190bb6407b5270bacb5103eccd16e648",
 }
 
 
@@ -176,11 +176,12 @@ def test_artifact_hash_does_not_depend_on_jobs(tmp_path, mode, fmt):
 
 
 def test_float_sum_adds_left_to_right():
-    # trajectory computes w_start as sum(atoms), and other float sums
-    # feed the artifacts; the pinned hashes hold only while sum() adds
-    # plainly from left to right
+    # the float sums that reach the artifacts go through measures.left_sum,
+    # a plain left-to-right fold; a built-in sum() that crept back in would
+    # hold the pinned hashes only while sum() adds plainly too
     assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
-        "float sum() is compensated on this interpreter (CPython 3.12 and later), "
-        "so forward_sim's w_start and the golden hashes in tests/test_golden.py "
-        "would move in the last digits"
+        "float sum() is compensated on this interpreter (CPython 3.12 and later): "
+        "a result value summed with the built-in sum() instead of "
+        "gpsq.measures.left_sum would move the golden hashes in "
+        "tests/test_golden.py in the last digits"
     )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpsq.measures import ATOM_TOL, ZERO, CountingMeasure
+from gpsq.measures import ATOM_TOL, ZERO, CountingMeasure, left_sum
 
 atom_values = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
 measures = st.lists(atom_values, max_size=8).map(CountingMeasure)
@@ -39,6 +39,22 @@ class TestBasics:
     def test_workload(self):
         assert CountingMeasure([1.0, 3.0]).workload == 4.0
         assert ZERO.workload == 0.0
+        # the int 0 of sum([]), which JSON writes as 0, not 0.0
+        assert type(ZERO.workload) is int
+
+
+class TestLeftSum:
+    def test_adds_left_to_right_like_a_scalar_loop(self):
+        # a compensated sum gives 2.0 here; plain additions lose both ones
+        xs = [1.0, 1e100, 1.0, -1e100]
+        acc = 0
+        for x in xs:
+            acc = acc + x
+        assert left_sum(xs) == acc == 0.0
+        assert left_sum(iter(xs)) == acc
+
+    def test_empty_is_the_int_zero(self):
+        assert left_sum([]) == 0 and type(left_sum([])) is int
 
 
 class TestShift:
