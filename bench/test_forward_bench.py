@@ -7,8 +7,6 @@ them through ``bench/write_bench.py``, which turns the timings into per-unit
 figures (µs per segment, per value, per row) and writes a ``BENCH_<tag>.json``.
 """
 
-from itertools import accumulate
-
 import numpy as np
 import pytest
 
@@ -40,33 +38,33 @@ FORWARD_LONG = {
 
 @pytest.fixture(scope="module")
 def replication():
-    """(seed, events, end time, rate) of replication 0 of FORWARD_LONG."""
+    """(seed, inter-arrival times, demands, rate) of replication 0 of
+    FORWARD_LONG."""
     seed = replication_seed(FORWARD_LONG["base_seed"], 0)
     gen = generator_from_config(FORWARD_LONG["input"], seed_override=seed)
     xis, sigmas = gen.sample_block(0, FORWARD_LONG["horizon"])
-    times = list(accumulate(xis, initial=0.0))
-    return seed, list(zip(times, sigmas)), times[-1], rate_from_config(FORWARD_LONG["rate"])
+    return seed, xis, sigmas, rate_from_config(FORWARD_LONG["rate"])
 
 
 def test_trajectory(benchmark, replication):
-    _, events, t, r = replication
-    segments = benchmark(trajectory, ZERO, events, t, r)
+    _, xis, sigmas, r = replication
+    segments = benchmark(trajectory, ZERO, xis, sigmas, r)
     benchmark.extra_info.update(unit="us_per_segment", count=len(segments))
 
 
 def test_g17(benchmark, replication):
     # the column the renderer formats for every row, the segment end times,
     # one rendering block of them
-    _, events, t, r = replication
-    t_end = np.array([seg[1] for seg in trajectory(ZERO, events, t, r)[:_ROW_BLOCK]])
+    _, xis, sigmas, r = replication
+    t_end = np.array([seg[1] for seg in trajectory(ZERO, xis, sigmas, r)[:_ROW_BLOCK]])
     texts = benchmark(_g17, t_end)
     assert texts.size == t_end.size
     benchmark.extra_info.update(unit="us_per_value", count=t_end.size)
 
 
 def test_forward_csv_rows(benchmark, replication):
-    seed, events, t, r = replication
-    segments = trajectory(ZERO, events, t, r)
+    seed, xis, sigmas, r = replication
+    segments = trajectory(ZERO, xis, sigmas, r)
     # the bytes the renderer must write, built once, outside the timed call
     template = b"".join(b"%d,%d,%.17g,%.17g,%d,%.17g,%.17g\n" % ((0, seed) + s)
                         for s in segments)

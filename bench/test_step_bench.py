@@ -1,24 +1,25 @@
-"""pytest-benchmark cases for the two forward engines of the recursion:
-one arrival-to-arrival ``step`` at occupancy 1, 10 and 100 under
+"""pytest-benchmark cases for the forward dynamics of the recursion: one
+arrival-to-arrival ``step`` at occupancy 1, 10 and 100 under
 ``half_interference``, a forward ``leg`` as the perfect sampler runs it,
-and the O(log n) heap path ``simulate_queue_path``.
+and the O(log n) heap engine ``trajectory``.
 
 Each ``step`` call admits one customer into ``n - 1`` atoms of 1..10 and
 drains for 1e-3, too short for anyone to leave, so every call drains
 exactly ``n`` customers.  The ``leg`` case steps ``LEG_STEPS`` marks from
 the empty profile, shaped like a forward leg of perfbench's ``sweep_mm`` at
 load 0.9: its Markov-modulated input with the demands scaled to load 0.9 of
-its table rate's floor, on that table rate.  The heap path runs ``PATH_STEPS`` steps of
-``classical_ps`` at load 0.8 from the empty profile (the long-run drift
-test's input), on marks read before timing, so only the heap loop is
-timed.  Kept outside ``testpaths``; ``bench/write_bench.py`` turns the
-timings into µs per step.
+its table rate's floor, on that table rate.  The heap engine runs the
+first ``PATH_STEPS`` marks of the long-run drift test's input
+(``classical_ps`` at load 0.8, seed 2024) from the empty profile, read
+before timing, so only the heap loop is timed.  Kept outside
+``testpaths``; ``bench/write_bench.py`` turns the timings into µs per
+step.
 """
 
 import numpy as np
 import pytest
 
-from gpsq.dynamics import leg, simulate_queue_path, step
+from gpsq.dynamics import leg, step, trajectory
 from gpsq.input_process import (
     Exponential,
     generator_from_config,
@@ -69,18 +70,8 @@ def test_leg(benchmark):
     benchmark.extra_info.update(unit="us_per_step", count=LEG_STEPS)
 
 
-class _Marks:
-    """Marks read once, handed out by ``sample_block`` as lists."""
-
-    def __init__(self, gen, n):
-        self.xs, self.ss = gen.sample_block(0, n)
-
-    def sample_block(self, a, b):
-        return self.xs[a:b], self.ss[a:b]
-
-
-def test_simulate_queue_path(benchmark):
-    marks = _Marks(iid_input(Exponential(1.0), Exponential(0.8), seed=2024), PATH_STEPS)
-    path = benchmark(simulate_queue_path, marks, classical_ps(), PATH_STEPS)
-    assert path.q.size == PATH_STEPS + 1
+def test_trajectory_steps(benchmark):
+    xs, ss = iid_input(Exponential(1.0), Exponential(0.8), seed=2024).sample_block(0, PATH_STEPS)
+    rows = benchmark(trajectory, ZERO, xs, ss, classical_ps())
+    assert len(rows) >= PATH_STEPS  # each arrival starts a row
     benchmark.extra_info.update(unit="us_per_step", count=PATH_STEPS)

@@ -20,13 +20,11 @@ from .rates import (
     validate,
 )
 from .dynamics import (
-    QueuePath,
     fluid_oracle_phi,
     gamma,
     gamma_values,
     last_departure_index,
     phi,
-    simulate_queue_path,
     step,
     trajectory,
 )
@@ -70,13 +68,11 @@ __all__ = [
     "scaled_ps",
     "table_rate",
     "validate",
-    "QueuePath",
     "fluid_oracle_phi",
     "gamma",
     "gamma_values",
     "last_departure_index",
     "phi",
-    "simulate_queue_path",
     "step",
     "trajectory",
     "Deterministic",

@@ -23,13 +23,12 @@ event by event -- advance to the next emptying atom at the current rate,
 subtract the drained work from everyone, repeat -- and shares no code with
 the closed form.  Their agreement is part of the acceptance suite.
 
-The two forward engines for long runs keep a min-heap of absolute
-levels (remaining work plus a lazy per-customer drain offset), so each
-event costs O(log n): :func:`trajectory` lists the continuous-time
-segments that ``forward_sim`` writes, and :func:`simulate_queue_path`
-reads the profile just before each arrival.  Their agreement with each
-other, with repeated :func:`step` and with the segment loop as first
-written is property-tested.
+The forward engine for long runs, :func:`trajectory`, takes the same
+marks as :func:`leg` and lists the continuous-time segments that
+``forward_sim`` writes.  It keeps a min-heap of absolute levels (remaining
+work plus a lazy per-customer drain offset), so each event costs
+O(log n).  Its agreement with repeated :func:`step` and with the segment
+loop as first written is property-tested.
 """
 
 from __future__ import annotations
@@ -37,11 +36,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
 from operator import neg
 from typing import Sequence
-
-import numpy as np
 
 from .measures import ATOM_TOL, CountingMeasure, ZERO, left_sum
 from .rates import RateFunction
@@ -200,21 +196,22 @@ def leg(
 
 
 def trajectory(
-    mu0: CountingMeasure,
-    events: Sequence[tuple[float, float]],
-    horizon: float,
-    r: RateFunction,
+    mu0: CountingMeasure, xis: Sequence[float], sigmas: Sequence[float], r: RateFunction
 ) -> list[tuple]:
-    """Piecewise description of (customer count, workload) on [0, horizon]
-    as plain ``(t_start, t_end, q, w_start, drain_rate)`` tuples, one per
-    maximal interval of constant count ``q``, on which the workload falls
-    linearly from ``w_start`` at ``drain_rate = q * r(q)`` (0 when empty).
+    """Piecewise description of (customer count, workload) along the marks
+    ``(sigmas[k], xis[k])`` as plain ``(t_start, t_end, q, w_start,
+    drain_rate)`` tuples, one per maximal interval of constant count ``q``,
+    on which the workload falls linearly from ``w_start`` at ``drain_rate =
+    q * r(q)`` (0 when empty).
 
-    ``events`` is a list of ``(arrival_time, service_demand)`` pairs with
-    strictly increasing times in ``[0, horizon)``.  The count jumps +1 at
-    arrivals and -1 at departures; an arrival landing exactly on a
-    departure instant is processed departure-first (the recursion's
-    just-before-arrival convention).  Zero-length segments are dropped.
+    ``mu0`` is present at time 0.0.  Arrival ``k`` comes at the left to
+    right partial sum of ``xis[:k]`` from 0.0, brings the demand
+    ``sigmas[k]`` and is followed by the gap ``xis[k]``, so the run ends at
+    the sum of all of ``xis``; no marks give no rows.  The count jumps +1
+    at arrivals and -1 at departures; a customer finishing exactly at the
+    end of a gap leaves before the next arrival (the recursion's
+    just-before-arrival convention).  Zero-length segments are dropped.  A
+    negative demand or gap raises ``ValueError``, as in :func:`leg`.
 
     Contract (``forward_sim``'s CSV renderer formats from it): the first
     row starts at 0.0 and each later one at the previous row's ``t_end``,
@@ -224,73 +221,63 @@ def trajectory(
     The customers present sit on a min-heap of absolute levels, each its
     remaining work plus ``offset``, the per-customer work drained since
     the queue last emptied, and ``w_start`` comes from a running total of
-    the levels: O(log n) per event.  A segment that ends at a departure
-    sets ``offset`` to the departing level, so the departure drains
-    exactly its remaining work; ``offset`` and the total restart at 0
-    whenever the queue empties.
+    the levels: O(log n) per event.  Each gap is drained by its budget
+    ``xis[k]``, as :func:`step` drains it: a departure spends
+    ``(level - offset) / r(q)`` of it and snaps ``offset`` to the departing
+    level, and the rest of the gap drains ``r(q)`` times what is left.
+    ``offset`` and the total restart at 0 whenever the queue empties.  The
+    clock only labels the rows: a departure row ends at the smaller of
+    ``t + dt`` and the end of the gap.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    prev_t = -1.0
-    for t, s in events:
-        if t <= prev_t:
-            raise ValueError(f"arrival times must be strictly increasing, got {t!r}")
-        if not 0.0 <= t < horizon:
-            raise ValueError(f"arrival time {t!r} outside [0, horizon)")
-        if s < 0.0:
-            raise ValueError(f"service demand must be nonnegative, got {s!r}")
-        prev_t = t
-
     heap = [a for a in mu0.atoms if a > 0.0]  # sorted, so already a heap
     offset = 0.0
     total = left_sum(heap)
     rows: list[tuple] = []
     append = rows.append
     push, pop = heapq.heappush, heapq.heappop
-    eps = _ORACLE_EPS
     # r's own rate cache, grown to each occupancy as the run reaches it
     rates = r.rate_vector(0)
-    n_events = len(events)
-    next_arrival = events[0][0] if n_events else float("inf")
     t = 0.0
-    ev = 0
-    while t < horizon:
-        q = len(heap)
-        if q:
+    for x, s in zip(xis, sigmas, strict=True):
+        if s < 0.0:
+            raise ValueError(f"service demand must be nonnegative, got {s!r}")
+        if x < 0.0:
+            raise ValueError(f"cycle length must be nonnegative, got {x!r}")
+        level = s + offset
+        push(heap, level)
+        total += level
+        end = t + x
+        b = x
+        # each pass lets one customer depart, or spends the rest of the gap
+        while heap:
+            q = len(heap)
             if q >= len(rates):
                 rates = r.rate_vector(q)
             rate = rates[q]
-            finish = t + (heap[0] - offset) / rate
-            if finish <= t:
-                # the smallest atom's finish time rounds back onto the
-                # clock (possible once t passes 2**14): it departs at t
-                offset = heap[0]
-            # min(finish, next_arrival, horizon), with min's tie order
-            t_next = finish
-            if next_arrival < t_next:
-                t_next = next_arrival
-            if horizon < t_next:
-                t_next = horizon
+            dt = (heap[0] - offset) / rate
+            if dt > b:
+                if end > t:
+                    append((t, end, q, total - offset * q, q * rate))
+                offset += rate * b
+                while heap and heap[0] <= offset:
+                    total -= pop(heap)
+                break
+            b -= dt
+            t_next = t + dt
+            if t_next > end:
+                t_next = end
             if t_next > t:
                 append((t, t_next, q, total - offset * q, q * rate))
-                # a departure drains exactly the smallest remaining work
-                offset = heap[0] if t_next == finish else offset + rate * (t_next - t)
-        else:
-            t_next = horizon if horizon < next_arrival else next_arrival
-            if t_next > t:
-                append((t, t_next, 0, 0, 0.0))
-        t = t_next
-        # departures first, then the arrival sharing the same instant
-        while heap and heap[0] - offset <= eps:
+                t = t_next
+            # a departure drains exactly the smallest remaining work
+            offset = heap[0]
             total -= pop(heap)
+        else:
+            if end > t:
+                append((t, end, 0, 0, 0.0))
         if not heap:
             offset = total = 0.0
-        if next_arrival == t and t < horizon:
-            level = events[ev][1] + offset
-            push(heap, level)
-            total += level
-            ev += 1
-            next_arrival = events[ev][0] if ev < n_events else float("inf")
+        t = end
     return rows
 
 
@@ -323,81 +310,3 @@ def fluid_oracle_phi(
         while atoms and atoms[0] <= _ORACLE_EPS:
             atoms.pop(0)
     return CountingMeasure(a for a in atoms if a > _ORACLE_EPS)
-
-
-# ---------------------------------------------------------------------------
-# long-run fast path
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QueuePath:
-    """Per-epoch observables of a forward run.
-
-    ``q[n]`` and ``w[n]`` are the customer count and workload just before
-    arrival ``n`` (so ``q[0]``/``w[0]`` describe the initial profile).
-    ``final_profile`` is the profile just before arrival ``n_steps``.
-    """
-
-    q: np.ndarray
-    w: np.ndarray
-    final_profile: CountingMeasure
-
-
-def simulate_queue_path(
-    gen,
-    r: RateFunction,
-    n_steps: int,
-    initial: CountingMeasure = ZERO,
-) -> QueuePath:
-    """Run ``n_steps`` arrival-to-arrival steps of the recursion.
-
-    Equivalent to iterating :func:`step` with the marks of ``gen`` at
-    indices ``0, 1, ...`` (``gen.shift(k)`` starts at index ``k``), but
-    using a lazy global drain offset and a min-heap of absolute finish
-    levels, so each step costs O(log n) plus one event per departure.
-    Intended for the long
-    statistical runs where the per-step closed form would be quadratic
-    overall.  The offset and the level total restart from zero whenever
-    the queue empties, so their rounding error does not build up over a
-    long run.
-    """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    offset = 0.0  # cumulative per-customer drained work since the start
-    heap = [a for a in initial.atoms if a > 0.0]
-    heapq.heapify(heap)
-    total = left_sum(heap)  # sum of absolute levels currently in the heap
-    q = np.empty(n_steps + 1, dtype=np.int64)
-    w = np.empty(n_steps + 1, dtype=np.float64)
-    rates = r.rate_vector(0)  # grown as in trajectory
-    xs, ss = gen.sample_block(0, n_steps)
-    for n in range(n_steps):
-        q[n] = len(heap)
-        w[n] = total - offset * len(heap)
-        xi, sigma = xs[n], ss[n]
-        level = sigma + offset
-        heapq.heappush(heap, level)
-        total += level
-        b = xi
-        while heap and b > 0.0:
-            k = len(heap)
-            if k >= len(rates):
-                rates = r.rate_vector(k)
-            rate = rates[k]
-            dt = (heap[0] - offset) / rate
-            if dt <= b:
-                b -= dt
-                offset = heap[0]
-                total -= heapq.heappop(heap)
-            else:
-                offset += rate * b
-                b = 0.0
-        while heap and heap[0] - offset <= 0.0:
-            total -= heapq.heappop(heap)
-        if not heap:
-            offset = total = 0.0
-    q[n_steps] = len(heap)
-    w[n_steps] = total - offset * len(heap)
-    final = CountingMeasure(v - offset for v in heap)
-    return QueuePath(q=q, w=w, final_profile=final)

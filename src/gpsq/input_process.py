@@ -414,7 +414,7 @@ class MarkovModulatedModel:
             if len(row) != k:
                 raise ValueError("transition matrix must be square")
             # negated comparisons, so that a NaN entry fails them
-            if any(not p >= 0.0 for p in row) or not abs(sum(row) - 1.0) <= 1e-9:
+            if any(not p >= 0.0 for p in row) or not abs(left_sum(row) - 1.0) <= 1e-9:
                 raise ValueError(f"transition row {row!r} is not a probability vector")
         for d in self.xi_dists:
             if d.dist_mean() <= 0.0:

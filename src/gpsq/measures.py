@@ -130,8 +130,9 @@ class CountingMeasure:
         return CountingMeasure.of_sorted(xs)
 
     def integrate(self, f: Callable[[float], float]) -> float:
-        """Sum of ``f`` over the atoms (0 for the zero measure)."""
-        return sum(f(a) for a in self._atoms)
+        """Sum of ``f`` over the atoms, by :func:`left_sum` (0 for the zero
+        measure)."""
+        return left_sum(f(a) for a in self._atoms)
 
     def leq(self, other: "CountingMeasure", tol: float = 0.0) -> bool:
         """Top-aligned partial order: every atom dominated rank-by-rank.

@@ -29,7 +29,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -530,9 +530,7 @@ def _worker_forward(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFu
 def _forward_replication(cfg: ExperimentConfig, gen: MarkedInputGenerator, r: RateFunction,
                          i: int) -> dict:
     xis, sigmas = gen.sample_block(0, cfg.horizon)
-    # arrival times summed left to right from 0.0; the last one is the horizon
-    times = list(accumulate(xis, initial=0.0))
-    segments = trajectory(ZERO, list(zip(times, sigmas)), times[-1], r)
+    segments = trajectory(ZERO, xis, sigmas, r)
     if cfg.out_format == "csv":
         return {"seed": gen.seed, "csv": _forward_csv_rows(i, gen.seed, segments),
                 "exhausted": False}

@@ -8,13 +8,15 @@ instances.  C1-C8 run the invariant checks of :mod:`gpsq.checks` (which
 """
 
 import time
+from itertools import accumulate
 
 import numpy as np
 import yaml
 
 from gpsq import checks
-from gpsq.dynamics import simulate_queue_path
+from gpsq.dynamics import trajectory
 from gpsq.input_process import Exponential, deterministic_input, iid_input, replication_seed
+from gpsq.measures import ZERO
 from gpsq.rates import classical_ps, pure_delay
 from gpsq.simctl import EXIT_OK, main
 from gpsq.stationary import backward_coupling_ps, check_stability
@@ -95,16 +97,25 @@ def _batch_mean_se(samples: np.ndarray, n_batches: int = 100):
     return float(batches.mean()), float(batches.std(ddof=1) / np.sqrt(n_batches))
 
 
+def _occupancy_before_arrivals(g, r, n):
+    """Customer count just before each of arrivals ``0 .. n-1`` of ``g``
+    from the empty queue, read off the rows of :func:`trajectory`: the row
+    that starts at an arrival counts the arriving customer too."""
+    xs, ss = g.sample_block(0, n)
+    starts = {row[0]: row[2] for row in trajectory(ZERO, xs, ss, r)}
+    return np.array([starts[t] - 1 for t in accumulate(xs[:-1], initial=0.0)])
+
+
 def test_c9_closed_form_cross_checks():
     """C9: equal-split server at half load matches the classical mean
     occupancy 1.0; unit-rate server at offered load 2 matches 2.0; < 5 min."""
     t0 = time.perf_counter()
     burn, keep = 20_000, 100_000
     g = iid_input(Exponential(2.0), Exponential(1.0), seed=9009)  # load 0.5
-    q = simulate_queue_path(g, classical_ps(), n_steps=burn + keep).q[burn:burn + keep]
+    q = _occupancy_before_arrivals(g, classical_ps(), burn + keep)[burn:]
     m1, se1 = _batch_mean_se(np.asarray(q, dtype=float))
     g2 = iid_input(Exponential(1.0), Exponential(2.0), seed=9010)  # offered load 2
-    q2 = simulate_queue_path(g2, pure_delay(), n_steps=burn + keep).q[burn:burn + keep]
+    q2 = _occupancy_before_arrivals(g2, pure_delay(), burn + keep)[burn:]
     m2, se2 = _batch_mean_se(np.asarray(q2, dtype=float))
     elapsed = time.perf_counter() - t0
     ok1 = abs(m1 - 1.0) <= 3.0 * se1
@@ -129,7 +140,7 @@ def test_c10_instability_detection():
         ).coupled
         for i in range(3)
     )
-    q = simulate_queue_path(g, classical_ps(), n_steps=100_000).q
+    q = _occupancy_before_arrivals(g, classical_ps(), 100_001)
     n = np.arange(50_000, 100_001, dtype=float)
     y = np.asarray(q[50_000:], dtype=float)
     slope, intercept = np.polyfit(n, y, 1)

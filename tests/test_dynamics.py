@@ -1,5 +1,5 @@
-"""Tests for the one-step recursion, trajectories, the fluid oracle and
-the heap fast path.
+"""Tests for the one-step recursion, the heap engine ``trajectory`` and
+the fluid oracle.
 
 Expected values for the worked examples were computed two independent
 ways: by hand from the departure-time induction, and by the event-driven
@@ -28,7 +28,6 @@ from gpsq.dynamics import (
     last_departure_index,
     leg,
     phi,
-    simulate_queue_path,
     step,
     trajectory,
 )
@@ -263,9 +262,10 @@ class TestDrain:
 def departure_times(mu, r, horizon):
     """The instants at which ``mu``'s customers leave when nothing arrives:
     one per departed customer, read off the ends of the busy segments of
-    :func:`trajectory` (simultaneous departures end one segment)."""
+    :func:`trajectory` (simultaneous departures end one segment), over one
+    gap of length ``horizon`` after an arrival of demand 0."""
     times = []
-    rows = trajectory(mu, [], horizon, r)
+    rows = trajectory(mu, [horizon], [0.0], r)
     for (_, t_end, q, _, _), nxt in zip(rows, rows[1:] + [(0, 0, 0, 0, 0)]):
         times += [t_end] * (q - nxt[2])
     return times
@@ -279,7 +279,7 @@ class TestDepartureSchedule:
 
     def test_single_customer(self):
         # alone from its arrival at t = 10, it leaves at 10 + 1.5 / r(1)
-        rows = trajectory(ZERO, [(10.0, 1.5)], 12.0, HI)
+        rows = trajectory(ZERO, [10.0, 2.0], [0.0, 1.5], HI)
         assert [t_end for _, t_end, q, _, _ in rows if q == 1] == [11.5]
         assert departure_times(CountingMeasure([1.5]), HI, 2.0) == [1.5]
 
@@ -297,7 +297,7 @@ class TestDepartureSchedule:
             assert gamma(mu, x, r) == max(gamma_values(mu, x, r))
 
     def test_duplicate_atoms_depart_together(self):
-        rows = trajectory(CountingMeasure([2.0, 2.0]), [], 5.0, CPS)
+        rows = trajectory(CountingMeasure([2.0, 2.0]), [5.0], [0.0], CPS)
         assert rows[0] == (0.0, 4.0, 2, 4.0, 1.0)
         assert departure_times(CountingMeasure([2.0, 2.0]), CPS, 5.0) == [4.0, 4.0]
 
@@ -429,6 +429,30 @@ def reference_trajectory_rows(mu0, events, horizon, r):
     return rows
 
 
+def reference_rows(mu0, xs, ss, r):
+    """:func:`reference_trajectory_rows` on :func:`trajectory`'s marks: the
+    arrival times are ``accumulate(xs, initial=0.0)``, and the last sum is
+    the horizon."""
+    times = list(accumulate(xs, initial=0.0))
+    return reference_trajectory_rows(mu0, list(zip(times, ss)), times[-1], r)
+
+
+def before_arrivals(mu0, xs, ss, r):
+    """``(q, w)`` just before each of the arrivals ``0 .. n`` of the ``n``
+    marks ``(ss[k], xs[k])`` from ``mu0``, read off :func:`trajectory`'s
+    rows: the row that starts at arrival ``k`` holds the customers present
+    and the arriving one, unless its demand is 0 (it leaves as it comes).
+    Arrival ``n`` is a probe of demand 1 after the last gap."""
+    xs, ss = list(xs) + [1.0], list(ss) + [1.0]
+    rows = iter(trajectory(mu0, xs, ss, r))
+    row = next(rows)
+    for t, s in zip(accumulate(xs, initial=0.0), ss):
+        while row[0] < t:
+            row = next(rows)
+        assert row[0] == t
+        yield row[2] - (s > 0.0), row[3] - s
+
+
 @st.composite
 def trajectory_case(draw):
     # on a 1/4 grid, arrivals land exactly on departures (pure_delay,
@@ -438,15 +462,10 @@ def trajectory_case(draw):
     else:
         value = st.floats(min_value=1e-6, max_value=3.0, allow_nan=False)
     mu0 = CountingMeasure(draw(st.lists(value, min_size=1, max_size=6)))
-    gaps = draw(st.lists(value, max_size=25))
+    gaps = draw(st.lists(value, min_size=1, max_size=26))
     demands = draw(st.lists(st.one_of(st.just(0.0), value),
                             min_size=len(gaps), max_size=len(gaps)))
-    times, t = [], 0.0
-    for g in gaps:
-        times.append(t)
-        t += g
-    horizon = t + draw(value)
-    return mu0, list(zip(times, demands)), horizon
+    return mu0, gaps, demands
 
 
 #: Largest difference allowed between a time or workload of :func:`trajectory`
@@ -467,21 +486,32 @@ def w_end(segment):
     return w_start - drain_rate * (t_end - t_start)
 
 
+def random_marks(rng, n_max):
+    """Up to ``n_max`` arrivals at sorted uniform times in [0, 9], with
+    uniform demands in [0, 3], as marks ending at 10, and their arrival
+    times; a first arrival of demand 0 at time 0."""
+    n_ev = int(rng.integers(1, n_max))
+    times = np.sort(rng.uniform(0, 9, n_ev))
+    ss = [0.0] + [float(s) for s in rng.uniform(0, 3, n_ev)]
+    xs = np.diff(np.concatenate(([0.0], times, [10.0]))).tolist()
+    return xs, ss, list(accumulate(xs, initial=0.0))
+
+
 class TestTrajectory:
     def test_single_arrival(self):
-        segs = trajectory(ZERO, [(0.0, 2.0)], 3.0, CPS)
+        segs = trajectory(ZERO, [3.0], [2.0], CPS)
         assert [s[:3] for s in segs] == [(0.0, 2.0, 1), (2.0, 3.0, 0)]
         assert segs[0][4] == 1.0
         assert w_end(segs[0]) == pytest.approx(0.0)
 
     def test_classical_ps_conserves_unit_drain(self):
-        segs = trajectory(ZERO, [(0.0, 2.0), (1.0, 2.0)], 5.0, CPS)
+        segs = trajectory(ZERO, [1.0, 4.0], [2.0, 2.0], CPS)
         busy = [s for s in segs if s[2] > 0]
         assert all(drain == 1.0 for _, _, _, _, drain in busy)
         assert sum(t1 - t0 for t0, t1, _, _, _ in busy) == pytest.approx(4.0)
 
     def test_interference_slows_drain(self):
-        segs = trajectory(ZERO, [(0.0, 1.0), (0.5, 1.0)], 3.0, HI)
+        segs = trajectory(ZERO, [0.5, 2.5], [1.0, 1.0], HI)
         two_busy = [s for s in segs if s[2] == 2]
         assert len(two_busy) == 1
         assert two_busy[0][4] == pytest.approx(0.5)
@@ -490,13 +520,9 @@ class TestTrajectory:
     def test_workload_continuous_up_to_arrival_jumps(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            n_ev = int(rng.integers(1, 8))
-            times = np.sort(rng.uniform(0, 9, n_ev))
-            if len(set(times)) != n_ev:
-                continue
-            events = [(float(t), float(rng.uniform(0, 3))) for t in times]
-            segs = trajectory(ZERO, events, 10.0, CPS)
-            arrivals = dict(events)
+            xs, ss, times = random_marks(rng, 8)
+            segs = trajectory(ZERO, xs, ss, CPS)
+            arrivals = dict(zip(times, ss))
             for a, b in zip(segs, segs[1:]):
                 assert a[1] == b[0]
                 jump = arrivals.get(b[0], 0.0)
@@ -505,19 +531,15 @@ class TestTrajectory:
     def test_workload_nonnegative_on_every_segment(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            n_ev = int(rng.integers(1, 8))
-            times = np.sort(rng.uniform(0, 9, n_ev))
-            if len(set(times)) != n_ev:
-                continue
-            events = [(float(t), float(rng.uniform(0, 3))) for t in times]
+            xs, ss, _ = random_marks(rng, 8)
             r = CATALOG[int(rng.integers(0, len(CATALOG)))]
-            for seg in trajectory(ZERO, events, 10.0, r):
+            for seg in trajectory(ZERO, xs, ss, r):
                 assert seg[3] >= 0.0
                 assert w_end(seg) >= -1e-9
 
     def test_count_jump_bookkeeping(self):
         # jumps of q across segment boundaries = arrivals - departures
-        segs = trajectory(ZERO, [(0.0, 2.0), (1.0, 2.0)], 5.0, CPS)
+        segs = trajectory(ZERO, [1.0, 4.0], [2.0, 2.0], CPS)
         qs = [0] + [s[2] for s in segs]
         ups = sum(max(b - a, 0) for a, b in zip(qs, qs[1:]))
         downs = sum(max(a - b, 0) for a, b in zip(qs, qs[1:]))
@@ -527,25 +549,27 @@ class TestTrajectory:
     def test_departure_first_on_tie(self):
         # second arrival lands exactly when the first customer finishes:
         # the count stays at 1 through the boundary instead of touching 2
-        segs = trajectory(ZERO, [(0.0, 1.0), (1.0, 1.0)], 3.0, PD)
+        segs = trajectory(ZERO, [1.0, 2.0], [1.0, 1.0], PD)
         assert [s[:3] for s in segs] == [
             (0.0, 1.0, 1),
             (1.0, 2.0, 1),
             (2.0, 3.0, 0),
         ]
 
-    def test_unordered_events_rejected(self):
-        with pytest.raises(ValueError):
-            trajectory(ZERO, [(1.0, 1.0), (0.5, 1.0)], 3.0, CPS)
-        with pytest.raises(ValueError):
-            trajectory(ZERO, [(0.0, 1.0), (0.0, 1.0)], 3.0, CPS)
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError, match="-0.5"):
+            trajectory(ZERO, [1.0, -0.5], [1.0, 1.0], CPS)
 
-    def test_event_outside_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            trajectory(ZERO, [(3.0, 1.0)], 3.0, CPS)
+    def test_negative_demand_rejected(self):
+        with pytest.raises(ValueError, match="-1e-09"):
+            trajectory(ZERO, [1.0, 1.0], [1.0, -1e-9], CPS)
+
+    def test_no_marks_give_no_rows(self):
+        # no marks, no time: not even mu0's drain is listed
+        assert trajectory(CountingMeasure([1.0, 2.0]), [], [], CPS) == []
 
     def test_nonempty_initial_profile(self):
-        segs = trajectory(CountingMeasure([1.0, 2.0]), [], 5.0, CPS)
+        segs = trajectory(CountingMeasure([1.0, 2.0]), [5.0], [0.0], CPS)
         assert [s[2] for s in segs] == [2, 1, 0]
         assert segs[0][3] == pytest.approx(3.0)
 
@@ -559,7 +583,7 @@ class TestTrajectory:
         previous = signal.signal(signal.SIGALRM, stalled)
         signal.alarm(10)
         try:
-            segs = trajectory(ZERO, [(17259.0, 1.54e-12)], 17260.0, CPS)
+            segs = trajectory(ZERO, [17259.0, 1.0], [0.0, 1.54e-12], CPS)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -575,11 +599,12 @@ class TestTrajectory:
         def stalled(signum, frame):
             raise TimeoutError("trajectory stalled")
 
-        events = [(17255.0, 8.0), (17256.0, 8.0), (17259.0, 1.5e-12)]
+        # arrivals at 17255, 17256 and 17259; the run ends at 17300
+        xs, ss = [17255.0, 1.0, 3.0, 41.0], [0.0, 8.0, 8.0, 1.5e-12]
         previous = signal.signal(signal.SIGALRM, stalled)
         signal.alarm(10)
         try:
-            segs = trajectory(ZERO, events, 17300.0, PD)
+            segs = trajectory(ZERO, xs, ss, PD)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -599,7 +624,7 @@ class TestTrajectory:
         # reference loop ends the last one at 2 - 2**-52 and adds an
         # ulp-long empty segment before the horizon
         mu0 = CountingMeasure([0.1925471981272454, 0.7, 2.0])
-        assert [row[:3] for row in trajectory(mu0, [], 2.0, PD)] == [
+        assert [row[:3] for row in trajectory(mu0, [2.0], [0.0], PD)] == [
             (0.0, 0.1925471981272454, 3),
             (0.1925471981272454, 0.7, 2),
             (0.7, 2.0, 1),
@@ -608,12 +633,12 @@ class TestTrajectory:
     @settings(max_examples=300, deadline=None)
     @given(case=trajectory_case(),
            ridx=st.integers(min_value=0, max_value=len(CATALOG) - 1))
-    @example(case=(CountingMeasure([0.1925471981272454, 0.7, 2.0]), [], 2.0), ridx=0)
+    @example(case=(CountingMeasure([0.1925471981272454, 0.7, 2.0]), [2.0], [0.0]), ridx=0)
     def test_matches_the_reference_loop(self, case, ridx):
-        mu0, events, horizon = case
+        mu0, xs, ss = case
         r = CATALOG[ridx]
-        rows = trajectory(mu0, events, horizon, r)
-        ref = reference_trajectory_rows(mu0, events, horizon, r)
+        rows = trajectory(mu0, xs, ss, r)
+        ref = reference_rows(mu0, xs, ss, r)
         # the two round differently, so one may end a segment an ulp before
         # the other and emit an ulp-long segment the other has not; past
         # those, the segments pair up one to one
@@ -635,41 +660,37 @@ class TestTrajectory:
 
 
 class TestTrajectoryLongRun:
-    # trajectory's workload at each arrival drifts like any engine on an
-    # absolute clock: about 3e-10 and 4e-10 on these runs (clock near 1e5),
-    # 2.2e-9 at 10**6 arrivals of classical_ps at load 0.8, where the
-    # reference loop reads 5.1e-9; without the offset restart on an empty
-    # queue these runs read 4.9e-9 and 1.9e-9
+    # trajectory drains each gap by its budget, not by differences of the
+    # clock (near 1e5 here), so its workload just before each arrival keeps
+    # to repeated step within 1.7e-11 and 2.6e-12 on these runs
     LONG = [(CPS, 0.95, 100_000), (HI, 0.45, 100_000)]
 
     @staticmethod
-    def run(r, mean_sigma, n_steps):
+    def marks(mean_sigma, n_steps):
         g = iid_input(Exponential(1.0), Exponential(mean_sigma), seed=2024)
-        xs, ss = g.sample_block(0, n_steps)
-        times = list(accumulate(xs, initial=0.0))
-        rows = trajectory(ZERO, list(zip(times, ss)), times[-1], r)
-        return g, times, ss, rows
+        return g.sample_block(0, n_steps)
 
     @pytest.mark.parametrize("r, mean_sigma, n_steps", LONG,
                              ids=["classical_ps", "half_interference"])
-    def test_matches_the_fast_path_at_every_arrival(self, r, mean_sigma, n_steps):
-        g, times, ss, rows = self.run(r, mean_sigma, n_steps)
-        assert times[-1] > 2.0**14
-        path = simulate_queue_path(g, r, n_steps)
-        starts = {row[0]: row for row in rows}
+    def test_matches_step_at_every_arrival(self, r, mean_sigma, n_steps):
+        xs, ss = self.marks(mean_sigma, n_steps)
+        assert math.fsum(xs) > 2.0**14
+        ref = ZERO
         w_err = 0.0
-        for k in range(n_steps):
-            _, _, q, w_start, _ = starts[times[k]]
-            assert q == path.q[k] + 1, k
-            w_err = max(w_err, abs(w_start - (path.w[k] + ss[k])))
+        states = before_arrivals(ZERO, xs, ss, r)
+        for k, (q, w) in zip(range(n_steps), states):
+            assert q == ref.num_atoms, k
+            w_err = max(w_err, abs(w - ref.workload))
+            ref = step(ref, ss[k], xs[k], r)
         assert w_err <= 1e-9
 
     def test_segments_match_the_reference_loop_on_a_long_run(self):
         # at this size a heap that drains a departure by rate * dt instead
         # of snapping its offset to the departing level emits 199 993
         # segments, one of them ulp-long, where both loops emit 199 992
-        _, times, ss, rows = self.run(*self.LONG[0])
-        ref = reference_trajectory_rows(ZERO, list(zip(times, ss)), times[-1], CPS)
+        xs, ss = self.marks(*self.LONG[0][1:])
+        rows = trajectory(ZERO, xs, ss, CPS)
+        ref = reference_rows(ZERO, xs, ss, CPS)
         assert len(rows) == len(ref) == 199_992
         assert [row[2] for row in rows] == [row[2] for row in ref]
 
@@ -681,14 +702,17 @@ class TestFastPath:
             g = iid_input(Exponential(2.0), Uniform(0.0, 3.0), seed=int(rng.integers(1, 2**62)))
             r = CATALOG[k % len(CATALOG)]
             mu = CountingMeasure(rng.uniform(0, 5, rng.integers(0, 5)))
-            path = simulate_queue_path(g, r, n_steps=50, initial=mu)
+            xs, ss = g.sample_block(0, 50)
+            states = before_arrivals(mu, xs, ss, r)
             ref = mu
-            for n, (xi, sigma) in enumerate(zip(*g.sample_block(0, 50))):
-                assert path.q[n] == ref.num_atoms
-                assert path.w[n] == pytest.approx(ref.workload, abs=1e-7)
+            for xi, sigma in zip(xs, ss):
+                q, w = next(states)
+                assert q == ref.num_atoms
+                assert w == pytest.approx(ref.workload, abs=1e-7)
                 ref = step(ref, sigma, xi, r)
-            assert path.final_profile.tv_distance(ref) == 0
-            assert path.q[50] == ref.num_atoms
+            q, w = next(states)
+            assert q == ref.num_atoms
+            assert w == pytest.approx(ref.workload, abs=1e-7)
 
     @pytest.mark.parametrize(
         "r, mean_sigma, n_steps",
@@ -700,33 +724,22 @@ class TestFastPath:
         # restarts when the queue empties, its rounding error reaches
         # ~1e-8 by 3e5 steps
         g = iid_input(Exponential(1.0), Exponential(mean_sigma), seed=2024)
-        path = simulate_queue_path(g, r, n_steps=n_steps)
         xs, ss = g.sample_block(0, n_steps)
+        states = before_arrivals(ZERO, xs, ss, r)
         ref = ZERO
         w_err = 0.0
         for n in range(n_steps):
-            assert path.q[n] == ref.num_atoms, n
-            w_err = max(w_err, abs(path.w[n] - ref.workload))
+            q, w = next(states)
+            assert q == ref.num_atoms, n
+            w_err = max(w_err, abs(w - ref.workload))
             ref = step(ref, ss[n], xs[n], r)
-        assert path.q[n_steps] == ref.num_atoms
+        assert next(states)[0] == ref.num_atoms
         assert w_err <= 1e-9
 
     def test_zero_steps(self):
+        # no marks: the probe arrival reads the initial profile at time 0
         mu = CountingMeasure([1.0, 2.0])
-        g = iid_input(Exponential(1.0), Exponential(1.0), seed=1)
-        path = simulate_queue_path(g, CPS, n_steps=0, initial=mu)
-        assert path.q[0] == 2
-        assert path.final_profile.tv_distance(mu) == 0
-
-
-class _Marks:
-    """Explicit marks ``(xs[n], ss[n])`` for indices ``n = 0 .. len - 1``."""
-
-    def __init__(self, xs, ss):
-        self.xs, self.ss = xs, ss
-
-    def sample_block(self, a, b):
-        return self.xs[a:b], self.ss[a:b]
+        assert list(before_arrivals(mu, [], [], CPS)) == [(2, 3.0)]
 
 
 class TestFastPathTies:
@@ -740,15 +753,16 @@ class TestFastPathTies:
         n = 400
         xs = (rng.integers(1, 9, n) / 8.0).tolist()
         ss = (rng.integers(0, 13, n) / 8.0).tolist()
-        path = simulate_queue_path(_Marks(xs, ss), self.DYADIC, n)
+        states = before_arrivals(ZERO, xs, ss, self.DYADIC)
         ref = ZERO
         ties = 0
         for k in range(n):
-            assert path.q[k] == ref.num_atoms, k
-            assert path.w[k] == ref.workload, k
+            q, w = next(states)
+            assert q == ref.num_atoms, k
+            assert w == ref.workload, k
             arrived = ref.add_atom(ss[k])
             # some customer finishes exactly when the next one arrives
             ties += gamma(arrived, xs[k], self.DYADIC) in arrived.atoms
             ref = step(ref, ss[k], xs[k], self.DYADIC)
-        assert path.final_profile.tv_distance(ref, tol=0.0) == 0
+        assert next(states) == (ref.num_atoms, ref.workload)
         assert ties > 10

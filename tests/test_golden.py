@@ -132,21 +132,21 @@ GOLDEN = {
     ("gginf_stationary", "json"):
         "07f9a223b58d94cb60985f8fc788bd17b76418763574c4883332db78f90c60f6",
     ("forward_sim", "csv"):
-        "77a9b767849a28b63480bdfdc79fb0f9de3e28f269036dd3bcc30a3b2e0ccd8d",
+        "8052c129c34b928599c509d3d164c0fb3e897ca7f5ecfbc54cd068356b1742a2",
     ("forward_sim", "json"):
-        "44924b5fa33f5d43c2c78326d909e5f9a82eeceb1585b6a3f8d1a1caca9c26c4",
+        "9775e657fe17a86b3344411902d806b1eb1f1eb6ea13a38856b3148c1b5cbb6d",
     ("forward_sim_mm", "csv"):
-        "0c8d61c69c095e705da4da5489b10821bb3ed95b3013e5d338bf9fcf22e01ec6",
+        "c9f062005efd336c4072104de29f8a91baa5bd58ea659f0fd645dff53050d63f",
     ("forward_sim_mm", "json"):
-        "be25596cb8b913e41ada1b73ee5cdd91490dd8bc532f46583b4238f6a43becd6",
+        "c332f4b71984a64ab363adc732926e6aefba26bc040855612a6ac6a1195c85ca",
     ("stability_sweep", "csv"):
         "5c3d41bbdafbd1d8e98ac5172386e3ea66115df0a584ebe474c6d30d2fe1d30c",
     ("stability_sweep", "json"):
         "f2716b66c4b16db665e8ecd4bc825b20fa591ec7bf778eb5f6fe16a93f60e937",
     ("forward_sim_det_xi_pareto", "csv"):
-        "b3a239391bc1920ef9baab7c985b4ffef75cd6eff327db3cd8903ca2ed5331c0",
+        "978eb806bc10c99fc86ba0436afeba2b9c3bf1120b268d7a8b6e49227cb31715",
     ("forward_sim_det_xi_pareto", "json"):
-        "2f867a3dc43256f82266e33c9d68079d5e65f965d5b03179c5ffaef2cc4c6739",
+        "c05ae9096948a7d86f55fee35fcc1f7238207b21c07ff912a9a6712051058217",
     ("forward_sim_deterministic", "csv"):
         "575da8b37bdb5559f35893a10e2480ecbd952dce8061ab1b4101afa64903b1c7",
     ("forward_sim_deterministic", "json"):

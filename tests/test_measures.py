@@ -56,6 +56,11 @@ class TestLeftSum:
     def test_empty_is_the_int_zero(self):
         assert left_sum([]) == 0 and type(left_sum([])) is int
 
+    def test_integrate_adds_left_to_right(self):
+        # the atoms 0..3 mapped onto a sum that compensation would make 2.0
+        values = {0.0: 1.0, 1.0: 1e100, 2.0: 1.0, 3.0: -1e100}
+        assert CountingMeasure(values).integrate(values.__getitem__) == 0.0
+
 
 class TestShift:
     def test_removes_and_translates(self):

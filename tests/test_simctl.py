@@ -92,9 +92,7 @@ def forward_reference(cfg):
         seed = input_process.replication_seed(cfg.base_seed, i)
         gen = input_process.generator_from_config(cfg.input_spec, seed_override=seed)
         xi, sigma = gen.sample_block(0, cfg.horizon)
-        arrivals = np.concatenate([[0.0], np.cumsum(xi)])
-        events = [(float(arrivals[k]), float(sigma[k])) for k in range(cfg.horizon)]
-        reps.append((seed, trajectory(ZERO, events, float(arrivals[-1]), r)))
+        reps.append((seed, trajectory(ZERO, xi, sigma, r)))
     return reps
 
 
