@@ -56,7 +56,7 @@ def test_g17(benchmark, replication):
     # the column the renderer formats for every row, the segment end times,
     # one rendering block of them
     _, xis, sigmas, r = replication
-    t_end = np.array([seg[1] for seg in trajectory(ZERO, xis, sigmas, r)[:_ROW_BLOCK]])
+    t_end = np.array(trajectory(ZERO, xis, sigmas, r).times[1:_ROW_BLOCK + 1])
     texts = benchmark(_g17, t_end)
     assert texts.size == t_end.size
     benchmark.extra_info.update(unit="us_per_value", count=t_end.size)
@@ -65,7 +65,8 @@ def test_g17(benchmark, replication):
 def test_forward_csv_rows(benchmark, replication):
     seed, xis, sigmas, r = replication
     segments = trajectory(ZERO, xis, sigmas, r)
-    # the bytes the renderer must write, built once, outside the timed call
+    # the bytes the renderer must write, built from the row view once,
+    # outside the timed call
     template = b"".join(b"%d,%d,%.17g,%.17g,%d,%.17g,%.17g\n" % ((0, seed) + s)
                         for s in segments)
     rows = benchmark(_forward_csv_rows, 0, seed, segments)

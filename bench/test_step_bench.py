@@ -10,8 +10,9 @@ the empty profile, shaped like a forward leg of perfbench's ``sweep_mm`` at
 load 0.9: its Markov-modulated input with the demands scaled to load 0.9 of
 its table rate's floor, on that table rate.  The heap engine runs the
 first ``PATH_STEPS`` marks of the long-run drift test's input
-(``classical_ps`` at load 0.8, seed 2024) from the empty profile, read
-before timing, so only the heap loop is timed.  Kept outside
+(``classical_ps`` at load 0.8, seed 2024) from the empty profile; the
+marks are drawn before timing, so the timed call is the heap loop and the
+columns it writes.  Kept outside
 ``testpaths``; ``bench/write_bench.py`` turns the timings into µs per
 step.
 """

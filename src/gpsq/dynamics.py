@@ -24,11 +24,12 @@ subtract the drained work from everyone, repeat -- and shares no code with
 the closed form.  Their agreement is part of the acceptance suite.
 
 The forward engine for long runs, :func:`trajectory`, takes the same
-marks as :func:`leg` and lists the continuous-time segments that
-``forward_sim`` writes.  It keeps a min-heap of absolute levels (remaining
-work plus a lazy per-customer drain offset), so each event costs
-O(log n).  Its agreement with repeated :func:`step` and with the segment
-loop as first written is property-tested.
+marks as :func:`leg` and writes the continuous-time segments that
+``forward_sim`` renders as :class:`Segments`: columns of row end times,
+counts and starting workloads, and one drain rate per count.  It keeps a
+min-heap of absolute levels (remaining work plus a lazy per-customer drain
+offset), so each event costs O(log n).  Its agreement with repeated
+:func:`step` and with the segment loop as first written is property-tested.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from array import array
+from dataclasses import dataclass
 from operator import neg
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .measures import ATOM_TOL, CountingMeasure, ZERO, left_sum
 from .rates import RateFunction
@@ -195,14 +198,38 @@ def leg(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Segments:
+    """The rows of :func:`trajectory` as columns.  Row ``k`` runs from
+    ``times[k]`` to ``times[k + 1]`` at count ``q[k]``, its workload falling
+    linearly from ``w_start[k]`` (0.0 when empty) at ``drain[q[k]]``, where
+    ``drain[j] = j * r(j)`` for ``j = 1 .. max q`` and ``drain[0] = 0.0``.
+
+    ``len`` is the row count, and iterating yields the rows as
+    ``(t_start, t_end, q, w_start, drain_rate)`` tuples, with the int ``0``
+    as an empty row's ``w_start``."""
+
+    times: array  # "d", one entry more than there are rows
+    q: array  # "q"
+    w_start: array  # "d"
+    drain: list[float]
+
+    def __len__(self) -> int:
+        return len(self.q)
+
+    def __iter__(self) -> Iterator[tuple]:
+        drain = self.drain
+        for t0, t1, q, w in zip(self.times, self.times[1:], self.q, self.w_start):
+            yield t0, t1, q, w if q else 0, drain[q]
+
+
 def trajectory(
     mu0: CountingMeasure, xis: Sequence[float], sigmas: Sequence[float], r: RateFunction
-) -> list[tuple]:
+) -> Segments:
     """Piecewise description of (customer count, workload) along the marks
-    ``(sigmas[k], xis[k])`` as plain ``(t_start, t_end, q, w_start,
-    drain_rate)`` tuples, one per maximal interval of constant count ``q``,
-    on which the workload falls linearly from ``w_start`` at ``drain_rate =
-    q * r(q)`` (0 when empty).
+    ``(sigmas[k], xis[k])``, one row per maximal interval of constant count
+    ``q``, on which the workload falls linearly from ``w_start`` at
+    ``drain_rate = q * r(q)`` (0 when empty), as :class:`Segments` columns.
 
     ``mu0`` is present at time 0.0.  Arrival ``k`` comes at the left to
     right partial sum of ``xis[:k]`` from 0.0, brings the demand
@@ -214,9 +241,10 @@ def trajectory(
     negative demand or gap raises ``ValueError``, as in :func:`leg`.
 
     Contract (``forward_sim``'s CSV renderer formats from it): the first
-    row starts at 0.0 and each later one at the previous row's ``t_end``,
-    bit for bit, and ``drain_rate`` is ``q * r.rate_vector(q)[q]``, one
-    value per ``q``.  An empty segment's ``w_start`` is the int ``0``.
+    row starts at 0.0 and each later one at the previous row's end, bit for
+    bit, so the columns keep one time per row boundary; and ``drain_rate``
+    is ``q * r.rate_vector(q)[q]``, one value per ``q``, so they keep one
+    drain per occupancy.
 
     The customers present sit on a min-heap of absolute levels, each its
     remaining work plus ``offset``, the per-customer work drained since
@@ -230,10 +258,11 @@ def trajectory(
     ``t + dt`` and the end of the gap.
     """
     heap = [a for a in mu0.atoms if a > 0.0]  # sorted, so already a heap
+    q = len(heap)
     offset = 0.0
     total = left_sum(heap)
-    rows: list[tuple] = []
-    append = rows.append
+    times, counts, works = array("d", [0.0]), array("q"), array("d")
+    add_time, add_count, add_work = times.append, counts.append, works.append
     push, pop = heapq.heappush, heapq.heappop
     # r's own rate cache, grown to each occupancy as the run reaches it
     rates = r.rate_vector(0)
@@ -246,39 +275,48 @@ def trajectory(
         level = s + offset
         push(heap, level)
         total += level
+        q += 1
+        if q >= len(rates):
+            rates = r.rate_vector(q)
         end = t + x
         b = x
         # each pass lets one customer depart, or spends the rest of the gap
-        while heap:
-            q = len(heap)
-            if q >= len(rates):
-                rates = r.rate_vector(q)
+        while q:
             rate = rates[q]
             dt = (heap[0] - offset) / rate
             if dt > b:
                 if end > t:
-                    append((t, end, q, total - offset * q, q * rate))
+                    add_time(end)
+                    add_count(q)
+                    add_work(total - offset * q)
                 offset += rate * b
-                while heap and heap[0] <= offset:
+                while q and heap[0] <= offset:
                     total -= pop(heap)
+                    q -= 1
                 break
             b -= dt
             t_next = t + dt
             if t_next > end:
                 t_next = end
             if t_next > t:
-                append((t, t_next, q, total - offset * q, q * rate))
+                add_time(t_next)
+                add_count(q)
+                add_work(total - offset * q)
                 t = t_next
             # a departure drains exactly the smallest remaining work
             offset = heap[0]
             total -= pop(heap)
+            q -= 1
         else:
             if end > t:
-                append((t, end, 0, 0, 0.0))
-        if not heap:
+                add_time(end)
+                add_count(0)
+                add_work(0.0)
+        if not q:
             offset = total = 0.0
         t = end
-    return rows
+    top = max(counts, default=0)  # rates already reaches it
+    return Segments(times, counts, works, [0.0] + [k * rates[k] for k in range(1, top + 1)])
 
 
 # ---------------------------------------------------------------------------

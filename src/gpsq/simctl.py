@@ -29,14 +29,13 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import trajectory
+from .dynamics import Segments, trajectory
 from .input_process import (
     MarkedInputGenerator,
     config_number,
@@ -534,7 +533,7 @@ def _forward_replication(cfg: ExperimentConfig, gen: MarkedInputGenerator, r: Ra
     if cfg.out_format == "csv":
         return {"seed": gen.seed, "csv": _forward_csv_rows(i, gen.seed, segments),
                 "exhausted": False}
-    return {"seed": gen.seed, "segments": segments, "exhausted": False}
+    return {"seed": gen.seed, "segments": list(segments), "exhausted": False}
 
 
 # ---------------------------------------------------------------------------
@@ -649,34 +648,33 @@ def _join_columns(n: int, columns: Sequence) -> bytes:
 _ROW_BLOCK = 2048
 
 
-def _forward_csv_rows(i: int, seed: int, segments: Sequence[tuple]) -> bytes:
+def _forward_csv_rows(i: int, seed: int, segments: Segments) -> bytes:
     """The ``forward_sim`` CSV rows of replication ``i``, encoded: one line
     ``i,seed,t_start,t_end,q,w_start,drain_rate`` per ``trajectory``
     segment, the floats as ``"%.17g"``.  Rendered in the worker that
     simulated it, so the parent only concatenates; the bytes are those of
-    ``"%d,%d,%.17g,%.17g,%d,%.17g,%.17g\n"`` per segment.
+    ``"%d,%d,%.17g,%.17g,%d,%.17g,%.17g\n"`` per row of ``segments``.
 
-    It renders from :func:`~gpsq.dynamics.trajectory`'s contract.  Each row
-    starts where the row before it ended, bit for bit, so one text per end
-    time (and one for the first start) is a row's ``t_end`` and the next
+    It renders from :func:`~gpsq.dynamics.trajectory`'s columns and
+    contract.  Each row starts where the row before it ended, bit for bit,
+    so one text per entry of ``times`` is a row's ``t_end`` and the next
     row's ``t_start``.  ``drain_rate`` is ``q * r(q)``, one value per
     occupancy, so each ``q`` and its drain are formatted once per
-    replication."""
+    replication and looked up by ``q``."""
     n = len(segments)
-    t_start, t_end, q, w_start, drain = np.fromiter(
-        chain.from_iterable(segments), np.float64, 5 * n).reshape(n, 5).T
-    occupancy, first, which = np.unique(q, return_index=True, return_inverse=True)
-    q_text = np.array([b"%d," % k for k in occupancy.astype(np.int64).tolist()])
-    drain_text = np.array([b"%.17g\n" % d for d in drain[first].tolist()])
-    times = np.concatenate((t_start[:1], t_end))
+    times = np.frombuffer(segments.times, np.float64)
+    q = np.frombuffer(segments.q, np.int64)
+    w_start = np.frombuffer(segments.w_start, np.float64)
+    q_text = np.array([b"%d," % k for k in range(len(segments.drain))])
+    drain_text = np.array([b"%.17g\n" % d for d in segments.drain])
     prefix = b"%d,%d," % (i, seed)
     blocks = []
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
-        time_text, pair = _g17(times[lo:hi + 1]), which[lo:hi]
+        time_text, occupancy = _g17(times[lo:hi + 1]), q[lo:hi]
         blocks.append(_join_columns(hi - lo, (
-            prefix, time_text[:-1], b",", time_text[1:], b",", q_text[pair],
-            _g17(w_start[lo:hi]), b",", drain_text[pair])))
+            prefix, time_text[:-1], b",", time_text[1:], b",", q_text[occupancy],
+            _g17(w_start[lo:hi]), b",", drain_text[occupancy])))
     return b"".join(blocks)
 
 

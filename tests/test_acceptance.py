@@ -99,10 +99,11 @@ def _batch_mean_se(samples: np.ndarray, n_batches: int = 100):
 
 def _occupancy_before_arrivals(g, r, n):
     """Customer count just before each of arrivals ``0 .. n-1`` of ``g``
-    from the empty queue, read off the rows of :func:`trajectory`: the row
-    that starts at an arrival counts the arriving customer too."""
+    from the empty queue, read off the columns of :func:`trajectory`: the
+    row that starts at an arrival counts the arriving customer too."""
     xs, ss = g.sample_block(0, n)
-    starts = {row[0]: row[2] for row in trajectory(ZERO, xs, ss, r)}
+    segs = trajectory(ZERO, xs, ss, r)
+    starts = dict(zip(segs.times, segs.q))
     return np.array([starts[t] - 1 for t in accumulate(xs[:-1], initial=0.0)])
 
 

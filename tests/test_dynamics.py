@@ -265,7 +265,7 @@ def departure_times(mu, r, horizon):
     :func:`trajectory` (simultaneous departures end one segment), over one
     gap of length ``horizon`` after an arrival of demand 0."""
     times = []
-    rows = trajectory(mu, [horizon], [0.0], r)
+    rows = list(trajectory(mu, [horizon], [0.0], r))
     for (_, t_end, q, _, _), nxt in zip(rows, rows[1:] + [(0, 0, 0, 0, 0)]):
         times += [t_end] * (q - nxt[2])
     return times
@@ -297,7 +297,7 @@ class TestDepartureSchedule:
             assert gamma(mu, x, r) == max(gamma_values(mu, x, r))
 
     def test_duplicate_atoms_depart_together(self):
-        rows = trajectory(CountingMeasure([2.0, 2.0]), [5.0], [0.0], CPS)
+        rows = list(trajectory(CountingMeasure([2.0, 2.0]), [5.0], [0.0], CPS))
         assert rows[0] == (0.0, 4.0, 2, 4.0, 1.0)
         assert departure_times(CountingMeasure([2.0, 2.0]), CPS, 5.0) == [4.0, 4.0]
 
@@ -440,17 +440,18 @@ def reference_rows(mu0, xs, ss, r):
 def before_arrivals(mu0, xs, ss, r):
     """``(q, w)`` just before each of the arrivals ``0 .. n`` of the ``n``
     marks ``(ss[k], xs[k])`` from ``mu0``, read off :func:`trajectory`'s
-    rows: the row that starts at arrival ``k`` holds the customers present
-    and the arriving one, unless its demand is 0 (it leaves as it comes).
-    Arrival ``n`` is a probe of demand 1 after the last gap."""
+    columns: the row that starts at arrival ``k`` holds the customers
+    present and the arriving one, unless its demand is 0 (it leaves as it
+    comes).  Arrival ``n`` is a probe of demand 1 after the last gap."""
     xs, ss = list(xs) + [1.0], list(ss) + [1.0]
-    rows = iter(trajectory(mu0, xs, ss, r))
-    row = next(rows)
+    segs = trajectory(mu0, xs, ss, r)
+    rows = zip(segs.times, segs.q, segs.w_start)
+    t_start, q, w = next(rows)
     for t, s in zip(accumulate(xs, initial=0.0), ss):
-        while row[0] < t:
-            row = next(rows)
-        assert row[0] == t
-        yield row[2] - (s > 0.0), row[3] - s
+        while t_start < t:
+            t_start, q, w = next(rows)
+        assert t_start == t
+        yield q - (s > 0.0), w - s
 
 
 @st.composite
@@ -499,7 +500,7 @@ def random_marks(rng, n_max):
 
 class TestTrajectory:
     def test_single_arrival(self):
-        segs = trajectory(ZERO, [3.0], [2.0], CPS)
+        segs = list(trajectory(ZERO, [3.0], [2.0], CPS))
         assert [s[:3] for s in segs] == [(0.0, 2.0, 1), (2.0, 3.0, 0)]
         assert segs[0][4] == 1.0
         assert w_end(segs[0]) == pytest.approx(0.0)
@@ -521,7 +522,7 @@ class TestTrajectory:
         rng = np.random.default_rng(8)
         for _ in range(50):
             xs, ss, times = random_marks(rng, 8)
-            segs = trajectory(ZERO, xs, ss, CPS)
+            segs = list(trajectory(ZERO, xs, ss, CPS))
             arrivals = dict(zip(times, ss))
             for a, b in zip(segs, segs[1:]):
                 assert a[1] == b[0]
@@ -566,10 +567,10 @@ class TestTrajectory:
 
     def test_no_marks_give_no_rows(self):
         # no marks, no time: not even mu0's drain is listed
-        assert trajectory(CountingMeasure([1.0, 2.0]), [], [], CPS) == []
+        assert list(trajectory(CountingMeasure([1.0, 2.0]), [], [], CPS)) == []
 
     def test_nonempty_initial_profile(self):
-        segs = trajectory(CountingMeasure([1.0, 2.0]), [5.0], [0.0], CPS)
+        segs = list(trajectory(CountingMeasure([1.0, 2.0]), [5.0], [0.0], CPS))
         assert [s[2] for s in segs] == [2, 1, 0]
         assert segs[0][3] == pytest.approx(3.0)
 
@@ -604,7 +605,7 @@ class TestTrajectory:
         previous = signal.signal(signal.SIGALRM, stalled)
         signal.alarm(10)
         try:
-            segs = trajectory(ZERO, xs, ss, PD)
+            segs = list(trajectory(ZERO, xs, ss, PD))
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
@@ -658,6 +659,24 @@ class TestTrajectory:
         assert all(drain.hex() == (q * r.rate_vector(q)[q]).hex()
                    for _, _, q, _, drain in rows)
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=trajectory_case(),
+           ridx=st.integers(min_value=0, max_value=len(CATALOG) - 1))
+    def test_row_view_reads_the_columns(self, case, ridx):
+        # the row view of the columns: one row per entry of q, joined bit
+        # for bit from 0.0, the int 0 as an empty row's w_start, and the
+        # drain of each row's q
+        mu0, xs, ss = case
+        r = CATALOG[ridx]
+        segs = trajectory(mu0, xs, ss, r)
+        rows = list(segs)
+        assert len(segs) == len(rows)
+        ends = [0.0.hex()] + [row[1].hex() for row in rows]
+        assert [row[0].hex() for row in rows] == ends[:-1]
+        assert all((type(row[3]) is int) == (row[2] == 0) for row in rows)
+        assert all(drain.hex() == (q * r.rate_vector(q)[q]).hex()
+                   for _, _, q, _, drain in rows)
 
 class TestTrajectoryLongRun:
     # trajectory drains each gap by its budget, not by differences of the

@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from array import array
 from decimal import Decimal
 from functools import reduce
 from pathlib import Path
@@ -29,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpsq import checks, input_process, simctl, stationary
-from gpsq.dynamics import trajectory
+from gpsq.dynamics import Segments, trajectory
 from gpsq.measures import ZERO
 from gpsq.rates import validate
 from gpsq.simctl import (
@@ -92,8 +93,20 @@ def forward_reference(cfg):
         seed = input_process.replication_seed(cfg.base_seed, i)
         gen = input_process.generator_from_config(cfg.input_spec, seed_override=seed)
         xi, sigma = gen.sample_block(0, cfg.horizon)
-        reps.append((seed, trajectory(ZERO, xi, sigma, r)))
+        reps.append((seed, list(trajectory(ZERO, xi, sigma, r))))
     return reps
+
+
+def as_segments(rows):
+    """The :class:`Segments` columns of ``rows``, which join and keep one
+    drain per ``q``: the drain table holds each row's drain at its ``q``
+    and 0.0 at the counts no row has."""
+    drain = [0.0] * (max(row[2] for row in rows) + 1)
+    for _, _, q, _, d in rows:
+        drain[q] = d
+    return Segments(array("d", [rows[0][0]] + [row[1] for row in rows]),
+                    array("q", [row[2] for row in rows]),
+                    array("d", [row[3] for row in rows]), drain)
 
 
 def forward_failing_at_2(cfg, base, r, reps):
@@ -692,7 +705,7 @@ class TestRunModes:
             (4, 5, long_rep),
         ]
         rendered = _csv_bytes([_FORWARD_HEADER]) + b"".join(
-            _forward_csv_rows(i, seed, segs) for i, seed, segs in reps)
+            _forward_csv_rows(i, seed, as_segments(segs)) for i, seed, segs in reps)
         assert rendered == forward_csv_via_writer(
             (i, seed, seg) for i, seed, segs in reps for seg in segs)
 
