@@ -12,19 +12,30 @@ uniforms.  The one-seed case reads the Markov-modulated input over
 ``FORWARD_INDICES`` indices from 0, the read ``check_stability`` makes on
 ``sweep_mm``.  The one-index case reads ``ONE_INDEX_READS`` single
 indices of the Markov-modulated input with ``sample(n)``, one kernel pass
-each.  Kept outside ``testpaths``; ``bench/write_bench.py`` turns the timings into µs per
-index.
+each.  The kernel case times one ``_philox_uniforms`` call, the Philox
+pass every read runs, at the shipped batch shape (``SEEDS`` rows x
+``KERNEL_INDICES`` indices, what the perfect sampler's buffer reads) and at
+one row x one index (the fixed cost of a call), in µs per counter.  Kept
+outside ``testpaths``; ``bench/write_bench.py`` turns the timings into µs
+per index or per counter.
 """
 
 import pytest
 
-from gpsq.input_process import generator_from_config, replication_seed, sample_blocks
+from gpsq.input_process import (
+    _PURPOSE_MARKS,
+    _philox_uniforms,
+    generator_from_config,
+    replication_seed,
+    sample_blocks,
+)
 from gpsq.stationary import BATCH_ROWS
 
 SEEDS = BATCH_ROWS
 INDICES = 256
 FORWARD_INDICES = 2000
 ONE_INDEX_READS = 50
+KERNEL_INDICES = 400
 
 INPUTS = {
     "iid": {"model": "iid", "xi": {"dist": "exp", "mean": 3},
@@ -68,3 +79,11 @@ def test_sample_one_index(benchmark):
     assert len(benchmark(reads)) == ONE_INDEX_READS
     benchmark.extra_info.update(unit="us_per_index", count=ONE_INDEX_READS)
 
+
+@pytest.mark.parametrize("shape", [(SEEDS, KERNEL_INDICES), (1, 1)], ids=["batch", "one"])
+def test_philox_kernel(benchmark, shape):
+    n_rows, n = shape
+    rows = [(replication_seed(42, i), _PURPOSE_MARKS) for i in range(n_rows)]
+    u = benchmark(_philox_uniforms, rows, -n, 0)
+    assert u.shape == (n_rows, n, 2)
+    benchmark.extra_info.update(unit="us_per_counter", count=n_rows * n)

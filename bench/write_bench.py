@@ -5,7 +5,7 @@
 The file holds the git SHA of the checkout (``null`` outside a git
 checkout), facts about the machine, and one record per case: its
 per-unit median (``us_per_segment``, ``us_per_row``, ``us_per_value``, ``us_per_step``, ``us_per_term``,
-``us_per_index``, ``ms_per_sample``, ``ms_per_call``, ``s_per_run``) with the quartiles,
+``us_per_index``, ``us_per_counter``, ``ms_per_sample``, ``ms_per_call``, ``s_per_run``) with the quartiles,
 the raw per-call statistics in seconds, and the round count.  The cases import ``gpsq`` from this checkout's
 ``src/``.  One case is not a pytest-benchmark case: ``tier1`` times one run
 of the Tier-1 command (``python -m pytest -q --continue-on-collection-errors``
@@ -40,8 +40,8 @@ from run import YARDSTICK_S  # noqa: E402  (perfbench/run.py)
 from worker import yardstick_s  # noqa: E402  (perfbench/worker.py)
 
 SCALE = {"us_per_segment": 1e6, "us_per_row": 1e6, "us_per_value": 1e6, "us_per_step": 1e6,
-         "us_per_term": 1e6, "us_per_index": 1e6, "ms_per_sample": 1e3, "ms_per_call": 1e3,
-         "s_per_run": 1.0}
+         "us_per_term": 1e6, "us_per_index": 1e6, "us_per_counter": 1e6, "ms_per_sample": 1e3,
+         "ms_per_call": 1e3, "s_per_run": 1.0}
 
 
 def _git_sha(root: str = ROOT) -> str | None:

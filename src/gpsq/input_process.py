@@ -27,7 +27,7 @@ call costs about the same for one seed as for dozens.  On top of it,
 ``MarkedInputGenerator.sample_block(a, b)`` is the one-seed case,
 :func:`sample_blocks` reads many generators grouped by model, and
 ``sample(n)`` is the block ``[n, n + 1)``.  A kernel call has a fixed cost
-of about 0.2 ms, so read ranges with ``sample_block``, not index by index.
+of about 0.12 ms, so read ranges with ``sample_block``, not index by index.
 A read is one kernel pass, which holds the chain rows and the mark rows
 alike, and runs the kernel only for what it uses: laws that consume no
 uniform (deterministic ones) read no mark rows, and a chain with one state
@@ -110,41 +110,57 @@ _PHILOX_KEY_BUMPS = np.array(
 _PHILOX_CHUNK = 8192
 
 
+def _mulhi(x: np.ndarray, m_lo, m_hi, out: np.ndarray, xl: np.ndarray, xh: np.ndarray,
+           t: np.ndarray) -> np.ndarray:
+    """``hi(x * m)``, the upper half of the 64x64 -> 128 product, into
+    ``out``, from the 32-bit limbs of ``x`` and of ``m = m_hi 2^32 + m_lo``;
+    ``xl``, ``xh`` and ``t`` are scratch of ``out``'s shape."""
+    low32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    np.bitwise_and(x, low32, out=xl)
+    np.right_shift(x, s32, out=xh)
+    np.multiply(xl, m_lo, out=t)  # ll
+    t >>= s32
+    xl *= m_hi  # lh
+    xl += t  # cross
+    np.multiply(xh, m_lo, out=t)  # hl
+    xh *= m_hi  # hh
+    np.bitwise_and(xl, low32, out=out)
+    out += t  # cross2
+    out >>= s32
+    xl >>= s32
+    out += xl
+    out += xh
+    return out
+
+
 def _philox_pass(key: np.ndarray, counter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Counter words are held as two stacked pairs: x = (c0, c2), the words
     # each round multiplies, and y = (c1, c3).  A round maps them to
     # x' = (hi(M1 c2) ^ c1 ^ k0, hi(M0 c0) ^ c3 ^ k1), y' = (lo(M1 c2), lo(M0 c0)).
-    # The counter is [1, 0, 0, index]: numpy's Philox increments word 0
-    # before its first block.  hi() is the 64x64 -> 128 product's upper
-    # half, assembled from 32-bit limbs.  ``key`` holds each counter's key
-    # words (seed, purpose) as a (2, n) array.  The rounds work in place on
-    # seven (2, n) buffers, so a pass allocates nothing per round.
-    low32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    # ``key`` holds each counter's key words (seed, purpose) as a (2, n)
+    # array.
+    # * Round 1 is a closed form.  The counter is [1, 0, 0, index] (numpy's
+    #   Philox increments word 0 before its first block), so its products
+    #   are M0 * 1 and M1 * 0: x = (k0, index ^ k1), y = (0, M0).
+    # * Round 10 keeps words 0 and 1, hi(M1 c2) ^ c1 ^ k0 and lo(M1 c2),
+    #   the only ones random(2) reads, so it forms the M1 c2 product alone.
+    # * hi() is the 64x64 -> 128 product's upper half from 32-bit limbs
+    #   (:func:`_mulhi`): with ll, lh, hl, hh the limb products (x's low
+    #   limb times M's low limb, low times high, ...), cross = lh + (ll >>
+    #   32), cross2 = (cross & low32) + hl and hi = hh + (cross >> 32) +
+    #   (cross2 >> 32).  Each limb product is at most (2^32 - 1)^2 = 2^64 -
+    #   2^33 + 1, so cross < 2^64 - 2^32 and cross2 <= 2^64 - 2^32: no sum
+    #   wraps.
+    # The rounds work in place on (2, n) buffers, so a pass allocates
+    # nothing per round.
     n = counter.size
-    x = np.zeros((2, n), dtype=np.uint64)
-    x[0] = 1
+    x = key.copy()
+    x[1] ^= counter
     y = np.zeros((2, n), dtype=np.uint64)
-    y[1] = counter
-    t, lo, hi, p1, p2 = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
-    for bump in _PHILOX_KEY_BUMPS:
-        np.bitwise_and(x, low32, out=lo)
-        np.right_shift(x, s32, out=hi)
-        np.multiply(lo, _PHILOX_M_HI, out=p1)
-        np.multiply(hi, _PHILOX_M_LO, out=p2)
-        hi *= _PHILOX_M_HI
-        lo *= _PHILOX_M_LO
-        lo >>= s32
-        # lo becomes the middle column sum, then hi the upper half
-        np.bitwise_and(p1, low32, out=t)
-        lo += t
-        np.bitwise_and(p2, low32, out=t)
-        lo += t
-        lo >>= s32
-        hi += lo
-        p1 >>= s32
-        hi += p1
-        p2 >>= s32
-        hi += p2
+    y[1] = _PHILOX_M[0]
+    t, hi, xl, xh, p = (np.empty((2, n), dtype=np.uint64) for _ in range(5))
+    for bump in _PHILOX_KEY_BUMPS[1:-1]:
+        _mulhi(x, _PHILOX_M_LO, _PHILOX_M_HI, hi, xl, xh, p)
         np.add(key, bump, out=t)
         t ^= y
         t ^= hi[::-1]
@@ -152,7 +168,13 @@ def _philox_pass(key: np.ndarray, counter: np.ndarray) -> tuple[np.ndarray, np.n
         # t is the new x and the reversed product the new y; the old y's
         # buffer becomes the scratch
         x, y, t = t, x[::-1], y[::-1]
-    return x[0], y[0]
+    c2 = x[1]
+    w0 = _mulhi(c2, _PHILOX_M_LO[1], _PHILOX_M_HI[1], hi[0], xl[0], xh[0], p[0])
+    w0 ^= y[0]
+    np.add(key[0], _PHILOX_KEY_BUMPS[-1, 0], out=t[0])
+    w0 ^= t[0]
+    c2 *= _PHILOX_M[1]
+    return w0, c2
 
 
 def _philox_uniforms(rows: Sequence[tuple[int, int]], a: int, b: int) -> np.ndarray:
@@ -163,18 +185,33 @@ def _philox_uniforms(rows: Sequence[tuple[int, int]], a: int, b: int) -> np.ndar
 
     The (row, index) pairs run in row-major order as one sequence of
     counters, each with its own key, in passes of at most
-    :data:`_PHILOX_CHUNK` counters."""
+    :data:`_PHILOX_CHUNK` counters.  A pass holds the rest of its first row
+    (the head), then whole rows, then the start of one more row (the
+    tail)."""
     n = b - a
     # the key words of each row: seeds, then purposes
     keys = np.array([[s & _MASK64 for s, _ in rows], [p for _, p in rows]], dtype=np.uint64)
     total = len(rows) * n
     out = np.empty((total, 2))
     for lo in range(0, total, _PHILOX_CHUNK):
-        pair = np.arange(lo, min(lo + _PHILOX_CHUNK, total))
-        key = keys[:, pair // n]
-        w0, w1 = _philox_pass(key, (pair % n).astype(np.uint64) + np.uint64(a & _MASK64))
-        out[lo : lo + pair.size, 0] = w0 >> np.uint64(11)
-        out[lo : lo + pair.size, 1] = w1 >> np.uint64(11)
+        m = min(_PHILOX_CHUNK, total - lo)
+        r, c = divmod(lo, n)
+        head = min(n - c, m)
+        whole, tail = divmod(m - head, n)
+        # counters of rows r .. r + whole + 1, cut at the last row
+        counts = np.full(min(whole + 2, len(rows) - r), n)
+        counts[0] = head
+        counts[whole + 1 :] = tail
+        key = np.repeat(keys[:, r : r + counts.size], counts, axis=1)
+        counter = np.empty(m, dtype=np.uint64)
+        counter[:head] = np.arange(c, c + head)
+        if whole:  # then n <= m, so arange(n) stays within the pass
+            counter[head : m - tail].reshape(whole, n)[:] = np.arange(n)
+        counter[m - tail :] = np.arange(tail)
+        counter += np.uint64(a & _MASK64)
+        w0, w1 = _philox_pass(key, counter)
+        out[lo : lo + m, 0] = w0 >> np.uint64(11)
+        out[lo : lo + m, 1] = w1 >> np.uint64(11)
     out *= 1.0 / 9007199254740992.0
     return out.reshape(len(rows), n, 2)
 

@@ -766,6 +766,45 @@ class TestManySeedBlocks:
             assert (xs[k].tolist(), ss[k].tolist()) == gen.sample_block(-40, 25)
 
 
+_starts = st.one_of(
+    st.integers(-25, 5),  # across index 0, where the counter wraps through 2^64 - 1
+    st.integers(2**63 - 25, 2**63 + 5),
+    st.integers(-(2**63) - 25, -(2**63) + 5),
+    st.integers(-(2**64) - 25, -(2**64) + 5),
+    st.integers(2**64 - 25, 2**64 + 5),
+)
+
+
+class TestKernelPasses:
+    """Each pass builds its keys and counters from slices of the rows it
+    holds; round 1 runs in closed form and round 10 in half."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_small_passes_equal_the_oracle(self, chunk, monkeypatch):
+        # 6 rows x 9 indices: passes of 7 split inside rows, start on a row
+        # boundary or end on one, and passes of 1 hold one counter
+        monkeypatch.setattr(input_process, "_PHILOX_CHUNK", chunk)
+        rows = [(s, p) for s in (0, 5, 2**64 - 1) for p in (_PURPOSE_CHAIN, _PURPOSE_MARKS)]
+        a, b = -4, 5
+        many = _philox_uniforms(rows, a, b)
+        assert many.shape == (len(rows), b - a, 2)
+        for k, row in enumerate(rows):
+            for i in range(b - a):
+                assert many[k, i].tolist() == _rng_at(*row, a + i).random(2).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1),
+                              st.sampled_from([_PURPOSE_CHAIN, _PURPOSE_MARKS])),
+                    min_size=1, max_size=3),
+           _starts, st.integers(0, 20))
+    def test_uniforms_equal_the_oracle(self, rows, a, n):
+        many = _philox_uniforms(rows, a, a + n)
+        assert many.shape == (len(rows), n, 2)
+        for k, row in enumerate(rows):
+            for i in range(n):
+                assert many[k, i].tolist() == _rng_at(*row, a + i).random(2).tolist()
+
+
 class TestReadPath:
     """The kernel passes a read asks for: one pass per read, holding the
     chain rows and the mark rows together; a one-state chain reads no chain
