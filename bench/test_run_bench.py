@@ -4,16 +4,23 @@ each at ``jobs=1`` and ``jobs=2`` and writing to a temp directory, a
 ``gginf_stationary`` run (``GGINF``: 200 replications of iid input with
 exp(1) gaps and exp(2) demands) at ``jobs=1``, and ``simctl verify``.  ``test_map_ordered`` times the fan-out alone: the
 ``jobs=2`` spread of a trivial function over 2 and 8 items, in ms per call.
+``test_startup`` times what a ``simctl`` process does before its run: a
+fresh interpreter that imports ``gpsq.simctl`` and loads
+``configs/perfect_sample.yaml``, with no BLAS thread variable set.
 
 Kept outside ``testpaths``, so the test suite never collects them.  Run
 them through ``bench/write_bench.py``, which writes a ``BENCH_<tag>.json``
 with the seconds per run.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gpsq
 from gpsq.simctl import (
     EXIT_OK,
     ExperimentConfig,
@@ -72,3 +79,15 @@ def test_map_ordered(benchmark, n):
     items = list(range(n))
     assert benchmark(lambda: list(_map_ordered(_double, items, 2))) == _double(items)
     benchmark.extra_info.update(unit="ms_per_call", count=1)
+
+
+def test_startup(benchmark):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(gpsq.__file__).resolve().parents[1])
+    code = ("import gpsq.simctl; gpsq.simctl.load_config(%r)"
+            % str(CONFIGS / "perfect_sample.yaml"))
+    benchmark.pedantic(subprocess.run, args=([sys.executable, "-c", code],),
+                       kwargs={"env": env, "check": True}, rounds=20, iterations=1,
+                       warmup_rounds=1)
+    benchmark.extra_info.update(unit="s_per_run", count=1)

@@ -8,6 +8,26 @@ stationary regimes, exact stationary sampling by regeneration-epoch
 search, and the ``simctl`` command-line front end.
 """
 
+import os
+import sys
+
+# numpy is loaded here, with a one-thread OpenBLAS, unless the caller chose
+# a pool size (OpenBLAS reads all three variables) or numpy is already loaded.
+# The pthreads OpenBLAS bundled with numpy starts a worker pool at load, and
+# its idle worker busy-waits for about 2**28 cycles.  On a 2-vCPU Xeon VM,
+# whenever that spin competed with the importing thread for CPU time, it
+# took a bare `import numpy` from 0.06-0.09 s to 0.13-0.16 s, and every
+# simctl run paid it.  The package's one LAPACK call is a k x k `lstsq`,
+# which OpenBLAS runs on one thread anyway.  The variable is set for this
+# load only, so os.environ and child processes see no change.
+if "numpy" not in sys.modules and not any(
+        v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .measures import ATOM_TOL, ZERO, CountingMeasure
 from .rates import (
     RateFunction,

@@ -582,12 +582,16 @@ def _g17(v: np.ndarray) -> np.ndarray:
     ``e = floor(log10 x)``: Dekker's product gives ``x * 10**k`` exactly as
     ``hi + lo`` (``10**k`` is exact for ``k <= 22``), which fixes ``e``
     exactly, and ``D = hi + rint(lo)`` rounds half to even, as ``%`` does,
-    because ``hi >= 2**53`` is an even integer.  Every other value (zeros,
-    negatives, subnormals, exponent form, nan, inf) goes through ``%``."""
+    because ``hi >= 2**53`` is an even integer.  ``+0.0`` (every empty
+    ``forward_sim`` row's ``w_start``) is ``b"0"``.  Every other value
+    (``-0.0``, negatives, subnormals, exponent form, nan, inf) goes through
+    ``%``."""
     v = np.asarray(v, dtype=np.float64)
     out = np.zeros(v.size, dtype=f"S{_G17_WIDTH}")
     fast = (v >= 1e-4) & (v < 1e16)
-    for k in np.flatnonzero(~fast).tolist():
+    zero = v.view(np.uint64) == 0  # +0.0 is the one double with no bit set
+    out[zero] = b"0"
+    for k in np.flatnonzero(~(fast | zero)).tolist():
         out[k] = b"%.17g" % v[k]
     x = v[fast]
     if not x.size:

@@ -1133,6 +1133,15 @@ class TestG17:
         rng = np.random.default_rng(12)
         self.check(10.0 ** rng.uniform(-6.0, 18.0, 50_000))
 
+    def test_mostly_zeros_of_both_signs(self):
+        # +0.0 takes a vectorised path; -0.0 and its neighbours stay on "%"
+        rng = np.random.default_rng(13)
+        xs = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-5, 0.5, -0.5, np.nan],
+                        size=5000, p=[0.6, 0.2, 0.04, 0.04, 0.03, 0.03, 0.03, 0.03])
+        self.check(xs)
+        self.check(np.zeros(7))
+        self.check(-np.zeros(7))
+
 
 class TestJsonStream:
     def test_chunks_equal_json_bytes(self):
@@ -1281,6 +1290,44 @@ class TestReplicationBatches:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "[]"
+
+    BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def startup(self, code, **env):
+        """Run ``code`` in a fresh interpreter with gpsq on its path, none of
+        the BLAS thread variables but those in ``env``, and ``threads()``
+        defined to read the process's ``Threads:`` count; its stdout."""
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        src = str(Path(simctl.__file__).resolve().parents[1])
+        child = {k: v for k, v in os.environ.items() if k not in self.BLAS_THREAD_VARS}
+        child.update(env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        head = ("import os\n"
+                "def threads():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return next(int(l.split()[1]) for l in fh if l.startswith('Threads:'))\n")
+        return subprocess.run([sys.executable, "-c", head + code], env=child, capture_output=True,
+                              text=True, check=True).stdout.split()
+
+    def test_import_loads_a_one_thread_blas_and_leaves_environ_as_it_was(self):
+        # OpenBLAS's idle pool thread spins through start-up; gpsq never uses it
+        out = self.startup("before = dict(os.environ)\n"
+                           "import gpsq.simctl\n"
+                           "print(threads(), dict(os.environ) == before)")
+        assert out == ["1", "True"]
+
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_import_honours_a_callers_blas_thread_count(self, var):
+        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("OpenBLAS starts no pool on one CPU")
+        out = self.startup("import gpsq.simctl\nprint(threads(), os.environ[%r])" % var,
+                           **{var: "2"})
+        assert out == ["2", "2"]
+
+    def test_import_after_numpy_leaves_environ_as_it_was(self):
+        out = self.startup("import numpy\nbefore = dict(os.environ)\n"
+                           "import gpsq.simctl\nprint(dict(os.environ) == before)")
+        assert out == ["True"]
 
     def test_batches_hold_at_most_batch_rows(self, tmp_path, monkeypatch):
         # the perfect-sample worker hands its whole chunk to the batch
