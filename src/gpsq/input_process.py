@@ -32,9 +32,8 @@ A read is one kernel pass, which holds the chain rows and the mark rows
 alike, and runs the kernel only for what it uses: laws that consume no
 uniform (deterministic ones) read no mark rows, and a chain with one state
 (iid marks) reads no chain rows.  The read (:func:`_read`) depends on the
-model only through its transition matrix, so inside a
-:func:`shared_reads` block reads that differ only in their laws share it;
-outside one nothing is kept.
+model only through its transition matrix, so models that differ only in
+their laws can apply theirs to one read; nothing is kept between reads.
 
 The kernel reproduces numpy's own Philox generator bit for bit: the
 uniforms of ``(seed, purpose, n)`` are the first two ``random()`` draws of
@@ -69,7 +68,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
@@ -592,26 +590,6 @@ _NO_COALESCENCE = (
 )
 
 
-#: The last read inside a :func:`shared_reads` block, as ``(arguments,
-#: read)``; ``None`` outside one, so that no read outlives its callers.
-_shared: tuple | None = None
-
-
-@contextmanager
-def shared_reads():
-    """Within the block, a read equal to the one before it (same transition
-    matrix, seeds, range and mark flag) is that read, without a kernel
-    pass: reads that differ only in their laws, such as the verdicts of a
-    sweep's load points, share one pass.  The kept read is dropped when the
-    block ends."""
-    global _shared
-    _shared = ()
-    try:
-        yield
-    finally:
-        _shared = None
-
-
 def _read(
     transition: tuple[tuple[float, ...], ...], seeds: tuple[int, ...], a: int, b: int, marks: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -626,12 +604,9 @@ def _read(
     ``- 1`` indices before ``a``, so that coupling from the past starts
     from what it holds (:func:`_mm_states`), and the mark rows over the
     same range.  The read depends on the model only through its transition
-    matrix, so inside a :func:`shared_reads` block reads that differ only in
-    the laws (the load points of a sweep) share it."""
-    global _shared
-    args = (transition, seeds, a, b, marks)
-    if _shared and _shared[0] == args:
-        return _shared[1]
+    matrix, so models that differ only in their laws (the load points of a
+    sweep) can each apply theirs to one read with
+    :meth:`MarkovModulatedModel.marks`."""
     k, n = len(seeds), max(b - a, 0)
     chain = len(transition) > 1
     lo = a - _MM_FIRST_LOOKBACK + 1 if chain else a
@@ -649,8 +624,6 @@ def _read(
         states = (_mm_states(transition, seeds, both[:k, :, 0], a) if n
                   else np.zeros((k, 0), np.int64))
         states.setflags(write=False)
-    if _shared is not None:
-        _shared = (args, (u, states))
     return u, states
 
 

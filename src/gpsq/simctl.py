@@ -42,7 +42,6 @@ from .input_process import (
     generator_from_config,
     replication_seed,
     scale_sigma,
-    shared_reads,
 )
 from .measures import ZERO
 from .rates import (
@@ -56,9 +55,10 @@ from .rates import (
 from .stationary import (
     backward_coupling_ps,  # not called here; perfbench's tracer wraps simctl.backward_coupling_ps
     backward_coupling_ps_batch,
-    check_stability,
+    check_stability,  # not called here; perfbench's tracer wraps simctl.check_stability
     gginf_stationary,
     mean_se,
+    stability_verdict,
 )
 
 SCHEMA_ID = "gpsq-experiment-v1"
@@ -684,18 +684,14 @@ def _forward_csv_rows(i: int, seed: int, segments: Segments) -> bytes:
 
 def _worker_sweep_point(cfg: ExperimentConfig, base: MarkedInputGenerator, r: RateFunction,
                         rhos: list[float]) -> Iterator[dict]:
-    # the verdicts of every point first: their reads of base_seed differ only
-    # in the scaled sigma laws, so all but the first are the shared read
-    points = []
-    with shared_reads():
-        for rho in rhos:
-            factor = rho * r.declared_floor * base.mean_xi() / base.mean_sigma()
-            scaled = scale_sigma(base, factor)
-            verdict = check_stability(
-                scaled.with_seed(cfg.base_seed), r, n_samples=cfg.stability_samples
-            ).verdict
-            points.append((rho, factor, scaled, verdict))
-    for rho, factor, scaled, verdict in points:
+    # one read of base_seed for every point's verdict: the points differ
+    # only in their scaled sigma laws, which apply to the same uniforms
+    u, states = base.model.read((cfg.base_seed,), 0, cfg.stability_samples)
+    for rho in rhos:
+        factor = rho * r.declared_floor * base.mean_xi() / base.mean_sigma()
+        scaled = scale_sigma(base, factor)
+        xs, ss = scaled.model.marks(u, states)
+        verdict = stability_verdict(xs[0], ss[0], r.declared_floor).verdict
         gens = [_rep_generator(cfg, scaled, i) for i in range(cfg.replications)]
         reports = backward_coupling_ps_batch(
             gens, r, max_lookback=cfg.max_lookback, improvement_window=cfg.lindley_window
@@ -879,6 +875,14 @@ def run_invariant_suites(seed: int = 0) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+# The most points ``--rho start:stop:step`` may give, counted before the
+# grid is built: under a 1.5 GB address-space cap, building 10**6 points
+# took 0.64 s and 71 MB, 9 * 10**6 took 6.1 s and 397 MB, and 9 * 10**8
+# (0.1:1:1e-9) reached MemoryError after 21 s; uncapped, it grows to tens
+# of GB before the sweep starts.
+_RHO_MAX_POINTS = 10**6
+
+
 def _parse_rho(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step`` (inclusive) into a grid, or a comma list."""
     if ":" in text:
@@ -890,7 +894,12 @@ def _parse_rho(text: str) -> tuple[float, ...]:
             raise ConfigError(f"--rho range is empty or descending: {text!r}")
         # the last point at or below stop; the slack keeps a stop that
         # is a whole number of steps away (0.1:1.5:0.1) on the grid
-        n = math.floor((stop - start) / step_ + 1e-9)
+        steps = (stop - start) / step_ + 1e-9
+        if steps >= _RHO_MAX_POINTS:  # an infinite count included
+            count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+            raise ConfigError(f"--rho {text!r} gives {count} load points, "
+                              f"more than {_RHO_MAX_POINTS}")
+        n = math.floor(steps)
         return tuple(round(start + k * step_, 10) for k in range(n + 1))
     return _rho_grid(_cli_numbers(text.split(",")), "--rho")
 

@@ -485,9 +485,16 @@ def check_stability(gen, r: RateFunction, n_samples: int = 10_000) -> StabilityR
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     xs, ss = sample_blocks([gen], 0, n_samples)
-    mean_xi, se_xi = mean_se(xs[0])
-    mean_sigma, se_sigma = mean_se(ss[0])
-    k_r = r.declared_floor
+    return stability_verdict(xs[0], ss[0], r.declared_floor)
+
+
+def stability_verdict(xs: np.ndarray, ss: np.ndarray, k_r: float) -> StabilityReport:
+    """The verdict of :func:`check_stability` on the marks ``xs`` and
+    ``ss`` against the floor ``k_r``: ``"stable"`` or ``"unstable"`` when
+    the margin ``k_r E[xi] - E[sigma]`` of the sample means is more than
+    three standard errors above or below 0, else ``"inconclusive"``."""
+    mean_xi, se_xi = mean_se(xs)
+    mean_sigma, se_sigma = mean_se(ss)
     margin = k_r * mean_xi - mean_sigma
     se = math.hypot(k_r * se_xi, se_sigma)
     if margin > 3.0 * se:

@@ -631,6 +631,16 @@ class TestTrajectory:
             (0.7, 2.0, 1),
         ]
 
+    def test_departure_rows_end_by_the_end_of_their_gap(self):
+        # the last customer's finish time t + dt rounds to 4.7, past the
+        # gap's end t + x, which is the left-to-right sum of the gaps,
+        # 4.699999999999999: the row ends at the gap's end, so the clock
+        # never runs backwards and the run ends where the marks do
+        xs, ss = [1.7, 1.2, 0.4, 1.4], [1.2, 0.5, 1.5, 1.4]
+        times = list(trajectory(ZERO, xs, ss, PD).times)
+        assert all(a <= b for a, b in zip(times, times[1:]))
+        assert times[-1] == list(accumulate(xs))[-1] == 4.699999999999999
+
     @settings(max_examples=300, deadline=None)
     @given(case=trajectory_case(),
            ridx=st.integers(min_value=0, max_value=len(CATALOG) - 1))

@@ -893,24 +893,6 @@ class TestReadPath:
         xs, _ = model.sample_blocks((1, 2), -5, 5)
         assert xs.flags.writeable
 
-    def test_reads_that_differ_only_in_laws_share_one_pass(self, passes):
-        # the load points of a sweep: scaled sigma laws, one base read
-        g = generator_from_config({
-            "model": "markov_modulated", "transition": [[0.9, 0.1], [0.2, 0.8]],
-            "states": [{"xi": {"dist": "exp", "mean": 1.5}, "sigma": {"dist": "exp", "mean": 0.5}},
-                       {"xi": {"dist": "exp", "mean": 0.5},
-                        "sigma": {"dist": "uniform", "low": 0.0, "high": 2.0}}],
-            "seed": 7})
-        with input_process.shared_reads():
-            blocks = [scale_sigma(g, c).sample_block(0, 500) for c in (1.0, 2.0, 0.5)]
-        assert len(passes) == 1
-        assert blocks[1][0] == blocks[0][0]
-        assert blocks[1][1] == [2.0 * s for s in blocks[0][1]]
-        # outside the block nothing is kept: each read is its own pass
-        assert blocks[0] == scale_sigma(g, 1.0).sample_block(0, 500)
-        assert blocks[0] == scale_sigma(g, 1.0).sample_block(0, 500)
-        assert len(passes) == 3 and input_process._shared is None
-
     def test_one_state_law_needs_no_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a one-state chain solved for its stationary law")

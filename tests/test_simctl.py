@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from gpsq import checks, input_process, simctl, stationary
 from gpsq.dynamics import Segments, trajectory
+from gpsq.input_process import MarkovModulatedModel, scale_sigma
 from gpsq.measures import ZERO
 from gpsq.rates import validate
 from gpsq.simctl import (
@@ -54,9 +55,9 @@ from gpsq.simctl import (
     rate_from_config,
     run_experiment,
 )
-from gpsq.stationary import BATCH_ROWS
+from gpsq.stationary import BATCH_ROWS, check_stability
 from test_golden import CONFIGS as GOLDEN_CONFIGS
-from test_golden import GOLDEN, SCHEMA_ID
+from test_golden import GOLDEN, NEAR_PS_TABLE, SCHEMA_ID
 from test_golden import MM_INPUT as MODULATED_INPUT
 
 MM_INPUT = {"model": "iid", "xi": {"dist": "exp", "mean": 3},
@@ -423,6 +424,30 @@ class TestConfigParsing:
         assert out.stderr.startswith("simctl: config error: ") and "Traceback" not in out.stderr
         assert list(tmp_path.iterdir()) == [cfg]
 
+    def test_rho_grid_past_its_cap_exits_config_at_once(self, tmp_path):
+        # 9 * 10**8 load points are refused before the grid is built; the
+        # run gets a 1.5 GiB address space, so code that built the grid
+        # would end in a MemoryError seconds later, not exhaust the machine
+        cfg = write_config(tmp_path / "c.yaml", mode="stability_sweep")
+        src = str(Path(simctl.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+        code = ("import sys, time; from gpsq.simctl import main; t = time.perf_counter(); "
+                "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)")
+        out = subprocess.run([sys.executable, "-c", code, "sweep", str(cfg), "--rho",
+                              "0.1:1:1e-9", "--jobs", "1"],
+                             cwd=tmp_path, env=env, preexec_fn=limit_address_space,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == EXIT_CONFIG, out.stderr
+        assert float(out.stdout) < 1.0
+        assert out.stderr == ("simctl: config error: --rho '0.1:1:1e-9' gives 900000001 "
+                              "load points, more than 1000000\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_unknown_mode_of_a_built_config_is_config_error(self, tmp_path):
         # from_dict refuses it too; a config built by hand reaches run_experiment
         out = tmp_path / "bogus.csv"
@@ -454,6 +479,11 @@ class TestConfigParsing:
                     "0.5:inf:0.1", "0:1:0.5", "0.5:1:0", "0.5:1:-0.1"):
             with pytest.raises(ConfigError, match="--rho"):
                 _parse_rho(bad)
+        # a grid's size is checked before it is built, an endless one too
+        with pytest.raises(ConfigError, match="gives 1000001 load points, more than 1000000"):
+            _parse_rho("1:1000001:1")
+        with pytest.raises(ConfigError, match="gives inf load points"):
+            _parse_rho("0.1:1e308:1e-300")
 
 
 def fuzz_bases():
@@ -516,20 +546,39 @@ def mutate(cfg, path, action):
 
 
 @st.composite
-def mutated_configs(draw):
+def mutated_configs(draw, fields=1):
+    """A fuzz base with ``fields`` mutations, each of a field of the config
+    the one before it left."""
     cfg = draw(st.sampled_from(FUZZ_BASES))
-    path = draw(st.sampled_from(list(field_paths(cfg))))
-    action = draw(st.one_of(st.sampled_from(["delete", "unknown"]),
-                            st.tuples(st.just("set"), st.sampled_from(FUZZ_VALUES))))
-    return mutate(cfg, path, action)
+    for _ in range(fields):
+        path = draw(st.sampled_from(list(field_paths(cfg))))
+        action = draw(st.one_of(st.sampled_from(["delete", "unknown"]),
+                                st.tuples(st.just("set"), st.sampled_from(FUZZ_VALUES))))
+        cfg = mutate(cfg, path, action)
+    return cfg
 
 
-def run_in_fresh_dir(data, jobs):
-    """``simctl run`` of the config ``data`` in process, in a new directory:
-    its exit code and every file it left there but the config, by name.
-    Bounded by a 10 s alarm."""
+# the pieces of a --rho text: with these numbers (float reads "1_0" as 10) a
+# start:stop:step grid has at most 21 points or is past simctl's cap, so
+# every run is short
+RHO_PIECES = ("0.5", "0.9", "1.2", "1e308", "1e-9", "1e-300", "5e-324", "0", "-0.5", "nan",
+              "inf", "-inf", "x", "", " 0.7", "1_0")
+
+
+@st.composite
+def rho_texts(draw):
+    pieces = draw(st.lists(st.sampled_from(RHO_PIECES), min_size=1, max_size=4))
+    seps = draw(st.lists(st.sampled_from([",", ":"]), min_size=len(pieces) - 1,
+                         max_size=len(pieces) - 1))
+    return pieces[0] + "".join(sep + piece for sep, piece in zip(seps, pieces[1:]))
+
+
+def run_in_fresh_dir(data, jobs, argv=("run", "c.yaml")):
+    """``simctl`` with ``argv`` and the config ``data`` as ``c.yaml``, in
+    process, in a new directory: its exit code and every file it left there
+    but the config, by name.  Bounded by a 10 s alarm."""
     def stalled(signum, frame):
-        raise TimeoutError("simctl run took longer than 10 s")
+        raise TimeoutError("simctl took longer than 10 s")
 
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -539,7 +588,7 @@ def run_in_fresh_dir(data, jobs):
         try:
             Path("c.yaml").write_text(yaml.safe_dump(data))
             with contextlib.redirect_stderr(io.StringIO()):
-                code = main(["run", "c.yaml", "--jobs", str(jobs)])
+                code = main([*argv, "--jobs", str(jobs)])
             return code, {name: Path(name).read_bytes() for name in sorted(os.listdir("."))
                           if name != "c.yaml"}
         finally:
@@ -554,21 +603,38 @@ def results(files):
 
 
 class TestConfigFuzz:
-    """One field of a working config, at any depth, deleted, joined by an
-    unknown key, or set to a value of the wrong type or range: ``simctl
-    run`` exits 0 or 2 and never raises; at 2 it leaves no file, output or
-    temp, and at 0 ``--jobs 2`` writes the same bytes."""
+    """One or two fields of a working config, at any depth, deleted, joined
+    by an unknown key, or set to a value of the wrong type or range, or a
+    sweep's ``--rho`` text made of numbers and junk: ``simctl`` exits 0 or
+    2 and never raises; at 2 it leaves no file, output or temp, and at 0
+    ``--jobs 2`` writes the same bytes."""
 
-    @given(mutated_configs())
-    @settings(max_examples=120, deadline=None, database=None)
-    def test_one_field_mutation_exits_cleanly(self, data):
-        code, files = run_in_fresh_dir(data, 1)
+    @staticmethod
+    def exits_cleanly(data, argv=("run", "c.yaml")):
+        code, files = run_in_fresh_dir(data, 1, argv)
         assert code in (EXIT_OK, EXIT_CONFIG)
         if code == EXIT_CONFIG:
             assert files == {}
         else:
-            code_2, files_2 = run_in_fresh_dir(data, 2)
+            code_2, files_2 = run_in_fresh_dir(data, 2, argv)
             assert code_2 == code and results(files_2) == results(files) != {}
+
+    @given(mutated_configs())
+    @settings(max_examples=120, deadline=None, database=None)
+    def test_one_field_mutation_exits_cleanly(self, data):
+        self.exits_cleanly(data)
+
+    @given(mutated_configs(fields=2))
+    @settings(max_examples=80, deadline=None, database=None)
+    def test_two_field_mutation_exits_cleanly(self, data):
+        self.exits_cleanly(data)
+
+    @given(st.sampled_from([cfg for cfg in FUZZ_BASES if cfg["mode"] == "stability_sweep"]),
+           rho_texts())
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_rho_text_exits_cleanly(self, data, text):
+        # --rho=: a text that starts with "-" stays the option's value
+        self.exits_cleanly(data, ("sweep", "c.yaml", f"--rho={text}"))
 
 
 class TestRunModes:
@@ -926,6 +992,48 @@ class TestRunModes:
             noise = 2.0 * math.sqrt(max(a * (1 - a), b * (1 - b), 0.04) / n)
             assert b <= a + noise, freqs
         assert freqs[0] >= 0.9 and freqs[-1] <= 0.1
+
+    @pytest.mark.parametrize("rhos", [[0.9], [0.5, 0.9, 1.2]], ids=["1-point", "3-point"])
+    def test_sweep_chunk_reads_its_verdict_marks_once(self, monkeypatch, rhos):
+        # the points of a chunk differ only in their scaled sigma laws, so
+        # their verdicts apply those laws to one read of base_seed's marks
+        cfg = ExperimentConfig.from_dict({
+            "schema_id": SCHEMA_ID, "mode": "stability_sweep", "base_seed": 7,
+            "replications": 2, "max_lookback": 1000, "stability_samples": 2000,
+            "input": MODULATED_INPUT,
+            "rate": {"kind": "custom_table", "table": NEAR_PS_TABLE, "floor": 0.9},
+            "sweep": {"rho": rhos}})
+        base = input_process.generator_from_config(cfg.input_spec, seed_override=cfg.base_seed)
+        r = rate_from_config(cfg.rate_spec)
+        reads, reports = [], []
+        read, verdict = MarkovModulatedModel.read, simctl.stability_verdict
+
+        def reading(model, seeds, a, b):
+            reads.append(((tuple(seeds), a, b), read(model, seeds, a, b)))
+            return reads[-1][1]
+
+        def judging(xs, ss, k_r):
+            reports.append(verdict(xs, ss, k_r))
+            return reports[-1]
+
+        monkeypatch.setattr(MarkovModulatedModel, "read", reading)
+        monkeypatch.setattr(simctl, "stability_verdict", judging)
+        recs = list(simctl._worker_sweep_point(cfg, base, r, rhos))
+        n = cfg.stability_samples
+        verdict_reads = [(args, out) for args, out in reads if args[1:] == (0, n)]
+        assert [args for args, _ in verdict_reads] == [((cfg.base_seed,), 0, n)]
+        for rec, rep in zip(recs, reports, strict=True):
+            scaled = scale_sigma(base, rec["sigma_scale"])
+            want = check_stability(scaled.with_seed(cfg.base_seed), r, n)
+            assert (rep.verdict, rep.margin.hex()) == (want.verdict, want.margin.hex())
+            assert rec["verdict"] == want.verdict
+        # the calm state's exp(0.5) sigma, scaled by 2.0, on the same read
+        u, states = verdict_reads[0][1]
+        xs, ss = base.model.marks(u, states)
+        xs_2, ss_2 = scale_sigma(base, 2.0).model.marks(u, states)
+        calm = states == 0
+        assert calm.any() and xs_2.tolist() == xs.tolist()
+        assert ss_2[calm].tolist() == (2.0 * ss[calm]).tolist()
 
     def test_missing_rho_is_config_error(self, tmp_path, monkeypatch, capsys):
         # `run` of a sweep config and `sweep` without --rho meet one check,
